@@ -121,6 +121,10 @@ def run_sweep(cfg: SweepConfig) -> dict:
             if cfg.include_css:
                 rho = family_state(eps, decoherence_factor(cfg.channel, float(t)).a)
                 css = refsearch.closest_separable_bures(rho, cfg.optimizer)
+                if not css.converged:  # converged implies feasible
+                    raise ArithmeticError(
+                        f"CSS search unconverged at eps={eps}, t={t}: "
+                        f"e={css.e_value:.12g}, pt_min_eig={css.pt_min_eig:.3e}")
                 row += [css.e_value, css.pt_min_eig]
             lines.append(",".join(_fmt(v) for v in row))
     with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -179,6 +183,7 @@ def run_css(state_path: str, cfg: OptimizerConfig) -> dict:
         "e_value": res.e_value,
         "pt_min_eig": res.pt_min_eig,
         "iterations": res.iterations,
+        "nfev": res.nfev,
         "converged": res.converged,
         "feasible": bool(res.pt_min_eig >= refsearch.PT_FEASIBILITY),
         "sigma_star": state_to_json(res.sigma_star),
@@ -383,7 +388,7 @@ def _cmd_css(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    return 0 if report["feasible"] else 2
+    return 0 if report["feasible"] and report["converged"] else 2
 
 
 def main(argv=None) -> int:

@@ -138,6 +138,14 @@ class TestMainSweep:
         last_t = float(csv_lines[-1].split(",")[1])
         assert last_t == pytest.approx(4 * math.pi, rel=1e-9)
 
+    def test_unconverged_css_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "css.csv"
+        rc = cli.main(["sweep", "--epsilon-list", "0.5", "--t-steps", "2",
+                       "--include-css", "--opt-max-iters", "1", "--out", str(out)])
+        assert rc == 2
+        assert "unconverged" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_epsilon_exits_one(self, capsys):
         rc = cli.main(["sweep", "--epsilon-list", "1.5"])
         assert rc == 1
@@ -182,6 +190,19 @@ class TestMainCss:
         assert report["e_value"] == pytest.approx(1 - math.sqrt(0.5), abs=1e-4)
         assert report["pt_min_eig"] >= -1e-7
         assert report["feasible"]
+        assert report["converged"]
+        assert report["nfev"] > 0
+
+    def test_unconverged_exits_two(self, tmp_path, capsys):
+        # one iteration per minimizer run leaves the Bell solve feasible but
+        # far from its optimum
+        path = tmp_path / "bell.json"
+        save_state(initial_pure(FamilyParams(0.5)), path)
+        rc = cli.main(["css", str(path), "--opt-max-iters", "1"])
+        assert rc == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["feasible"]
+        assert not report["converged"]
 
     def test_maximally_mixed_file(self, tmp_path, capsys):
         path = tmp_path / "mm.json"

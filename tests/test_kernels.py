@@ -1,85 +1,81 @@
-"""Backend parity: the compiled kernels must match the numpy fallback."""
+"""The closest-separable-state kernels: the parametrization and the analytic
+gradient of the penalized objective against central differences."""
 
 import numpy as np
 import pytest
 
-from qdephase.kernels import _pykernels as pk
-from qdephase.kernels import available_backends
-
-ck = pytest.importorskip("qdephase.kernels._ckernels",
-                         reason="compiled backend not built")
+from qdephase import kernels, refsearch
 
 
-def random_density(rng, dim=4):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def random_density(rng, rank=4):
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     m = g @ g.conj().T
     return m / m.trace().real
-
-
-def test_backend_listing():
-    assert "python" in available_backends()
-    assert "cython" in available_backends()
-
-
-def test_eigh_matches_lapack():
-    rng = np.random.default_rng(21)
-    for _ in range(100):
-        dim = int(rng.integers(2, 9))
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        h = (g + g.conj().T) / 2
-        w_ref = np.linalg.eigvalsh(h)
-        w, v = ck.eigh_herm(h)
-        assert np.abs(w - w_ref).max() < 1e-12 * max(1.0, np.abs(w_ref).max())
-        assert np.abs(h @ v - v * w).max() < 1e-12 * max(1.0, np.abs(h).max())
-        assert np.abs(v.conj().T @ v - np.eye(dim)).max() < 1e-12
-        assert np.array_equal(ck.eigvalsh_herm(h), w)
-
-
-def test_fidelity_parity():
-    rng = np.random.default_rng(22)
-    for _ in range(200):
-        rho = random_density(rng)
-        sig = random_density(rng)
-        s_py, m_py = pk.psd_sqrt_with_min(rho)
-        s_c, m_c = ck.psd_sqrt_with_min(rho)
-        assert abs(m_py - m_c) < 1e-13
-        assert abs(pk.sqrt_fidelity(s_py, sig) - ck.sqrt_fidelity(s_c, sig)) < 1e-11
-
-
-def test_pt_min_eig_parity():
-    rng = np.random.default_rng(23)
-    for _ in range(200):
-        sig = random_density(rng)
-        assert abs(pk.pt_min_eig(sig) - ck.pt_min_eig(sig)) < 1e-13
-
-
-def test_objective_parity():
-    rng = np.random.default_rng(24)
-    rho = random_density(rng)
-    s_py, _ = pk.psd_sqrt_with_min(rho)
-    s_c, _ = ck.psd_sqrt_with_min(rho)
-    for _ in range(200):
-        x = rng.standard_normal(16)
-        a = pk.css_objective(x, s_py, 1e3)
-        b = ck.css_objective(x, s_c, 1e3)
-        assert abs(a - b) < 1e-10
-        sp = pk.sigma_from_params(x)
-        sc = ck.sigma_from_params(x)
-        assert np.abs(sp - sc).max() < 1e-14
 
 
 def test_sigma_from_params_is_state():
     rng = np.random.default_rng(25)
     for _ in range(100):
-        sig = pk.sigma_from_params(rng.standard_normal(16))
+        sig = kernels.sigma_from_params(rng.standard_normal(16))
         assert abs(sig.trace().real - 1.0) < 1e-12
         assert np.linalg.eigvalsh(sig).min() > -1e-13
 
 
 def test_degenerate_params_guarded():
     zero = np.zeros(16)
-    assert pk.sigma_from_params(zero) is None
-    assert ck.sigma_from_params(zero) is None
-    s = np.eye(4, dtype=complex) / 2.0
-    assert pk.css_objective(zero, s, 1e3) == 1e6
-    assert ck.css_objective(zero, s, 1e3) == 1e6
+    assert kernels.sigma_from_params(zero) is None
+    value, grad = kernels.css_objective(zero, np.eye(4, dtype=complex) / 2.0, 1e3)
+    assert value == 1e6
+    assert np.array_equal(grad, np.zeros(16))
+
+
+def test_objective_value_matches_its_parts():
+    rng = np.random.default_rng(26)
+    sqrt_rho, _ = kernels.psd_sqrt_with_min(random_density(rng))
+    for _ in range(50):
+        x = rng.standard_normal(16)
+        sigma = kernels.sigma_from_params(x)
+        pt = np.linalg.eigvalsh(kernels._partial_transpose(sigma))
+        expect = (1.0 - kernels.sqrt_fidelity(sqrt_rho, sigma)
+                  + 1e3 * (np.minimum(pt, 0.0) ** 2).sum())
+        assert abs(kernels.css_objective(x, sqrt_rho, 1e3)[0] - expect) < 1e-12
+
+
+def _central_difference(x, sqrt_rho, weight, h):
+    """Two-point central differences of the objective value, slot by slot."""
+    grad = np.empty(16)
+    for k in range(16):
+        step = np.zeros(16)
+        step[k] = h
+        grad[k] = (kernels.css_objective(x + step, sqrt_rho, weight)[0]
+                   - kernels.css_objective(x - step, sqrt_rho, weight)[0]) / (2.0 * h)
+    return grad
+
+
+def _point(rng, separable):
+    """Parameters whose sigma lacks (separable) or has a partial-transpose
+    eigenvalue below zero, kept 1e-3 away from the kink at zero."""
+    while True:
+        if separable:
+            # PT eigenvalues of a state are >= -1/2, so this mixture's are >= 0.1
+            sigma = 0.2 * random_density(rng) + 0.8 * np.eye(4) / 4.0
+            x = refsearch._params_from_matrix(sigma)
+        else:
+            x = rng.standard_normal(16)
+        ptmin = kernels.pt_min_eig(kernels.sigma_from_params(x))
+        if (ptmin > 1e-3) if separable else (ptmin < -1e-3):
+            return x
+
+
+@pytest.mark.parametrize("rank", [1, 4], ids=["pure_rho", "full_rank_rho"])
+@pytest.mark.parametrize("separable", [False, True], ids=["pt_negative", "pt_positive"])
+@pytest.mark.parametrize("weight", [1e3, 1e9])
+def test_gradient_matches_central_differences(rank, separable, weight):
+    rng = np.random.default_rng([27, rank, int(separable), int(np.log10(weight))])
+    sqrt_rho, _ = kernels.psd_sqrt_with_min(random_density(rng, rank))
+    for _ in range(3):
+        x = _point(rng, separable)
+        _, grad = kernels.css_objective(x, sqrt_rho, weight)
+        numeric = _central_difference(x, sqrt_rho, weight, 1e-6)
+        scale = max(1.0, np.abs(grad).max())
+        assert np.abs(grad - numeric).max() <= 1e-6 * scale

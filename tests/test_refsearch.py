@@ -199,6 +199,23 @@ class TestOrderingCheck:
         assert report.max_delta12 == expect
 
 
+def entangled_non_x_state(k):
+    """Seeded full-rank state with negativity >= 0.2 and no X shape: a
+    random pure state mixed with a random full-rank one."""
+    rng = np.random.default_rng([4101, k])
+    while True:
+        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        psi /= np.linalg.norm(psi)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        noise = g @ g.conj().T
+        p = 0.7 + 0.2 * rng.random()
+        rho = p * np.outer(psi, psi.conj()) + (1.0 - p) * noise / noise.trace().real
+        rho = (rho + rho.conj().T) / 2.0
+        rho /= rho.trace().real
+        if measures.negativity(rho) >= 0.2:
+            return rho
+
+
 class TestClosestSeparable:
     def test_bell_matches_brute_force(self):
         oracle_value = werner_line_minimum()
@@ -260,6 +277,18 @@ class TestClosestSeparable:
             res = closest_separable_bures(rho, OptimizerConfig(restarts=4))
             assert res.pt_min_eig >= -1e-7
             assert 0.0 <= res.e_value <= 1.0
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_entangled_non_x_full_rank(self, k):
+        rho = entangled_non_x_state(k)
+        res = closest_separable_bures(rho)
+        diag = np.diag(np.diag(rho))
+        bound = 1.0 - math.sqrt(measures.uhlmann_fidelity(rho, diag))
+        assert res.converged
+        assert res.pt_min_eig >= refsearch.PT_FEASIBILITY
+        assert 0.0 < res.e_value <= bound + 1e-8
+        # evaluations, not seconds: the same count on every machine
+        assert res.nfev < 10_000
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
