@@ -11,16 +11,17 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import kernels, measures, oracle, refsearch
-from .channel import ChannelParams, decoherence_factor, pure_reference_at
+from .channel import ChannelParams, decoherence_factor
 from .errors import QDephaseError
 from .measures import MeasureRecord
 from .refsearch import OptimizerConfig
-from .states import family_state, load_state, maximally_mixed, state_to_json
+from .states import (FamilyParams, family_state, load_state, maximally_mixed,
+                     pure_reference, state_to_json)
 
 FIG_EPSILONS = (0.5, 0.42, 0.37, 0.32, 0.26, 0.19, 0.12, 0.05)
 
@@ -42,7 +43,6 @@ class SweepConfig:
     t_max: float = 2.0 * math.pi  # one revival period of the default channel
     t_steps: int = 51
     channel: ChannelParams = field(default_factory=_default_channel)
-    x_axis: str = "linear_entropy"
     include_css: bool = False
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     out_path: str = "sweep.csv"
@@ -55,17 +55,16 @@ class SweepConfig:
             raise ValueError(f"every epsilon must be in [0, 1]: {self.epsilon_list}")
         if self.t_steps < 2:
             raise ValueError(f"t_steps must be >= 2, got {self.t_steps}")
-        if self.x_axis not in ("linear_entropy", "fidelity_pure", "time"):
-            raise ValueError(f"unknown x_axis {self.x_axis!r}")
 
 
 def build_record(epsilon: float, c: ChannelParams, t: float) -> MeasureRecord:
     """Every measure at one (epsilon, t) sweep point."""
     dec = decoherence_factor(c, t)
     rho = family_state(epsilon, dec.a)
-    sigma_p = pure_reference_at(epsilon, c, t)
+    sigma_p = pure_reference(FamilyParams(epsilon, dec.phase))
     abs_a = abs(dec.a)
     rel_phase = c.ntilde * math.sin((c.mu1 + c.mu2) * t)
+    concurrence = measures.concurrence_wootters(rho)
 
     er_lin = measures.relative_entropy_linearized(rho, sigma_p)
     try:
@@ -79,9 +78,9 @@ def build_record(epsilon: float, c: ChannelParams, t: float) -> MeasureRecord:
         abs_a=abs_a,
         delta12=measures.linear_entropy(rho),
         negativity=measures.negativity(rho),
-        concurrence_wootters=measures.concurrence_wootters(rho),
+        concurrence_wootters=concurrence,
         concurrence_paper=measures.concurrence_family(epsilon, abs_a),
-        eof=measures.eof(measures.concurrence_wootters(rho)),
+        eof=measures.eof(concurrence),
         fidelity_pure=measures.uhlmann_fidelity(rho, sigma_p),
         e_pure=1.0 - er_lin,
         e_mixed=refsearch.mixed_ref_measure_family(epsilon, abs_a, c.ntilde,
@@ -105,6 +104,7 @@ def run_sweep(cfg: SweepConfig) -> dict:
     header = CSV_COLUMNS + (CSS_COLUMNS if cfg.include_css else "")
     lines = [header]
     records = []
+    names = [f.name for f in fields(MeasureRecord)]  # the CSV column order
     for eps in sorted(cfg.epsilon_list):
         for t in ts:
             rec = build_record(eps, cfg.channel, float(t))
@@ -113,11 +113,7 @@ def run_sweep(cfg: SweepConfig) -> dict:
                 raise ArithmeticError(
                     f"record invariants violated at eps={eps}, t={t}: {problems}")
             records.append(rec)
-            row = [rec.epsilon, rec.t, rec.gamma, rec.abs_a, rec.delta12,
-                   rec.negativity, rec.concurrence_wootters,
-                   rec.concurrence_paper, rec.eof, rec.fidelity_pure,
-                   rec.e_pure, rec.e_mixed, rec.e_maxmixed, rec.er_exact,
-                   rec.er_lin]
+            row = [getattr(rec, name) for name in names]
             if cfg.include_css:
                 rho = family_state(eps, decoherence_factor(cfg.channel, float(t)).a)
                 css = refsearch.closest_separable_bures(rho, cfg.optimizer)
@@ -134,7 +130,6 @@ def run_sweep(cfg: SweepConfig) -> dict:
     return {
         "out": cfg.out_path,
         "rows": len(records),
-        "x_axis": cfg.x_axis,
         "kernel_backend": kernels.BACKEND,
         "max_delta12": report.max_delta12,
         "ordering": report.as_dict(),
@@ -275,7 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--epsilon-list", help="comma-separated epsilon values")
     sw.add_argument("--t-max", type=float, help="end of the time grid (s)")
     sw.add_argument("--t-steps", type=int, help="number of grid points")
-    sw.add_argument("--x-axis", choices=("linear_entropy", "fidelity_pure", "time"))
     sw.add_argument("--include-css", action="store_true", default=None,
                     help="append closest-separable-state columns (slow)")
     sw.add_argument("--out", help="CSV output path")
@@ -322,8 +316,6 @@ def _cmd_sweep(args) -> int:
         t_steps=(args.t_steps if args.t_steps is not None
                  else _get(cfg_file, "sweep", "t_steps", int, 51)),
         channel=channel,
-        x_axis=(args.x_axis if args.x_axis is not None
-                else _get(cfg_file, "sweep", "x_axis", str, "linear_entropy")),
         include_css=include_css,
         optimizer=optimizer,
         out_path=(args.out if args.out is not None

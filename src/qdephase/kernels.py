@@ -19,8 +19,8 @@ NOISE_FLOOR_REL = 64.0 * np.finfo(float).eps
 
 # Packing of the 16 parameters into the lower-triangular factor L, row by
 # row: each strictly-lower entry takes two slots (real, imaginary), each
-# diagonal entry one (real). vec(L) = _PACK @ x, and a gradient dL in L
-# maps back to the slots as Re(_PACK^H vec(dL)).
+# diagonal entry one (real). vec(L) = _PACK @ x, and a lower-triangular L,
+# or a gradient dL in L, maps back to the slots as Re(_PACK^H vec(dL)).
 _TRIL = np.tril_indices(4)
 _LOWER = np.tril_indices(4, -1)
 _PACK = np.zeros((16, 16), dtype=complex)
@@ -30,9 +30,10 @@ _UNPACK = _PACK.conj().T.copy()
 
 
 def _clip_spectrum(w):
-    w = np.where(w > 0.0, w, 0.0)
-    top = w.max(initial=0.0)
-    return np.where(w >= NOISE_FLOOR_REL * top, w, 0.0)
+    # w ascending, as eigh/eigvalsh return it, so w[-1] is the top
+    w = np.maximum(w, 0.0)
+    w[w < NOISE_FLOOR_REL * w[-1]] = 0.0
+    return w
 
 
 def _partial_transpose(m):
@@ -77,6 +78,11 @@ def _factor(x):
     """L packed in the 16 reals x, and Tr LL† = sum |L_ij|^2 = x·x."""
     x = np.asarray(x, dtype=float)
     return (_PACK @ x).reshape(4, 4), float(x @ x)
+
+
+def params_from_factor(ell):
+    """The 16 reals that pack a lower-triangular factor with real diagonal."""
+    return (_UNPACK @ ell.ravel()).real
 
 
 def sigma_from_params(x):

@@ -34,16 +34,11 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(m) -> float:
-    a = as_matrix(m)
-    return float(np.abs(a - a.conj().T).max())
-
-
 def hermitian_eig(m, tol: Tolerances = DEFAULT_TOL):
     """Eigenvalues (ascending) and orthonormal eigenvector columns.
 
     Raises NotHermitian if the input is not Hermitian within tol.herm and
-    NoConvergence if the iterative backend exhausts its sweep budget.
+    NoConvergence if the eigensolver does not converge.
     """
     a = as_matrix(m)
     defect = float(np.abs(a - a.conj().T).max())
@@ -51,7 +46,7 @@ def hermitian_eig(m, tol: Tolerances = DEFAULT_TOL):
         raise NotHermitian(f"hermiticity defect {defect:.3e} > {tol.herm:.1e}")
     try:
         w, v = kernels.eigh_herm((a + a.conj().T) / 2.0)
-    except RuntimeError as exc:
+    except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return w, v
 
@@ -64,7 +59,7 @@ def psd_sqrt(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise NotHermitian(f"hermiticity defect {defect:.3e} > {tol.herm:.1e}")
     try:
         s, wmin = kernels.psd_sqrt_with_min((a + a.conj().T) / 2.0)
-    except RuntimeError as exc:
+    except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     if wmin < -tol.psd:
         raise NotPSD(f"eigenvalue {wmin:.3e} < -{tol.psd:.1e}")

@@ -7,7 +7,7 @@ tests rather than reconciled here.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -192,12 +192,10 @@ class MeasureRecord:
         """Invariant diagnostics: all fields finite (er_exact may be inf),
         measures within their ranges."""
         out = []
-        for name in ("epsilon", "t", "gamma", "abs_a", "delta12", "negativity",
-                     "concurrence_wootters", "concurrence_paper", "eof",
-                     "fidelity_pure", "e_pure", "e_mixed", "e_maxmixed", "er_lin"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                out.append(f"{name} is not finite: {v}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name != "er_exact" and not math.isfinite(v):
+                out.append(f"{f.name} is not finite: {v}")
         unit_ranged = ("delta12", "negativity", "concurrence_wootters",
                        "concurrence_paper", "eof", "fidelity_pure", "e_pure",
                        "e_mixed", "e_maxmixed", "er_lin")

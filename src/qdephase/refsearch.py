@@ -10,6 +10,7 @@ a warm-started ladder of ever stiffer penalties, so the returned state meets
 the feasibility gate without any repair step.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,19 +60,7 @@ class CssResult:
 def _params_from_matrix(m: np.ndarray) -> np.ndarray:
     """Inverse of kernels.sigma_from_params via a jittered Cholesky factor."""
     herm = (m + m.conj().T) / 2.0
-    ell = np.linalg.cholesky(herm + 1e-10 * np.eye(4))
-    x = np.empty(16)
-    x[0] = ell[0, 0].real
-    x[1], x[2] = ell[1, 0].real, ell[1, 0].imag
-    x[3] = ell[1, 1].real
-    x[4], x[5] = ell[2, 0].real, ell[2, 0].imag
-    x[6], x[7] = ell[2, 1].real, ell[2, 1].imag
-    x[8] = ell[2, 2].real
-    x[9], x[10] = ell[3, 0].real, ell[3, 0].imag
-    x[11], x[12] = ell[3, 1].real, ell[3, 1].imag
-    x[13], x[14] = ell[3, 2].real, ell[3, 2].imag
-    x[15] = ell[3, 3].real
-    return x
+    return kernels.params_from_factor(np.linalg.cholesky(herm + 1e-10 * np.eye(4)))
 
 
 def _starting_points(rho: np.ndarray, cfg: OptimizerConfig) -> list:
@@ -297,6 +286,28 @@ class OrderingReport:
                 "no_global_order": self.no_global_order}
 
 
+def _matched_rows(x, d):
+    """Index of the row of d nearest to each (finite) value of x, the lowest
+    of equally near rows as min(key=|d - x|) picks it; -1 beyond
+    DELTA_MATCH_TOL. Equally near rows are a run of d's sorted distinct values
+    (several where x - d rounds alike for them, x near zero), walked outwards.
+    """
+    vals, first = np.unique(d, return_index=True)  # first: lowest row per value
+    vals = np.concatenate(([-np.inf], vals, [np.inf]))  # sentinels, never nearest
+    first = np.concatenate(([len(d)], first, [len(d)]))
+    lo = np.searchsorted(vals, x) - 1
+    hi = lo + 1
+    dist = np.minimum(x - vals[lo], vals[hi] - x)
+    best = np.full(len(x), len(d))
+    while True:
+        lo = np.where(x - vals[lo] == dist, lo, 0)  # off the run: park on a sentinel
+        hi = np.where(vals[hi] - x == dist, hi, -1)
+        if not ((lo > 0) | (hi > 0)).any():
+            return np.where(dist <= DELTA_MATCH_TOL, best, -1)
+        best = np.minimum(best, np.minimum(first[lo], first[hi]))
+        lo, hi = lo - 1, hi + 1
+
+
 def ordering_check(records) -> OrderingReport:
     """Check the per-epsilon ordering e_mixed <= N <= e_pure <= C_closed and
     hunt cross-epsilon pairs at matched mixedness that break any fixed order
@@ -321,22 +332,16 @@ def ordering_check(records) -> OrderingReport:
                 violations.append((eps, r.t, "e_pure > concurrence"))
 
     above = below = None
-    eps_list = sorted(groups)
-    for e1 in eps_list:
-        for e2 in eps_list:
-            if e1 == e2:
-                continue
-            for r1 in groups[e1]:
-                r2 = min(groups[e2], key=lambda r: abs(r.delta12 - r1.delta12))
-                if abs(r2.delta12 - r1.delta12) > DELTA_MATCH_TOL:
-                    continue
-                gap = r1.e_mixed - r2.negativity
-                if gap > 1e-9 and above is None:
-                    above = (e1, r1.t, e2, r2.t, gap)
-                elif gap < -1e-9 and below is None:
-                    below = (e1, r1.t, e2, r2.t, gap)
-            if above is not None and below is not None:
-                break
+    delta12 = {eps: np.array([r.delta12 for r in rows]) for eps, rows in groups.items()}
+    for e1, e2 in itertools.permutations(sorted(groups), 2):
+        match = _matched_rows(delta12[e1], delta12[e2])
+        for k in np.flatnonzero(match >= 0):
+            r1, r2 = groups[e1][k], groups[e2][match[k]]
+            gap = r1.e_mixed - r2.negativity
+            if gap > 1e-9 and above is None:
+                above = (e1, r1.t, e2, r2.t, gap)
+            elif gap < -1e-9 and below is None:
+                below = (e1, r1.t, e2, r2.t, gap)
         if above is not None and below is not None:
             break
     return OrderingReport(violations=violations, max_delta12=max_d12,

@@ -74,8 +74,6 @@ class TestSweep:
             SweepConfig(epsilon_list=(1.2,))
         with pytest.raises(ValueError):
             SweepConfig(t_steps=1)
-        with pytest.raises(ValueError):
-            SweepConfig(x_axis="nope")
 
 
 class TestRecordFormatting:

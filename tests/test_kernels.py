@@ -21,6 +21,31 @@ def test_sigma_from_params_is_state():
         assert np.linalg.eigvalsh(sig).min() > -1e-13
 
 
+def _clip_spectrum_reference(w):
+    """The clip written for spectra in any order: negatives to zero, then
+    zero everything below the relative noise floor of the largest value."""
+    w = np.where(w > 0.0, w, 0.0)
+    top = w.max(initial=0.0)
+    return np.where(w >= kernels.NOISE_FLOOR_REL * top, w, 0.0)
+
+
+def test_clip_spectrum_matches_reference():
+    rng = np.random.default_rng(28)
+    noise = (0.0, -0.0, 1e-17, -1e-17)
+    spectra = [np.zeros(4), np.full(4, -0.0), -np.sort(rng.random(4))[::-1],
+               np.array([-1e-17, -0.0, 0.0, 1e-17]), np.array([-0.2, -0.1, -0.0, 0.0]),
+               np.array([0.0, kernels.NOISE_FLOOR_REL, 0.5, 1.0])]
+    for _ in range(2000):
+        w = rng.random(4) * 10.0 ** rng.integers(-20, 1, 4)
+        w[rng.random(4) < 0.4] = rng.choice(noise)
+        spectra.append(np.sort(w))
+    for w in spectra:
+        got = kernels._clip_spectrum(w.copy())
+        expect = _clip_spectrum_reference(w)
+        assert np.array_equal(got, expect)
+        assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+
 def test_degenerate_params_guarded():
     zero = np.zeros(16)
     assert kernels.sigma_from_params(zero) is None

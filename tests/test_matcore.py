@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qdephase import matcore
-from qdephase.errors import BadDim, BadDims, NotHermitian, NotPSD
+from qdephase import kernels, matcore
+from qdephase.errors import BadDim, BadDims, NoConvergence, NotHermitian, NotPSD
 from qdephase.states import family_state, initial_pure, FamilyParams
 
 SY2 = np.array([[0, 0, 0, -1],
@@ -88,6 +88,20 @@ class TestPsdSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSD):
             matcore.psd_sqrt(np.diag([1.0, -1e-6, 0.0, 0.0]).astype(complex))
+
+
+def _no_convergence(*args):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("kernel, call", [
+    ("eigh_herm", matcore.hermitian_eig),
+    ("psd_sqrt_with_min", matcore.psd_sqrt),
+])
+def test_eigensolver_failure_maps_to_no_convergence(monkeypatch, kernel, call):
+    monkeypatch.setattr(kernels, kernel, _no_convergence)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        call(np.eye(4, dtype=complex) / 4.0)
 
 
 class TestPartialTranspose:

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdephase import measures, refsearch
 from qdephase.cli import build_record
 from qdephase.channel import ChannelParams
+from qdephase.measures import MeasureRecord
 from qdephase.refsearch import OptimizerConfig, closest_separable_bures
 from qdephase.states import (
     FamilyParams,
@@ -172,6 +175,29 @@ class TestRelationResiduals:
                 assert abs(res.widetext_concurrence) < 1e-12
 
 
+# delta12 values that repeat exactly, sit equally near on both sides of one
+# another (multiples of 2^-32 ~ 2.3e-10 around a base, inside the 1e-9
+# window), straddle the window, or are tiny enough that x - d is inexact
+DELTA12 = st.one_of(
+    st.builds(lambda base, k: base + k * 2.0**-32,
+              st.sampled_from((0.0, 0.25, 0.75)), st.integers(-5, 5)),
+    st.sampled_from((0.0, 5e-324, 1e-300, 2e-300, 1e-9, 2e-9, 3e-9)),
+    st.floats(0.0, 1.0),
+)
+# e_mixed and negativity values whose differences fall above, below and
+# inside the +-1e-9 witness threshold
+GAP_SIDE = st.one_of(st.sampled_from((0.0, 0.3, 0.3 + 5e-10, 0.3 + 2e-9, 0.6)),
+                     st.floats(0.0, 1.0))
+
+
+def _ordering_record(eps, t, delta12, e_mixed, negativity):
+    return MeasureRecord(epsilon=eps, t=t, gamma=0.0, abs_a=0.0, delta12=delta12,
+                         negativity=negativity, concurrence_wootters=0.0,
+                         concurrence_paper=1.0, eof=0.0, fidelity_pure=1.0,
+                         e_pure=1.0, e_mixed=e_mixed, e_maxmixed=0.0,
+                         er_exact=0.0, er_lin=0.0)
+
+
 @pytest.fixture(scope="module")
 def records():
     c = ChannelParams(omega1=1.0, omega2=1.0, mu1=0.5, mu2=0.5, ntilde=1.0)
@@ -197,6 +223,66 @@ class TestOrderingCheck:
         report = refsearch.ordering_check(records)
         expect = max(r.delta12 for r in records)
         assert report.max_delta12 == expect
+
+    def test_matches_nested_loop_reference(self, records):
+        assert refsearch.ordering_check(records) == nested_loop_ordering_check(records)
+
+    @settings(max_examples=300, deadline=None)
+    @given(groups=st.lists(st.lists(st.tuples(DELTA12, GAP_SIDE, GAP_SIDE),
+                                    min_size=1, max_size=6),
+                           min_size=1, max_size=4))
+    # equally near rows on both sides of x, the lower index above it
+    @example(groups=[[(0.25, 0.5, 0.0)],
+                     [(0.25 + 2.0**-32, 0.0, 0.0), (0.25 - 2.0**-32, 0.0, 0.3)]])
+    # a value of x - d that rounds alike for distinct d on one side of x
+    @example(groups=[[(2e-300, 0.5, 0.0)], [(0.0, 0.0, 0.0), (5e-324, 0.0, 0.3)]])
+    def test_witnesses_match_nested_loop_reference(self, groups):
+        recs = [_ordering_record(0.1 * (g + 1), float(k), d12, mixed, neg)
+                for g, rows in enumerate(groups)
+                for k, (d12, mixed, neg) in enumerate(rows)]
+        assert refsearch.ordering_check(recs) == nested_loop_ordering_check(recs)
+
+
+def nested_loop_ordering_check(records):
+    """ordering_check written as a plain nested loop, min over the whole other
+    epsilon group for every row: the reference for its sorted lookup."""
+    groups = {}
+    for r in records:
+        groups.setdefault(r.epsilon, []).append(r)
+    violations = []
+    max_d12 = 0.0
+    for eps, rows in sorted(groups.items()):
+        for r in rows:
+            max_d12 = max(max_d12, r.delta12)
+            if r.e_mixed > r.negativity + refsearch.ORDER_TOL:
+                violations.append((eps, r.t, "e_mixed > negativity"))
+            if r.negativity > r.e_pure + refsearch.ORDER_TOL:
+                violations.append((eps, r.t, "negativity > e_pure"))
+            if r.e_pure > r.concurrence_paper + refsearch.ORDER_TOL:
+                violations.append((eps, r.t, "e_pure > concurrence"))
+
+    above = below = None
+    eps_list = sorted(groups)
+    for e1 in eps_list:
+        for e2 in eps_list:
+            if e1 == e2:
+                continue
+            for r1 in groups[e1]:
+                r2 = min(groups[e2], key=lambda r: abs(r.delta12 - r1.delta12))
+                if abs(r2.delta12 - r1.delta12) > refsearch.DELTA_MATCH_TOL:
+                    continue
+                gap = r1.e_mixed - r2.negativity
+                if gap > 1e-9 and above is None:
+                    above = (e1, r1.t, e2, r2.t, gap)
+                elif gap < -1e-9 and below is None:
+                    below = (e1, r1.t, e2, r2.t, gap)
+            if above is not None and below is not None:
+                break
+        if above is not None and below is not None:
+            break
+    return refsearch.OrderingReport(violations=violations, max_delta12=max_d12,
+                                    witness_mixed_above=above,
+                                    witness_mixed_below=below)
 
 
 def entangled_non_x_state(k):
