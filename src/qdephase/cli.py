@@ -44,7 +44,6 @@ class SweepConfig:
     t_steps: int = 51
     channel: ChannelParams = field(default_factory=_default_channel)
     include_css: bool = False
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     out_path: str = "sweep.csv"
 
     def __post_init__(self):
@@ -115,12 +114,7 @@ def run_sweep(cfg: SweepConfig) -> dict:
             records.append(rec)
             row = [getattr(rec, name) for name in names]
             if cfg.include_css:
-                rho = family_state(eps, decoherence_factor(cfg.channel, float(t)).a)
-                css = refsearch.closest_separable_bures(rho, cfg.optimizer)
-                if not css.converged:  # converged implies feasible
-                    raise ArithmeticError(
-                        f"CSS search unconverged at eps={eps}, t={t}: "
-                        f"e={css.e_value:.12g}, pt_min_eig={css.pt_min_eig:.3e}")
+                css = refsearch.css_family(rec.epsilon, rec.gamma)
                 row += [css.e_value, css.pt_min_eig]
             lines.append(",".join(_fmt(v) for v in row))
     with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -217,7 +211,12 @@ def _complexes(raw: str) -> tuple:
 def _bool(raw) -> bool:
     if isinstance(raw, bool):
         return raw
-    return str(raw).strip().lower() in ("1", "true", "yes", "on")
+    word = str(raw).strip().lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError("expected one of 1/true/yes/on or 0/false/no/off")
 
 
 def _channel_from(cfg: dict, args) -> ChannelParams:
@@ -230,15 +229,12 @@ def _channel_from(cfg: dict, args) -> ChannelParams:
     return ChannelParams(**vals)
 
 
-def _optimizer_from(cfg: dict, args) -> OptimizerConfig:
+def _optimizer_from(args) -> OptimizerConfig:
     base = OptimizerConfig()
-    spec = {"max_iters": int, "restarts": int, "penalty_weight": float,
-            "tol": float, "seed": int}
     vals = {}
-    for name, cast in spec.items():
-        v = _get(cfg, "optimizer", name, cast, getattr(base, name))
-        arg = getattr(args, f"opt_{name}", None)
-        vals[name] = cast(arg) if arg is not None else v
+    for f in fields(OptimizerConfig):
+        arg = getattr(args, f"opt_{f.name}")
+        vals[f.name] = arg if arg is not None else getattr(base, f.name)
     return OptimizerConfig(**vals)
 
 
@@ -271,10 +267,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--t-max", type=float, help="end of the time grid (s)")
     sw.add_argument("--t-steps", type=int, help="number of grid points")
     sw.add_argument("--include-css", action="store_true", default=None,
-                    help="append closest-separable-state columns (slow)")
+                    help="append the closed-form closest-separable-state "
+                         "columns")
     sw.add_argument("--out", help="CSV output path")
     _add_channel_flags(sw)
-    _add_optimizer_flags(sw)
 
     oc = sub.add_parser("oracle-check", help="compare the exact reservoir "
                                              "reduction with the closed form")
@@ -304,7 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sweep(args) -> int:
     cfg_file = _load_config(args.config) if args.config else {}
     channel = _channel_from(cfg_file, args)
-    optimizer = _optimizer_from(cfg_file, args)
     eps = (_floats(args.epsilon_list) if args.epsilon_list is not None
            else _get(cfg_file, "sweep", "epsilon_list", _floats, FIG_EPSILONS))
     include_css = (args.include_css if args.include_css is not None
@@ -317,7 +312,6 @@ def _cmd_sweep(args) -> int:
                  else _get(cfg_file, "sweep", "t_steps", int, 51)),
         channel=channel,
         include_css=include_css,
-        optimizer=optimizer,
         out_path=(args.out if args.out is not None
                   else _get(cfg_file, "sweep", "out", str, "sweep.csv")),
     )
@@ -373,7 +367,7 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_css(args) -> int:
-    cfg = _optimizer_from({}, args)
+    cfg = _optimizer_from(args)
     report = run_css(args.state, cfg)
     text = json.dumps(report, indent=2)
     print(text)

@@ -1,6 +1,10 @@
 """Distance-based entanglement measures: closed-form reference evaluations
 and a numerical Bures-distance minimization over the separable (PPT) set.
 
+On the dephasing family the closest separable state is known in closed form
+(css_family), which is what sweep uses. The numerical search
+(closest_separable_bures) serves arbitrary states.
+
 PPT is exact for two qubits, so the feasible set is parametrized as
 sigma = LL†/Tr(LL†) (16 reals) with a smooth quadratic penalty on the
 negative part of the partial-transpose spectrum. The penalized objective
@@ -196,6 +200,37 @@ def mixed_ref_measure_family(epsilon: float, abs_a: float, ntilde: float,
            + 2.0 * w * w * abs_a * x * math.cos(phase)
            + 2.0 * w * w * math.sqrt(max(0.0, (1.0 - abs_a**2) * (1.0 - x * x))))
     return 1.0 - math.sqrt(min(1.0, max(0.0, fid)))
+
+
+def css_family(epsilon: float, gamma: float) -> CssResult:
+    """Closest separable state of the family state at damping gamma, in
+    closed form.
+
+    For two qubits the largest fidelity to a separable state is 1 - E_G with
+    E_G = (1 - sqrt(1 - C^2))/2 (Streltsov, Kampermann & Bruss, NJP 12,
+    123004 (2010); Wei & Goldbart, PRA 68, 042307 (2003)). On the family
+    1 - C^2 = ((1 - 2 eps)^2 + m^2 gamma)/n^2 with n = eps^2 + (1 - eps)^2
+    and m = 2 eps (1 - eps), which keeps 1 - C^2 free of cancellation as
+    C -> 1. The optimum is attained at the diagonal sigma* = diag(u, 0, 0,
+    1 - u): a local-phase twirl takes any separable sigma to X form, and a
+    corner in sigma gains less fidelity than the middle-block trace it
+    needs costs.
+    """
+    if not 0.0 <= epsilon <= 1.0 or not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"need epsilon, gamma in [0, 1], got {epsilon}, {gamma}")
+    n = epsilon**2 + (1.0 - epsilon) ** 2
+    m = 2.0 * epsilon * (1.0 - epsilon)
+    delta = math.sqrt((1.0 - 2.0 * epsilon) ** 2 + m * m * gamma) / n
+    u = 0.5
+    if delta > 0.0:
+        u = min(1.0, max(0.0, 0.5 * (1.0 + (2.0 * epsilon - 1.0) / (n * delta))))
+    sigma = validate(np.diag([u, 0.0, 0.0, 1.0 - u]).astype(complex))
+    return CssResult(sigma_star=sigma,
+                     e_value=1.0 - math.sqrt((1.0 + delta) / 2.0),
+                     iterations=0,
+                     converged=True,
+                     pt_min_eig=kernels.pt_min_eig(sigma.matrix),
+                     nfev=0)
 
 
 def maxmixed_fidelity_closed(abs_a: float) -> float:

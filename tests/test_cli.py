@@ -1,13 +1,13 @@
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 
-from qdephase import cli
+from qdephase import cli, refsearch
 from qdephase.channel import ChannelParams
 from qdephase.cli import SweepConfig, build_record, run_sweep
-from qdephase.refsearch import OptimizerConfig
 from qdephase.states import FamilyParams, initial_pure, save_state
 
 EXPECTED_HEADER = ("epsilon,t,gamma,abs_a,delta12,negativity,concurrence_wootters,"
@@ -57,15 +57,14 @@ class TestSweep:
     def test_include_css_appends_columns(self, tmp_path):
         out = tmp_path / "s.csv"
         cfg = small_config(out, epsilon_list=(0.5,), t_steps=2,
-                           include_css=True,
-                           optimizer=OptimizerConfig(max_iters=400, restarts=2))
+                           include_css=True)
         run_sweep(cfg)
         lines = out.read_text().splitlines()
         assert lines[0].endswith(",css_e_value,css_pt_min_eig")
         assert len(lines[1].split(",")) == 17
         # gamma = 0 row is the Bell state
         assert float(lines[1].split(",")[15]) == pytest.approx(
-            1 - math.sqrt(0.5), abs=5e-3)
+            1 - math.sqrt(0.5), abs=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -136,12 +135,45 @@ class TestMainSweep:
         last_t = float(csv_lines[-1].split(",")[1])
         assert last_t == pytest.approx(4 * math.pi, rel=1e-9)
 
-    def test_unconverged_css_exits_two(self, tmp_path, capsys):
+    def test_include_css_runs_no_search(self, tmp_path, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("sweep ran the numerical CSS search")
+
+        monkeypatch.setattr(refsearch, "closest_separable_bures", no_search)
+        monkeypatch.setattr(refsearch, "minimize", no_search)
         out = tmp_path / "css.csv"
-        rc = cli.main(["sweep", "--epsilon-list", "0.5", "--t-steps", "2",
-                       "--include-css", "--opt-max-iters", "1", "--out", str(out)])
-        assert rc == 2
-        assert "unconverged" in capsys.readouterr().err
+        assert cli.main(["sweep", "--include-css", "--out", str(out)]) == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 408
+        for row in rows:
+            e = float(row["css_e_value"])
+            assert float(row["css_pt_min_eig"]) >= 0.0
+            # the paper's orders: E_css <= N, and E_css <= e_maxmixed since
+            # I/4 is separable
+            assert e <= float(row["negativity"]) + 1e-12
+            assert e <= float(row["e_maxmixed"]) + 1e-12
+
+    def test_no_optimizer_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["sweep", "--help"])
+        assert "--opt-" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("word,value", [
+        ("1", True), ("true", True), ("Yes", True), (" ON ", True),
+        ("0", False), ("FALSE", False), ("no", False), ("Off", False)])
+    def test_config_bool_words(self, word, value):
+        assert cli._bool(word) is value
+
+    @pytest.mark.parametrize("word", ["ture", "2", "y", ""])
+    def test_config_bool_typo_exits_one(self, tmp_path, capsys, word):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(f"[sweep]\ninclude_css = {word}\n")
+        out = tmp_path / "typo.csv"
+        rc = cli.main(["sweep", "--config", str(cfgfile), "--t-steps", "2",
+                       "--out", str(out)])
+        assert rc == 1
+        assert f"config [sweep] include_css = {word!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_epsilon_exits_one(self, capsys):
