@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedSubspace
-from .states import FamilyParams, TwoQubitState, family_state, pure_reference
+from .states import FamilyParams, TwoQubitState, family_state, initial_pure
 
 MIDDLE_BLOCK_TOL = 1e-12
 
@@ -100,11 +100,6 @@ def evolve(epsilon: float, c: ChannelParams, t: float) -> TwoQubitState:
     return family_state(epsilon, decoherence_factor(c, t).a)
 
 
-def reference_phase(c: ChannelParams, t: float) -> float:
-    """Phase of the co-rotating pure reference at time t."""
-    return decoherence_factor(c, t).phase
-
-
 def pure_reference_at(epsilon: float, c: ChannelParams, t: float) -> TwoQubitState:
-    """Pure reference state with the channel phase at time t."""
-    return pure_reference(FamilyParams(epsilon, reference_phase(c, t)))
+    """Co-rotating pure reference: the initial pure state at the channel phase."""
+    return initial_pure(FamilyParams(epsilon, decoherence_factor(c, t).phase))

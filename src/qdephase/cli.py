@@ -20,8 +20,8 @@ from .channel import ChannelParams, decoherence_factor
 from .errors import QDephaseError
 from .measures import MeasureRecord
 from .refsearch import OptimizerConfig
-from .states import (FamilyParams, family_state, load_state, maximally_mixed,
-                     pure_reference, state_to_json)
+from .states import (FamilyParams, family_state, initial_pure, load_state,
+                     maximally_mixed, state_to_json)
 
 FIG_EPSILONS = (0.5, 0.42, 0.37, 0.32, 0.26, 0.19, 0.12, 0.05)
 
@@ -60,7 +60,7 @@ def build_record(epsilon: float, c: ChannelParams, t: float) -> MeasureRecord:
     """Every measure at one (epsilon, t) sweep point."""
     dec = decoherence_factor(c, t)
     rho = family_state(epsilon, dec.a)
-    sigma_p = pure_reference(FamilyParams(epsilon, dec.phase))
+    sigma_p = initial_pure(FamilyParams(epsilon, dec.phase))
     abs_a = abs(dec.a)
     rel_phase = c.ntilde * math.sin((c.mu1 + c.mu2) * t)
     concurrence = measures.concurrence_wootters(rho)
@@ -133,15 +133,15 @@ def run_sweep(cfg: SweepConfig) -> dict:
 def run_oracle_check(r: oracle.ReservoirConfig, c: ChannelParams,
                      epsilon: float, t_grid) -> dict:
     """Compare the exact reservoir reduction with the closed form on a t grid."""
-    joint = oracle.build_joint(epsilon, r)
+    joint = oracle.build_joint(epsilon, r, c)
     threshold = ORACLE_DIFF_BUDGET + 10.0 * r.cutoff_tail
     diffs = []
     offsets = []
     for t in t_grid:
-        evolved = oracle.evolve_joint(joint, r, c, float(t))
-        _, diff = oracle.reduce_and_compare(evolved, epsilon, c, float(t))
+        evolved = oracle.evolve_joint(joint, float(t))
+        _, diff, offset = oracle.reduce_and_compare(evolved, epsilon, c, float(t))
         diffs.append(diff)
-        offsets.append(oracle.corner_phase_offset(evolved, epsilon, c, float(t)))
+        offsets.append(offset)
     max_diff = max(diffs)
     return {
         "config": {
@@ -182,12 +182,30 @@ def run_css(state_path: str, cfg: OptimizerConfig) -> dict:
 # ---------------------------------------------------------------- config I/O
 
 
+# every key a subcommand reads, by section; one file may serve both commands
+CONFIG_KEYS = {
+    "sweep": {"epsilon_list", "t_max", "t_steps", "include_css", "out"},
+    "channel": {"omega1", "omega2", "mu1", "mu2", "ntilde"},
+    "oracle": {"modes", "alphas", "omega_ratios", "mu_cross", "mu12",
+               "cutoff_tail", "epsilon", "t_max", "t_steps"},
+}
+
+
 def _load_config(path) -> dict:
-    """Flat key/value sections -> nested dict of strings."""
-    parser = configparser.ConfigParser()
+    """Flat key/value sections -> nested dict of strings. An unknown section
+    ([DEFAULT] included) or key raises ValueError instead of being ignored."""
+    parser = configparser.ConfigParser(default_section="")
     with open(path, encoding="utf-8") as fh:
         parser.read_file(fh)
-    return {s: dict(parser.items(s)) for s in parser.sections()}
+    cfg = {s: dict(parser.items(s)) for s in parser.sections()}
+    for section, items in cfg.items():
+        if section not in CONFIG_KEYS:
+            raise ValueError(f"config [{section}]: unknown section, expected "
+                             f"one of {', '.join(CONFIG_KEYS)}")
+        unknown = sorted(items.keys() - CONFIG_KEYS[section])
+        if unknown:
+            raise ValueError(f"config [{section}] {unknown[0]}: unknown key")
+    return cfg
 
 
 def _get(cfg: dict, section: str, key: str, cast, default):

@@ -6,10 +6,14 @@ accumulation per basis state; the reservoir trace-out is then a single
 branch-overlap sum. Qubit z eigenvalues are taken as +-1/2, which puts the
 (mu1+mu2)/2 factor in the per-mode phases and is validated by matching the
 closed-form decoherence factor exactly.
+
+The per-basis-state phase rates of both branches do not depend on t, so
+build_joint computes them once; each t then costs two complex exponentials
+(evolve_joint) and one reduction (reduce_and_compare).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,38 +89,39 @@ class JointAmplitudes:
 
     plus/minus are flattened C-order over the per-mode Fock grid (shape
     prod(sizes)); the scalar branch weights eps/sqrt(n) and (1-eps)/sqrt(n)
-    stay outside the arrays.
+    stay outside the arrays. rate_plus/rate_minus are the branches'
+    per-basis-state phase rates, same layout: at time t each coefficient
+    picks up exp(-i t rate).
     """
 
     plus: np.ndarray
     minus: np.ndarray
+    rate_plus: np.ndarray
+    rate_minus: np.ndarray
     weight_plus: float
     weight_minus: float
     sizes: tuple
     cutoff_tail: float = 1e-10
 
     def __post_init__(self):
-        self.plus.setflags(write=False)
-        self.minus.setflags(write=False)
+        for a in (self.plus, self.minus, self.rate_plus, self.rate_minus):
+            a.setflags(write=False)
 
     def norm_squared(self) -> float:
         return float(self.weight_plus**2 * np.vdot(self.plus, self.plus).real
                      + self.weight_minus**2 * np.vdot(self.minus, self.minus).real)
 
-    def occupations(self) -> np.ndarray:
-        """Occupation numbers per mode, shape (modes, total_indices), C order."""
-        return np.indices(self.sizes).reshape(len(self.sizes), -1)
 
-
-def build_joint(eps: float, r: ReservoirConfig) -> JointAmplitudes:
-    """Initial joint amplitudes: both branches carry the product of truncated
-    coherent-state coefficient vectors."""
+def build_joint(eps: float, r: ReservoirConfig,
+                c: ChannelParams) -> JointAmplitudes:
+    """Initial joint amplitudes and the branch phase rates: both branches
+    carry the product of truncated coherent-state coefficient vectors."""
     p = FamilyParams(eps)
     cutoffs = [fock_cutoff(abs(a) ** 2, r.cutoff_tail) for a in r.alphas]
-    if any(c > r.hard_cutoff for c in cutoffs):
+    if any(k > r.hard_cutoff for k in cutoffs):
         raise CutoffTooTight(
             f"per-mode cutoffs {cutoffs} exceed the hard limit {r.hard_cutoff}")
-    sizes = tuple(c + 1 for c in cutoffs)
+    sizes = tuple(k + 1 for k in cutoffs)
     total = int(np.prod(sizes))
     if total > MAX_TOTAL_INDICES:
         raise CutoffTooTight(f"{total} multi-indices exceed {MAX_TOTAL_INDICES}")
@@ -127,17 +132,7 @@ def build_joint(eps: float, r: ReservoirConfig) -> JointAmplitudes:
         log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, size)))))
         coeff = np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * log_fact) * alpha**n
         f = np.kron(f, coeff)
-    root_n = math.sqrt(p.norm)
-    return JointAmplitudes(plus=f.copy(), minus=f.copy(),
-                           weight_plus=eps / root_n,
-                           weight_minus=(1.0 - eps) / root_n,
-                           sizes=sizes, cutoff_tail=r.cutoff_tail)
-
-
-def _branch_phases(j: JointAmplitudes, r: ReservoirConfig, c: ChannelParams,
-                   t: float):
-    """Per-basis-state phases of the two branches at time t."""
-    occ = j.occupations().astype(float)
+    occ = np.indices(sizes).reshape(len(sizes), -1).astype(float)
     ratios = np.asarray(r.omega_ratios)
     wn = ratios[:, None] * occ
     # mode energies as printed: omega1 * ratio_j * (n_j + 1/2)
@@ -148,20 +143,20 @@ def _branch_phases(j: JointAmplitudes, r: ReservoirConfig, c: ChannelParams,
     kerr = r.mu_cross * c.omega1 * (swn**2 - (wn**2).sum(axis=0))
     shared = energy + kerr + 0.25 * r.mu12
     branch = 0.5 * (c.omega1 + c.omega2) + 0.5 * (c.mu1 + c.mu2) * occ.sum(axis=0)
-    return t * (shared + branch), t * (shared - branch)
+    root_n = math.sqrt(p.norm)
+    return JointAmplitudes(plus=f.copy(), minus=f.copy(),
+                           rate_plus=shared + branch, rate_minus=shared - branch,
+                           weight_plus=eps / root_n,
+                           weight_minus=(1.0 - eps) / root_n,
+                           sizes=sizes, cutoff_tail=r.cutoff_tail)
 
 
-def evolve_joint(j: JointAmplitudes, r: ReservoirConfig, c: ChannelParams,
-                 t: float) -> JointAmplitudes:
-    """Apply the diagonal evolution: each coefficient picks up e^{-i phase}."""
+def evolve_joint(j: JointAmplitudes, t: float) -> JointAmplitudes:
+    """Apply the diagonal evolution: each coefficient picks up e^{-i t rate}."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    phi_plus, phi_minus = _branch_phases(j, r, c, t)
-    return JointAmplitudes(plus=j.plus * np.exp(-1j * phi_plus),
-                           minus=j.minus * np.exp(-1j * phi_minus),
-                           weight_plus=j.weight_plus,
-                           weight_minus=j.weight_minus,
-                           sizes=j.sizes, cutoff_tail=j.cutoff_tail)
+    return replace(j, plus=j.plus * np.exp(-1j * (t * j.rate_plus)),
+                   minus=j.minus * np.exp(-1j * (t * j.rate_minus)))
 
 
 def reduce_density(j: JointAmplitudes) -> np.ndarray:
@@ -178,7 +173,8 @@ def reduce_density(j: JointAmplitudes) -> np.ndarray:
 
 def reduce_and_compare(j_evolved: JointAmplitudes, eps: float,
                        c: ChannelParams, t: float):
-    """Reduced oracle state and its entrywise distance to the closed form.
+    """Reduced oracle state, its entrywise distance to the closed form and
+    the corner phase offset between the two.
 
     Truncation leaves the trace at 1 - (sum of per-mode tails), so validation
     runs with the trace tolerance widened accordingly (never renormalized).
@@ -189,18 +185,15 @@ def reduce_and_compare(j_evolved: JointAmplitudes, eps: float,
     modes = len(j_evolved.sizes)
     tol = Tolerances(trace=max(1e-10, 20.0 * modes * j_evolved.cutoff_tail))
     state = validate(raw, tol)
-    return state, diff
+    return state, diff, corner_phase_offset(raw, closed)
 
 
-def corner_phase_offset(j_evolved: JointAmplitudes, eps: float,
-                        c: ChannelParams, t: float) -> float:
+def corner_phase_offset(raw: np.ndarray, closed: np.ndarray) -> float:
     """Angle between the oracle corner and the closed-form corner (radians).
 
     Zero even for mu12 != 0: the qubit-qubit term adds the same phase to
     both branches, which cancels in the overlap.
     """
-    raw = reduce_density(j_evolved)
-    closed = evolve(eps, c, t).matrix
     a, b = raw[0, 3], closed[0, 3]
     if abs(a) < 1e-300 or abs(b) < 1e-300:
         return 0.0

@@ -111,15 +111,6 @@ def initial_pure(p: FamilyParams) -> TwoQubitState:
     return TwoQubitState(_family_matrix(p.epsilon, corner))
 
 
-def pure_reference(p: FamilyParams) -> TwoQubitState:
-    """The dynamically matched pure reference: initial_pure at the channel phase.
-
-    Identical construction to initial_pure; callers supply phase(t) from the
-    channel so the reference co-rotates with the evolved state.
-    """
-    return initial_pure(p)
-
-
 def maximally_mixed() -> TwoQubitState:
     return TwoQubitState(np.eye(4, dtype=complex) / 4.0)
 

@@ -176,6 +176,26 @@ class TestMainSweep:
         assert f"config [sweep] include_css = {word!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,text,where", [
+        ("sweep", "[sweep]\nt_step = 5\n", "config [sweep] t_step"),
+        ("sweep", "[channel]\nmu = 0.5\n", "config [channel] mu"),
+        ("sweep", "[sweep]\nmodes = 2\n", "config [sweep] modes"),
+        ("sweep", "[optimizer]\nmax_iters = 5\n", "config [optimizer]"),
+        ("sweep", "[DEFAULT]\nt_steps = 5\n", "config [DEFAULT]"),
+        ("oracle-check", "[oracle]\nepsilon = 0.4\nt_step = 5\n",
+         "config [oracle] t_step")])
+    def test_config_unknown_key_or_section_exits_one(self, tmp_path, capsys,
+                                                     command, text, where):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(text)
+        out = tmp_path / "typo.out"
+        rc = cli.main([command, "--config", str(cfgfile), "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert where in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_bad_epsilon_exits_one(self, capsys):
         rc = cli.main(["sweep", "--epsilon-list", "1.5"])
         assert rc == 1
@@ -194,6 +214,44 @@ class TestMainOracleCheck:
         assert report["t_grid"][0] == 0.0
         # the t=0 residue is pure truncation deficit, bounded by the tail
         assert report["max_abs_diff"][0] <= 10 * report["config"]["cutoff_tail"]
+
+    def test_config_shared_with_sweep(self, tmp_path, capsys):
+        # one file with every key both commands read
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(
+            "[sweep]\n"
+            "epsilon_list = 0.5\n"
+            "t_max = 1.0\n"
+            "t_steps = 3\n"
+            "include_css = true\n"
+            f"out = {tmp_path / 'shared.csv'}\n"
+            "[oracle]\n"
+            "modes = 2\n"
+            "alphas = 0.5, 0.5j\n"
+            "omega_ratios = 1.0, 1.0\n"
+            "mu_cross = 0.1\n"
+            "mu12 = 0.2\n"
+            "cutoff_tail = 1e-10\n"
+            "epsilon = 0.4\n"
+            "t_max = 2.0\n"
+            "t_steps = 4\n"
+            "[channel]\n"
+            "omega1 = 1.0\n"
+            "omega2 = 1.2\n"
+            "mu1 = 0.5\n"
+            "mu2 = 0.4\n"
+            "ntilde = 0.5\n")
+        assert cli.main(["sweep", "--config", str(cfgfile)]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == 3
+        header = (tmp_path / "shared.csv").read_text().splitlines()[0]
+        assert header.endswith("css_e_value,css_pt_min_eig")
+        assert cli.main(["oracle-check", "--config", str(cfgfile)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["modes"] == 2
+        assert report["config"]["epsilon"] == 0.4
+        assert report["t_grid"][-1] == 2.0 and len(report["t_grid"]) == 4
+        assert report["config"]["channel"]["omega2"] == 1.2
+        assert report["config"]["channel"]["ntilde"] == pytest.approx(0.5, abs=1e-15)
 
     def test_qubit_coupling_flag(self, capsys):
         rc = cli.main(["oracle-check", "--t-steps", "5", "--mu12", "0.8"])

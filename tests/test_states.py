@@ -53,14 +53,9 @@ class TestInitialPure:
 
 
 class TestReferences:
-    def test_pure_reference_matches_initial(self):
-        a = states.pure_reference(FamilyParams(0.3, 0.0)).matrix
-        b = initial_pure(FamilyParams(0.3, 0.0)).matrix
-        assert np.array_equal(a, b)
-
     def test_pure_reference_is_projector(self):
         for phase in (0.0, 1.3, -2.2):
-            assert states.pure_reference(
+            assert initial_pure(
                 FamilyParams(0.5, phase)).purity() == pytest.approx(1.0, abs=1e-14)
 
     def test_maximally_mixed(self):
