@@ -30,10 +30,15 @@ _UNPACK = _PACK.conj().T.copy()
 
 
 def _clip_spectrum(w):
-    # w ascending, as eigh/eigvalsh return it, so w[-1] is the top
+    # w ascending along the last axis, as eigh/eigvalsh return it, so
+    # w[..., -1:] is the top of each spectrum
     w = np.maximum(w, 0.0)
-    w[w < NOISE_FLOOR_REL * w[-1]] = 0.0
+    w[w < NOISE_FLOOR_REL * w[..., -1:]] = 0.0
     return w
+
+
+def _dagger(m):
+    return np.swapaxes(m.conj(), -1, -2)
 
 
 def _partial_transpose(m):
@@ -51,22 +56,25 @@ def eigvalsh_herm(m):
 
 
 def psd_sqrt_with_min(m):
-    """PSD square root, clipping noise-level negatives.
+    """PSD square root of a Hermitian matrix, or of each in an (N, 4, 4)
+    stack, clipping noise-level negatives.
 
-    Returns (sqrt, min_eigenvalue); the caller decides whether min_eigenvalue
-    is negative enough to be an error.
+    Returns (sqrt, w, v): the root and the eigendecomposition it was built
+    from, eigenvalues ascending, so w[..., 0] is the minimum eigenvalue; the
+    caller decides whether that is negative enough to be an error.
     """
     w, v = np.linalg.eigh(m)
-    wmin = float(w[0])
-    s = (v * np.sqrt(_clip_spectrum(w))) @ v.conj().T
-    return (s + s.conj().T) / 2.0, wmin
+    s = (v * np.sqrt(_clip_spectrum(w))[..., None, :]) @ _dagger(v)
+    return (s + _dagger(s)) / 2.0, w, v
 
 
 def sqrt_fidelity(sqrt_rho, sigma):
-    """Tr sqrt(sqrt_rho @ sigma @ sqrt_rho) for a precomputed sqrt_rho."""
+    """Tr sqrt(sqrt_rho @ sigma @ sqrt_rho) for a precomputed sqrt_rho; an
+    (N,) array for stacked inputs."""
     m = sqrt_rho @ sigma @ sqrt_rho
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    return float(np.sqrt(_clip_spectrum(w)).sum())
+    w = np.linalg.eigvalsh((m + _dagger(m)) / 2.0)
+    root = np.sqrt(_clip_spectrum(w)).sum(axis=-1)
+    return float(root) if root.ndim == 0 else root
 
 
 def pt_min_eig(m):

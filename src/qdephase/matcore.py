@@ -58,27 +58,29 @@ def psd_sqrt(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if defect > tol.herm:
         raise NotHermitian(f"hermiticity defect {defect:.3e} > {tol.herm:.1e}")
     try:
-        s, wmin = kernels.psd_sqrt_with_min((a + a.conj().T) / 2.0)
+        s, w, _ = kernels.psd_sqrt_with_min((a + a.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
+    wmin = float(w[0])
     if wmin < -tol.psd:
         raise NotPSD(f"eigenvalue {wmin:.3e} < -{tol.psd:.1e}")
     return s
 
 
 def partial_transpose(rho, subsystem: str = "second") -> np.ndarray:
-    """Transpose one tensor factor of a two-qubit (4x4) matrix."""
-    a = as_matrix(rho)
-    if a.shape != (4, 4):
-        raise BadDim(f"partial transpose needs a 4x4 matrix, got {a.shape}")
-    r = a.reshape(2, 2, 2, 2)
+    """Transpose one tensor factor of a two-qubit (4x4) matrix, or of each
+    matrix in an (N, 4, 4) stack."""
+    a = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
+    if a.shape[-2:] != (4, 4):
+        raise BadDim(f"partial transpose needs 4x4 matrices, got shape {a.shape}")
+    r = a.reshape(a.shape[:-2] + (2, 2, 2, 2))
     if subsystem == "second":
-        r = r.transpose(0, 3, 2, 1)
+        r = np.swapaxes(r, -3, -1)
     elif subsystem == "first":
-        r = r.transpose(2, 1, 0, 3)
+        r = np.swapaxes(r, -4, -2)
     else:
         raise ValueError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
-    return r.reshape(4, 4).copy()
+    return r.reshape(a.shape).copy()
 
 
 def partial_trace(full, dims, keep) -> np.ndarray:

@@ -4,6 +4,11 @@ Two routes are carried side by side wherever the closed form disagrees with
 the general definition: spectral pipelines (authoritative) and the family
 closed forms (reproduction targets). They are asserted against each other in
 tests rather than reconciled here.
+
+The spectral measures of a sweep also come stacked (stacked_measures): the
+same arithmetic over an (N, 4, 4) array of states, one decomposition call
+per stack. The single-state functions stay the reference it is tested
+against.
 """
 
 import math
@@ -12,12 +17,20 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import kernels
-from .errors import InvalidState, SupportMismatch
+from .errors import InvalidState, NoConvergence, SupportMismatch
 from .matcore import DEFAULT_TOL, as_matrix, hermitian_eig, partial_transpose, psd_sqrt
+from .states import maximally_mixed
 
 # weight a pure reference may carry outside the state's support before the
 # relative entropy is reported as infinite
 SUPPORT_WEIGHT_TOL = 1e-8
+PURITY_TOL = 1e-8  # |Tr sigma^2 - 1| accepted for a pure reference
+
+# MeasureRecord fields that must lie in [0, 1] (within RANGE_SLACK)
+UNIT_RANGED = ("delta12", "negativity", "concurrence_wootters",
+               "concurrence_paper", "eof", "fidelity_pure", "e_pure",
+               "e_mixed", "e_maxmixed", "er_lin")
+RANGE_SLACK = 1e-12
 
 _SY2 = np.array(
     [[0, 0, 0, -1],
@@ -115,7 +128,7 @@ def bures_distance(rho, sigma) -> float:
 def _assert_pure(sigma_p) -> np.ndarray:
     m = as_matrix(sigma_p)
     purity = float(np.vdot(m, m).real)
-    if abs(purity - 1.0) > 1e-8:
+    if abs(purity - 1.0) > PURITY_TOL:
         raise InvalidState([f"reference must be pure, Tr sigma^2 = {purity:.6f}"])
     return m
 
@@ -196,13 +209,97 @@ class MeasureRecord:
             v = getattr(self, f.name)
             if f.name != "er_exact" and not math.isfinite(v):
                 out.append(f"{f.name} is not finite: {v}")
-        unit_ranged = ("delta12", "negativity", "concurrence_wootters",
-                       "concurrence_paper", "eof", "fidelity_pure", "e_pure",
-                       "e_mixed", "e_maxmixed", "er_lin")
-        for name in unit_ranged:
+        for name in UNIT_RANGED:
             v = getattr(self, name)
-            if not -1e-12 <= v <= 1.0 + 1e-12:
+            if not -RANGE_SLACK <= v <= 1.0 + RANGE_SLACK:
                 out.append(f"{name} outside [0, 1]: {v}")
         if self.er_exact < 0:
             out.append(f"er_exact negative: {self.er_exact}")
         return out
+
+
+def violation_mask(columns: dict) -> np.ndarray:
+    """MeasureRecord.violations() on columns: True for each row whose record
+    would report a violation. columns maps every field name to an (N,) array."""
+    bad = np.zeros(len(columns["epsilon"]), dtype=bool)
+    for f in fields(MeasureRecord):
+        if f.name != "er_exact":
+            bad |= ~np.isfinite(columns[f.name])
+    for name in UNIT_RANGED:
+        v = columns[name]
+        bad |= ~((-RANGE_SLACK <= v) & (v <= 1.0 + RANGE_SLACK))
+    return bad | (columns["er_exact"] < 0)
+
+
+# ------------------------------------------------------------ stacked states
+
+
+def _max0(x):
+    # max(0.0, x) elementwise as Python evaluates it: NaN and -0.0 give 0.0
+    return np.where(x > 0.0, x, 0.0)
+
+
+def _min1(x):
+    # min(1.0, x) elementwise as Python evaluates it
+    return np.where(x < 1.0, x, 1.0)
+
+
+def _purities(stack) -> np.ndarray:
+    # np.vdot per matrix: the per-point purity's own BLAS sum, to the bit
+    return np.array([np.vdot(m, m).real for m in stack])
+
+
+def stacked_measures(rho, sigma_p, tol=DEFAULT_TOL) -> dict:
+    """The state measures of one sweep record for a stack of states rho and
+    their pure references sigma_p, both (N, 4, 4): an (N,) array for each of
+    delta12, negativity, concurrence_wootters, fidelity_pure, e_maxmixed,
+    er_exact and er_lin.
+
+    Each state takes one eigendecomposition, shared by its square root (for
+    the concurrence and both fidelities) and the exact relative entropy; the
+    concurrence takes one stacked SVD, the partial-transpose spectrum and
+    each fidelity one stacked eigvalsh. Every step is the arithmetic of the
+    per-state function on a leading axis, so each value equals that
+    function's bit for bit. The per-state checks (hermiticity defect, PSD
+    floor, purity of the reference) run on the whole stack with the same
+    tolerances, and the first failing state raises its per-state error.
+    """
+    rho_dag = np.swapaxes(rho.conj(), -1, -2)
+    defect = np.abs(rho - rho_dag).max(axis=(-2, -1))
+    try:
+        s, w, v = kernels.psd_sqrt_with_min((rho + rho_dag) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    failing = ((defect > tol.herm) | (w[:, 0] < -tol.psd)
+               | (np.abs(_purities(sigma_p) - 1.0) > PURITY_TOL))
+    for k in np.flatnonzero(failing):  # the per-state checks raise the error
+        psd_sqrt(rho[k], tol)
+        _assert_pure(sigma_p[k])
+
+    pt = partial_transpose(rho)
+    pt_w = kernels.eigvalsh_herm((pt + np.swapaxes(pt.conj(), -1, -2)) / 2.0)
+    roots = np.linalg.svd(s @ _SY2 @ s.conj(), compute_uv=False)
+    f_pure = kernels.sqrt_fidelity(s, sigma_p)
+    f_mixed = kernels.sqrt_fidelity(s, maximally_mixed().matrix)
+    er_lin = 1.0 - np.trace(sigma_p @ rho, axis1=-2, axis2=-1).real
+
+    # -Tr(sigma_p ln rho) on rho's support, which is a suffix of the ascending
+    # spectrum; the (N,1,4) @ (N,4,1) product runs the BLAS dot of the
+    # per-state np.dot, off-support slots adding exact zeros ahead of it
+    weights = np.einsum("...ij,...jk,...ki->...i", np.swapaxes(v.conj(), -1, -2),
+                        sigma_p, v).real
+    on_support = w > tol.psd
+    outside = np.where(on_support, 0.0, weights).sum(axis=-1)
+    log_w = np.where(on_support, np.log(np.where(on_support, w, 1.0)), 0.0)
+    dot = (np.where(on_support, weights, 0.0)[:, None, :] @ log_w[:, :, None])[:, 0, 0]
+    er_exact = np.where(outside >= SUPPORT_WEIGHT_TOL, math.inf, _max0(-dot))
+    return {
+        "delta12": _min1(_max0((4.0 / 3.0) * (1.0 - _purities(rho)))),
+        "negativity": 2.0 * _max0(-pt_w[:, 0]),
+        "concurrence_wootters": _max0(roots[:, 0] - roots[:, 1] - roots[:, 2]
+                                      - roots[:, 3]),
+        "fidelity_pure": _min1(f_pure * f_pure),
+        "e_maxmixed": 1.0 - np.sqrt(_min1(f_mixed * f_mixed)),
+        "er_exact": er_exact,
+        "er_lin": _min1(_max0(er_lin)),
+    }

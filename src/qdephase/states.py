@@ -87,28 +87,53 @@ def validate(m, tol: Tolerances = DEFAULT_TOL) -> TwoQubitState:
     return TwoQubitState(a)
 
 
-def _family_matrix(epsilon: float, corner: complex) -> np.ndarray:
-    """Outer-block matrix diag(e^2, 0, 0, (1-e)^2)/n with the given corner."""
+def _family_matrix(epsilon: float, corner) -> np.ndarray:
+    """Outer-block matrix diag(e^2, 0, 0, (1-e)^2)/n with the given corner;
+    an array of corners gives an (N, 4, 4) stack, one matrix per corner."""
     n = epsilon**2 + (1.0 - epsilon) ** 2
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = epsilon**2 / n
-    m[3, 3] = (1.0 - epsilon) ** 2 / n
-    m[0, 3] = corner
-    m[3, 0] = np.conj(corner)
+    corner = np.asarray(corner)
+    m = np.zeros(corner.shape + (4, 4), dtype=complex)
+    m[..., 0, 0] = epsilon**2 / n
+    m[..., 3, 3] = (1.0 - epsilon) ** 2 / n
+    m[..., 0, 3] = corner
+    m[..., 3, 0] = np.conj(corner)
     return m
+
+
+def _corner(p: FamilyParams, factor):
+    """The family corner eps(1-eps) factor/n; factor may be an array."""
+    return p.epsilon * (1.0 - p.epsilon) * factor / p.norm
 
 
 def family_state(epsilon: float, a: complex) -> TwoQubitState:
     """Family state with corner coherence eps(1-eps)*a/n (|a| <= 1)."""
     p = FamilyParams(epsilon)
-    corner = p.epsilon * (1.0 - p.epsilon) * complex(a) / p.norm
-    return TwoQubitState(_family_matrix(p.epsilon, corner))
+    return TwoQubitState(_family_matrix(p.epsilon, _corner(p, complex(a))))
+
+
+def family_stack(epsilon: float, a) -> np.ndarray:
+    """family_state(epsilon, a_k).matrix for each corner factor a_k, as one
+    (N, 4, 4) array, equal to the single-state matrices bit for bit."""
+    p = FamilyParams(epsilon)
+    # Python complex arithmetic, as family_state's: numpy divides a complex
+    # array by a real through its reciprocal, which can differ in the last bit
+    corners = [_corner(p, complex(x)) for x in a]
+    return _family_matrix(p.epsilon, np.array(corners, dtype=complex))
 
 
 def initial_pure(p: FamilyParams) -> TwoQubitState:
     """Rank-1 projector onto (eps|++> + (1-eps)e^{i phase}|-->)/sqrt(n)."""
-    corner = p.epsilon * (1.0 - p.epsilon) * np.exp(-1j * p.phase) / p.norm
-    return TwoQubitState(_family_matrix(p.epsilon, corner))
+    return TwoQubitState(_family_matrix(p.epsilon, _corner(p, np.exp(-1j * p.phase))))
+
+
+def initial_pure_stack(epsilon: float, phases) -> np.ndarray:
+    """initial_pure(FamilyParams(epsilon, phase_k)).matrix for each phase, as
+    one (N, 4, 4) array, equal to the single-state matrices bit for bit."""
+    p = FamilyParams(epsilon)
+    phases = np.asarray(phases, dtype=float)
+    if not np.all(np.isfinite(phases)):
+        raise ValueError("phase must be finite")
+    return _family_matrix(p.epsilon, _corner(p, np.exp(-1j * phases)))
 
 
 def maximally_mixed() -> TwoQubitState:

@@ -1,13 +1,19 @@
 import csv
 import json
 import math
+import warnings
+from dataclasses import astuple, fields
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdephase import cli, refsearch
+from qdephase import cli, measures, refsearch
 from qdephase.channel import ChannelParams
 from qdephase.cli import SweepConfig, build_record, run_sweep
+from qdephase.measures import MeasureRecord
 from qdephase.states import FamilyParams, initial_pure, save_state
 
 EXPECTED_HEADER = ("epsilon,t,gamma,abs_a,delta12,negativity,concurrence_wootters,"
@@ -73,12 +79,102 @@ class TestSweep:
             SweepConfig(epsilon_list=(1.2,))
         with pytest.raises(ValueError):
             SweepConfig(t_steps=1)
+        for t_max in (math.inf, math.nan, -0.5):
+            with pytest.raises(ValueError, match="t_max"):
+                SweepConfig(t_max=t_max)
+
+
+FIELDS = [f.name for f in fields(MeasureRecord)]
+
+
+def per_point_columns(epsilons, c, ts):
+    recs = [build_record(eps, c, float(t)) for eps in sorted(epsilons) for t in ts]
+    return {name: np.array([getattr(r, name) for r in recs]) for name in FIELDS}
+
+
+def batched_columns(epsilons, c, ts):
+    blocks = list(cli.sweep_blocks(epsilons, c, ts))
+    assert all(list(b) == FIELDS for b in blocks)
+    return {name: np.concatenate([b[name] for b in blocks]) for name in FIELDS}, len(blocks)
+
+
+def assert_columns_match(got, expect):
+    for name in FIELDS:
+        g, e = got[name], expect[name]
+        assert np.array_equal(np.isinf(g), np.isinf(e)), name
+        finite = ~np.isinf(e)
+        assert np.abs(g[finite] - e[finite]).max(initial=0.0) <= 1e-14, name
+
+
+class TestSweepBlocks:
+    @settings(max_examples=30, deadline=None)
+    @given(epsilons=st.lists(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0),
+                             min_size=1, max_size=3),
+           ntilde=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 4.0),
+           mu1=st.floats(0.0, 2.0),
+           t_max=st.floats(0.0, 40.0),
+           t_steps=st.integers(2, 14),
+           block=st.integers(1, 6))
+    def test_columns_match_build_record(self, epsilons, ntilde, mu1, t_max,
+                                        t_steps, block):
+        c = ChannelParams(omega1=1.0, omega2=0.7, mu1=mu1, mu2=0.5, ntilde=ntilde)
+        ts = np.linspace(0.0, t_max, t_steps)
+        with mock.patch.object(cli, "BLOCK_STATES", block):
+            got, n_blocks = batched_columns(epsilons, c, ts)
+        assert n_blocks == len(epsilons) * math.ceil(t_steps / block)
+        assert_columns_match(got, per_point_columns(epsilons, c, ts))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_columns_match_around_the_block_size(self, extra):
+        c = ChannelParams(1.0, 1.0, 0.5, 0.5, 1.0)
+        ts = np.linspace(0.0, 9.0, cli.BLOCK_STATES + extra)
+        got, n_blocks = batched_columns((0.37,), c, ts)
+        assert n_blocks == (2 if extra > 0 else 1)
+        assert_columns_match(got, per_point_columns((0.37,), c, ts))
+
+    @pytest.mark.parametrize("t_steps", [51, 501])
+    def test_csv_equals_per_point_rows(self, tmp_path, t_steps):
+        out = tmp_path / "s.csv"
+        cfg = SweepConfig(t_steps=t_steps, out_path=str(out))
+        run_sweep(cfg)
+        lines = [cli.CSV_COLUMNS] + [
+            cli.ROW_FORMAT % astuple(build_record(eps, cfg.channel, float(t)))
+            for eps in sorted(cfg.epsilon_list)
+            for t in np.linspace(0.0, cfg.t_max, t_steps)]
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_run_sweep_builds_no_per_point_records(self, tmp_path, monkeypatch, capsys):
+        def per_point(*args, **kwargs):
+            raise AssertionError("sweep built a per-point record")
+
+        monkeypatch.setattr(cli, "build_record", per_point)
+        assert cli.main(["sweep", "--out", str(tmp_path / "s.csv")]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == 408
+
+    def test_invariant_failure_names_first_bad_row(self, tmp_path, monkeypatch):
+        stacked = measures.stacked_measures
+
+        def corrupted(rho, sigma_p):
+            cols = stacked(rho, sigma_p)
+            cols["negativity"][[3, 5]] = [math.nan, 2.0]
+            return cols
+
+        monkeypatch.setattr(measures, "stacked_measures", corrupted)
+        out = tmp_path / "s.csv"
+        cfg = small_config(out)
+        with pytest.raises(ArithmeticError) as info:
+            run_sweep(cfg)
+        t = float(np.linspace(0.0, cfg.t_max, cfg.t_steps)[3])
+        assert str(info.value) == (f"record invariants violated at eps=0.25, t={t}: "
+                                   "['negativity is not finite: nan', "
+                                   "'negativity outside [0, 1]: nan']")
+        assert not out.exists()
 
 
 class TestRecordFormatting:
     def test_infinite_relative_entropy_prints_inf(self):
-        assert cli._fmt(math.inf) == "inf"
-        assert cli._fmt(0.6666666666666666) == "0.666666666667"
+        row = (0.6666666666666666,) * 14 + (math.inf,)
+        assert cli.ROW_FORMAT % row == ",".join(["0.666666666667"] * 14 + ["inf"])
 
     def test_record_allows_infinite_er_exact(self):
         rec = build_record(0.5, ChannelParams(1.0, 1.0, 0.5, 0.5, 1.0), 0.3)
@@ -194,6 +290,19 @@ class TestMainSweep:
         captured = capsys.readouterr()
         assert where in captured.err
         assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, shown", [
+        (["--mu1", "0", "--mu2", "0"], "got inf"),  # no revival period
+        (["--t-max", "-1"], "got -1.0")])
+    def test_bad_t_max_exits_one(self, tmp_path, capsys, flags, shown):
+        out = tmp_path / "bad.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["sweep", *flags, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "t_max" in err and shown in err
         assert not out.exists()
 
     def test_bad_epsilon_exits_one(self, capsys):

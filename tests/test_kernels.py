@@ -44,6 +44,27 @@ def test_clip_spectrum_matches_reference():
         expect = _clip_spectrum_reference(w)
         assert np.array_equal(got, expect)
         assert np.array_equal(np.signbit(got), np.signbit(expect))
+    # a stack clips each spectrum against its own top
+    stack = np.array(spectra)
+    got = kernels._clip_spectrum(stack.copy())
+    expect = np.array([_clip_spectrum_reference(w) for w in spectra])
+    assert np.array_equal(got, expect)
+    assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+
+def test_stacked_kernels_equal_single_matrix_calls():
+    rng = np.random.default_rng(29)
+    rho = np.array([random_density(rng, rank) for rank in (1, 2, 3, 4) for _ in range(5)])
+    sigma = np.array([random_density(rng) for _ in rho])
+    s, w, v = kernels.psd_sqrt_with_min(rho)
+    fid = kernels.sqrt_fidelity(s, sigma)
+    assert s.shape == rho.shape and w.shape == v.shape[:-1] and fid.shape == (len(rho),)
+    for k, m in enumerate(rho):
+        sk, wk, vk = kernels.psd_sqrt_with_min(m)
+        assert np.array_equal(s[k], sk)
+        assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+        assert fid[k] == kernels.sqrt_fidelity(sk, sigma[k])
+    assert isinstance(kernels.sqrt_fidelity(s[0], sigma[0]), float)
 
 
 def test_degenerate_params_guarded():
@@ -56,7 +77,7 @@ def test_degenerate_params_guarded():
 
 def test_objective_value_matches_its_parts():
     rng = np.random.default_rng(26)
-    sqrt_rho, _ = kernels.psd_sqrt_with_min(random_density(rng))
+    sqrt_rho, *_ = kernels.psd_sqrt_with_min(random_density(rng))
     for _ in range(50):
         x = rng.standard_normal(16)
         sigma = kernels.sigma_from_params(x)
@@ -97,7 +118,7 @@ def _point(rng, separable):
 @pytest.mark.parametrize("weight", [1e3, 1e9])
 def test_gradient_matches_central_differences(rank, separable, weight):
     rng = np.random.default_rng([27, rank, int(separable), int(np.log10(weight))])
-    sqrt_rho, _ = kernels.psd_sqrt_with_min(random_density(rng, rank))
+    sqrt_rho, *_ = kernels.psd_sqrt_with_min(random_density(rng, rank))
     for _ in range(3):
         x = _point(rng, separable)
         _, grad = kernels.css_objective(x, sqrt_rho, weight)

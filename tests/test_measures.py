@@ -1,10 +1,13 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdephase import measures
-from qdephase.errors import SupportMismatch
+from qdephase.errors import InvalidState, NotHermitian, NotPSD, SupportMismatch
 from qdephase.states import (
     FamilyParams,
     family_state,
@@ -241,3 +244,87 @@ class TestMixedReferencePartialTranspose:
             low = np.linalg.eigvalsh(pt).min()
             assert low == pytest.approx(-math.exp(-2 * ntilde) / 2, abs=1e-14)
             assert low < 0
+
+
+def random_state(rng, rank=4):
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    m = g @ g.conj().T
+    return m / m.trace().real
+
+
+def random_pure(rng):
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+def per_state_measures(rho, sigma_p):
+    """The state measures one at a time, as build_record takes them."""
+    try:
+        er_exact = measures.relative_entropy_exact(sigma_p, rho)
+    except SupportMismatch:
+        er_exact = math.inf
+    return {
+        "delta12": measures.linear_entropy(rho),
+        "negativity": measures.negativity(rho),
+        "concurrence_wootters": measures.concurrence_wootters(rho),
+        "fidelity_pure": measures.uhlmann_fidelity(rho, sigma_p),
+        "e_maxmixed": 1.0 - math.sqrt(measures.uhlmann_fidelity(rho, maximally_mixed())),
+        "er_exact": er_exact,
+        "er_lin": measures.relative_entropy_linearized(rho, sigma_p),
+    }
+
+
+class TestStackedMeasures:
+    def test_matches_per_state_functions(self):
+        rng = np.random.default_rng(40)
+        rho = [random_state(rng, rank) for rank in (1, 2, 3, 4) for _ in range(6)]
+        sigma = [random_pure(rng) for _ in rho]
+        # a reference inside a rank-deficient state's support: finite er_exact
+        rho.append(family_state(0.3, 0.4).matrix)
+        sigma.append(initial_pure(FamilyParams(0.3)).matrix)
+        got = measures.stacked_measures(np.array(rho), np.array(sigma))
+        for k, (r, sp) in enumerate(zip(rho, sigma)):
+            for name, value in per_state_measures(r, sp).items():
+                assert got[name][k] == value, (k, name)
+        assert np.isinf(got["er_exact"][:6]).all()  # pure state, other reference
+        assert np.isfinite(got["er_exact"][-1])
+
+    def test_first_failing_state_raises_its_per_state_error(self):
+        rng = np.random.default_rng(41)
+        rho = np.array([random_state(rng) for _ in range(4)])
+        sigma = np.array([random_pure(rng) for _ in range(4)])
+        skewed = rho.copy()
+        skewed[2, 0, 1] += 1e-6
+        with pytest.raises(NotHermitian):
+            measures.stacked_measures(skewed, sigma)
+        indefinite = skewed.copy()
+        indefinite[1] = np.diag([0.5, 0.5 + 1e-6, 0.0, -1e-6])
+        with pytest.raises(NotPSD, match="-1.000e-06"):  # state 1 before state 2
+            measures.stacked_measures(indefinite, sigma)
+        mixed = sigma.copy()
+        mixed[3] = np.eye(4) / 4.0
+        with pytest.raises(InvalidState, match="must be pure"):
+            measures.stacked_measures(rho, mixed)
+        # within the tolerances nothing raises
+        nearly = rho.copy()
+        nearly[0, 0, 1] += 1e-11
+        measures.stacked_measures(nearly, sigma)
+
+
+FIELDS = [f.name for f in fields(measures.MeasureRecord)]
+BAD_VALUES = (math.nan, math.inf, -math.inf, -2e-12, 1.0 + 2e-12, -0.5, 1.5,
+              -1e-12, 1.0 + 1e-12, -0.0, 7.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.dictionaries(st.sampled_from(FIELDS),
+                                st.sampled_from(BAD_VALUES) | st.floats(-2.0, 2.0),
+                                max_size=3),
+                min_size=1, max_size=6))
+def test_violation_mask_matches_records(overrides):
+    base = {name: 0.25 for name in FIELDS}
+    rows = [measures.MeasureRecord(**{**base, **o}) for o in overrides]
+    columns = {name: np.array([getattr(r, name) for r in rows]) for name in FIELDS}
+    mask = measures.violation_mask(columns)
+    assert mask.tolist() == [bool(r.violations()) for r in rows]

@@ -52,6 +52,22 @@ class TestInitialPure:
         assert rho[0, 3] == pytest.approx(0.5 * np.exp(-0.7j), abs=1e-15)
 
 
+def test_stacks_equal_single_state_matrices():
+    rng = np.random.default_rng(30)
+    a = [complex(x) for x in np.exp(-rng.random(40) - 1j * 50.0 * rng.random(40))]
+    phases = 1e3 * rng.standard_normal(40)
+    for eps in (0.0, 0.05, 0.37, 0.5, 0.9, 1.0):
+        rho, pure = states.family_stack(eps, a), states.initial_pure_stack(eps, phases)
+        assert rho.shape == pure.shape == (40, 4, 4)
+        for k in range(40):
+            assert np.array_equal(rho[k], states.family_state(eps, a[k]).matrix)
+            assert np.array_equal(pure[k], initial_pure(FamilyParams(eps, phases[k])).matrix)
+    with pytest.raises(ValueError, match="phase must be finite"):
+        states.initial_pure_stack(0.5, [0.0, np.inf])
+    with pytest.raises(ValueError):
+        states.family_stack(1.5, a)
+
+
 class TestReferences:
     def test_pure_reference_is_projector(self):
         for phase in (0.0, 1.3, -2.2):
