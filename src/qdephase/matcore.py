@@ -25,11 +25,11 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce a matrix-like (including TwoQubitState) to a complex ndarray."""
-    m = getattr(m, "matrix", m)
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+def as_matrix(m, stacked: bool = False) -> np.ndarray:
+    """Coerce a matrix-like (including TwoQubitState) to a complex ndarray;
+    with stacked=True, also an (N, n, n) stack of square matrices."""
+    a = np.asarray(getattr(m, "matrix", m), dtype=complex)
+    if (a.ndim != 2 and not (stacked and a.ndim == 3)) or a.shape[-2] != a.shape[-1]:
         raise BadDim(f"expected a square matrix, got shape {a.shape}")
     return a
 
@@ -70,7 +70,7 @@ def psd_sqrt(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def partial_transpose(rho, subsystem: str = "second") -> np.ndarray:
     """Transpose one tensor factor of a two-qubit (4x4) matrix, or of each
     matrix in an (N, 4, 4) stack."""
-    a = np.asarray(getattr(rho, "matrix", rho), dtype=complex)
+    a = as_matrix(rho, stacked=True)
     if a.shape[-2:] != (4, 4):
         raise BadDim(f"partial transpose needs 4x4 matrices, got shape {a.shape}")
     r = a.reshape(a.shape[:-2] + (2, 2, 2, 2))

@@ -141,14 +141,24 @@ def relative_entropy_exact(sigma_p, rho, tol=DEFAULT_TOL) -> float:
     """
     sp = _assert_pure(sigma_p)
     w, v = hermitian_eig(as_matrix(rho), tol)
-    weights = np.einsum("ij,jk,ki->i", v.conj().T, sp, v).real
-    on_support = w > tol.psd
-    outside = float(weights[~on_support].sum())
+    outside, val = _support_entropy(w, v, sp, tol)
     if outside >= SUPPORT_WEIGHT_TOL:
         raise SupportMismatch(
-            f"reference weight {outside:.3e} outside the state's support")
-    val = -float(np.dot(weights[on_support], np.log(w[on_support])))
-    return max(0.0, val)
+            f"reference weight {float(outside):.3e} outside the state's support")
+    return max(0.0, float(val))
+
+
+def _support_entropy(w, v, sp, tol):
+    """(weight of sp outside rho's support, -Tr(sp ln rho) on that support)
+    from rho's eigendecomposition w (ascending), v; a leading stack axis is
+    carried through. Off-support slots take weight and log 0, so every state
+    runs the same length-4 product whatever its rank."""
+    weights = np.einsum("...ij,...jk,...ki->...i", kernels._dagger(v), sp, v).real
+    on_support = w > tol.psd
+    outside = np.where(on_support, 0.0, weights).sum(axis=-1)
+    log_w = np.where(on_support, np.log(np.where(on_support, w, 1.0)), 0.0)
+    dot = (np.where(on_support, weights, 0.0)[..., None, :] @ log_w[..., :, None])
+    return outside, -dot[..., 0, 0]
 
 
 def relative_entropy_linearized(rho, sigma_p) -> float:
@@ -249,7 +259,7 @@ def _purities(stack) -> np.ndarray:
     return np.array([np.vdot(m, m).real for m in stack])
 
 
-def stacked_measures(rho, sigma_p, tol=DEFAULT_TOL) -> dict:
+def stacked_measures(rho, sigma_p) -> dict:
     """The state measures of one sweep record for a stack of states rho and
     their pure references sigma_p, both (N, 4, 4): an (N,) array for each of
     delta12, negativity, concurrence_wootters, fidelity_pure, e_maxmixed,
@@ -259,40 +269,33 @@ def stacked_measures(rho, sigma_p, tol=DEFAULT_TOL) -> dict:
     the concurrence and both fidelities) and the exact relative entropy; the
     concurrence takes one stacked SVD, the partial-transpose spectrum and
     each fidelity one stacked eigvalsh. Every step is the arithmetic of the
-    per-state function on a leading axis, so each value equals that
-    function's bit for bit. The per-state checks (hermiticity defect, PSD
+    per-state function on a leading axis (the exact relative entropy shares
+    its helper, _support_entropy), so each value equals that function's bit
+    for bit. The per-state checks (hermiticity defect, PSD
     floor, purity of the reference) run on the whole stack with the same
     tolerances, and the first failing state raises its per-state error.
     """
-    rho_dag = np.swapaxes(rho.conj(), -1, -2)
+    rho_dag = kernels._dagger(rho)
     defect = np.abs(rho - rho_dag).max(axis=(-2, -1))
     try:
         s, w, v = kernels.psd_sqrt_with_min((rho + rho_dag) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    failing = ((defect > tol.herm) | (w[:, 0] < -tol.psd)
+    failing = ((defect > DEFAULT_TOL.herm) | (w[:, 0] < -DEFAULT_TOL.psd)
                | (np.abs(_purities(sigma_p) - 1.0) > PURITY_TOL))
     for k in np.flatnonzero(failing):  # the per-state checks raise the error
-        psd_sqrt(rho[k], tol)
+        psd_sqrt(rho[k])
         _assert_pure(sigma_p[k])
 
     pt = partial_transpose(rho)
-    pt_w = kernels.eigvalsh_herm((pt + np.swapaxes(pt.conj(), -1, -2)) / 2.0)
+    pt_w = kernels.eigvalsh_herm((pt + kernels._dagger(pt)) / 2.0)
     roots = np.linalg.svd(s @ _SY2 @ s.conj(), compute_uv=False)
     f_pure = kernels.sqrt_fidelity(s, sigma_p)
     f_mixed = kernels.sqrt_fidelity(s, maximally_mixed().matrix)
     er_lin = 1.0 - np.trace(sigma_p @ rho, axis1=-2, axis2=-1).real
 
-    # -Tr(sigma_p ln rho) on rho's support, which is a suffix of the ascending
-    # spectrum; the (N,1,4) @ (N,4,1) product runs the BLAS dot of the
-    # per-state np.dot, off-support slots adding exact zeros ahead of it
-    weights = np.einsum("...ij,...jk,...ki->...i", np.swapaxes(v.conj(), -1, -2),
-                        sigma_p, v).real
-    on_support = w > tol.psd
-    outside = np.where(on_support, 0.0, weights).sum(axis=-1)
-    log_w = np.where(on_support, np.log(np.where(on_support, w, 1.0)), 0.0)
-    dot = (np.where(on_support, weights, 0.0)[:, None, :] @ log_w[:, :, None])[:, 0, 0]
-    er_exact = np.where(outside >= SUPPORT_WEIGHT_TOL, math.inf, _max0(-dot))
+    outside, er = _support_entropy(w, v, sigma_p, DEFAULT_TOL)
+    er_exact = np.where(outside >= SUPPORT_WEIGHT_TOL, math.inf, _max0(er))
     return {
         "delta12": _min1(_max0((4.0 / 3.0) * (1.0 - _purities(rho)))),
         "negativity": 2.0 * _max0(-pt_w[:, 0]),

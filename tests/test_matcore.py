@@ -133,6 +133,25 @@ class TestPartialTranspose:
     def test_rejects_wrong_dim(self):
         with pytest.raises(BadDim):
             matcore.partial_transpose(np.eye(3, dtype=complex))
+        for bad in (np.zeros((2, 3, 3)), np.zeros((2, 2, 4, 4)), np.zeros(16)):
+            with pytest.raises(BadDim):
+                matcore.partial_transpose(bad)
+
+    def test_stack_equals_each_matrix(self):
+        rng = np.random.default_rng(17)
+        stack = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        for sub in ("first", "second"):
+            got = matcore.partial_transpose(stack, sub)
+            for k, m in enumerate(stack):
+                assert np.array_equal(got[k], matcore.partial_transpose(m, sub))
+
+    def test_as_matrix_takes_stacks_only_when_asked(self):
+        stack = np.zeros((3, 4, 4))
+        with pytest.raises(BadDim):
+            matcore.as_matrix(stack)
+        assert matcore.as_matrix(stack, stacked=True).dtype == complex
+        with pytest.raises(BadDim):
+            matcore.as_matrix(np.zeros((3, 4, 2)), stacked=True)
 
 
 class TestPartialTrace:
