@@ -6,9 +6,9 @@ command-line flag; the command line wins. Exit codes: 0 success,
 1 validation failure, 2 numerical failure.
 
 sweep walks the (epsilon, t) grid in blocks of at most BLOCK_STATES states
-(sweep_blocks): each block's states and pure references are built as
-stacks and measured in one stacked spectral pass, and its rows are checked
-for the record invariants column-wise before they are written.
+(sweep_blocks), each measured in one stacked spectral pass. The blocks are
+checked for the record invariants and joined into one table (a structured
+array of MeasureRecord's fields) that the CSV rows and ordering_check read.
 build_record computes the same record for one point; it is the reference
 the blocks are tested against, to the byte of the CSV.
 """
@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -33,12 +34,12 @@ from .states import (FamilyParams, family_stack, family_state, initial_pure,
 
 FIG_EPSILONS = (0.5, 0.42, 0.37, 0.32, 0.26, 0.19, 0.12, 0.05)
 
-CSV_COLUMNS = ("epsilon,t,gamma,abs_a,delta12,negativity,concurrence_wootters,"
-               "concurrence_paper,eof,fidelity_pure,e_pure,e_mixed,e_maxmixed,"
-               "er_exact_nats,er_lin")
+# the record's fields, er_exact in nats
+CSV_COLUMNS = ",".join("er_exact_nats" if name == "er_exact" else name
+                       for name in measures.RECORD_DTYPE.names)
 CSS_COLUMNS = ",css_e_value,css_pt_min_eig"
 # one CSV row: every value to 12 significant digits, inf as "inf"
-ROW_FORMAT = ",".join(["%.12g"] * len(fields(MeasureRecord)))
+ROW_FORMAT = ",".join(["%.12g"] * len(measures.RECORD_DTYPE.names))
 CSS_ROW_FORMAT = ",%.12g,%.12g"
 
 BLOCK_STATES = 512  # states per stacked pass; bounds the stacks' memory
@@ -67,9 +68,13 @@ class SweepConfig:
             raise ValueError(f"every epsilon must be in [0, 1]: {self.epsilon_list}")
         if self.t_steps < 2:
             raise ValueError(f"t_steps must be >= 2, got {self.t_steps}")
-        if not (math.isfinite(self.t_max) and self.t_max >= 0.0):
-            # the default is one revival period, infinite for mu1 + mu2 = 0
-            raise ValueError(f"t_max must be finite and >= 0, got {self.t_max}")
+        _check_t_max(self.t_max)
+
+
+def _check_t_max(t_max: float) -> None:
+    # the default is one revival period, infinite for mu1 + mu2 = 0
+    if not (math.isfinite(t_max) and t_max >= 0.0):
+        raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
 
 
 def build_record(epsilon: float, c: ChannelParams, t: float) -> MeasureRecord:
@@ -131,52 +136,48 @@ def sweep_blocks(epsilons, c: ChannelParams, ts):
             e_mixed = [refsearch.mixed_ref_measure_family(
                 eps, a, c.ntilde, c.ntilde * math.sin((c.mu1 + c.mu2) * ti))
                 for a, ti in zip(abs_a, t)]
-            yield {
-                "epsilon": np.full(len(block), eps),
-                "t": np.array(t),
-                "gamma": np.array([d.gamma for d in block]),
-                "abs_a": np.array(abs_a),
-                "delta12": cols["delta12"],
-                "negativity": cols["negativity"],
-                "concurrence_wootters": cols["concurrence_wootters"],
-                "concurrence_paper": np.array(
+            cols.update(
+                epsilon=np.full(len(block), eps),
+                t=np.array(t),
+                gamma=np.array([d.gamma for d in block]),
+                abs_a=np.array(abs_a),
+                concurrence_paper=np.array(
                     [measures.concurrence_family(eps, a) for a in abs_a]),
-                "eof": np.array([measures.eof(x) for x in concurrence]),
-                "fidelity_pure": cols["fidelity_pure"],
-                "e_pure": 1.0 - cols["er_lin"],
-                "e_mixed": np.array(e_mixed),
-                "e_maxmixed": cols["e_maxmixed"],
-                "er_exact": cols["er_exact"],
-                "er_lin": cols["er_lin"],
-            }
+                eof=np.array([measures.eof(x) for x in concurrence]),
+                e_pure=1.0 - cols["er_lin"],
+                e_mixed=np.array(e_mixed))
+            yield {name: cols[name] for name in measures.RECORD_DTYPE.names}
 
 
 def run_sweep(cfg: SweepConfig) -> dict:
     """Write one CSV row per (epsilon, t) grid point; return the summary."""
     ts = np.linspace(0.0, cfg.t_max, cfg.t_steps)
+    blocks = []
+    for cols in sweep_blocks(cfg.epsilon_list, cfg.channel, ts):
+        block = measures.as_table(cols)
+        bad = np.flatnonzero(measures.violation_mask(block))
+        if bad.size:
+            row = block[bad[0]]
+            raise ArithmeticError(
+                f"record invariants violated at eps={float(row['epsilon'])}, "
+                f"t={float(row['t'])}: {measures.violations_at(block, bad[0])}")
+        blocks.append(block)
+    table = np.concatenate(blocks)
+
     row_format = ROW_FORMAT + (CSS_ROW_FORMAT if cfg.include_css else "")
     lines = [CSV_COLUMNS + (CSS_COLUMNS if cfg.include_css else "")]
-    records = []
-    for cols in sweep_blocks(cfg.epsilon_list, cfg.channel, ts):
-        rows = np.column_stack(list(cols.values())).tolist()
-        bad = np.flatnonzero(measures.violation_mask(cols))
-        if bad.size:
-            rec = MeasureRecord(*rows[bad[0]])
-            raise ArithmeticError(f"record invariants violated at "
-                                  f"eps={rec.epsilon}, t={rec.t}: {rec.violations()}")
-        for row in rows:
-            records.append(MeasureRecord(*row))
-            if cfg.include_css:
-                css = refsearch.css_family(row[0], row[2])
-                row += [css.e_value, css.pt_min_eig]
-            lines.append(row_format % tuple(row))
+    for row in table.tolist():
+        if cfg.include_css:
+            css = refsearch.css_family(row[0], row[2])  # epsilon, gamma
+            row += (css.e_value, css.pt_min_eig)
+        lines.append(row_format % row)
     with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    report = refsearch.ordering_check(records)
+    report = refsearch.ordering_check(table)
     return {
         "out": cfg.out_path,
-        "rows": len(records),
+        "rows": len(table),
         "kernel_backend": kernels.BACKEND,
         "max_delta12": report.max_delta12,
         "ordering": report.as_dict(),
@@ -271,6 +272,12 @@ def _get(cfg: dict, section: str, key: str, cast, default):
         raise ValueError(f"config [{section}] {key} = {raw!r}: {exc}") from exc
 
 
+def _setting(args, cfg: dict, section: str, key: str, cast, default):
+    """A setting from its flag (args.<key>), else the config file, else the default."""
+    arg = getattr(args, key)
+    return cast(arg) if arg is not None else _get(cfg, section, key, cast, default)
+
+
 def _floats(raw: str) -> tuple:
     return tuple(float(tok) for tok in str(raw).split(",") if tok.strip())
 
@@ -301,12 +308,8 @@ def _channel_from(cfg: dict, args) -> ChannelParams:
 
 
 def _optimizer_from(args) -> OptimizerConfig:
-    base = OptimizerConfig()
-    vals = {}
-    for f in fields(OptimizerConfig):
-        arg = getattr(args, f"opt_{f.name}")
-        vals[f.name] = arg if arg is not None else getattr(base, f.name)
-    return OptimizerConfig(**vals)
+    given = {f.name: getattr(args, f"opt_{f.name}") for f in fields(OptimizerConfig)}
+    return OptimizerConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _add_channel_flags(p):
@@ -318,11 +321,9 @@ def _add_channel_flags(p):
 
 
 def _add_optimizer_flags(p):
-    p.add_argument("--opt-max-iters", dest="opt_max_iters", type=int)
-    p.add_argument("--opt-restarts", dest="opt_restarts", type=int)
-    p.add_argument("--opt-penalty-weight", dest="opt_penalty_weight", type=float)
-    p.add_argument("--opt-tol", dest="opt_tol", type=float)
-    p.add_argument("--opt-seed", dest="opt_seed", type=int)
+    for f in fields(OptimizerConfig):  # --opt-max-iters etc., typed as the defaults
+        p.add_argument(f"--opt-{f.name.replace('_', '-')}", dest=f"opt_{f.name}",
+                       type=type(f.default))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -371,20 +372,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sweep(args) -> int:
     cfg_file = _load_config(args.config) if args.config else {}
     channel = _channel_from(cfg_file, args)
-    eps = (_floats(args.epsilon_list) if args.epsilon_list is not None
-           else _get(cfg_file, "sweep", "epsilon_list", _floats, FIG_EPSILONS))
-    include_css = (args.include_css if args.include_css is not None
-                   else _get(cfg_file, "sweep", "include_css", _bool, False))
+    setting = partial(_setting, args, cfg_file, "sweep")
     cfg = SweepConfig(
-        epsilon_list=eps,
-        t_max=(args.t_max if args.t_max is not None
-               else _get(cfg_file, "sweep", "t_max", float, channel.period)),
-        t_steps=(args.t_steps if args.t_steps is not None
-                 else _get(cfg_file, "sweep", "t_steps", int, 51)),
+        epsilon_list=setting("epsilon_list", _floats, FIG_EPSILONS),
+        t_max=setting("t_max", float, channel.period),
+        t_steps=setting("t_steps", int, 51),
         channel=channel,
-        include_css=include_css,
-        out_path=(args.out if args.out is not None
-                  else _get(cfg_file, "sweep", "out", str, "sweep.csv")),
+        include_css=setting("include_css", _bool, False),
+        out_path=setting("out", str, "sweep.csv"),
     )
     summary = run_sweep(cfg)
     print(json.dumps(summary, indent=2))
@@ -394,39 +389,25 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle_check(args) -> int:
     cfg_file = _load_config(args.config) if args.config else {}
     channel_base = _channel_from(cfg_file, args)
-    modes = (args.modes if args.modes is not None
-             else _get(cfg_file, "oracle", "modes", int, 3))
-    ntilde = channel_base.ntilde
-    if args.alphas is not None:
-        alphas = _complexes(args.alphas)
-    else:
-        alphas = _get(cfg_file, "oracle", "alphas", _complexes, None)
+    setting = partial(_setting, args, cfg_file, "oracle")
+    modes = setting("modes", int, 3)
+    alphas = setting("alphas", _complexes, None)
     if alphas is None:
-        alphas = tuple(math.sqrt(ntilde / modes) for _ in range(modes))
-    if args.omega_ratios is not None:
-        ratios = _floats(args.omega_ratios)
-    else:
-        ratios = _get(cfg_file, "oracle", "omega_ratios", _floats,
-                      tuple(1.0 for _ in alphas))
+        alphas = tuple(math.sqrt(channel_base.ntilde / modes) for _ in range(modes))
     r = oracle.ReservoirConfig(
         alphas=alphas,
-        omega_ratios=ratios,
-        mu_cross=(args.mu_cross if args.mu_cross is not None
-                  else _get(cfg_file, "oracle", "mu_cross", float, 0.0)),
-        mu12=(args.mu12 if args.mu12 is not None
-              else _get(cfg_file, "oracle", "mu12", float, 0.0)),
-        cutoff_tail=(args.cutoff_tail if args.cutoff_tail is not None
-                     else _get(cfg_file, "oracle", "cutoff_tail", float, 1e-10)),
+        omega_ratios=setting("omega_ratios", _floats, tuple(1.0 for _ in alphas)),
+        mu_cross=setting("mu_cross", float, 0.0),
+        mu12=setting("mu12", float, 0.0),
+        cutoff_tail=setting("cutoff_tail", float, 1e-10),
     )
     # the closed form must be fed the reservoir's actual excitation
     channel = r.channel_params(channel_base.omega1, channel_base.omega2,
                                channel_base.mu1, channel_base.mu2)
-    epsilon = (args.epsilon if args.epsilon is not None
-               else _get(cfg_file, "oracle", "epsilon", float, 0.5))
-    t_max = (args.t_max if args.t_max is not None
-             else _get(cfg_file, "oracle", "t_max", float, channel.period))
-    t_steps = (args.t_steps if args.t_steps is not None
-               else _get(cfg_file, "oracle", "t_steps", int, 50))
+    epsilon = setting("epsilon", float, 0.5)
+    t_max = setting("t_max", float, channel.period)
+    _check_t_max(t_max)
+    t_steps = setting("t_steps", int, 50)
     report = run_oracle_check(r, channel, epsilon,
                               np.linspace(0.0, t_max, t_steps))
     text = json.dumps(report, indent=2)

@@ -12,7 +12,7 @@ against.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -213,32 +213,43 @@ class MeasureRecord:
 
     def violations(self) -> list:
         """Invariant diagnostics: all fields finite (er_exact may be inf),
-        measures within their ranges."""
-        out = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name != "er_exact" and not math.isfinite(v):
-                out.append(f"{f.name} is not finite: {v}")
-        for name in UNIT_RANGED:
-            v = getattr(self, name)
-            if not -RANGE_SLACK <= v <= 1.0 + RANGE_SLACK:
-                out.append(f"{name} outside [0, 1]: {v}")
-        if self.er_exact < 0:
-            out.append(f"er_exact negative: {self.er_exact}")
-        return out
+        measures within their ranges; the record checked as a 1-row table."""
+        return violations_at(np.array([astuple(self)], RECORD_DTYPE), 0)
 
 
-def violation_mask(columns: dict) -> np.ndarray:
-    """MeasureRecord.violations() on columns: True for each row whose record
-    would report a violation. columns maps every field name to an (N,) array."""
-    bad = np.zeros(len(columns["epsilon"]), dtype=bool)
-    for f in fields(MeasureRecord):
-        if f.name != "er_exact":
-            bad |= ~np.isfinite(columns[f.name])
+# a sweep table: one row per record, one float64 column per field
+RECORD_DTYPE = np.dtype([(f.name, float) for f in fields(MeasureRecord)])
+
+
+def as_table(columns) -> np.ndarray:
+    """Columns (every field name -> an (N,) array) as an (N,) table."""
+    table = np.empty(len(columns["epsilon"]), RECORD_DTYPE)
+    for name in RECORD_DTYPE.names:
+        table[name] = columns[name]
+    return table
+
+
+def _invariant_checks(table):
+    # (field, what, mask True on each row that breaks it), in report order
+    for name in RECORD_DTYPE.names:
+        if name != "er_exact":
+            yield name, "is not finite", ~np.isfinite(table[name])
     for name in UNIT_RANGED:
-        v = columns[name]
-        bad |= ~((-RANGE_SLACK <= v) & (v <= 1.0 + RANGE_SLACK))
-    return bad | (columns["er_exact"] < 0)
+        v = table[name]
+        yield name, "outside [0, 1]", ~((-RANGE_SLACK <= v) & (v <= 1.0 + RANGE_SLACK))
+    yield "er_exact", "negative", table["er_exact"] < 0
+
+
+def violation_mask(table) -> np.ndarray:
+    """True on each row of table (field name -> (N,) array) that breaks a
+    record invariant."""
+    return np.logical_or.reduce([bad for _, _, bad in _invariant_checks(table)])
+
+
+def violations_at(table, k: int) -> list:
+    """The invariant diagnostics of row k of a sweep table."""
+    return [f"{name} {what}: {float(table[name][k])}"
+            for name, what, bad in _invariant_checks(table[k:k + 1]) if bad[0]]
 
 
 # ------------------------------------------------------------ stacked states

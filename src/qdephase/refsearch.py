@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import kernels
 from .measures import MeasureRecord, negativity_closed, relative_entropy_linearized
@@ -76,6 +75,13 @@ def _starting_points(rho: np.ndarray, cfg: OptimizerConfig) -> list:
     while len(starts) < cfg.restarts:
         starts.append(rng.standard_normal(16) * 0.5)
     return starts[: cfg.restarts]
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first use: only the general
+    search needs scipy, and its import outweighs the rest of the program's."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 def _minimize(x0, sqrt_rho, weight, cfg: OptimizerConfig):
@@ -343,41 +349,44 @@ def _matched_rows(x, d):
         lo, hi = lo - 1, hi + 1
 
 
-def ordering_check(records) -> OrderingReport:
+def _first_row(pairs, hit):
+    """The first row of pairs where hit is True, as a tuple of floats, or None."""
+    hits = np.flatnonzero(hit)
+    return tuple(pairs[hits[0]].tolist()) if hits.size else None
+
+
+def ordering_check(table) -> OrderingReport:
     """Check the per-epsilon ordering e_mixed <= N <= e_pure <= C_closed and
     hunt cross-epsilon pairs at matched mixedness that break any fixed order
     between e_mixed and N.
 
-    records is a flat iterable of MeasureRecord from monotone sweeps; they
-    are grouped by epsilon here.
+    table is a sweep table (measures.RECORD_DTYPE rows), grouped by epsilon
+    here with a stable sort. Violations come epsilon ascending, then in row
+    and check order; a witness is the first matched row, over the ordered
+    epsilon pairs, with its gap beyond 1e-9.
     """
-    groups = {}
-    for r in records:
-        groups.setdefault(r.epsilon, []).append(r)
-    violations = []
-    max_d12 = 0.0
-    for eps, rows in sorted(groups.items()):
-        for r in rows:
-            max_d12 = max(max_d12, r.delta12)
-            if r.e_mixed > r.negativity + ORDER_TOL:
-                violations.append((eps, r.t, "e_mixed > negativity"))
-            if r.negativity > r.e_pure + ORDER_TOL:
-                violations.append((eps, r.t, "negativity > e_pure"))
-            if r.e_pure > r.concurrence_paper + ORDER_TOL:
-                violations.append((eps, r.t, "e_pure > concurrence"))
+    orders = (("e_mixed", "negativity", "e_mixed > negativity"),
+              ("negativity", "e_pure", "negativity > e_pure"),
+              ("e_pure", "concurrence_paper", "e_pure > concurrence"))
+    rows = table[np.argsort(table["epsilon"], kind="stable")]
+    eps, t, d12 = rows["epsilon"], rows["t"], rows["delta12"]
+    broken = np.column_stack([rows[lo] > rows[hi] + ORDER_TOL for lo, hi, _ in orders])
+    violations = [(float(eps[k]), float(t[k]), orders[j][2])
+                  for k, j in zip(*np.nonzero(broken))]
 
+    _, starts = np.unique(eps, return_index=True)
+    groups = [slice(a, b) for a, b in zip(starts, [*starts[1:], len(rows)])]
     above = below = None
-    delta12 = {eps: np.array([r.delta12 for r in rows]) for eps, rows in groups.items()}
-    for e1, e2 in itertools.permutations(sorted(groups), 2):
-        match = _matched_rows(delta12[e1], delta12[e2])
-        for k in np.flatnonzero(match >= 0):
-            r1, r2 = groups[e1][k], groups[e2][match[k]]
-            gap = r1.e_mixed - r2.negativity
-            if gap > 1e-9 and above is None:
-                above = (e1, r1.t, e2, r2.t, gap)
-            elif gap < -1e-9 and below is None:
-                below = (e1, r1.t, e2, r2.t, gap)
-        if above is not None and below is not None:
+    for g1, g2 in itertools.permutations(groups, 2):
+        match = _matched_rows(d12[g1], d12[g2])
+        k1 = g1.start + np.flatnonzero(match >= 0)
+        k2 = g2.start + match[match >= 0]
+        gap = rows["e_mixed"][k1] - rows["negativity"][k2]
+        pairs = np.column_stack([eps[k1], t[k1], eps[k2], t[k2], gap])
+        above = above or _first_row(pairs, gap > 1e-9)
+        below = below or _first_row(pairs, gap < -1e-9)
+        if above and below:
             break
-    return OrderingReport(violations=violations, max_delta12=max_d12,
+    return OrderingReport(violations=violations,
+                          max_delta12=float(d12.max(initial=0.0)),
                           witness_mixed_above=above, witness_mixed_below=below)

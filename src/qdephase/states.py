@@ -13,8 +13,6 @@ import numpy as np
 from .errors import BadDim, InvalidState
 from .matcore import DEFAULT_TOL, Tolerances, as_matrix, hermitian_eig
 
-BASIS = ("++", "+-", "-+", "--")
-
 
 @dataclass(frozen=True)
 class FamilyParams:

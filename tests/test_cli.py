@@ -1,8 +1,12 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import astuple, fields
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -149,6 +153,15 @@ class TestSweepBlocks:
 
         monkeypatch.setattr(cli, "build_record", per_point)
         assert cli.main(["sweep", "--out", str(tmp_path / "s.csv")]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == 408
+
+    @pytest.mark.parametrize("flags", [[], ["--include-css"]])
+    def test_run_sweep_builds_no_records(self, tmp_path, monkeypatch, capsys, flags):
+        def no_record(*args, **kwargs):
+            raise AssertionError("sweep built a MeasureRecord")
+
+        monkeypatch.setattr(MeasureRecord, "__init__", no_record)
+        assert cli.main(["sweep", *flags, "--out", str(tmp_path / "s.csv")]) == 0
         assert json.loads(capsys.readouterr().out)["rows"] == 408
 
     def test_invariant_failure_names_first_bad_row(self, tmp_path, monkeypatch):
@@ -375,6 +388,36 @@ class TestMainOracleCheck:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["config"]["modes"] == 4
+
+    @pytest.mark.parametrize("flags, shown", [
+        (["--mu1", "0", "--mu2", "0"], "got inf"),  # no revival period
+        (["--t-max", "-1"], "got -1.0")])
+    def test_bad_t_max_exits_one(self, tmp_path, capsys, flags, shown):
+        out = tmp_path / "bad.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["oracle-check", *flags, "--t-steps", "3", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "t_max" in err and shown in err
+        assert not out.exists()
+
+
+def test_sweep_and_oracle_import_no_scipy(tmp_path):
+    # scipy.optimize dominates the import time; only the general search needs it
+    code = ("import sys\n"
+            "from qdephase import cli\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert loaded() == [], loaded()\n"
+            "assert cli.main(['sweep', '--out', sys.argv[1]]) == 0\n"
+            "assert cli.main(['sweep', '--include-css', '--out', sys.argv[1]]) == 0\n"
+            "assert cli.main(['oracle-check', '--t-steps', '3']) == 0\n"
+            "assert loaded() == [], loaded()\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "s.csv")],
+                          env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestMainCss:

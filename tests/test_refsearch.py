@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -198,6 +199,11 @@ def _ordering_record(eps, t, delta12, e_mixed, negativity):
                          er_exact=0.0, er_lin=0.0)
 
 
+def as_table(records):
+    """The sweep table of a list of records, rows in list order."""
+    return np.array([astuple(r) for r in records], measures.RECORD_DTYPE)
+
+
 @pytest.fixture(scope="module")
 def records():
     c = ChannelParams(omega1=1.0, omega2=1.0, mu1=0.5, mu2=0.5, ntilde=1.0)
@@ -208,39 +214,95 @@ def records():
     return out
 
 
+HYPOTHESIS_GROUPS = st.lists(st.lists(st.tuples(DELTA12, GAP_SIDE, GAP_SIDE),
+                                      min_size=1, max_size=6),
+                             min_size=1, max_size=4)
+
+
+def _group_records(groups):
+    return [_ordering_record(0.1 * (g + 1), float(k), d12, mixed, neg)
+            for g, rows in enumerate(groups)
+            for k, (d12, mixed, neg) in enumerate(rows)]
+
+
 class TestOrderingCheck:
     def test_no_pointwise_violations(self, records):
-        report = refsearch.ordering_check(records)
+        report = refsearch.ordering_check(as_table(records))
         assert report.violations == []
 
     def test_cross_epsilon_order_breaks_both_ways(self, records):
-        report = refsearch.ordering_check(records)
+        report = refsearch.ordering_check(as_table(records))
         assert report.witness_mixed_above is not None
         assert report.witness_mixed_below is not None
         assert report.no_global_order
 
     def test_max_delta12_reported(self, records):
-        report = refsearch.ordering_check(records)
+        report = refsearch.ordering_check(as_table(records))
         expect = max(r.delta12 for r in records)
         assert report.max_delta12 == expect
 
     def test_matches_nested_loop_reference(self, records):
-        assert refsearch.ordering_check(records) == nested_loop_ordering_check(records)
+        assert (refsearch.ordering_check(as_table(records))
+                == nested_loop_ordering_check(records))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_interleaved_unsorted_epsilons(self, records, seed):
+        # rows of every epsilon interleaved, neither epsilon nor t in order
+        shuffled = [records[k] for k in np.random.default_rng(seed).permutation(len(records))]
+        report = refsearch.ordering_check(as_table(shuffled))
+        assert report == nested_loop_ordering_check(shuffled)
+        assert report.no_global_order
+
+    def test_single_epsilon_group(self, records):
+        one = [r for r in records if r.epsilon == 0.26][::-1]
+        report = refsearch.ordering_check(as_table(one))
+        assert report == nested_loop_ordering_check(one)
+        assert report.witness_mixed_above is None and report.witness_mixed_below is None
+        assert report.max_delta12 == max(r.delta12 for r in one)
+
+    def test_violations_by_epsilon_then_row_then_check(self):
+        def rec(eps, t, e_mixed, negativity, e_pure, concurrence):
+            return replace(_ordering_record(eps, t, 0.0, e_mixed, negativity),
+                           e_pure=e_pure, concurrence_paper=concurrence)
+
+        recs = [rec(0.4, 2.0, 0.5, 0.1, 0.9, 0.2),   # e_mixed > N, e_pure > C
+                rec(0.2, 1.0, 0.0, 0.9, 0.5, 1.0),   # N > e_pure
+                rec(0.4, 1.0, 0.0, 0.9, 0.5, 0.1),   # N > e_pure, e_pure > C
+                rec(0.2, 3.0, 0.9, 0.1, 1.0, 1.0)]   # e_mixed > N
+        report = refsearch.ordering_check(as_table(recs))
+        assert report.violations == [(0.2, 1.0, "negativity > e_pure"),
+                                     (0.2, 3.0, "e_mixed > negativity"),
+                                     (0.4, 2.0, "e_mixed > negativity"),
+                                     (0.4, 2.0, "e_pure > concurrence"),
+                                     (0.4, 1.0, "negativity > e_pure"),
+                                     (0.4, 1.0, "e_pure > concurrence")]
+        assert report == nested_loop_ordering_check(recs)
+
+    def test_returns_python_floats(self, records):
+        recs = records + [_ordering_record(0.7, 0.5, 0.0, 0.9, 0.1)]
+        report = refsearch.ordering_check(as_table(recs))
+        assert report.violations == [(0.7, 0.5, "e_mixed > negativity")]
+        values = [report.max_delta12, *report.violations[0][:2],
+                  *report.witness_mixed_above, *report.witness_mixed_below]
+        assert all(type(v) is float for v in values)
 
     @settings(max_examples=300, deadline=None)
-    @given(groups=st.lists(st.lists(st.tuples(DELTA12, GAP_SIDE, GAP_SIDE),
-                                    min_size=1, max_size=6),
-                           min_size=1, max_size=4))
+    @given(groups=HYPOTHESIS_GROUPS)
     # equally near rows on both sides of x, the lower index above it
     @example(groups=[[(0.25, 0.5, 0.0)],
                      [(0.25 + 2.0**-32, 0.0, 0.0), (0.25 - 2.0**-32, 0.0, 0.3)]])
     # a value of x - d that rounds alike for distinct d on one side of x
     @example(groups=[[(2e-300, 0.5, 0.0)], [(0.0, 0.0, 0.0), (5e-324, 0.0, 0.3)]])
     def test_witnesses_match_nested_loop_reference(self, groups):
-        recs = [_ordering_record(0.1 * (g + 1), float(k), d12, mixed, neg)
-                for g, rows in enumerate(groups)
-                for k, (d12, mixed, neg) in enumerate(rows)]
-        assert refsearch.ordering_check(recs) == nested_loop_ordering_check(recs)
+        recs = _group_records(groups)
+        assert refsearch.ordering_check(as_table(recs)) == nested_loop_ordering_check(recs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(groups=HYPOTHESIS_GROUPS, data=st.data())
+    def test_unsorted_rows_match_nested_loop_reference(self, groups, data):
+        recs = _group_records(groups)
+        recs = data.draw(st.permutations(recs))
+        assert refsearch.ordering_check(as_table(recs)) == nested_loop_ordering_check(recs)
 
 
 def nested_loop_ordering_check(records):
