@@ -32,6 +32,10 @@ class ChannelParams:
         vals = (self.omega1, self.omega2, self.mu1, self.mu2, self.ntilde)
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("channel parameters must be finite")
+        for name, total in (("omega1 + omega2", self.omega1 + self.omega2),
+                            ("mu1 + mu2", self.mu1 + self.mu2)):
+            if not math.isfinite(total):
+                raise ValueError(f"{name} must be finite, got {total}")
         if self.ntilde < 0:
             raise ValueError(f"ntilde must be >= 0, got {self.ntilde}")
 
@@ -51,19 +55,26 @@ class DecoherenceFactor:
     phase: float
 
 
-def decoherence_factor(p: ChannelParams, t: float) -> DecoherenceFactor:
-    """Decoherence factor at time t >= 0.
+def decoherence_factor(p: ChannelParams, t) -> DecoherenceFactor:
+    """Decoherence factor at a time t >= 0, or its fields as arrays over an
+    array of times.
 
     |a| = exp(ntilde*(cos((mu1+mu2)t) - 1)), phase = (omega1+omega2)t
-    + ntilde*sin((mu1+mu2)t), and gamma = 1 - |a|^2.
+    + ntilde*sin((mu1+mu2)t), and gamma = 1 - |a|^2. The first negative t,
+    or t whose (mu1+mu2)t or phase overflows, raises ValueError.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    theta = (p.mu1 + p.mu2) * t
-    mag = math.exp(p.ntilde * (math.cos(theta) - 1.0))
-    phase = (p.omega1 + p.omega2) * t + p.ntilde * math.sin(theta)
+    t = np.asarray(t, dtype=float)
+    if (t < 0).any():
+        raise ValueError(f"t must be >= 0, got {t[t < 0][0]}")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        theta = (p.mu1 + p.mu2) * t
+        phase = (p.omega1 + p.omega2) * t + p.ntilde * np.sin(theta)
+    bad = ~(np.isfinite(theta) & np.isfinite(phase))
+    if bad.any():
+        raise ValueError(f"the channel phase at t = {t[bad][0]} is not finite")
+    mag = np.exp(p.ntilde * (np.cos(theta) - 1.0))
     gamma = 1.0 - mag * mag
-    a = mag * complex(math.cos(phase), -math.sin(phase))
+    a = mag * (np.cos(phase) - 1j * np.sin(phase))
     return DecoherenceFactor(a=a, gamma=gamma, phase=phase)
 
 

@@ -6,11 +6,13 @@ command-line flag; the command line wins. Exit codes: 0 success,
 1 validation failure, 2 numerical failure.
 
 sweep walks the (epsilon, t) grid in blocks of at most BLOCK_STATES states
-(sweep_blocks), each measured in one stacked spectral pass. The blocks are
-checked for the record invariants and joined into one table (a structured
-array of MeasureRecord's fields) that the CSV rows and ordering_check read.
-build_record computes the same record for one point; it is the reference
-the blocks are tested against, to the byte of the CSV.
+(sweep_blocks), each measured in one stacked spectral pass, with the closed
+forms taken on the block's columns. The blocks are checked for the record
+invariants and joined into one table (a structured array of MeasureRecord's
+fields) that the CSV rows and ordering_check read. build_record computes
+the same record for one point, with the single-state spectral measures and
+the same closed-form functions; it is the reference the blocks are tested
+against, to the byte of the CSV.
 """
 
 import argparse
@@ -66,6 +68,9 @@ class SweepConfig:
             raise ValueError("epsilon_list must be nonempty")
         if any(not 0.0 <= e <= 1.0 for e in self.epsilon_list):
             raise ValueError(f"every epsilon must be in [0, 1]: {self.epsilon_list}")
+        for k, e in enumerate(self.epsilon_list):
+            if e in self.epsilon_list[:k]:  # == comparison: -0.0 repeats 0.0
+                raise ValueError(f"epsilon {e} is listed twice: {self.epsilon_list}")
         if self.t_steps < 2:
             raise ValueError(f"t_steps must be >= 2, got {self.t_steps}")
         _check_t_max(self.t_max)
@@ -82,10 +87,7 @@ def build_record(epsilon: float, c: ChannelParams, t: float) -> MeasureRecord:
     dec = decoherence_factor(c, t)
     rho = family_state(epsilon, dec.a)
     sigma_p = initial_pure(FamilyParams(epsilon, dec.phase))
-    abs_a = abs(dec.a)
-    rel_phase = c.ntilde * math.sin((c.mu1 + c.mu2) * t)
     concurrence = measures.concurrence_wootters(rho)
-
     er_lin = measures.relative_entropy_linearized(rho, sigma_p)
     try:
         er_exact = measures.relative_entropy_exact(sigma_p, rho)
@@ -94,22 +96,28 @@ def build_record(epsilon: float, c: ChannelParams, t: float) -> MeasureRecord:
     return MeasureRecord(
         epsilon=epsilon,
         t=t,
-        gamma=dec.gamma,
-        abs_a=abs_a,
         delta12=measures.linear_entropy(rho),
         negativity=measures.negativity(rho),
         concurrence_wootters=concurrence,
-        concurrence_paper=measures.concurrence_family(epsilon, abs_a),
-        eof=measures.eof(concurrence),
         fidelity_pure=measures.uhlmann_fidelity(rho, sigma_p),
         e_pure=1.0 - er_lin,
-        e_mixed=refsearch.mixed_ref_measure_family(epsilon, abs_a, c.ntilde,
-                                                   rel_phase),
-        e_maxmixed=1.0 - math.sqrt(
-            measures.uhlmann_fidelity(rho, maximally_mixed())),
+        e_maxmixed=1.0 - np.sqrt(measures.uhlmann_fidelity(rho, maximally_mixed())),
         er_exact=er_exact,
         er_lin=er_lin,
+        **_closed_forms(epsilon, c, t, dec.a, dec.gamma, concurrence),
     )
+
+
+def _closed_forms(epsilon: float, c: ChannelParams, t, a, gamma, concurrence) -> dict:
+    """The record fields in closed form, at one point or as columns, from t,
+    the corner factor a, gamma and the spectral concurrence."""
+    abs_a = np.abs(a)
+    rel_phase = c.ntilde * np.sin((c.mu1 + c.mu2) * t)  # state corner vs floor's
+    return dict(gamma=gamma, abs_a=abs_a,
+                concurrence_paper=measures.concurrence_family(epsilon, abs_a),
+                eof=measures.eof(concurrence),
+                e_mixed=refsearch.mixed_ref_measure_family(epsilon, abs_a, c.ntilde,
+                                                           rel_phase))
 
 
 def sweep_blocks(epsilons, c: ChannelParams, ts):
@@ -117,35 +125,23 @@ def sweep_blocks(epsilons, c: ChannelParams, ts):
     and t in the given order, as one dict of (N,) columns per block of at
     most BLOCK_STATES states, in MeasureRecord field order.
 
-    A block is one epsilon's run of consecutive t. Its state and reference
-    stacks go through measures.stacked_measures in one pass; the channel
-    coordinates are computed once per t and the closed forms once per
-    point, with build_record's own calls, so every value equals
-    build_record's bit for bit.
+    The decoherence factor is taken once, on the whole t grid. A block is
+    one epsilon's run of consecutive t: its state and reference stacks go
+    through measures.stacked_measures in one pass, and its closed forms
+    through _closed_forms on the block's columns, as build_record's do, so
+    every closed-form value equals build_record's bit for bit.
     """
-    decs = [decoherence_factor(c, float(t)) for t in ts]
+    ts = np.asarray(ts, dtype=float)
+    dec = decoherence_factor(c, ts)
     for eps in sorted(epsilons):
-        for lo in range(0, len(decs), BLOCK_STATES):
-            block = decs[lo:lo + BLOCK_STATES]
-            t = [float(x) for x in ts[lo:lo + BLOCK_STATES]]
-            abs_a = [abs(d.a) for d in block]
-            cols = measures.stacked_measures(
-                family_stack(eps, [d.a for d in block]),
-                initial_pure_stack(eps, [d.phase for d in block]))
-            concurrence = cols["concurrence_wootters"].tolist()
-            e_mixed = [refsearch.mixed_ref_measure_family(
-                eps, a, c.ntilde, c.ntilde * math.sin((c.mu1 + c.mu2) * ti))
-                for a, ti in zip(abs_a, t)]
-            cols.update(
-                epsilon=np.full(len(block), eps),
-                t=np.array(t),
-                gamma=np.array([d.gamma for d in block]),
-                abs_a=np.array(abs_a),
-                concurrence_paper=np.array(
-                    [measures.concurrence_family(eps, a) for a in abs_a]),
-                eof=np.array([measures.eof(x) for x in concurrence]),
-                e_pure=1.0 - cols["er_lin"],
-                e_mixed=np.array(e_mixed))
+        for lo in range(0, len(ts), BLOCK_STATES):
+            part = slice(lo, lo + BLOCK_STATES)
+            t = ts[part]
+            cols = measures.stacked_measures(family_stack(eps, dec.a[part]),
+                                             initial_pure_stack(eps, dec.phase[part]))
+            cols.update(epsilon=np.full(len(t), eps), t=t, e_pure=1.0 - cols["er_lin"],
+                        **_closed_forms(eps, c, t, dec.a[part], dec.gamma[part],
+                                        cols["concurrence_wootters"]))
             yield {name: cols[name] for name in measures.RECORD_DTYPE.names}
 
 
@@ -262,7 +258,11 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _get(cfg: dict, section: str, key: str, cast, default):
+def _setting(args, cfg: dict, section: str, key: str, cast, default):
+    """A setting from its flag (args.<key>), else the config file, else the default."""
+    raw = getattr(args, key)
+    if raw is not None:
+        return cast(raw)
     raw = cfg.get(section, {}).get(key)
     if raw is None:
         return default
@@ -270,12 +270,6 @@ def _get(cfg: dict, section: str, key: str, cast, default):
         return cast(raw)
     except ValueError as exc:
         raise ValueError(f"config [{section}] {key} = {raw!r}: {exc}") from exc
-
-
-def _setting(args, cfg: dict, section: str, key: str, cast, default):
-    """A setting from its flag (args.<key>), else the config file, else the default."""
-    arg = getattr(args, key)
-    return cast(arg) if arg is not None else _get(cfg, section, key, cast, default)
 
 
 def _floats(raw: str) -> tuple:
@@ -299,12 +293,9 @@ def _bool(raw) -> bool:
 
 def _channel_from(cfg: dict, args) -> ChannelParams:
     base = _default_channel()
-    vals = {}
-    for name in ("omega1", "omega2", "mu1", "mu2", "ntilde"):
-        v = _get(cfg, "channel", name, float, getattr(base, name))
-        arg = getattr(args, name, None)
-        vals[name] = float(arg) if arg is not None else v
-    return ChannelParams(**vals)
+    return ChannelParams(**{f.name: _setting(args, cfg, "channel", f.name, float,
+                                             getattr(base, f.name))
+                            for f in fields(ChannelParams)})
 
 
 def _optimizer_from(args) -> OptimizerConfig:

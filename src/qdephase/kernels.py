@@ -45,6 +45,13 @@ def _partial_transpose(m):
     return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
+def purity(m):
+    """Tr m^2 of a Hermitian matrix, or an (N,) array for an (N, 4, 4) stack:
+    per matrix, the BLAS dot np.vdot(m, m) takes, whatever the stack."""
+    row = m.reshape(m.shape[:-2] + (1, -1))
+    return (row.conj() @ np.swapaxes(row, -1, -2)).real[..., 0, 0][()]
+
+
 def eigh_herm(m):
     """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix."""
     return np.linalg.eigh(m)

@@ -1,14 +1,16 @@
-"""Scalar entanglement and mixedness measures.
+"""Entanglement and mixedness measures.
 
 Two routes are carried side by side wherever the closed form disagrees with
 the general definition: spectral pipelines (authoritative) and the family
 closed forms (reproduction targets). They are asserted against each other in
 tests rather than reconciled here.
 
-The spectral measures of a sweep also come stacked (stacked_measures): the
-same arithmetic over an (N, 4, 4) array of states, one decomposition call
-per stack. The single-state functions stay the reference it is tested
-against.
+Each closed form is one numpy function: an array gives a column, a scalar a
+numpy scalar, by the same arithmetic (squares as x * x: a numpy scalar's
+x**2 goes through pow, which can round differently). The spectral measures
+of a sweep also come stacked (stacked_measures): the same arithmetic over an
+(N, 4, 4) array of states, one decomposition call per stack. The
+single-state functions stay the reference it is tested against.
 """
 
 import math
@@ -39,15 +41,24 @@ _SY2 = np.array(
      [-1, 0, 0, 0]], dtype=complex)  # sigma_y (x) sigma_y, the two-qubit spin flip
 
 
+def _max0(x):
+    # max(0.0, x) elementwise as Python evaluates it: NaN and -0.0 give 0.0;
+    # [()] makes a 0-d result a numpy scalar
+    return np.where(x > 0.0, x, 0.0)[()]
+
+
+def _min1(x):
+    # min(1.0, x) elementwise as Python evaluates it
+    return np.where(x < 1.0, x, 1.0)[()]
+
+
 def _norm(epsilon: float) -> float:
     return epsilon**2 + (1.0 - epsilon) ** 2
 
 
 def linear_entropy(rho) -> float:
     """Normalized mixedness (4/3)(1 - Tr rho^2): 0 pure, 1 maximally mixed."""
-    m = as_matrix(rho)
-    purity = float(np.vdot(m, m).real)
-    return min(1.0, max(0.0, (4.0 / 3.0) * (1.0 - purity)))
+    return _min1(_max0((4.0 / 3.0) * (1.0 - kernels.purity(as_matrix(rho)))))
 
 
 def linear_entropy_closed(epsilon: float, gamma: float) -> float:
@@ -83,7 +94,7 @@ def concurrence_wootters(rho) -> float:
     return max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
 
 
-def concurrence_family(epsilon: float, abs_a: float) -> float:
+def concurrence_family(epsilon: float, abs_a):
     """Family closed-form concurrence sqrt(1 - 2 eps^2 (1-eps)^2 (1-|a|^2)/n^2).
 
     Kept as a separate, clearly labeled quantity: it equals sqrt(Tr rho^2)
@@ -91,24 +102,25 @@ def concurrence_family(epsilon: float, abs_a: float) -> float:
     epsilon = 1/2 (it returns 1 at |a| = 1 even for product endpoints).
     """
     n = _norm(epsilon)
-    rad = 1.0 - 2.0 * epsilon**2 * (1.0 - epsilon) ** 2 * (1.0 - abs_a**2) / n**2
-    return math.sqrt(max(0.0, rad))
+    rad = 1.0 - 2.0 * epsilon**2 * (1.0 - epsilon) ** 2 * (1.0 - abs_a * abs_a) / n**2
+    return np.sqrt(_max0(rad))
 
 
-def eof(c: float) -> float:
+def eof(c):
     """Entanglement of formation h((1 + sqrt(1-c^2))/2) for concurrence c."""
-    if not 0.0 <= c <= 1.0 + 1e-12:
-        raise ValueError(f"concurrence must be in [0, 1], got {c}")
-    c = min(c, 1.0)
-    x = 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c)))
-    return _binary_entropy(x)
+    c = np.asarray(c, dtype=float)
+    bad = c[~((0.0 <= c) & (c <= 1.0 + 1e-12))]
+    if bad.size:
+        raise ValueError(f"concurrence must be in [0, 1], got {bad[0]}")
+    c = _min1(c)
+    return _binary_entropy(0.5 * (1.0 + np.sqrt(_max0(1.0 - c * c))))
 
 
-def _binary_entropy(x: float) -> float:
+def _binary_entropy(x):
     total = 0.0
-    for v in (x, 1.0 - x):
-        if v > 0.0:
-            total -= v * math.log2(v)
+    for v in (x, 1.0 - x):  # v log2 v is 0 at v <= 0, where log2 sees 1
+        pos = v > 0.0
+        total = total - np.where(pos, v * np.log2(np.where(pos, v, 1.0)), 0.0)
     return total
 
 
@@ -127,7 +139,7 @@ def bures_distance(rho, sigma) -> float:
 
 def _assert_pure(sigma_p) -> np.ndarray:
     m = as_matrix(sigma_p)
-    purity = float(np.vdot(m, m).real)
+    purity = float(kernels.purity(m))
     if abs(purity - 1.0) > PURITY_TOL:
         raise InvalidState([f"reference must be pure, Tr sigma^2 = {purity:.6f}"])
     return m
@@ -255,21 +267,6 @@ def violations_at(table, k: int) -> list:
 # ------------------------------------------------------------ stacked states
 
 
-def _max0(x):
-    # max(0.0, x) elementwise as Python evaluates it: NaN and -0.0 give 0.0
-    return np.where(x > 0.0, x, 0.0)
-
-
-def _min1(x):
-    # min(1.0, x) elementwise as Python evaluates it
-    return np.where(x < 1.0, x, 1.0)
-
-
-def _purities(stack) -> np.ndarray:
-    # np.vdot per matrix: the per-point purity's own BLAS sum, to the bit
-    return np.array([np.vdot(m, m).real for m in stack])
-
-
 def stacked_measures(rho, sigma_p) -> dict:
     """The state measures of one sweep record for a stack of states rho and
     their pure references sigma_p, both (N, 4, 4): an (N,) array for each of
@@ -293,7 +290,7 @@ def stacked_measures(rho, sigma_p) -> dict:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     failing = ((defect > DEFAULT_TOL.herm) | (w[:, 0] < -DEFAULT_TOL.psd)
-               | (np.abs(_purities(sigma_p) - 1.0) > PURITY_TOL))
+               | (np.abs(kernels.purity(sigma_p) - 1.0) > PURITY_TOL))
     for k in np.flatnonzero(failing):  # the per-state checks raise the error
         psd_sqrt(rho[k])
         _assert_pure(sigma_p[k])
@@ -308,7 +305,7 @@ def stacked_measures(rho, sigma_p) -> dict:
     outside, er = _support_entropy(w, v, sigma_p, DEFAULT_TOL)
     er_exact = np.where(outside >= SUPPORT_WEIGHT_TOL, math.inf, _max0(er))
     return {
-        "delta12": _min1(_max0((4.0 / 3.0) * (1.0 - _purities(rho)))),
+        "delta12": _min1(_max0((4.0 / 3.0) * (1.0 - kernels.purity(rho)))),
         "negativity": 2.0 * _max0(-pt_w[:, 0]),
         "concurrence_wootters": _max0(roots[:, 0] - roots[:, 1] - roots[:, 2]
                                       - roots[:, 3]),

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .measures import MeasureRecord, negativity_closed, relative_entropy_linearized
+from .measures import (MeasureRecord, _max0, _min1, negativity_closed,
+                       relative_entropy_linearized)
 from .matcore import as_matrix, psd_sqrt
 from .states import TwoQubitState, validate
 
@@ -192,8 +193,7 @@ def mixed_ref_measure(abs_a: float, ntilde: float, phase: float = 0.0) -> float:
     return 1.0 - math.sqrt(mixed_ref_fidelity(abs_a, ntilde, phase))
 
 
-def mixed_ref_measure_family(epsilon: float, abs_a: float, ntilde: float,
-                             phase: float = 0.0) -> float:
+def mixed_ref_measure_family(epsilon: float, abs_a, ntilde: float, phase=0.0):
     """General-epsilon distance to the family's own dephasing floor.
 
     The reference keeps the family populations and damps the corner by
@@ -201,11 +201,11 @@ def mixed_ref_measure_family(epsilon: float, abs_a: float, ntilde: float,
     """
     n = epsilon**2 + (1.0 - epsilon) ** 2
     w = epsilon * (1.0 - epsilon) / n
-    x = math.exp(-2.0 * ntilde)
+    x = np.exp(-2.0 * ntilde)
     fid = (1.0 - 2.0 * w * w
-           + 2.0 * w * w * abs_a * x * math.cos(phase)
-           + 2.0 * w * w * math.sqrt(max(0.0, (1.0 - abs_a**2) * (1.0 - x * x))))
-    return 1.0 - math.sqrt(min(1.0, max(0.0, fid)))
+           + 2.0 * w * w * abs_a * x * np.cos(phase)
+           + 2.0 * w * w * np.sqrt(_max0((1.0 - abs_a * abs_a) * (1.0 - x * x))))
+    return 1.0 - np.sqrt(_min1(_max0(fid)))
 
 
 def css_family(epsilon: float, gamma: float) -> CssResult:
@@ -280,12 +280,6 @@ class RelationResiduals:
     triangular_half: float
     widetext_purity: float
     widetext_concurrence: float
-
-    def as_dict(self) -> dict:
-        return {"product_half": self.product_half,
-                "triangular_half": self.triangular_half,
-                "widetext_purity": self.widetext_purity,
-                "widetext_concurrence": self.widetext_concurrence}
 
 
 def relation_residuals(record: MeasureRecord, d: int = 4) -> RelationResiduals:

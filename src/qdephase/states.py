@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .errors import BadDim, InvalidState
 from .matcore import DEFAULT_TOL, Tolerances, as_matrix, hermitian_eig
 
@@ -47,8 +48,7 @@ class TwoQubitState:
         return 4
 
     def purity(self) -> float:
-        m = self.matrix
-        return float(np.vdot(m, m).real)
+        return float(kernels.purity(self.matrix))
 
 
 def check(m, tol: Tolerances = DEFAULT_TOL) -> list:
@@ -105,18 +105,13 @@ def _corner(p: FamilyParams, factor):
 
 def family_state(epsilon: float, a: complex) -> TwoQubitState:
     """Family state with corner coherence eps(1-eps)*a/n (|a| <= 1)."""
-    p = FamilyParams(epsilon)
-    return TwoQubitState(_family_matrix(p.epsilon, _corner(p, complex(a))))
+    return TwoQubitState(family_stack(epsilon, [a])[0])
 
 
 def family_stack(epsilon: float, a) -> np.ndarray:
-    """family_state(epsilon, a_k).matrix for each corner factor a_k, as one
-    (N, 4, 4) array, equal to the single-state matrices bit for bit."""
+    """The family states of corner factors a_k, as one (N, 4, 4) array."""
     p = FamilyParams(epsilon)
-    # Python complex arithmetic, as family_state's: numpy divides a complex
-    # array by a real through its reciprocal, which can differ in the last bit
-    corners = [_corner(p, complex(x)) for x in a]
-    return _family_matrix(p.epsilon, np.array(corners, dtype=complex))
+    return _family_matrix(p.epsilon, _corner(p, np.asarray(a, dtype=complex)))
 
 
 def initial_pure(p: FamilyParams) -> TwoQubitState:

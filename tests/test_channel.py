@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,3 +150,37 @@ class TestEvolve:
             ref = channel.pure_reference_at(0.37, c, t)
             evo = evolve(0.37, c, t)
             assert np.abs(ref.matrix - evo.matrix).max() < 1e-13
+
+
+class TestDecoherenceFactorInputs:
+    def test_array_of_times(self):
+        c = params(ntilde=1.3, mu=0.4, omega=0.8)
+        ts = np.linspace(0.0, 2 * c.period, 17)
+        d = decoherence_factor(c, ts)
+        assert d.a.shape == d.gamma.shape == d.phase.shape == (17,)
+        for k, t in enumerate(ts):
+            single = decoherence_factor(c, float(t))
+            assert d.a[k] == single.a
+            assert (d.gamma[k], d.phase[k]) == (single.gamma, single.phase)
+
+    def test_rejects_first_negative_time_in_an_array(self):
+        with pytest.raises(ValueError, match="got -0.5"):
+            decoherence_factor(params(), np.array([0.0, 1.0, -0.5, -2.0]))
+
+    @pytest.mark.parametrize("c, t", [
+        (ChannelParams(1.0, 1.0, 1e300, 1e300, 1.0), 1e10),
+        (ChannelParams(1e300, 1e300, 0.5, 0.5, 1.0), 1e10),
+        (ChannelParams(1.0, 1.0, 0.5, 0.5, 1.0), math.nan)])
+    def test_non_finite_phase_names_t(self, c, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"t = {t} is not finite"):
+                decoherence_factor(c, np.array([0.0, 1.0, t]))
+
+    @pytest.mark.parametrize("kw, name", [
+        (dict(omega1=1e308, omega2=1e308), "omega1 \\+ omega2"),
+        (dict(mu1=-1e308, mu2=-1e308), "mu1 \\+ mu2")])
+    def test_params_reject_overflowing_sums(self, kw, name):
+        base = dict(omega1=1.0, omega2=1.0, mu1=0.5, mu2=0.5, ntilde=1.0)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ChannelParams(**{**base, **kw})

@@ -465,3 +465,44 @@ class TestMainCss:
 
     def test_missing_file_exits_one(self, capsys):
         assert cli.main(["css", "/nonexistent/state.json"]) == 1
+
+
+class TestSweepInputs:
+    def test_channel_flag_overrides_bad_config_value(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text("[channel]\nmu1 = abc\n")
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--config", str(cfgfile), "--t-steps", "3", "--out", str(out)]
+        assert cli.main(argv + ["--mu1", "0.5"]) == 0
+        assert out.exists()
+        out.unlink()
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert "config [channel] mu1 = 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("listed, shown", [("0.5,0.5", "epsilon 0.5"),
+                                               ("0.3,-0,0.5,0", "epsilon 0.0")])
+    def test_repeated_epsilon_exits_one(self, tmp_path, capsys, listed, shown):
+        out = tmp_path / "s.csv"
+        rc = cli.main(["sweep", f"--epsilon-list={listed}", "--t-steps", "3",
+                       "--out", str(out)])
+        assert rc == 1
+        assert shown in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ValueError, match="listed twice"):
+            SweepConfig(epsilon_list=(0.0, -0.0))
+
+    @pytest.mark.parametrize("flags, shown", [
+        (["--mu1", "1e308", "--mu2", "1e308"], "mu1 + mu2 must be finite, got inf"),
+        (["--omega1", "1e308", "--omega2", "1e308"], "omega1 + omega2"),
+        (["--mu1", "1e300", "--mu2", "1e300", "--t-max", "1e10"],
+         "phase at t = 200000000.0 is not finite")])
+    def test_channel_overflow_exits_one(self, tmp_path, capsys, flags, shown):
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["sweep", *flags, "--out", str(out)])
+        assert rc == 1
+        assert shown in capsys.readouterr().err
+        assert not out.exists()

@@ -125,3 +125,13 @@ def test_gradient_matches_central_differences(rank, separable, weight):
         numeric = _central_difference(x, sqrt_rho, weight, 1e-6)
         scale = max(1.0, np.abs(grad).max())
         assert np.abs(grad - numeric).max() <= 1e-6 * scale
+
+
+def test_purity_of_a_stack_is_each_matrix_vdot():
+    rng = np.random.default_rng(26)
+    stack = np.array([random_density(rng, rank)
+                      for rank in (1, 2, 3, 4) for _ in range(50)])
+    expect = np.array([np.vdot(m, m).real for m in stack])
+    assert np.array_equal(kernels.purity(stack), expect)
+    for m, p in zip(stack, expect):
+        assert isinstance(kernels.purity(m), float) and kernels.purity(m) == p
