@@ -2,8 +2,8 @@
 closed-form evolution of the family states.
 
 The damping parameter gamma is computed in one place (decoherence_factor)
-from ntilde and (mu1+mu2)t, so |a|^2 + gamma = 1 holds exactly by
-construction everywhere downstream.
+from ntilde and (mu1+mu2)t, to full relative precision even where it is
+small, and |a|^2 + gamma = 1 holds to rounding everywhere downstream.
 """
 
 import math
@@ -60,8 +60,9 @@ def decoherence_factor(p: ChannelParams, t) -> DecoherenceFactor:
     array of times.
 
     |a| = exp(ntilde*(cos((mu1+mu2)t) - 1)), phase = (omega1+omega2)t
-    + ntilde*sin((mu1+mu2)t), and gamma = 1 - |a|^2. The first negative t,
-    or t whose (mu1+mu2)t or phase overflows, raises ValueError.
+    + ntilde*sin((mu1+mu2)t), and gamma = 1 - |a|^2 as -expm1(-4 ntilde
+    sin^2((mu1+mu2)t/2)), precise near t = 0 and each revival. The first
+    negative t, or t whose (mu1+mu2)t or phase overflows, raises ValueError.
     """
     t = np.asarray(t, dtype=float)
     if (t < 0).any():
@@ -73,7 +74,7 @@ def decoherence_factor(p: ChannelParams, t) -> DecoherenceFactor:
     if bad.any():
         raise ValueError(f"the channel phase at t = {t[bad][0]} is not finite")
     mag = np.exp(p.ntilde * (np.cos(theta) - 1.0))
-    gamma = 1.0 - mag * mag
+    gamma = -np.expm1(p.ntilde * (-4.0 * np.square(np.sin(0.5 * theta))))
     a = mag * (np.cos(phase) - 1j * np.sin(phase))
     return DecoherenceFactor(a=a, gamma=gamma, phase=phase)
 

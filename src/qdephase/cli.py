@@ -381,10 +381,12 @@ def _cmd_oracle_check(args) -> int:
     cfg_file = _load_config(args.config) if args.config else {}
     channel_base = _channel_from(cfg_file, args)
     setting = partial(_setting, args, cfg_file, "oracle")
-    modes = setting("modes", int, 3)
     alphas = setting("alphas", _complexes, None)
+    modes = setting("modes", int, 3 if alphas is None else len(alphas))
     if alphas is None:
         alphas = tuple(math.sqrt(channel_base.ntilde / modes) for _ in range(modes))
+    elif modes != len(alphas):
+        raise ValueError(f"modes = {modes} disagrees with the {len(alphas)} alphas given")
     r = oracle.ReservoirConfig(
         alphas=alphas,
         omega_ratios=setting("omega_ratios", _floats, tuple(1.0 for _ in alphas)),
@@ -399,6 +401,8 @@ def _cmd_oracle_check(args) -> int:
     t_max = setting("t_max", float, channel.period)
     _check_t_max(t_max)
     t_steps = setting("t_steps", int, 50)
+    if t_steps < 1:
+        raise ValueError(f"t_steps must be >= 1, got {t_steps}")
     report = run_oracle_check(r, channel, epsilon,
                               np.linspace(0.0, t_max, t_steps))
     text = json.dumps(report, indent=2)

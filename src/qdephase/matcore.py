@@ -34,37 +34,46 @@ def as_matrix(m, stacked: bool = False) -> np.ndarray:
     return a
 
 
-def hermitian_eig(m, tol: Tolerances = DEFAULT_TOL):
-    """Eigenvalues (ascending) and orthonormal eigenvector columns.
-
-    Raises NotHermitian if the input is not Hermitian within tol.herm and
-    NoConvergence if the eigensolver does not converge.
-    """
-    a = as_matrix(m)
-    defect = float(np.abs(a - a.conj().T).max())
-    if defect > tol.herm:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} > {tol.herm:.1e}")
+def _eigen(a, kernel):
+    # kernel on the Hermitian part of a, and each matrix's hermiticity
+    # defect; the one place an eigensolver failure becomes NoConvergence
+    a_dag = kernels._dagger(a)
     try:
-        w, v = kernels.eigh_herm((a + a.conj().T) / 2.0)
+        out = kernel((a + a_dag) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
+    return out, np.abs(a - a_dag).max(axis=(-2, -1))
+
+
+def hermitian_eig(m, tol: Tolerances = DEFAULT_TOL):
+    """Eigenvalues (ascending) and orthonormal eigenvector columns; raises
+    NotHermitian if m is not Hermitian within tol.herm and NoConvergence if
+    the eigensolver does not converge."""
+    (w, v), defect = _eigen(as_matrix(m), kernels.eigh_herm)
+    if defect > tol.herm:
+        raise NotHermitian(f"hermiticity defect {defect:.3e} > {tol.herm:.1e}")
     return w, v
 
 
-def psd_sqrt(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues in [-tol.psd, 0) are clipped."""
-    a = as_matrix(m)
-    defect = float(np.abs(a - a.conj().T).max())
-    if defect > tol.herm:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} > {tol.herm:.1e}")
-    try:
-        s, w, _ = kernels.psd_sqrt_with_min((a + a.conj().T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    wmin = float(w[0])
-    if wmin < -tol.psd:
+def psd_root(m, tol: Tolerances = DEFAULT_TOL):
+    """psd_sqrt(m, tol) and the eigendecomposition it was built from:
+    (sqrt, w, v), w ascending, per matrix for a stack."""
+    (s, w, v), defect = _eigen(as_matrix(m, stacked=True), kernels.psd_sqrt_with_min)
+    bad = np.flatnonzero((defect > tol.herm) | (w[..., 0] < -tol.psd))
+    if bad.size:  # the first failing matrix names itself
+        defect, wmin = np.ravel(defect)[bad[0]], np.ravel(w[..., 0])[bad[0]]
+        if defect > tol.herm:
+            raise NotHermitian(f"hermiticity defect {defect:.3e} > {tol.herm:.1e}")
         raise NotPSD(f"eigenvalue {wmin:.3e} < -{tol.psd:.1e}")
-    return s
+    return s, w, v
+
+
+def psd_sqrt(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Hermitian PSD square root of a matrix, or of each matrix in an
+    (N, n, n) stack by the same arithmetic; eigenvalues in [-tol.psd, 0) are
+    clipped. The first matrix that is not Hermitian within tol.herm raises
+    NotHermitian, or that has an eigenvalue below -tol.psd NotPSD."""
+    return psd_root(m, tol)[0]
 
 
 def partial_transpose(rho, subsystem: str = "second") -> np.ndarray:

@@ -7,10 +7,10 @@ tests rather than reconciled here.
 
 Each closed form is one numpy function: an array gives a column, a scalar a
 numpy scalar, by the same arithmetic (squares as x * x: a numpy scalar's
-x**2 goes through pow, which can round differently). The spectral measures
-of a sweep also come stacked (stacked_measures): the same arithmetic over an
-(N, 4, 4) array of states, one decomposition call per stack. The
-single-state functions stay the reference it is tested against.
+x**2 goes through pow, which can round differently). Each spectral measure
+is one function too: a 4x4 state gives a numpy scalar, an (N, 4, 4) stack an
+(N,) array, by the same arithmetic on each matrix. stacked_measures only
+composes them around one checked eigendecomposition per state.
 """
 
 import math
@@ -19,8 +19,8 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import kernels
-from .errors import InvalidState, NoConvergence, SupportMismatch
-from .matcore import DEFAULT_TOL, as_matrix, hermitian_eig, partial_transpose, psd_sqrt
+from .errors import InvalidState, SupportMismatch
+from .matcore import DEFAULT_TOL, as_matrix, partial_transpose, psd_root, psd_sqrt
 from .states import maximally_mixed
 
 # weight a pure reference may carry outside the state's support before the
@@ -58,7 +58,7 @@ def _norm(epsilon: float) -> float:
 
 def linear_entropy(rho) -> float:
     """Normalized mixedness (4/3)(1 - Tr rho^2): 0 pure, 1 maximally mixed."""
-    return _min1(_max0((4.0 / 3.0) * (1.0 - kernels.purity(as_matrix(rho)))))
+    return _min1(_max0((4.0 / 3.0) * (1.0 - kernels.purity(as_matrix(rho, stacked=True)))))
 
 
 def linear_entropy_closed(epsilon: float, gamma: float) -> float:
@@ -70,8 +70,8 @@ def linear_entropy_closed(epsilon: float, gamma: float) -> float:
 def negativity(rho) -> float:
     """Twice the magnitude of the most negative partial-transpose eigenvalue."""
     pt = partial_transpose(rho, "second")
-    w = kernels.eigvalsh_herm((pt + pt.conj().T) / 2.0)
-    return 2.0 * max(0.0, -float(w[0]))
+    w = kernels.eigvalsh_herm((pt + kernels._dagger(pt)) / 2.0)
+    return 2.0 * _max0(-w[..., 0])
 
 
 def negativity_closed(epsilon: float, abs_a: float) -> float:
@@ -87,11 +87,13 @@ def concurrence_wootters(rho) -> float:
     singular values of sqrt(rho).(sy x sy).conj(sqrt(rho)), which avoids the
     sqrt-of-noise blowup at zero eigenvalues.
     """
-    m = as_matrix(rho)
-    s = psd_sqrt(m)
-    k = s @ _SY2 @ s.conj()
-    roots = np.linalg.svd(k, compute_uv=False)
-    return max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
+    return _concurrence(psd_sqrt(rho))
+
+
+def _concurrence(s):
+    # the spin-flip concurrence from the state's PSD square root s
+    roots = np.linalg.svd(s @ _SY2 @ s.conj(), compute_uv=False)
+    return _max0(roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3])
 
 
 def concurrence_family(epsilon: float, abs_a):
@@ -126,9 +128,13 @@ def _binary_entropy(x):
 
 def uhlmann_fidelity(rho, sigma) -> float:
     """General fidelity {Tr sqrt(sqrt(rho) sigma sqrt(rho))}^2, in [0, 1]."""
-    s = psd_sqrt(as_matrix(rho))
-    val = kernels.sqrt_fidelity(s, as_matrix(sigma))
-    return min(1.0, val * val)
+    return _fidelity(psd_sqrt(rho), as_matrix(sigma, stacked=True))
+
+
+def _fidelity(s, sigma):
+    # the Uhlmann fidelity from the state's PSD square root s
+    val = kernels.sqrt_fidelity(s, sigma)
+    return _min1(val * val)
 
 
 def bures_distance(rho, sigma) -> float:
@@ -138,26 +144,28 @@ def bures_distance(rho, sigma) -> float:
 
 
 def _assert_pure(sigma_p) -> np.ndarray:
-    m = as_matrix(sigma_p)
-    purity = float(kernels.purity(m))
-    if abs(purity - 1.0) > PURITY_TOL:
-        raise InvalidState([f"reference must be pure, Tr sigma^2 = {purity:.6f}"])
+    m = as_matrix(sigma_p, stacked=True)
+    purity = np.ravel(kernels.purity(m))
+    bad = purity[np.abs(purity - 1.0) > PURITY_TOL]
+    if bad.size:  # the first impure reference names itself
+        raise InvalidState([f"reference must be pure, Tr sigma^2 = {bad[0]:.6f}"])
     return m
 
 
 def relative_entropy_exact(sigma_p, rho, tol=DEFAULT_TOL) -> float:
     """-Tr(sigma_p ln rho) in nats for a pure reference sigma_p.
 
-    Computed on the support of rho; raises SupportMismatch (the value is
+    Computed on the support of rho, from its checked root (psd_root: an
+    indefinite rho raises NotPSD); raises SupportMismatch (the value is
     +inf) when sigma_p carries weight >= 1e-8 outside that support.
     """
     sp = _assert_pure(sigma_p)
-    w, v = hermitian_eig(as_matrix(rho), tol)
+    _, w, v = psd_root(as_matrix(rho), tol)
     outside, val = _support_entropy(w, v, sp, tol)
     if outside >= SUPPORT_WEIGHT_TOL:
         raise SupportMismatch(
             f"reference weight {float(outside):.3e} outside the state's support")
-    return max(0.0, float(val))
+    return _max0(val)
 
 
 def _support_entropy(w, v, sp, tol):
@@ -176,8 +184,8 @@ def _support_entropy(w, v, sp, tol):
 def relative_entropy_linearized(rho, sigma_p) -> float:
     """First-order relative entropy 1 - Tr(sigma_p rho); never above the exact value."""
     sp = _assert_pure(sigma_p)
-    val = 1.0 - float(np.trace(sp @ as_matrix(rho)).real)
-    return min(1.0, max(0.0, val))
+    val = 1.0 - np.trace(sp @ as_matrix(rho, stacked=True), axis1=-2, axis2=-1).real
+    return _min1(_max0(val))
 
 
 @dataclass(frozen=True)
@@ -273,44 +281,22 @@ def stacked_measures(rho, sigma_p) -> dict:
     delta12, negativity, concurrence_wootters, fidelity_pure, e_maxmixed,
     er_exact and er_lin.
 
-    Each state takes one eigendecomposition, shared by its square root (for
-    the concurrence and both fidelities) and the exact relative entropy; the
-    concurrence takes one stacked SVD, the partial-transpose spectrum and
-    each fidelity one stacked eigvalsh. Every step is the arithmetic of the
-    per-state function on a leading axis (the exact relative entropy shares
-    its helper, _support_entropy), so each value equals that function's bit
-    for bit. The per-state checks (hermiticity defect, PSD
-    floor, purity of the reference) run on the whole stack with the same
-    tolerances, and the first failing state raises its per-state error.
+    Each column is its single-state function, or that function's helper, on
+    the whole stack, so each value equals the per-state call bit for bit.
+    One checked root (psd_root) gives each state one eigendecomposition,
+    shared by the concurrence, both fidelities and the exact relative
+    entropy (inf for a reference outside the support). The first state of
+    rho that is not Hermitian or not PSD raises, and otherwise the first
+    impure reference in sigma_p, whatever their positions.
     """
-    rho_dag = kernels._dagger(rho)
-    defect = np.abs(rho - rho_dag).max(axis=(-2, -1))
-    try:
-        s, w, v = kernels.psd_sqrt_with_min((rho + rho_dag) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    failing = ((defect > DEFAULT_TOL.herm) | (w[:, 0] < -DEFAULT_TOL.psd)
-               | (np.abs(kernels.purity(sigma_p) - 1.0) > PURITY_TOL))
-    for k in np.flatnonzero(failing):  # the per-state checks raise the error
-        psd_sqrt(rho[k])
-        _assert_pure(sigma_p[k])
-
-    pt = partial_transpose(rho)
-    pt_w = kernels.eigvalsh_herm((pt + kernels._dagger(pt)) / 2.0)
-    roots = np.linalg.svd(s @ _SY2 @ s.conj(), compute_uv=False)
-    f_pure = kernels.sqrt_fidelity(s, sigma_p)
-    f_mixed = kernels.sqrt_fidelity(s, maximally_mixed().matrix)
-    er_lin = 1.0 - np.trace(sigma_p @ rho, axis1=-2, axis2=-1).real
-
+    s, w, v = psd_root(rho)  # before any purity check
     outside, er = _support_entropy(w, v, sigma_p, DEFAULT_TOL)
-    er_exact = np.where(outside >= SUPPORT_WEIGHT_TOL, math.inf, _max0(er))
     return {
-        "delta12": _min1(_max0((4.0 / 3.0) * (1.0 - kernels.purity(rho)))),
-        "negativity": 2.0 * _max0(-pt_w[:, 0]),
-        "concurrence_wootters": _max0(roots[:, 0] - roots[:, 1] - roots[:, 2]
-                                      - roots[:, 3]),
-        "fidelity_pure": _min1(f_pure * f_pure),
-        "e_maxmixed": 1.0 - np.sqrt(_min1(f_mixed * f_mixed)),
-        "er_exact": er_exact,
-        "er_lin": _min1(_max0(er_lin)),
+        "delta12": linear_entropy(rho),
+        "negativity": negativity(rho),
+        "concurrence_wootters": _concurrence(s),
+        "fidelity_pure": _fidelity(s, sigma_p),
+        "e_maxmixed": 1.0 - np.sqrt(_fidelity(s, maximally_mixed().matrix)),
+        "er_exact": np.where(outside >= SUPPORT_WEIGHT_TOL, math.inf, _max0(er)),
+        "er_lin": relative_entropy_linearized(rho, sigma_p),
     }

@@ -116,7 +116,7 @@ def family_stack(epsilon: float, a) -> np.ndarray:
 
 def initial_pure(p: FamilyParams) -> TwoQubitState:
     """Rank-1 projector onto (eps|++> + (1-eps)e^{i phase}|-->)/sqrt(n)."""
-    return TwoQubitState(_family_matrix(p.epsilon, _corner(p, np.exp(-1j * p.phase))))
+    return TwoQubitState(initial_pure_stack(p.epsilon, [p.phase])[0])
 
 
 def initial_pure_stack(epsilon: float, phases) -> np.ndarray:

@@ -184,3 +184,23 @@ class TestDecoherenceFactorInputs:
         base = dict(omega1=1.0, omega2=1.0, mu1=0.5, mu2=0.5, ntilde=1.0)
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             ChannelParams(**{**base, **kw})
+
+
+# gamma = 1 - exp(2 ntilde (cos theta - 1)) at the float theta = (mu1 + mu2) t
+# the code forms, evaluated in 50-digit arithmetic (mpmath)
+GAMMA_REFERENCE = [
+    (params(), 2 * math.pi / 10000, 3.9478408512843822884e-7),
+    (params(), 1e-6, 9.9999999999941657616e-13),
+    (params(), 2 * math.pi, 5.9990391306474303787e-32),  # float revival
+    (params(), 4 * math.pi - 1e-5, 9.9999999996392297668e-11),
+    (params(ntilde=0.3, mu=0.75), 1e-4, 6.7499999645625011532e-9),
+    (params(ntilde=0.3, mu=0.75), 3e-8, 6.0749999999999949256e-16),
+    (params(ntilde=0.3, mu=0.75), 4 * math.pi / 1.5, 7.1988469567769161878e-32),
+]
+
+
+@pytest.mark.parametrize("c, t, expect", GAMMA_REFERENCE)
+def test_small_gamma_keeps_its_relative_precision(c, t, expect):
+    # near t = 0 and each revival 1 - |a|^2 would cancel to ~1e-10 relative
+    for gamma in (decoherence_factor(c, t).gamma, decoherence_factor(c, [t]).gamma[0]):
+        assert abs(gamma - expect) <= 1e-14 * expect

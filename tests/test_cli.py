@@ -402,6 +402,19 @@ class TestMainOracleCheck:
         assert "t_max" in err and shown in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, shown", [
+        (["--modes", "5", "--alphas", "0.5,0.5"], "modes = 5 disagrees with the 2 alphas"),
+        (["--modes", "1", "--alphas", "0.5,0.5"], "modes = 1 disagrees with the 2 alphas"),
+        (["--t-steps", "0"], "t_steps must be >= 1, got 0"),
+        (["--t-steps", "-3"], "t_steps must be >= 1, got -3")])
+    def test_bad_mode_count_or_t_steps_exits_one(self, tmp_path, capsys, flags, shown):
+        out = tmp_path / "bad.json"
+        rc = cli.main(["oracle-check", "--t-steps", "3", *flags, "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert shown in captured.err and captured.out == ""
+        assert not out.exists()
+
 
 def test_sweep_and_oracle_import_no_scipy(tmp_path):
     # scipy.optimize dominates the import time; only the general search needs it

@@ -89,6 +89,26 @@ class TestPsdSqrt:
         with pytest.raises(NotPSD):
             matcore.psd_sqrt(np.diag([1.0, -1e-6, 0.0, 0.0]).astype(complex))
 
+    def test_first_failing_matrix_of_a_stack_names_itself(self):
+        rng = np.random.default_rng(19)
+        stack = np.array([random_psd(rng, 4) for _ in range(5)])
+        stack[3, 0, 1] += 1e-6
+        stack[1] = np.diag([1.0, -2e-6, 0.0, 0.0])
+        with pytest.raises(NotPSD, match="-2.000e-06"):  # before matrix 3
+            matcore.psd_sqrt(stack)
+        stack[1] = np.eye(4)
+        with pytest.raises(NotHermitian, match="1.000e-06"):
+            matcore.psd_sqrt(stack)
+
+    def test_root_carries_the_decomposition_it_used(self):
+        rng = np.random.default_rng(20)
+        stack = np.array([random_psd(rng, 4) for _ in range(3)])
+        s, w, v = matcore.psd_root(stack)
+        for k, m in enumerate(stack):
+            assert np.array_equal(s[k], matcore.psd_sqrt(m))
+            wk, vk = matcore.hermitian_eig(m)
+            assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+
 
 def _no_convergence(*args):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")

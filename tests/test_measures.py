@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdephase import measures
+from qdephase import matcore, measures
 from qdephase.errors import InvalidState, NotHermitian, NotPSD, SupportMismatch
 from qdephase.states import (
     FamilyParams,
@@ -310,6 +310,77 @@ class TestStackedMeasures:
         nearly = rho.copy()
         nearly[0, 0, 1] += 1e-11
         measures.stacked_measures(nearly, sigma)
+
+
+class TestStackedMeasuresShareOneRoot:
+    def test_bad_state_raises_before_an_earlier_impure_reference(self):
+        rng = np.random.default_rng(42)
+        rho = np.array([random_state(rng) for _ in range(4)])
+        sigma = np.array([random_pure(rng) for _ in range(4)])
+        sigma[0] = np.diag([0.5, 0.5, 0.0, 0.0])
+        sigma[2] = np.eye(4) / 4.0
+        with pytest.raises(InvalidState, match="Tr sigma\\^2 = 0.500000"):
+            measures.stacked_measures(rho, sigma)  # the first impure one
+        rho[3] = np.diag([0.5, 0.5 + 1e-6, 0.0, -1e-6])
+        with pytest.raises(NotPSD, match="-1.000e-06"):
+            measures.stacked_measures(rho, sigma)
+
+    def test_one_eigh_per_stack(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        rho = np.array([random_state(rng, rank) for rank in (1, 2, 3, 4)])
+        sigma = np.array([random_pure(rng) for _ in rho])
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(m):
+            calls.append(m.shape)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        measures.stacked_measures(rho, sigma)
+        assert calls == [(4, 4, 4)]
+        calls.clear()
+        measures.concurrence_wootters(rho[0])
+        measures.uhlmann_fidelity(rho[0], sigma[0])
+        with pytest.raises(SupportMismatch):
+            measures.relative_entropy_exact(sigma[0], rho[0])
+        assert calls == [(4, 4)] * 3
+
+
+# the stack-aware functions, each called as f(stack, *references)
+STACKED = {
+    "psd_sqrt": lambda r, sp: matcore.psd_sqrt(r),
+    "linear_entropy": lambda r, sp: measures.linear_entropy(r),
+    "negativity": lambda r, sp: measures.negativity(r),
+    "concurrence_wootters": lambda r, sp: measures.concurrence_wootters(r),
+    "uhlmann_fidelity": lambda r, sp: measures.uhlmann_fidelity(r, sp),
+    "fidelity_to_maximally_mixed":
+        lambda r, sp: measures.uhlmann_fidelity(r, maximally_mixed()),
+    "relative_entropy_linearized":
+        lambda r, sp: measures.relative_entropy_linearized(r, sp),
+    "_assert_pure": lambda r, sp: measures._assert_pure(sp),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 4), min_size=1, max_size=6))
+def test_stack_equals_per_matrix_calls(seed, ranks):
+    rng = np.random.default_rng(seed)
+    rho = np.array([random_state(rng, rank) for rank in ranks])
+    sigma = np.array([random_pure(rng) for _ in ranks])
+    for name, f in STACKED.items():
+        got = f(rho, sigma)
+        assert got.shape[0] == len(ranks), name
+        for k in range(len(ranks)):
+            one = f(rho[k], sigma[k])
+            assert np.array_equal(got[k], one), (name, k)
+            assert one.ndim == 2 or isinstance(one, float), name
+
+
+def test_exact_relative_entropy_rejects_an_indefinite_state():
+    ket00 = np.diag([1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(NotPSD, match="-1.000e-06"):
+        measures.relative_entropy_exact(ket00, np.diag([0.5, 0.5 + 1e-6, 0.0, -1e-6]))
 
 
 FIELDS = [f.name for f in fields(measures.MeasureRecord)]
