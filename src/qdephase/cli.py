@@ -182,16 +182,10 @@ def run_sweep(cfg: SweepConfig) -> dict:
 
 def run_oracle_check(r: oracle.ReservoirConfig, c: ChannelParams,
                      epsilon: float, t_grid) -> dict:
-    """Compare the exact reservoir reduction with the closed form on a t grid."""
-    joint = oracle.build_joint(epsilon, r, c)
+    """Compare the exact reservoir reduction, summed by total occupation,
+    with the closed form on a t grid."""
     threshold = ORACLE_DIFF_BUDGET + 10.0 * r.cutoff_tail
-    diffs = []
-    offsets = []
-    for t in t_grid:
-        evolved = oracle.evolve_joint(joint, float(t))
-        _, diff, offset = oracle.reduce_and_compare(evolved, epsilon, c, float(t))
-        diffs.append(diff)
-        offsets.append(offset)
+    diffs, offsets = oracle.check_grid(epsilon, r, c, t_grid)
     max_diff = max(diffs)
     return {
         "config": {

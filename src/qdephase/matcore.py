@@ -36,7 +36,14 @@ def as_matrix(m, stacked: bool = False) -> np.ndarray:
 
 def _eigen(a, kernel):
     # kernel on the Hermitian part of a, and each matrix's hermiticity
-    # defect; the one place an eigensolver failure becomes NoConvergence
+    # defect; the one place an eigensolver failure becomes NoConvergence.
+    # A non-finite entry is not Hermitian within any tolerance: it raises
+    # before the solver sees it, naming the first such matrix of a stack.
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if not finite.all():
+        where = (f"matrix {np.flatnonzero(~finite)[0]} of the stack"
+                 if a.ndim == 3 else "matrix")
+        raise NotHermitian(f"{where} has a non-finite entry")
     a_dag = kernels._dagger(a)
     try:
         out = kernel((a + a_dag) / 2.0)

@@ -7,9 +7,18 @@ branch-overlap sum. Qubit z eigenvalues are taken as +-1/2, which puts the
 (mu1+mu2)/2 factor in the per-mode phases and is validated by matching the
 closed-form decoherence factor exactly.
 
-The per-basis-state phase rates of both branches do not depend on t, so
-build_joint computes them once; each t then costs two complex exponentials
-(evolve_joint) and one reduction (reduce_and_compare).
+Two routes take that sum. check_grid, which oracle-check runs, sums by
+total occupation N = sum_k n_k: both branches start from the same
+coefficients f and only pick up phases, so the populations do not depend
+on t, and in the corner sum plus*conj(minus) the shared rate (mode
+energies, cross-Kerr, mu12) cancels. What is left is the branch rate b(N),
+so the corner is w+ w- sum_N P(N) e^{-2it b(N)} with P(N) = sum_{|n|=N}
+|f_n|^2, and P comes from convolving the per-mode truncated weights; no
+product grid is built, so the mode count is not capped. build_joint,
+evolve_joint and reduce_density keep the per-index sum over the product
+grid as the reference for small configs: build_joint computes each basis
+state's branch rates once, and each t then costs two complex exponentials
+and one reduction (reduce_and_compare).
 """
 
 import math
@@ -17,12 +26,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams, evolve
+from .channel import ChannelParams, decoherence_factor, evolve
 from .errors import CutoffTooTight
 from .matcore import Tolerances
-from .states import FamilyParams, validate
-
-MAX_TOTAL_INDICES = 4_000_000
+from .states import FamilyParams, family_stack, validate
 
 
 @dataclass(frozen=True)
@@ -67,20 +74,63 @@ class ReservoirConfig:
         return ChannelParams(omega1, omega2, mu1, mu2, self.ntilde)
 
 
-def fock_cutoff(mean: float, tail: float) -> int:
-    """Smallest max occupation whose truncated coherent weight is >= 1 - tail."""
+def fock_cutoff(mean: float, tail: float, limit: int = 64) -> int:
+    """Smallest max occupation whose truncated coherent weight is >= 1 - tail;
+    CutoffTooTight if it exceeds limit.
+
+    Each Poisson term is taken in logs, exp(n log mean - mean - lgamma(n+1)),
+    so a start term exp(-mean) that underflows costs no precision.
+    """
     if mean < 0:
         raise ValueError("mean occupation must be >= 0")
-    term = math.exp(-mean)
-    total = term
+    if mean == 0:
+        return 0
+    log_mean = math.log(mean)
     n = 0
+    total = math.exp(-mean)
     while total < 1.0 - tail:
         n += 1
-        term *= mean / n
-        total += term
-        if n > 10_000:
-            raise CutoffTooTight(f"no cutoff below 10000 for mean {mean}")
+        if n > limit:
+            raise CutoffTooTight(
+                f"mean occupation {mean} needs a cutoff above the hard limit "
+                f"{limit} for tail {tail}")
+        total += math.exp(n * log_mean - mean - math.lgamma(n + 1))
     return n
+
+
+def _mode_sizes(r: ReservoirConfig) -> tuple:
+    # per-mode Fock grid sizes: each cutoff plus the vacuum
+    return tuple(fock_cutoff(abs(a) ** 2, r.cutoff_tail, r.hard_cutoff) + 1
+                 for a in r.alphas)
+
+
+def _mode_coefficients(alpha: complex, size: int) -> np.ndarray:
+    # truncated coherent-state coefficients e^{-|alpha|^2/2} alpha^n / sqrt(n!)
+    n = np.arange(size)
+    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, size)))))
+    return np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * log_fact) * alpha**n
+
+
+def _branch_rate(c: ChannelParams, occupation):
+    # the +-branch phase rate at total occupation N; the shared rate of the
+    # two branches carries the rest of the Hamiltonian
+    return 0.5 * (c.omega1 + c.omega2) + 0.5 * (c.mu1 + c.mu2) * occupation
+
+
+def _branch_weights(eps: float) -> tuple:
+    # the scalar weights eps/sqrt(n) and (1-eps)/sqrt(n) of |++> and |-->
+    root_n = math.sqrt(FamilyParams(eps).norm)
+    return eps / root_n, (1.0 - eps) / root_n
+
+
+def occupation_weights(r: ReservoirConfig) -> np.ndarray:
+    """P(N) = sum over |n| = N of |f_n|^2, N = 0 .. sum of the mode cutoffs:
+    the truncated joint weight by total occupation, convolved mode by mode
+    from the same coefficients build_joint takes the product of."""
+    p = np.ones(1)
+    for alpha, size in zip(r.alphas, _mode_sizes(r)):
+        p = np.convolve(p, np.abs(_mode_coefficients(alpha, size)) ** 2)
+    return p
 
 
 @dataclass(frozen=True)
@@ -116,22 +166,11 @@ def build_joint(eps: float, r: ReservoirConfig,
                 c: ChannelParams) -> JointAmplitudes:
     """Initial joint amplitudes and the branch phase rates: both branches
     carry the product of truncated coherent-state coefficient vectors."""
-    p = FamilyParams(eps)
-    cutoffs = [fock_cutoff(abs(a) ** 2, r.cutoff_tail) for a in r.alphas]
-    if any(k > r.hard_cutoff for k in cutoffs):
-        raise CutoffTooTight(
-            f"per-mode cutoffs {cutoffs} exceed the hard limit {r.hard_cutoff}")
-    sizes = tuple(k + 1 for k in cutoffs)
-    total = int(np.prod(sizes))
-    if total > MAX_TOTAL_INDICES:
-        raise CutoffTooTight(f"{total} multi-indices exceed {MAX_TOTAL_INDICES}")
-
+    weight_plus, weight_minus = _branch_weights(eps)
+    sizes = _mode_sizes(r)
     f = np.ones(1, dtype=complex)
     for alpha, size in zip(r.alphas, sizes):
-        n = np.arange(size)
-        log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, size)))))
-        coeff = np.exp(-0.5 * abs(alpha) ** 2 - 0.5 * log_fact) * alpha**n
-        f = np.kron(f, coeff)
+        f = np.kron(f, _mode_coefficients(alpha, size))
     occ = np.indices(sizes).reshape(len(sizes), -1).astype(float)
     ratios = np.asarray(r.omega_ratios)
     wn = ratios[:, None] * occ
@@ -142,12 +181,10 @@ def build_joint(eps: float, r: ReservoirConfig,
     swn = wn.sum(axis=0)
     kerr = r.mu_cross * c.omega1 * (swn**2 - (wn**2).sum(axis=0))
     shared = energy + kerr + 0.25 * r.mu12
-    branch = 0.5 * (c.omega1 + c.omega2) + 0.5 * (c.mu1 + c.mu2) * occ.sum(axis=0)
-    root_n = math.sqrt(p.norm)
+    branch = _branch_rate(c, occ.sum(axis=0))
     return JointAmplitudes(plus=f.copy(), minus=f.copy(),
                            rate_plus=shared + branch, rate_minus=shared - branch,
-                           weight_plus=eps / root_n,
-                           weight_minus=(1.0 - eps) / root_n,
+                           weight_plus=weight_plus, weight_minus=weight_minus,
                            sizes=sizes, cutoff_tail=r.cutoff_tail)
 
 
@@ -159,33 +196,74 @@ def evolve_joint(j: JointAmplitudes, t: float) -> JointAmplitudes:
                    minus=j.minus * np.exp(-1j * (t * j.rate_minus)))
 
 
-def reduce_density(j: JointAmplitudes) -> np.ndarray:
-    """Trace out the reservoir: populations from branch norms, corner from
-    the branch overlap (flattened C-order summation, reproducible)."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = j.weight_plus**2 * np.vdot(j.plus, j.plus).real
-    m[3, 3] = j.weight_minus**2 * np.vdot(j.minus, j.minus).real
-    corner = j.weight_plus * j.weight_minus * np.sum(j.plus * np.conj(j.minus))
-    m[0, 3] = corner
-    m[3, 0] = np.conj(corner)
+def _reduced_matrix(pop_plus, pop_minus, corner) -> np.ndarray:
+    # the reduced two-qubit state on the outer block; an array of corners
+    # gives an (N, 4, 4) stack
+    corner = np.asarray(corner)
+    m = np.zeros(corner.shape + (4, 4), dtype=complex)
+    m[..., 0, 0] = pop_plus
+    m[..., 3, 3] = pop_minus
+    m[..., 0, 3] = corner
+    m[..., 3, 0] = np.conj(corner)
     return m
 
 
-def reduce_and_compare(j_evolved: JointAmplitudes, eps: float,
-                       c: ChannelParams, t: float):
-    """Reduced oracle state, its entrywise distance to the closed form and
-    the corner phase offset between the two.
+def reduce_density(j: JointAmplitudes) -> np.ndarray:
+    """Trace out the reservoir: populations from branch norms, corner from
+    the branch overlap (flattened C-order summation, reproducible)."""
+    return _reduced_matrix(
+        j.weight_plus**2 * np.vdot(j.plus, j.plus).real,
+        j.weight_minus**2 * np.vdot(j.minus, j.minus).real,
+        j.weight_plus * j.weight_minus * np.sum(j.plus * np.conj(j.minus)))
+
+
+def reduce_grouped(eps: float, r: ReservoirConfig, c: ChannelParams,
+                   t_grid) -> np.ndarray:
+    """The reduced oracle states at every t of t_grid, as one (T, 4, 4)
+    array, summed by total occupation: populations w+-^2 sum_N P(N) and
+    corners w+ w- sum_N P(N) e^{-2it b(N)}, all t in one exponential and
+    one matrix product."""
+    t = np.asarray(t_grid, dtype=float)
+    if (t < 0).any():
+        raise ValueError(f"t must be >= 0, got {t[t < 0][0]}")
+    weight_plus, weight_minus = _branch_weights(eps)
+    weights = occupation_weights(r)
+    rate = _branch_rate(c, np.arange(weights.size))
+    corners = np.exp(-2j * np.multiply.outer(t, rate)) @ weights
+    total = weights.sum()
+    return _reduced_matrix(weight_plus**2 * total, weight_minus**2 * total,
+                           weight_plus * weight_minus * corners)
+
+
+def compare_reduced(raw: np.ndarray, closed: np.ndarray, modes: int,
+                    cutoff_tail: float):
+    """A reduced oracle state, validated, its entrywise distance to the
+    closed form and the corner phase offset between the two.
 
     Truncation leaves the trace at 1 - (sum of per-mode tails), so validation
     runs with the trace tolerance widened accordingly (never renormalized).
     """
-    raw = reduce_density(j_evolved)
-    closed = evolve(eps, c, t).matrix
     diff = float(np.abs(raw - closed).max())
-    modes = len(j_evolved.sizes)
-    tol = Tolerances(trace=max(1e-10, 20.0 * modes * j_evolved.cutoff_tail))
-    state = validate(raw, tol)
+    state = validate(raw, Tolerances(trace=max(1e-10, 20.0 * modes * cutoff_tail)))
     return state, diff, corner_phase_offset(raw, closed)
+
+
+def reduce_and_compare(j_evolved: JointAmplitudes, eps: float,
+                       c: ChannelParams, t: float):
+    """compare_reduced on the per-index reduction of an evolved joint state
+    and the closed form at t."""
+    return compare_reduced(reduce_density(j_evolved), evolve(eps, c, t).matrix,
+                           len(j_evolved.sizes), j_evolved.cutoff_tail)
+
+
+def check_grid(eps: float, r: ReservoirConfig, c: ChannelParams, t_grid):
+    """Entrywise distances to the closed form and corner phase offsets of
+    the grouped reduction, one of each per t, every state validated."""
+    closed = family_stack(eps, decoherence_factor(c, t_grid).a)
+    raw = reduce_grouped(eps, r, c, t_grid)
+    checked = [compare_reduced(m, k, r.modes, r.cutoff_tail)
+               for m, k in zip(raw, closed)]
+    return [d for _, d, _ in checked], [o for _, _, o in checked]
 
 
 def corner_phase_offset(raw: np.ndarray, closed: np.ndarray) -> float:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdephase import cli, measures, refsearch
+from qdephase import cli, measures, oracle, refsearch
 from qdephase.channel import ChannelParams
 from qdephase.cli import SweepConfig, build_record, run_sweep
 from qdephase.measures import MeasureRecord
@@ -336,6 +336,26 @@ class TestMainOracleCheck:
         assert report["t_grid"][0] == 0.0
         # the t=0 residue is pure truncation deficit, bounded by the tail
         assert report["max_abs_diff"][0] <= 10 * report["config"]["cutoff_tail"]
+
+    def test_many_modes_take_the_grouped_route(self, monkeypatch, capsys):
+        # 30 modes span ~10^21 Fock indices: only the sum by total
+        # occupation can run it, and it never builds the product grid
+        def no_grid(*args):
+            raise AssertionError("oracle-check built the per-index product grid")
+        monkeypatch.setattr(oracle, "build_joint", no_grid)
+        rc = cli.main(["oracle-check", "--modes", "30", "--t-steps", "2000"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == ["config", "t_grid", "max_abs_diff",
+                                "corner_phase_offset", "max_diff", "threshold",
+                                "passed"]
+        assert list(report["config"]) == ["modes", "alphas", "omega_ratios",
+                                          "mu_cross", "mu12", "cutoff_tail",
+                                          "epsilon", "channel"]
+        assert report["passed"] is True
+        assert report["config"]["modes"] == 30
+        assert len(report["max_abs_diff"]) == len(report["corner_phase_offset"]) == 2000
+        assert report["max_diff"] == max(report["max_abs_diff"])
 
     def test_config_shared_with_sweep(self, tmp_path, capsys):
         # one file with every key both commands read

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,28 @@ class TestPsdSqrt:
         stack[1] = np.eye(4)
         with pytest.raises(NotHermitian, match="1.000e-06"):
             matcore.psd_sqrt(stack)
+
+    @pytest.mark.parametrize("call", [matcore.psd_sqrt, matcore.psd_root,
+                                      matcore.hermitian_eig])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+    def test_non_finite_matrix_is_named_not_hermitian(self, call, bad):
+        m = np.eye(4, dtype=complex) / 4.0
+        m[0, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitian, match="^matrix has a non-finite entry$"):
+                call(m)
+
+    @pytest.mark.parametrize("call", [matcore.psd_sqrt, matcore.psd_root])
+    def test_first_non_finite_matrix_of_a_stack_names_itself(self, call):
+        stack = np.array([np.eye(4, dtype=complex) / 4.0] * 5)
+        stack[4, 2, 2] = np.nan
+        stack[2, 0, 1] = np.inf  # its mirror stays finite
+        stack[1] = np.diag([1.0, -2e-6, 0.0, 0.0])  # NotPSD, but finiteness comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitian, match="^matrix 2 of the stack has a non-finite"):
+                call(stack)
 
     def test_root_carries_the_decomposition_it_used(self):
         rng = np.random.default_rng(20)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdephase import matcore, oracle
 from qdephase.channel import ChannelParams
@@ -27,6 +29,26 @@ class TestFockCutoff:
 
     def test_monotone_in_tail(self):
         assert oracle.fock_cutoff(1.0, 1e-14) > oracle.fock_cutoff(1.0, 1e-6)
+
+    @staticmethod
+    def poisson_cutoff(mean, tail):
+        # smallest n whose correctly rounded Poisson CDF reaches 1 - tail
+        terms = [math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
+                 for k in range(2000)]
+        return next(n for n in range(2000) if math.fsum(terms[:n + 1]) >= 1.0 - tail)
+
+    @pytest.mark.parametrize("mean", [1.0, 744.0, 800.0])
+    def test_large_mean_matches_fsum_of_log_terms(self, mean):
+        # exp(-744) is subnormal and exp(-800) underflows to 0: a start term
+        # taken as exp(-mean) would lose the sum
+        expect = self.poisson_cutoff(mean, 1e-10)
+        assert oracle.fock_cutoff(mean, 1e-10, limit=2000) == expect
+        assert mean < 2 or expect > 900
+
+    @pytest.mark.parametrize("mean", [744.0, 800.0])
+    def test_large_mean_names_the_hard_limit(self, mean):
+        with pytest.raises(CutoffTooTight, match="above the hard limit 64"):
+            oracle.fock_cutoff(mean, 1e-10)
 
 class TestBuildJoint:
     def test_vacuum_reservoir(self):
@@ -60,6 +82,8 @@ class TestBuildJoint:
         r = ReservoirConfig(alphas=(6.0,), omega_ratios=(1.0,), hard_cutoff=16)
         with pytest.raises(CutoffTooTight):
             build_joint(0.5, r, channel_for(r))
+        with pytest.raises(CutoffTooTight, match="hard limit 16"):
+            oracle.occupation_weights(r)
 
 class TestEvolveJoint:
     def test_identity_at_zero(self):
@@ -205,6 +229,107 @@ class TestReduceAndCompare:
         state, diff, _ = oracle.reduce_and_compare(evolve_joint(j, 0.8), 0.5, c, 0.8)
         assert math.isfinite(diff)
         assert state.matrix[1, 1] == 0.0
+
+# a non-resonant bath with every coupling on: the shared rate (mode energies,
+# cross-Kerr, mu12) differs between basis states of one total occupation
+KERR_BATH = ReservoirConfig(alphas=(0.6, 0.4j, 0.3 - 0.2j),
+                            omega_ratios=(1.0, 1.37, 0.81), mu_cross=0.23, mu12=0.7)
+KERR_CHANNEL = ChannelParams(omega1=1.1, omega2=0.9, mu1=0.5, mu2=0.3,
+                             ntilde=KERR_BATH.ntilde)
+
+
+def bincount_weights(j):
+    # P(N) read off the product grid: |f_n|^2 summed by N = sum_k n_k
+    occ = np.indices(j.sizes).reshape(len(j.sizes), -1).sum(axis=0)
+    return np.bincount(occ, weights=np.abs(j.plus) ** 2)
+
+
+def assert_grouped_matches_per_index(eps, r, c, ts):
+    grouped = oracle.reduce_grouped(eps, r, c, ts)
+    j = build_joint(eps, r, c)
+    assert grouped.shape == (len(ts), 4, 4)
+    for m, t in zip(grouped, ts):
+        per_index = oracle.reduce_density(evolve_joint(j, float(t)))
+        assert np.abs(m - per_index).max() <= 1e-14
+    assert np.abs(oracle.occupation_weights(r) - bincount_weights(j)).max() <= 1e-15
+
+
+class TestGrouped:
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])
+    def test_matches_per_index(self, eps):
+        ts = np.linspace(0.0, KERR_CHANNEL.period, 17)
+        assert_grouped_matches_per_index(eps, KERR_BATH, KERR_CHANNEL, ts)
+
+    def test_shared_rate_does_not_cancel_per_basis_state(self):
+        # the per-index rates really differ within one occupation class, so
+        # the match above tests the cancellation, not a degenerate bath
+        j = build_joint(0.3, KERR_BATH, KERR_CHANNEL)
+        occ = np.indices(j.sizes).reshape(len(j.sizes), -1).sum(axis=0)
+        one = j.rate_plus[occ == 1]
+        assert one.size == 3 and np.ptp(one) > 0.1
+
+    def test_occupation_weights_sum_to_the_norm(self):
+        weights = oracle.occupation_weights(KERR_BATH)
+        j = build_joint(0.3, KERR_BATH, KERR_CHANNEL)
+        assert weights.size == sum(j.sizes) - len(j.sizes) + 1
+        assert abs(weights.sum() - np.vdot(j.plus, j.plus).real) <= 1e-15
+        assert 0.0 < 1.0 - weights.sum() <= 3 * KERR_BATH.cutoff_tail
+
+    def test_many_modes_without_a_product_grid(self):
+        # 40 modes would be ~10^27 Fock indices; the classes number a few hundred
+        r = resonant_config(ntilde=2.0, modes=40)
+        c = channel_for(r)
+        ts = np.linspace(0.0, c.period, 101)
+        diffs, offsets = oracle.check_grid(0.4, r, c, ts)
+        assert len(diffs) == len(offsets) == 101
+        assert max(diffs) <= 1e-8 + 10 * r.cutoff_tail
+        assert oracle.occupation_weights(r).size < 1000
+
+    def test_check_grid_validates_every_state(self, monkeypatch):
+        seen = []
+        real = oracle.validate
+        monkeypatch.setattr(oracle, "validate",
+                            lambda m, tol: seen.append(tol.trace) or real(m, tol))
+        r = resonant_config(modes=2)
+        oracle.check_grid(0.5, r, channel_for(r), np.linspace(0.0, 1.0, 7))
+        assert seen == [max(1e-10, 20.0 * 2 * r.cutoff_tail)] * 7
+
+    def test_check_grid_agrees_with_reduce_and_compare(self):
+        ts = np.linspace(0.0, 2.0, 5)
+        diffs, offsets = oracle.check_grid(0.3, KERR_BATH, KERR_CHANNEL, ts)
+        j = build_joint(0.3, KERR_BATH, KERR_CHANNEL)
+        for t, d, o in zip(ts, diffs, offsets):
+            _, d_ref, o_ref = oracle.reduce_and_compare(evolve_joint(j, float(t)),
+                                                        0.3, KERR_CHANNEL, float(t))
+            assert abs(d - d_ref) <= 1e-14
+            assert abs(o - o_ref) <= 1e-12
+
+    def test_rejects_negative_t(self):
+        r = resonant_config(modes=1)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            oracle.reduce_grouped(0.5, r, channel_for(r), [0.0, -1.0])
+
+
+AMPLITUDE = st.builds(lambda m, p: m * complex(math.cos(p), math.sin(p)),
+                      st.floats(0.0, 1.2), st.floats(0.0, 2 * math.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(alphas=st.lists(AMPLITUDE, min_size=1, max_size=3),
+       ratio_seed=st.integers(0, 2**32 - 1),
+       mu_cross=st.floats(-0.5, 0.5), mu12=st.floats(-1.0, 1.0),
+       omegas=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+       mus=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+       eps=st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0),
+       ts=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))
+def test_grouped_matches_per_index_on_random_baths(alphas, ratio_seed, mu_cross,
+                                                  mu12, omegas, mus, eps, ts):
+    ratios = np.random.default_rng(ratio_seed).uniform(0.5, 2.0, len(alphas))
+    r = ReservoirConfig(alphas=alphas, omega_ratios=ratios,
+                        mu_cross=mu_cross, mu12=mu12)
+    c = ChannelParams(*omegas, *mus, ntilde=r.ntilde)
+    assert_grouped_matches_per_index(eps, r, c, np.asarray(ts))
+
 
 class TestJointVector:
     def test_partial_trace_recovers_reduction(self):
