@@ -160,13 +160,14 @@ def run_sweep(cfg: SweepConfig) -> dict:
         blocks.append(block)
     table = np.concatenate(blocks)
 
-    row_format = ROW_FORMAT + (CSS_ROW_FORMAT if cfg.include_css else "")
-    lines = [CSV_COLUMNS + (CSS_COLUMNS if cfg.include_css else "")]
-    for row in table.tolist():
-        if cfg.include_css:
-            css = refsearch.css_family(row[0], row[2])  # epsilon, gamma
-            row += (css.e_value, css.pt_min_eig)
-        lines.append(row_format % row)
+    columns = [table[name] for name in measures.RECORD_DTYPE.names]
+    header, row_format = CSV_COLUMNS, ROW_FORMAT
+    if cfg.include_css:
+        # e_value and pt_min_eig; sigma* is not written
+        columns += refsearch.css_family_columns(table["epsilon"], table["gamma"])[1:]
+        header, row_format = header + CSS_COLUMNS, row_format + CSS_ROW_FORMAT
+    lines = [header] + [row_format % tuple(row)
+                        for row in np.column_stack(columns).tolist()]
     with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -2,9 +2,7 @@
 fidelity trace, and the closest-separable-state objective with its analytic
 gradient.
 
-Plain numpy, one implementation. An optional compiled (Cython) backend was
-removed once the gradient-based search made this path faster end to end than
-the compiled derivative-free one. Everything here is pure and deterministic
+Plain numpy, one implementation. Everything here is pure and deterministic
 for fixed inputs on one platform.
 """
 
@@ -42,7 +40,8 @@ def _dagger(m):
 
 
 def _partial_transpose(m):
-    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    # the second qubit's transpose of a 4x4 matrix or of each in a stack
+    return np.swapaxes(m.reshape(m.shape[:-2] + (2, 2, 2, 2)), -3, -1).reshape(m.shape)
 
 
 def purity(m):
@@ -85,8 +84,8 @@ def sqrt_fidelity(sqrt_rho, sigma):
 
 
 def pt_min_eig(m):
-    """Minimum eigenvalue of the partial transpose (second qubit) of a 4x4 matrix."""
-    return float(np.linalg.eigvalsh(_partial_transpose(m))[0])
+    """Minimum eigenvalue of the second-qubit partial transpose, per matrix of a stack."""
+    return np.linalg.eigvalsh(_partial_transpose(m))[..., 0][()]
 
 
 def _factor(x):

@@ -89,14 +89,11 @@ def partial_transpose(rho, subsystem: str = "second") -> np.ndarray:
     a = as_matrix(rho, stacked=True)
     if a.shape[-2:] != (4, 4):
         raise BadDim(f"partial transpose needs 4x4 matrices, got shape {a.shape}")
-    r = a.reshape(a.shape[:-2] + (2, 2, 2, 2))
-    if subsystem == "second":
-        r = np.swapaxes(r, -3, -1)
-    elif subsystem == "first":
-        r = np.swapaxes(r, -4, -2)
-    else:
+    if subsystem not in ("first", "second"):
         raise ValueError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
-    return r.reshape(a.shape).copy()
+    pt = kernels._partial_transpose(a)
+    # the first factor's transpose is the full transpose of the second's
+    return pt if subsystem == "second" else np.swapaxes(pt, -1, -2)
 
 
 def partial_trace(full, dims, keep) -> np.ndarray:

@@ -14,7 +14,8 @@ on t, and in the corner sum plus*conj(minus) the shared rate (mode
 energies, cross-Kerr, mu12) cancels. What is left is the branch rate b(N),
 so the corner is w+ w- sum_N P(N) e^{-2it b(N)} with P(N) = sum_{|n|=N}
 |f_n|^2, and P comes from convolving the per-mode truncated weights; no
-product grid is built, so the mode count is not capped. build_joint,
+product grid is built, so the mode count is not capped, and the T reduced
+states are checked and compared as one (T, 4, 4) stack. build_joint,
 evolve_joint and reduce_density keep the per-index sum over the product
 grid as the reference for small configs: build_joint computes each basis
 state's branch rates once, and each t then costs two complex exponentials
@@ -27,9 +28,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelParams, decoherence_factor, evolve
-from .errors import CutoffTooTight
+from .errors import CutoffTooTight, InvalidState
 from .matcore import Tolerances
-from .states import FamilyParams, family_stack, validate
+from .states import FamilyParams, TwoQubitState, check, family_stack, outer_block
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,10 @@ class ReservoirConfig:
         object.__setattr__(self, "alphas", tuple(complex(a) for a in self.alphas))
         object.__setattr__(self, "omega_ratios",
                            tuple(float(w) for w in self.omega_ratios))
+        for name in ("alphas", "omega_ratios", "mu_cross", "mu12"):
+            value = getattr(self, name)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
         if len(self.alphas) < 1:
             raise ValueError("need at least one reservoir mode")
         if len(self.omega_ratios) != len(self.alphas):
@@ -196,22 +201,10 @@ def evolve_joint(j: JointAmplitudes, t: float) -> JointAmplitudes:
                    minus=j.minus * np.exp(-1j * (t * j.rate_minus)))
 
 
-def _reduced_matrix(pop_plus, pop_minus, corner) -> np.ndarray:
-    # the reduced two-qubit state on the outer block; an array of corners
-    # gives an (N, 4, 4) stack
-    corner = np.asarray(corner)
-    m = np.zeros(corner.shape + (4, 4), dtype=complex)
-    m[..., 0, 0] = pop_plus
-    m[..., 3, 3] = pop_minus
-    m[..., 0, 3] = corner
-    m[..., 3, 0] = np.conj(corner)
-    return m
-
-
 def reduce_density(j: JointAmplitudes) -> np.ndarray:
     """Trace out the reservoir: populations from branch norms, corner from
     the branch overlap (flattened C-order summation, reproducible)."""
-    return _reduced_matrix(
+    return outer_block(
         j.weight_plus**2 * np.vdot(j.plus, j.plus).real,
         j.weight_minus**2 * np.vdot(j.minus, j.minus).real,
         j.weight_plus * j.weight_minus * np.sum(j.plus * np.conj(j.minus)))
@@ -231,51 +224,53 @@ def reduce_grouped(eps: float, r: ReservoirConfig, c: ChannelParams,
     rate = _branch_rate(c, np.arange(weights.size))
     corners = np.exp(-2j * np.multiply.outer(t, rate)) @ weights
     total = weights.sum()
-    return _reduced_matrix(weight_plus**2 * total, weight_minus**2 * total,
-                           weight_plus * weight_minus * corners)
+    return outer_block(weight_plus**2 * total, weight_minus**2 * total,
+                       weight_plus * weight_minus * corners)
 
 
 def compare_reduced(raw: np.ndarray, closed: np.ndarray, modes: int,
                     cutoff_tail: float):
-    """A reduced oracle state, validated, its entrywise distance to the
-    closed form and the corner phase offset between the two.
+    """Entrywise distances of reduced oracle states to the closed form and
+    corner phase offsets, one of each per state of a (T, 4, 4) stack.
 
-    Truncation leaves the trace at 1 - (sum of per-mode tails), so validation
+    Truncation leaves the trace at 1 - (sum of per-mode tails), so one check
     runs with the trace tolerance widened accordingly (never renormalized).
     """
-    diff = float(np.abs(raw - closed).max())
-    state = validate(raw, Tolerances(trace=max(1e-10, 20.0 * modes * cutoff_tail)))
-    return state, diff, corner_phase_offset(raw, closed)
+    problems = check(raw, Tolerances(trace=max(1e-10, 20.0 * modes * cutoff_tail)))
+    if problems:
+        raise InvalidState(problems)
+    return np.abs(raw - closed).max(axis=(-2, -1)), corner_phase_offset(raw, closed)
 
 
 def reduce_and_compare(j_evolved: JointAmplitudes, eps: float,
                        c: ChannelParams, t: float):
-    """compare_reduced on the per-index reduction of an evolved joint state
-    and the closed form at t."""
-    return compare_reduced(reduce_density(j_evolved), evolve(eps, c, t).matrix,
-                           len(j_evolved.sizes), j_evolved.cutoff_tail)
+    """The per-index reduction of an evolved joint state, checked, and
+    compare_reduced's distance and offset to the closed form at t."""
+    raw = reduce_density(j_evolved)
+    diff, offset = compare_reduced(raw, evolve(eps, c, t).matrix,
+                                   len(j_evolved.sizes), j_evolved.cutoff_tail)
+    return TwoQubitState(raw), diff, offset
 
 
 def check_grid(eps: float, r: ReservoirConfig, c: ChannelParams, t_grid):
     """Entrywise distances to the closed form and corner phase offsets of
-    the grouped reduction, one of each per t, every state validated."""
+    the grouped reduction, one of each per t, every state checked."""
     closed = family_stack(eps, decoherence_factor(c, t_grid).a)
-    raw = reduce_grouped(eps, r, c, t_grid)
-    checked = [compare_reduced(m, k, r.modes, r.cutoff_tail)
-               for m, k in zip(raw, closed)]
-    return [d for _, d, _ in checked], [o for _, _, o in checked]
+    diffs, offsets = compare_reduced(reduce_grouped(eps, r, c, t_grid), closed,
+                                     r.modes, r.cutoff_tail)
+    return diffs.tolist(), offsets.tolist()
 
 
-def corner_phase_offset(raw: np.ndarray, closed: np.ndarray) -> float:
-    """Angle between the oracle corner and the closed-form corner (radians).
+def corner_phase_offset(raw: np.ndarray, closed: np.ndarray):
+    """Angle between the oracle corner and the closed-form corner (radians),
+    0 where either corner is below 1e-300; an array for stacks.
 
     Zero even for mu12 != 0: the qubit-qubit term adds the same phase to
     both branches, which cancels in the overlap.
     """
-    a, b = raw[0, 3], closed[0, 3]
-    if abs(a) < 1e-300 or abs(b) < 1e-300:
-        return 0.0
-    return float(np.angle(a * np.conj(b)))
+    a, b = raw[..., 0, 3], closed[..., 0, 3]
+    vanished = (np.abs(a) < 1e-300) | (np.abs(b) < 1e-300)
+    return np.where(vanished, 0.0, np.angle(a * np.conj(b)))[()]
 
 
 def joint_vector(j: JointAmplitudes) -> np.ndarray:

@@ -2,7 +2,7 @@
 and a numerical Bures-distance minimization over the separable (PPT) set.
 
 On the dephasing family the closest separable state is known in closed form
-(css_family), which is what sweep uses. The numerical search
+(css_family_columns), which is what sweep uses. The numerical search
 (closest_separable_bures) serves arbitrary states.
 
 PPT is exact for two qubits, so the feasible set is parametrized as
@@ -24,7 +24,7 @@ from . import kernels
 from .measures import (MeasureRecord, _max0, _min1, negativity_closed,
                        relative_entropy_linearized)
 from .matcore import as_matrix, psd_sqrt
-from .states import TwoQubitState, validate
+from .states import TwoQubitState, outer_block, validate
 
 PT_FEASIBILITY = -1e-7     # accepted partial-transpose floor for sigma*
 POLISH_RUNGS = 6           # stage-two ladder: penalty x10 per rung, 1e6 at the top
@@ -208,35 +208,42 @@ def mixed_ref_measure_family(epsilon: float, abs_a, ntilde: float, phase=0.0):
     return 1.0 - np.sqrt(_min1(_max0(fid)))
 
 
-def css_family(epsilon: float, gamma: float) -> CssResult:
-    """Closest separable state of the family state at damping gamma, in
-    closed form.
+def css_family_columns(epsilon, gamma):
+    """Closest separable states of the family states at damping gamma, in
+    closed form: the sigma* stack and the e_value and pt_min_eig columns,
+    for arrays epsilon and gamma; the first pair outside [0, 1] raises.
 
     For two qubits the largest fidelity to a separable state is 1 - E_G with
     E_G = (1 - sqrt(1 - C^2))/2 (Streltsov, Kampermann & Bruss, NJP 12,
     123004 (2010); Wei & Goldbart, PRA 68, 042307 (2003)). On the family
-    1 - C^2 = ((1 - 2 eps)^2 + m^2 gamma)/n^2 with n = eps^2 + (1 - eps)^2
-    and m = 2 eps (1 - eps), which keeps 1 - C^2 free of cancellation as
-    C -> 1. The optimum is attained at the diagonal sigma* = diag(u, 0, 0,
-    1 - u): a local-phase twirl takes any separable sigma to X form, and a
-    corner in sigma gains less fidelity than the middle-block trace it
-    needs costs.
+    1 - C^2 = Delta^2 = ((1 - 2 eps)^2 + m^2 gamma)/n^2, n = eps^2 + (1 - eps)^2
+    and m = 2 eps (1 - eps), free of cancellation as C -> 1. The optimum is
+    attained at the diagonal sigma* = diag(u, 0, 0, 1 - u): a local-phase
+    twirl takes any separable sigma to X form, and a corner in sigma gains
+    less fidelity than the middle-block trace it needs costs.
     """
-    if not 0.0 <= epsilon <= 1.0 or not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"need epsilon, gamma in [0, 1], got {epsilon}, {gamma}")
-    n = epsilon**2 + (1.0 - epsilon) ** 2
+    epsilon, gamma = np.broadcast_arrays(epsilon, gamma)
+    bad = np.flatnonzero(~((0.0 <= epsilon) & (epsilon <= 1.0)
+                           & (0.0 <= gamma) & (gamma <= 1.0)))
+    if bad.size:
+        raise ValueError(f"need epsilon, gamma in [0, 1], got "
+                         f"{epsilon.flat[bad[0]]}, {gamma.flat[bad[0]]}")
+    n = epsilon * epsilon + (1.0 - epsilon) * (1.0 - epsilon)
     m = 2.0 * epsilon * (1.0 - epsilon)
-    delta = math.sqrt((1.0 - 2.0 * epsilon) ** 2 + m * m * gamma) / n
-    u = 0.5
-    if delta > 0.0:
-        u = min(1.0, max(0.0, 0.5 * (1.0 + (2.0 * epsilon - 1.0) / (n * delta))))
-    sigma = validate(np.diag([u, 0.0, 0.0, 1.0 - u]).astype(complex))
-    return CssResult(sigma_star=sigma,
-                     e_value=1.0 - math.sqrt((1.0 + delta) / 2.0),
-                     iterations=0,
-                     converged=True,
-                     pt_min_eig=kernels.pt_min_eig(sigma.matrix),
-                     nfev=0)
+    delta = np.sqrt((1.0 - 2.0 * epsilon) * (1.0 - 2.0 * epsilon) + m * m * gamma) / n
+    # Delta = 0 only where 2 eps - 1 = 0, and there u = 1/2
+    split = (2.0 * epsilon - 1.0) / (n * np.where(delta > 0.0, delta, 1.0))
+    u = _min1(_max0(0.5 * (1.0 + split)))
+    sigma = outer_block(u, 1.0 - u, np.zeros_like(u))
+    return sigma, 1.0 - np.sqrt((1.0 + delta) / 2.0), kernels.pt_min_eig(sigma)
+
+
+def css_family(epsilon: float, gamma: float) -> CssResult:
+    """css_family_columns at one point, sigma* validated."""
+    sigma, e_value, pt_min_eig = css_family_columns([epsilon], [gamma])
+    return CssResult(sigma_star=validate(sigma[0]), e_value=float(e_value[0]),
+                     iterations=0, converged=True,
+                     pt_min_eig=float(pt_min_eig[0]), nfev=0)
 
 
 def maxmixed_fidelity_closed(abs_a: float) -> float:

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import BadDim, InvalidState
-from .matcore import DEFAULT_TOL, Tolerances, as_matrix, hermitian_eig
+from .errors import BadDim, InvalidState, NotHermitian
+from .matcore import DEFAULT_TOL, Tolerances, _eigen, as_matrix
 
 
 @dataclass(frozen=True)
@@ -52,28 +52,33 @@ class TwoQubitState:
 
 
 def check(m, tol: Tolerances = DEFAULT_TOL) -> list:
-    """Diagnostics for the density-matrix invariants; empty when valid."""
-    problems = []
+    """Diagnostics for the density-matrix invariants; empty when valid. An
+    (N, 4, 4) stack gives its first failing matrix k's, prefixed "matrix k
+    of the stack: ", but a non-finite matrix first, wherever it sits."""
     try:
-        a = as_matrix(m)
+        a = as_matrix(m, stacked=True)
     except BadDim as exc:
         return [str(exc)]
-    if a.shape != (4, 4):
-        return [f"dimension is {a.shape[0]}, expected 4"]
-    if not np.all(np.isfinite(a.view(float))):
-        return ["matrix contains non-finite entries"]
-    defect = float(np.abs(a - a.conj().T).max())
-    hermitian_ok = defect <= tol.herm
-    if not hermitian_ok:
-        problems.append(f"hermiticity defect {defect:.3e} exceeds {tol.herm:.1e}")
-    tr = complex(a.trace())
-    if abs(tr - 1.0) > tol.trace:
-        problems.append(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-    if hermitian_ok:
-        w, _ = hermitian_eig((a + a.conj().T) / 2.0, tol)
-        if w[0] < -tol.psd:
-            problems.append(f"negative eigenvalue {w[0]:.3e} below -{tol.psd:.1e}")
-    return problems
+    if a.shape[-1] != 4:
+        return [f"dimension is {a.shape[-1]}, expected 4"]
+    stack = a.reshape(-1, 4, 4)
+    try:
+        w, defect = _eigen(stack, kernels.eigvalsh_herm)
+    except NotHermitian as exc:  # a non-finite entry
+        return [str(exc) if a.ndim == 3 else "matrix contains non-finite entries"]
+    deviation = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
+    hermitian = defect <= tol.herm
+    broken = np.column_stack([~hermitian, deviation > tol.trace,
+                              hermitian & (w[:, 0] < -tol.psd)])
+    bad = np.flatnonzero(broken.any(axis=1))
+    if not bad.size:
+        return []
+    k = bad[0]
+    said = (f"hermiticity defect {defect[k]:.3e} exceeds {tol.herm:.1e}",
+            f"trace deviates from 1 by {deviation[k]:.3e}",
+            f"negative eigenvalue {w[k, 0]:.3e} below -{tol.psd:.1e}")
+    where = f"matrix {k} of the stack: " if a.ndim == 3 else ""
+    return [where + text for text, hit in zip(said, broken[k]) if hit]
 
 
 def validate(m, tol: Tolerances = DEFAULT_TOL) -> TwoQubitState:
@@ -81,21 +86,23 @@ def validate(m, tol: Tolerances = DEFAULT_TOL) -> TwoQubitState:
     problems = check(m, tol)
     if problems:
         raise InvalidState(problems)
-    a = as_matrix(m).astype(complex).copy()
-    return TwoQubitState(a)
+    return TwoQubitState(as_matrix(m).copy())
 
 
-def _family_matrix(epsilon: float, corner) -> np.ndarray:
-    """Outer-block matrix diag(e^2, 0, 0, (1-e)^2)/n with the given corner;
+def outer_block(pop_plus, pop_minus, corner) -> np.ndarray:
+    """diag(pop_plus, 0, 0, pop_minus) with corner as its |++><--| entry;
     an array of corners gives an (N, 4, 4) stack, one matrix per corner."""
-    n = epsilon**2 + (1.0 - epsilon) ** 2
     corner = np.asarray(corner)
     m = np.zeros(corner.shape + (4, 4), dtype=complex)
-    m[..., 0, 0] = epsilon**2 / n
-    m[..., 3, 3] = (1.0 - epsilon) ** 2 / n
+    m[..., 0, 0] = pop_plus
+    m[..., 3, 3] = pop_minus
     m[..., 0, 3] = corner
     m[..., 3, 0] = np.conj(corner)
     return m
+
+
+def _family_matrix(p: FamilyParams, corner) -> np.ndarray:
+    return outer_block(p.epsilon**2 / p.norm, (1.0 - p.epsilon) ** 2 / p.norm, corner)
 
 
 def _corner(p: FamilyParams, factor):
@@ -111,7 +118,7 @@ def family_state(epsilon: float, a: complex) -> TwoQubitState:
 def family_stack(epsilon: float, a) -> np.ndarray:
     """The family states of corner factors a_k, as one (N, 4, 4) array."""
     p = FamilyParams(epsilon)
-    return _family_matrix(p.epsilon, _corner(p, np.asarray(a, dtype=complex)))
+    return _family_matrix(p, _corner(p, np.asarray(a, dtype=complex)))
 
 
 def initial_pure(p: FamilyParams) -> TwoQubitState:
@@ -126,7 +133,7 @@ def initial_pure_stack(epsilon: float, phases) -> np.ndarray:
     phases = np.asarray(phases, dtype=float)
     if not np.all(np.isfinite(phases)):
         raise ValueError("phase must be finite")
-    return _family_matrix(p.epsilon, _corner(p, np.exp(-1j * phases)))
+    return _family_matrix(p, _corner(p, np.exp(-1j * phases)))
 
 
 def maximally_mixed() -> TwoQubitState:
@@ -143,11 +150,8 @@ def mixed_reference(ntilde: float, phase: float = 0.0) -> TwoQubitState:
     """
     if ntilde < 0:
         raise ValueError(f"ntilde must be >= 0, got {ntilde}")
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[3, 3] = 0.5
-    m[0, 3] = np.exp(-1j * phase) * np.exp(-2.0 * ntilde) / 2.0
-    m[3, 0] = np.conj(m[0, 3])
-    return TwoQubitState(m)
+    return TwoQubitState(outer_block(0.5, 0.5,
+                                     np.exp(-1j * phase) * np.exp(-2.0 * ntilde) / 2.0))
 
 
 def mixed_reference_family(epsilon: float, ntilde: float, phase: float = 0.0) -> TwoQubitState:
@@ -158,7 +162,7 @@ def mixed_reference_family(epsilon: float, ntilde: float, phase: float = 0.0) ->
     p = FamilyParams(epsilon)
     corner = (p.epsilon * (1.0 - p.epsilon) / p.norm
               * np.exp(-1j * phase) * np.exp(-2.0 * ntilde))
-    return TwoQubitState(_family_matrix(p.epsilon, corner))
+    return TwoQubitState(_family_matrix(p, corner))
 
 
 def state_to_json(state) -> dict:

@@ -244,6 +244,26 @@ class TestMainSweep:
         last_t = float(csv_lines[-1].split(",")[1])
         assert last_t == pytest.approx(4 * math.pi, rel=1e-9)
 
+    def test_include_css_columns_equal_per_row_css_family(self, tmp_path, monkeypatch):
+        # the reference: every row formatted with css_family at its own point
+        cfg = small_config(tmp_path / "css.csv", epsilon_list=(0.0, 0.5, 1.0, 0.3),
+                           t_steps=51, include_css=True)
+        ts = np.linspace(0.0, cfg.t_max, cfg.t_steps)
+        table = np.concatenate([measures.as_table(cols) for cols in
+                                cli.sweep_blocks(cfg.epsilon_list, cfg.channel, ts)])
+        expect = [cli.CSV_COLUMNS + cli.CSS_COLUMNS]
+        for row in table.tolist():
+            css = refsearch.css_family(row[0], row[2])  # epsilon, gamma
+            expect.append((cli.ROW_FORMAT + cli.CSS_ROW_FORMAT)
+                          % (row + (css.e_value, css.pt_min_eig)))
+
+        def per_row(*args):
+            raise AssertionError("sweep called css_family per row")
+
+        monkeypatch.setattr(refsearch, "css_family", per_row)
+        run_sweep(cfg)
+        assert (tmp_path / "css.csv").read_bytes() == ("\n".join(expect) + "\n").encode()
+
     def test_include_css_runs_no_search(self, tmp_path, monkeypatch):
         def no_search(*args, **kwargs):
             raise AssertionError("sweep ran the numerical CSS search")
@@ -434,6 +454,19 @@ class TestMainOracleCheck:
         captured = capsys.readouterr()
         assert shown in captured.err and captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--omega-ratios", "nan,inf,-1"], "omega_ratios"),
+        (["--omega-ratios", "1,1,inf"], "omega_ratios"),
+        (["--mu12", "inf"], "mu12"),
+        (["--mu-cross", "nan"], "mu_cross"),
+        (["--alphas", "nan,1,1"], "alphas"),
+        (["--alphas", "0.5,1+nanj,0.5"], "alphas")])
+    def test_non_finite_reservoir_input_exits_one(self, capsys, flags, field):
+        rc = cli.main(["oracle-check", "--t-steps", "3", *flags])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert f"{field} must be finite" in captured.err and captured.out == ""
 
 
 def test_sweep_and_oracle_import_no_scipy(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qdephase import matcore, oracle
 from qdephase.channel import ChannelParams
 
-from qdephase.errors import CutoffTooTight
+from qdephase.errors import CutoffTooTight, InvalidState
 from qdephase.oracle import ReservoirConfig, build_joint, evolve_joint
 from qdephase.states import FamilyParams, initial_pure
 
@@ -214,6 +214,20 @@ class TestReduceAndCompare:
         assert oracle.corner_phase_offset(raw, closed) == pytest.approx(0.3, abs=1e-15)
         assert oracle.corner_phase_offset(np.zeros((4, 4)), closed) == 0.0
 
+    def test_corner_phase_offset_stacked_equals_per_matrix(self):
+        rng = np.random.default_rng(41)
+        raw = np.zeros((60, 4, 4), dtype=complex)
+        closed = np.zeros((60, 4, 4), dtype=complex)
+        for m in (raw, closed):
+            m[:, 0, 3] = (rng.random(60) * np.exp(2j * np.pi * rng.random(60))
+                          * 10.0 ** rng.integers(-320, 0, 60))
+        raw[::7, 0, 3] = 0.0
+        got = oracle.corner_phase_offset(raw, closed)
+        assert got.shape == (60,)
+        for k in range(60):
+            assert abs(got[k] - oracle.corner_phase_offset(raw[k], closed[k])) <= 1e-16
+        assert not got[::7].any()
+
     def test_cross_kerr_cancels_for_resonant_bath(self):
         kerr = resonant_config(mu_cross=0.4)
         c = channel_for(kerr)
@@ -285,14 +299,37 @@ class TestGrouped:
         assert max(diffs) <= 1e-8 + 10 * r.cutoff_tail
         assert oracle.occupation_weights(r).size < 1000
 
-    def test_check_grid_validates_every_state(self, monkeypatch):
+    def test_check_grid_checks_the_grid_once(self, monkeypatch):
         seen = []
-        real = oracle.validate
-        monkeypatch.setattr(oracle, "validate",
-                            lambda m, tol: seen.append(tol.trace) or real(m, tol))
+        real = oracle.check
+        monkeypatch.setattr(oracle, "check",
+                            lambda m, tol: seen.append((m.shape, tol.trace)) or real(m, tol))
         r = resonant_config(modes=2)
         oracle.check_grid(0.5, r, channel_for(r), np.linspace(0.0, 1.0, 7))
-        assert seen == [max(1e-10, 20.0 * 2 * r.cutoff_tail)] * 7
+        assert seen == [((7, 4, 4), max(1e-10, 20.0 * 2 * r.cutoff_tail))]
+
+    @pytest.mark.parametrize("k", [0, 4, 6])
+    def test_check_grid_names_the_failing_state(self, monkeypatch, k):
+        r = resonant_config(modes=2)
+        c, ts = channel_for(r), np.linspace(0.0, 1.0, 7)
+        widened = 20.0 * 2 * r.cutoff_tail
+        real = oracle.reduce_grouped
+
+        def shifted(shift):
+            def grouped(*args):
+                raw = real(*args)
+                raw[k, 0, 0] -= shift  # state k loses trace
+                return raw
+            return grouped
+
+        # a deficit beyond the default 1e-10 but within the widened tolerance
+        monkeypatch.setattr(oracle, "reduce_grouped", shifted(0.5 * widened))
+        diffs, _ = oracle.check_grid(0.5, r, c, ts)
+        assert diffs[k] >= 0.5 * widened
+        monkeypatch.setattr(oracle, "reduce_grouped", shifted(2.0 * widened))
+        with pytest.raises(InvalidState,
+                           match=f"^matrix {k} of the stack: trace deviates from 1 by"):
+            oracle.check_grid(0.5, r, c, ts)
 
     def test_check_grid_agrees_with_reduce_and_compare(self):
         ts = np.linspace(0.0, 2.0, 5)

@@ -481,6 +481,21 @@ class TestCssFamily:
             refsearch.css_family(0.5, 1.5)
         with pytest.raises(ValueError):
             refsearch.css_family(-0.1, 0.5)
+        with pytest.raises(ValueError, match="got 0.3, nan$"):
+            refsearch.css_family_columns([0.5, 0.3, 2.0], [0.5, math.nan, 0.5])
+
+    def test_columns_equal_css_family_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        # the endpoints, with Delta = 0 at eps = 1/2, gamma = 0, then random points
+        eps = np.concatenate([[0.0, 0.5, 1.0, 0.0, 0.5, 1.0], rng.random(300)])
+        gamma = np.concatenate([[0.0, 0.0, 0.0, 1.0, 1.0, 1.0], rng.random(300)])
+        sigma, e_value, pt_min_eig = refsearch.css_family_columns(eps, gamma)
+        assert sigma.shape == (306, 4, 4) and e_value.shape == pt_min_eig.shape == (306,)
+        assert e_value[1] == 1.0 - math.sqrt(0.5)
+        for k in range(306):
+            one = refsearch.css_family(float(eps[k]), float(gamma[k]))
+            assert one.e_value == e_value[k] and one.pt_min_eig == pt_min_eig[k]
+            assert np.array_equal(one.sigma_star.matrix, sigma[k])
 
 
 def css_from_concurrence(c):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdephase import states
 from qdephase.errors import InvalidState
@@ -127,6 +129,28 @@ class TestValidate:
         problems = states.check(np.diag([2.0, 0.0, 0.0, 0.0]).astype(complex))
         assert problems and "1.000e+00" in problems[0]
 
+    def test_single_state_diagnostics_word_for_word(self):
+        herm = np.eye(4, dtype=complex) / 4
+        herm[0, 1] = 0.2
+        both = np.diag([2.0, 0.0, 0.0, 0.0]).astype(complex)
+        both[0, 1] = 0.3
+        neg = np.zeros((4, 4), dtype=complex)
+        neg[0, 0] = neg[3, 3] = 0.6
+        neg[0, 3] = neg[3, 0] = 0.7
+        nan = np.eye(4, dtype=complex) / 4
+        nan[2, 1] = np.nan
+        cases = [
+            (herm, ["hermiticity defect 2.000e-01 exceeds 1.0e-10"]),
+            (both, ["hermiticity defect 3.000e-01 exceeds 1.0e-10",
+                    "trace deviates from 1 by 1.000e+00"]),
+            (neg, ["trace deviates from 1 by 2.000e-01",
+                   "negative eigenvalue -1.000e-01 below -1.0e-09"]),
+            (nan, ["matrix contains non-finite entries"]),
+            (np.eye(3), ["dimension is 3, expected 4"]),
+            (np.zeros((4, 3)), ["expected a square matrix, got shape (4, 3)"])]
+        for m, expect in cases:
+            assert states.check(m) == expect
+
     def test_matrix_is_immutable(self):
         rho = maximally_mixed()
         with pytest.raises(ValueError):
@@ -157,3 +181,44 @@ class TestJson:
     def test_reader_rejects_malformed(self):
         with pytest.raises(InvalidState):
             states.state_from_json({"dim": 4, "re": [[1.0]]})
+
+
+TAMPERS = ("trace", "hermiticity", "negative", "non-finite")
+
+
+def tampered_state(rng, kinds):
+    """A random density matrix broken in each of the ways named in kinds."""
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    w = np.array([-0.2, 0.3, 0.4, 0.5]) if "negative" in kinds else rng.dirichlet(np.ones(4))
+    m = (q * w) @ q.conj().T
+    m = (m + m.conj().T) / 2.0
+    if "trace" in kinds:
+        m *= 1.5
+    if "hermiticity" in kinds:
+        m[0, 1] += 0.2
+    if "non-finite" in kinds:
+        m[rng.integers(4), rng.integers(4)] = rng.choice([np.nan, np.inf, -np.inf])
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(kinds=st.lists(st.sets(st.sampled_from(TAMPERS), max_size=2), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_check_reports_the_first_failing_matrix(kinds, seed):
+    # rule: a non-finite matrix first, wherever it sits; otherwise the
+    # per-matrix diagnostics of the first failing matrix, named by index
+    rng = np.random.default_rng(seed)
+    stack = np.array([tampered_state(rng, k) for k in kinds])
+    per = [states.check(m) for m in stack]
+    assert [bool(p) for p in per] == [bool(k) for k in kinds]
+    non_finite = [i for i, k in enumerate(kinds) if "non-finite" in k]
+    failing = [i for i, p in enumerate(per) if p]
+    if non_finite:
+        expect = [f"matrix {non_finite[0]} of the stack has a non-finite entry"]
+    elif failing:
+        expect = [f"matrix {failing[0]} of the stack: {d}" for d in per[failing[0]]]
+    else:
+        expect = []
+    assert states.check(stack) == expect
+    if not failing:
+        assert np.array_equal(states.validate(stack[0]).matrix, stack[0])
