@@ -4,8 +4,10 @@ The library evaluates the closed-form dephasing family and its full measure
 set (linear entropy, negativity, concurrence, entanglement of formation,
 Uhlmann fidelity, Bures distance, relative entropy), distance-based
 entanglement measures against mixed, maximally mixed and pure references,
-a numerically minimized closest-separable-state distance, and an exact
-qubits-plus-reservoir simulation that validates every closed form.
+the closest-separable-state distance of any two-qubit state in closed
+form, a numerical search over the separable set that checks it (a library
+and test tool; no command runs it), and an exact qubits-plus-reservoir
+simulation that validates every closed form.
 """
 
 from . import channel, matcore, measures, oracle, refsearch, states
@@ -23,7 +25,7 @@ from .measures import (
     relative_entropy_linearized,
     uhlmann_fidelity,
 )
-from .refsearch import CssResult, OptimizerConfig, closest_separable_bures
+from .refsearch import CssResult, OptimizerConfig, closest_separable_bures, css_closed
 from .states import FamilyParams, TwoQubitState, initial_pure, maximally_mixed, mixed_reference, validate
 
 __version__ = "0.1.0"
@@ -43,6 +45,7 @@ __all__ = [
     "closest_separable_bures",
     "concurrence_family",
     "concurrence_wootters",
+    "css_closed",
     "decoherence_factor",
     "eof",
     "evolve",

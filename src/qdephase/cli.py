@@ -13,6 +13,9 @@ fields) that the CSV rows and ordering_check read. build_record computes
 the same record for one point, with the single-state spectral measures and
 the same closed-form functions; it is the reference the blocks are tested
 against, to the byte of the CSV.
+
+css builds the closest separable state of a stored state in closed form
+(refsearch.css_closed) and runs no search.
 """
 
 import argparse
@@ -29,7 +32,6 @@ from . import kernels, measures, oracle, refsearch
 from .channel import ChannelParams, decoherence_factor
 from .errors import QDephaseError
 from .measures import MeasureRecord
-from .refsearch import OptimizerConfig
 from .states import (FamilyParams, family_stack, family_state, initial_pure,
                      initial_pure_stack, load_state, maximally_mixed,
                      state_to_json)
@@ -209,12 +211,24 @@ def run_oracle_check(r: oracle.ReservoirConfig, c: ChannelParams,
     }
 
 
-def run_css(state_path: str, cfg: OptimizerConfig) -> dict:
-    """Closest-separable-state search for a state stored as JSON."""
+def run_css(state_path: str) -> dict:
+    """Closest separable state, in closed form (refsearch.css_closed), of a
+    state stored as JSON.
+
+    e_closed is 1 - sqrt((1 + sqrt(1 - C^2))/2) from the spectral
+    concurrence C, and closed_gap = e_value - e_closed. The gap stays within
+    1e-13 except as C -> 1, where the formula loses accuracy, not sigma*:
+    sqrt(1 - C^2) turns C's rounding error into one of its square root
+    (closed_gap 9.1e-9 at the Bell state).
+    """
     rho = load_state(state_path)
-    res = refsearch.closest_separable_bures(rho, cfg)
+    res = refsearch.css_closed(rho)
+    c = measures.concurrence_wootters(rho)
+    e_closed = 1.0 - math.sqrt((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
     return {
         "e_value": res.e_value,
+        "e_closed": e_closed,
+        "closed_gap": res.e_value - e_closed,
         "pt_min_eig": res.pt_min_eig,
         "iterations": res.iterations,
         "nfev": res.nfev,
@@ -293,23 +307,12 @@ def _channel_from(cfg: dict, args) -> ChannelParams:
                             for f in fields(ChannelParams)})
 
 
-def _optimizer_from(args) -> OptimizerConfig:
-    given = {f.name: getattr(args, f"opt_{f.name}") for f in fields(OptimizerConfig)}
-    return OptimizerConfig(**{k: v for k, v in given.items() if v is not None})
-
-
 def _add_channel_flags(p):
     p.add_argument("--omega1", type=float, help="qubit 1 frequency (rad/s)")
     p.add_argument("--omega2", type=float, help="qubit 2 frequency (rad/s)")
     p.add_argument("--mu1", type=float, help="qubit 1 reservoir coupling (rad/s)")
     p.add_argument("--mu2", type=float, help="qubit 2 reservoir coupling (rad/s)")
     p.add_argument("--ntilde", type=float, help="effective reservoir excitation")
-
-
-def _add_optimizer_flags(p):
-    for f in fields(OptimizerConfig):  # --opt-max-iters etc., typed as the defaults
-        p.add_argument(f"--opt-{f.name.replace('_', '-')}", dest=f"opt_{f.name}",
-                       type=type(f.default))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -351,7 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cs = sub.add_parser("css", help="closest separable state for a JSON state file")
     cs.add_argument("state", help="path to a state JSON file")
     cs.add_argument("--out", help="write the JSON report here as well")
-    _add_optimizer_flags(cs)
     return ap
 
 
@@ -409,14 +411,13 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_css(args) -> int:
-    cfg = _optimizer_from(args)
-    report = run_css(args.state, cfg)
+    report = run_css(args.state)
     text = json.dumps(report, indent=2)
     print(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    return 0 if report["feasible"] and report["converged"] else 2
+    return 0 if report["feasible"] else 2
 
 
 def main(argv=None) -> int:

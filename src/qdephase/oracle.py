@@ -53,6 +53,8 @@ class ReservoirConfig:
             value = getattr(self, name)
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite, got {value}")
+        if any(w <= 0.0 for w in self.omega_ratios):
+            raise ValueError(f"omega_ratios must be positive, got {self.omega_ratios}")
         if len(self.alphas) < 1:
             raise ValueError("need at least one reservoir mode")
         if len(self.omega_ratios) != len(self.alphas):

@@ -1,11 +1,14 @@
 """Distance-based entanglement measures: closed-form reference evaluations
 and a numerical Bures-distance minimization over the separable (PPT) set.
 
-On the dephasing family the closest separable state is known in closed form
-(css_family_columns), which is what sweep uses. The numerical search
-(closest_separable_bures) serves arbitrary states.
+The closest separable state (CSS) of any two-qubit state is built in closed
+form (css_closed, which the css command runs) from Wootters' optimal
+decomposition; on the dephasing family it is simpler still
+(css_family_columns, which sweep uses). The numerical search
+(closest_separable_bures) serves the library and the tests, where it is the
+independent check on both.
 
-PPT is exact for two qubits, so the feasible set is parametrized as
+PPT is exact for two qubits, so the search's feasible set is parametrized as
 sigma = LL†/Tr(LL†) (16 reals) with a smooth quadratic penalty on the
 negative part of the partial-transpose spectrum. The penalized objective
 comes with its analytic gradient (kernels.css_objective) and is minimized by
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .measures import (MeasureRecord, _max0, _min1, negativity_closed,
+from .measures import (_SY2, MeasureRecord, _max0, _min1, negativity_closed,
                        relative_entropy_linearized)
 from .matcore import as_matrix, psd_sqrt
 from .states import TwoQubitState, outer_block, validate
@@ -51,7 +54,8 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class CssResult:
-    """Closest-separable-state search outcome."""
+    """Closest separable state sigma* of a state: e_value = 1 - sqrt(F) at
+    sigma*, and the search's effort (0 evaluations for a closed form)."""
 
     sigma_star: TwoQubitState
     e_value: float
@@ -167,6 +171,94 @@ def closest_separable_bures(rho, cfg: OptimizerConfig = OptimizerConfig()) -> Cs
                      converged=feasible and (success or agreed),
                      pt_min_eig=ptmin,
                      nfev=nfev)
+
+
+def _takagi(tau):
+    """Takagi factors of a complex symmetric 4x4 tau = Q diag(lam) Q^T: lam
+    descending, Q unitary.
+
+    With tau = a + ib, the real symmetric [[a, b], [b, -a]] has eigenvalues
+    +-lam, and an eigenvector (x; y) at +lam gives a Takagi vector x + iy.
+    Where lam repeats at 0 those vectors need not be orthogonal, so the QR
+    factor, with each column's phase restored from R's diagonal, completes Q
+    to a unitary without touching the columns at lam > 0.
+    """
+    a, b = tau.real, tau.imag
+    w, v = kernels.eigh_herm(np.block([[a, b], [b, -a]]))
+    q, r = np.linalg.qr(v[:4, :3:-1] + 1j * v[4:, :3:-1])
+    return w[:3:-1], q * np.exp(1j * np.angle(np.diag(r)))
+
+
+def _zero_diagonal(a):
+    """A real orthogonal O with diag(O a O^T) = 0, for a traceless real
+    symmetric 4x4 a. Each Givens rotation, in the plane of the largest and
+    the smallest diagonal entry, takes the largest to 0, so three suffice."""
+    o = np.eye(4)
+    for _ in range(3):
+        d = np.diag(a)
+        i, j = int(np.argmax(d)), int(np.argmin(d))
+        if not d[i] > 0.0 > d[j]:
+            break
+        # t = tan(theta) solves d_i + 2 a_ij t + d_j t^2 = 0, as the root
+        # that is free of cancellation
+        b = a[i, j]
+        t = d[i] / -(b + math.copysign(math.sqrt(b * b - d[i] * d[j]), b))
+        cos = 1.0 / math.sqrt(1.0 + t * t)
+        g = np.eye(4)
+        g[i, i] = g[j, j] = cos
+        g[i, j], g[j, i] = t * cos, -t * cos
+        a, o = g @ a @ g.T, g @ o
+    return o
+
+
+def wootters_decomposition(sqrt_rho):
+    """Wootters' optimal decomposition of rho = sqrt_rho^2 (Wootters, PRL 80,
+    2245 (1998)): (z, c) with rho = z z† and every column z_j of z, once
+    normalized, of concurrence c, the state's concurrence. For c = 0 it is
+    (None, 0.0).
+
+    tau = sqrt_rho (sy x sy) conj(sqrt_rho), Takagi-factored as Q L Q^T,
+    turns the columns of X = sqrt_rho Q into a decomposition whose spin-flip
+    overlaps form diag(L). Y = X diag(1, i, i, i) makes them diag(l1, -l2,
+    -l3, -l4), of trace c; a real rotation Z = Y O^T that zeros the diagonal
+    of A = diag(l1, -l2, -l3, -l4) - c Re(Y†Y) gives each z_j the overlap
+    c |z_j|^2.
+    """
+    lam, q = _takagi(sqrt_rho @ _SY2 @ sqrt_rho.conj())
+    c = lam[0] - lam[1] - lam[2] - lam[3]
+    if not c > 0.0:
+        return None, 0.0
+    y = sqrt_rho @ q * np.array([1.0, 1j, 1j, 1j])
+    a = np.diag(lam * np.array([1.0, -1.0, -1.0, -1.0])) - c * (y.conj().T @ y).real
+    return y @ _zero_diagonal(a).T, float(c)
+
+
+def css_closed(rho) -> CssResult:
+    """Closest separable state of any two-qubit state, without a search
+    (Streltsov, Kampermann & Bruss, NJP 12, 123004 (2010)).
+
+    A separable rho is its own sigma*. Otherwise each member z_j of the
+    Wootters decomposition is replaced by its top Schmidt pair u_j (x) v_j:
+    sigma* = sum_j |z_j|^2 |u_j v_j><u_j v_j| mixes product states, so it is
+    separable, and the strong concavity of the root fidelity gives
+    sqrt(F(rho, sigma*)) >= sqrt((1 + sqrt(1 - C^2))/2), the largest
+    fidelity any separable state reaches (Wei & Goldbart, PRA 68, 042307
+    (2003)). e_value is taken at the sigma* returned, as the search's is.
+    """
+    m = as_matrix(rho)
+    sqrt_rho = psd_sqrt(m)
+    z, _ = wootters_decomposition(sqrt_rho)
+    if z is None:
+        sigma = m
+    else:
+        u, _, vh = np.linalg.svd(z.T.reshape(4, 2, 2))
+        phi = (u[:, :, 0, None] * vh[:, None, 0, :]).reshape(4, 4)  # row j: u_j (x) v_j
+        sigma = (phi.T * (z.conj() * z).real.sum(axis=0)) @ phi.conj()
+        sigma = (sigma + sigma.conj().T) / 2.0
+    e_value = 1.0 - kernels.sqrt_fidelity(sqrt_rho, sigma)
+    return CssResult(sigma_star=validate(sigma), e_value=min(1.0, max(0.0, e_value)),
+                     iterations=0, converged=True,
+                     pt_min_eig=float(kernels.pt_min_eig(sigma)), nfev=0)
 
 
 def mixed_ref_fidelity(abs_a: float, ntilde: float, phase: float = 0.0) -> float:

@@ -468,9 +468,18 @@ class TestMainOracleCheck:
         captured = capsys.readouterr()
         assert f"{field} must be finite" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("ratios", ["-1,-1,0", "1,0,1", "1,1,-0.5"])
+    def test_non_positive_omega_ratio_exits_one(self, capsys, ratios):
+        rc = cli.main(["oracle-check", f"--omega-ratios={ratios}", "--t-steps", "3"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "omega_ratios must be positive" in captured.err and captured.out == ""
 
-def test_sweep_and_oracle_import_no_scipy(tmp_path):
-    # scipy.optimize dominates the import time; only the general search needs it
+
+def test_cli_commands_import_no_scipy(tmp_path):
+    # scipy.optimize dominates the import time; only the general search,
+    # which no command runs, needs it
+    save_state(initial_pure(FamilyParams(0.3)), tmp_path / "state.json")
     code = ("import sys\n"
             "from qdephase import cli\n"
             "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
@@ -478,6 +487,7 @@ def test_sweep_and_oracle_import_no_scipy(tmp_path):
             "assert cli.main(['sweep', '--out', sys.argv[1]]) == 0\n"
             "assert cli.main(['sweep', '--include-css', '--out', sys.argv[1]]) == 0\n"
             "assert cli.main(['oracle-check', '--t-steps', '3']) == 0\n"
+            "assert cli.main(['css', 'state.json']) == 0\n"
             "assert loaded() == [], loaded()\n")
     src = str(Path(cli.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "s.csv")],
@@ -490,36 +500,61 @@ class TestMainCss:
     def test_bell_state_file(self, tmp_path, capsys):
         path = tmp_path / "bell.json"
         save_state(initial_pure(FamilyParams(0.5)), path)
-        rc = cli.main(["css", str(path), "--opt-restarts", "4"])
+        rc = cli.main(["css", str(path)])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["e_value"] == pytest.approx(1 - math.sqrt(0.5), abs=1e-4)
         assert report["pt_min_eig"] >= -1e-7
         assert report["feasible"]
         assert report["converged"]
-        assert report["nfev"] > 0
-
-    def test_unconverged_exits_two(self, tmp_path, capsys):
-        # one iteration per minimizer run leaves the Bell solve feasible but
-        # far from its optimum
-        path = tmp_path / "bell.json"
-        save_state(initial_pure(FamilyParams(0.5)), path)
-        rc = cli.main(["css", str(path), "--opt-max-iters", "1"])
-        assert rc == 2
-        report = json.loads(capsys.readouterr().out)
-        assert report["feasible"]
-        assert not report["converged"]
+        assert report["nfev"] == 0
+        # the formula, not sigma*, loses accuracy as C -> 1
+        assert abs(report["closed_gap"]) <= 1e-8
+        assert report["closed_gap"] == report["e_value"] - report["e_closed"]
 
     def test_maximally_mixed_file(self, tmp_path, capsys):
         path = tmp_path / "mm.json"
         blob = {"dim": 4, "re": (np.eye(4) / 4).tolist(),
                 "im": np.zeros((4, 4)).tolist()}
         path.write_text(json.dumps(blob))
-        rc = cli.main(["css", str(path), "--opt-restarts", "2",
-                       "--opt-max-iters", "500"])
+        rc = cli.main(["css", str(path)])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["e_value"] <= 1e-6
+        assert report["nfev"] == 0
+
+    def test_report_keys_and_closed_gap(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        rho = 0.8 * np.outer(psi, psi.conj()) / np.vdot(psi, psi).real + 0.05 * np.eye(4)
+        path = tmp_path / "state.json"
+        save_state(rho, path)
+        out = tmp_path / "report.json"
+        assert cli.main(["css", str(path), "--out", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert json.loads(out.read_text()) == report
+        assert list(report) == ["e_value", "e_closed", "closed_gap", "pt_min_eig",
+                                "iterations", "nfev", "converged", "feasible",
+                                "sigma_star"]
+        assert 0.0 < report["e_value"] and abs(report["closed_gap"]) <= 1e-13
+
+    def test_runs_no_search(self, tmp_path, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("css ran the minimizer")
+
+        monkeypatch.setattr(refsearch, "minimize", no_search)
+        path = tmp_path / "bell.json"
+        save_state(initial_pure(FamilyParams(0.5)), path)
+        assert cli.main(["css", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["iterations"] == 0
+
+    def test_has_no_optimizer_flags(self, tmp_path, capsys):
+        path = tmp_path / "bell.json"
+        save_state(initial_pure(FamilyParams(0.5)), path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["css", str(path), "--opt-restarts", "4"])
+        assert exc.value.code == 2
+        assert "--opt-restarts" in capsys.readouterr().err
 
     def test_invalid_state_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

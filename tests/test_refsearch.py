@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdephase import measures, refsearch
+from qdephase import kernels, measures, refsearch
 from qdephase.cli import FIG_EPSILONS, build_record
 from qdephase.channel import ChannelParams, decoherence_factor
+from qdephase.matcore import psd_sqrt
 from qdephase.measures import MeasureRecord
 from qdephase.refsearch import OptimizerConfig, closest_separable_bures
 from qdephase.states import (
@@ -377,7 +378,6 @@ class TestClosestSeparable:
         rng = np.random.default_rng(41)
         best = np.inf
         sqrt_rho = BELL.matrix  # pure: sqrt(rho) = rho
-        from qdephase import kernels
         for _ in range(3000):
             g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             s = g @ g.conj().T
@@ -437,6 +437,13 @@ class TestClosestSeparable:
         assert 0.0 < res.e_value <= bound + 1e-8
         # evaluations, not seconds: the same count on every machine
         assert res.nfev < 10_000
+
+    def test_unconverged_one_iteration_bell(self):
+        # one iteration per minimizer run leaves the Bell solve feasible but
+        # far from its optimum
+        res = closest_separable_bures(BELL, OptimizerConfig(max_iters=1))
+        assert res.pt_min_eig >= refsearch.PT_FEASIBILITY
+        assert not res.converged
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -543,3 +550,102 @@ class TestGeneralSolverAgainstConcurrence:
         rng = np.random.default_rng(seed)
         _assert_solver_matches_concurrence(
             q * _random_pure(rng) + (1.0 - q) * _random_pure(rng))
+
+
+def werner(p):
+    return p * BELL.matrix + (1.0 - p) * np.eye(4) / 4.0
+
+
+def _random_full_rank(rng, p):
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    noise = g @ g.conj().T
+    return p * _random_pure(rng) + (1.0 - p) * noise / noise.trace().real
+
+
+def _assert_css_closed(rho):
+    """css_closed's sigma* and value, checked against the decomposition it
+    is built from, the fidelity and the concurrence formula."""
+    rho = validate((rho + rho.conj().T) / 2.0).matrix
+    res = refsearch.css_closed(rho)
+    z, c = refsearch.wootters_decomposition(psd_sqrt(rho))
+    c_spectral = measures.concurrence_wootters(rho)
+    if z is None:  # separable: sigma* = rho
+        assert c == 0.0
+        assert np.array_equal(res.sigma_star.matrix, rho)
+    else:
+        assert abs(c - c_spectral) <= 1e-12
+        assert np.abs(z @ z.conj().T - rho).max() <= 1e-12
+        weight = (z.conj() * z).real.sum(axis=0)
+        overlap = np.abs(np.einsum("ij,ik,kj->j", z, measures._SY2, z))
+        member = weight > 1e-12  # a rank-deficient rho leaves members of weight ~0
+        assert np.abs(overlap[member] / weight[member] - c).max() <= 1e-10
+    validate(res.sigma_star.matrix)
+    assert res.pt_min_eig >= -1e-12
+    assert res.pt_min_eig == kernels.pt_min_eig(res.sigma_star.matrix)
+    fid = measures.uhlmann_fidelity(rho, res.sigma_star)
+    assert abs(1.0 - math.sqrt(fid) - res.e_value) <= 1e-12
+    if c_spectral <= 0.999:
+        assert abs(res.e_value - css_from_concurrence(c_spectral)) <= 1e-12
+    assert (res.iterations, res.nfev, res.converged) == (0, 0, True)
+    return res
+
+
+class TestCssClosed:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=SEEDS, p=st.floats(0.1, 0.9))
+    def test_full_rank(self, seed, p):
+        _assert_css_closed(_random_full_rank(np.random.default_rng(seed), p))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=SEEDS, q=st.floats(0.1, 0.9))
+    def test_rank_two(self, seed, q):
+        rng = np.random.default_rng(seed)
+        _assert_css_closed(q * _random_pure(rng) + (1.0 - q) * _random_pure(rng))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=SEEDS)
+    def test_pure(self, seed):
+        _assert_css_closed(_random_pure(np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("p", [1.0 / 3.0, 0.5, 0.9, 1.0])
+    def test_werner(self, p):
+        # l2 = l3 = l4: a degenerate Takagi spectrum
+        _assert_css_closed(werner(p))
+
+    @pytest.mark.parametrize("p", [0.3, 0.6, 0.9])
+    def test_rank_two_with_rank_one_spin_flip(self, p):
+        # p Bell + (1 - p)|01><01| under a local unitary: tau has rank 1, so
+        # three Takagi values repeat at 0 and only the QR completion keeps Q
+        # unitary
+        e01 = np.zeros((4, 4), dtype=complex)
+        e01[1, 1] = 1.0
+        rng = np.random.default_rng(7)
+        local = np.kron(*(np.linalg.qr(rng.standard_normal((2, 2))
+                                       + 1j * rng.standard_normal((2, 2)))[0]
+                          for _ in range(2)))
+        rho = local @ (p * BELL.matrix + (1.0 - p) * e01) @ local.conj().T
+        res = _assert_css_closed(rho)
+        assert abs(res.e_value - css_from_concurrence(p)) <= 1e-12
+
+    @pytest.mark.parametrize("rho", [np.diag([0.4, 0.1, 0.2, 0.3]), np.eye(4) / 4.0],
+                             ids=["diagonal", "maximally_mixed"])
+    def test_separable_is_its_own_css(self, rho):
+        res = _assert_css_closed(rho.astype(complex))
+        assert res.e_value == 0.0
+
+    def test_bell(self):
+        res = _assert_css_closed(BELL.matrix)
+        assert abs(res.e_value - BELL_CSS) <= 1e-15
+
+    @pytest.mark.parametrize("eps", FIG_EPSILONS)
+    def test_matches_css_family(self, eps):
+        for t in np.linspace(0.0, FIG_CHANNEL.period, 11):
+            dec = decoherence_factor(FIG_CHANNEL, float(t))
+            closed = refsearch.css_closed(family_state(eps, dec.a))
+            assert abs(closed.e_value - refsearch.css_family(eps, dec.gamma).e_value) <= 1e-14
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_general_solver_never_beats_it(self, k):
+        rho = entangled_non_x_state(k)
+        closed = _assert_css_closed(rho)
+        assert closest_separable_bures(rho).e_value >= closed.e_value - 1e-9
