@@ -254,10 +254,46 @@ def _invariant_checks(table):
     for name in RECORD_DTYPE.names:
         if name != "er_exact":
             yield name, "is not finite", ~np.isfinite(table[name])
+    in_range = {}
     for name in UNIT_RANGED:
         v = table[name]
-        yield name, "outside [0, 1]", ~((-RANGE_SLACK <= v) & (v <= 1.0 + RANGE_SLACK))
+        in_range[name] = (-RANGE_SLACK <= v) & (v <= 1.0 + RANGE_SLACK)
+        yield name, "outside [0, 1]", ~in_range[name]
     yield "er_exact", "negative", table["er_exact"] < 0
+    yield "er_exact", "is nan", np.isnan(table["er_exact"])
+    yield from _cross_route_checks(table, in_range)
+
+
+def _cross_route_checks(table, in_range):
+    # identities between independent routes, and bounds every family state
+    # obeys, at RANGE_SLACK. A check reads a row only where its fields pass
+    # their own checks above (a row that fails one is reported there), and 0
+    # stands in elsewhere, so no inf - inf or overflow is ever taken.
+    def usable(*names):
+        ok = np.logical_and.reduce([in_range[n] for n in names])
+        return [ok] + [np.where(ok, table[n], 0.0) for n in names]
+
+    def apart(x, y):
+        return (x > y + RANGE_SLACK) | (y > x + RANGE_SLACK)
+
+    ok, f, lin = usable("fidelity_pure", "er_lin")  # eigensolve vs trace
+    yield "fidelity_pure", "differs from 1 - er_lin", ok & apart(f, 1.0 - lin)
+    ok, neg, c = usable("negativity", "concurrence_wootters")  # PT spectrum vs SVD
+    yield "negativity", "differs from concurrence_wootters", ok & apart(neg, c)
+    eps, abs_a = table["epsilon"], table["abs_a"]
+    ok, c = usable("concurrence_wootters")  # on the family's domain only
+    ok &= (0.0 <= eps) & (eps <= 1.0) & (0.0 <= abs_a) & (abs_a <= 1.0)
+    closed = negativity_closed(np.where(ok, eps, 0.5), np.where(ok, abs_a, 0.0))
+    yield ("concurrence_wootters", "differs from 2 eps (1-eps) |a| / n",
+           ok & apart(c, closed))
+    ok, c, d12 = usable("concurrence_wootters", "delta12")
+    yield ("concurrence_wootters", "breaks C^2 + (3/2) delta12 <= 1",
+           ok & (c * c + 1.5 * d12 > 1.0 + RANGE_SLACK))
+    ok, e, c = usable("eof", "concurrence_wootters")
+    yield "eof", "exceeds concurrence_wootters", ok & (e > c + RANGE_SLACK)
+    # er_exact may be +inf: only RANGE_SLACK is added to it
+    ok, lin = usable("er_lin")
+    yield "er_lin", "exceeds er_exact", ok & (lin > table["er_exact"] + RANGE_SLACK)
 
 
 def violation_mask(table) -> np.ndarray:

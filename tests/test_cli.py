@@ -184,6 +184,24 @@ class TestSweepBlocks:
         assert not out.exists()
 
 
+    def test_broken_route_exits_two_naming_its_row(self, tmp_path, monkeypatch, capsys):
+        stacked = measures.stacked_measures
+
+        def drifted(rho, sigma_p):
+            cols = stacked(rho, sigma_p)
+            cols["fidelity_pure"][2] *= 1.0 - 1e-9  # still inside [0, 1]
+            return cols
+
+        monkeypatch.setattr(measures, "stacked_measures", drifted)
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--epsilon-list", "0.3", "--t-steps", "4",
+                         "--out", str(out)]) == 2
+        t = float(np.linspace(0.0, 2.0 * math.pi, 4)[2])
+        err = capsys.readouterr().err
+        assert f"at eps=0.3, t={t}: ['fidelity_pure differs from 1 - er_lin: " in err
+        assert not out.exists()
+
+
 class TestRecordFormatting:
     def test_infinite_relative_entropy_prints_inf(self):
         row = (0.6666666666666666,) * 14 + (math.inf,)

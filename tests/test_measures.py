@@ -384,6 +384,11 @@ def test_exact_relative_entropy_rejects_an_indefinite_state():
 
 
 FIELDS = [f.name for f in fields(measures.MeasureRecord)]
+# a row that passes every check, the cross-route ones included: N = C =
+# 2 eps (1-eps) |a| / n = 0.3, fidelity_pure = 1 - er_lin, eof <= C,
+# er_lin <= er_exact (at equality) and C^2 + (3/2) delta12 = 0.465
+CONSISTENT_ROW = {**{name: 0.25 for name in FIELDS}, "abs_a": 0.5, "negativity": 0.3,
+                  "concurrence_wootters": 0.3, "fidelity_pure": 0.75}
 BAD_VALUES = (math.nan, math.inf, -math.inf, -2e-12, 1.0 + 2e-12, -0.5, 1.5,
               -1e-12, 1.0 + 1e-12, -0.0, 7.0)
 
@@ -394,8 +399,34 @@ BAD_VALUES = (math.nan, math.inf, -math.inf, -2e-12, 1.0 + 2e-12, -0.5, 1.5,
                                 max_size=3),
                 min_size=1, max_size=6))
 def test_violation_mask_matches_records(overrides):
-    base = {name: 0.25 for name in FIELDS}
+    base = CONSISTENT_ROW
     rows = [measures.MeasureRecord(**{**base, **o}) for o in overrides]
     columns = {name: np.array([getattr(r, name) for r in rows]) for name in FIELDS}
     mask = measures.violation_mask(columns)
     assert mask.tolist() == [bool(r.violations()) for r in rows]
+
+
+@pytest.mark.parametrize("field, edge, sign, diagnostic", [
+    ("fidelity_pure", 0.75, 1, "fidelity_pure differs from 1 - er_lin"),
+    ("negativity", 0.3, 1, "negativity differs from concurrence_wootters"),
+    ("abs_a", 0.5, 1, "concurrence_wootters differs from 2 eps (1-eps) |a| / n"),
+    ("delta12", (1.0 - 0.3 * 0.3) / 1.5, 1,
+     "concurrence_wootters breaks C^2 + (3/2) delta12 <= 1"),
+    ("eof", 0.3, 1, "eof exceeds concurrence_wootters"),
+    ("er_exact", 0.25, -1, "er_lin exceeds er_exact"),
+])
+def test_cross_route_checks_name_the_broken_route(field, edge, sign, diagnostic):
+    # edge puts the row on the identity or bound; past it by RANGE_SLACK / 2
+    # nothing is reported, by 10 RANGE_SLACK the one check is
+    def violations(value):
+        return measures.MeasureRecord(**{**CONSISTENT_ROW, field: value}).violations()
+
+    assert violations(edge) == []
+    assert violations(edge + sign * 0.4e-12) == []
+    broken = violations(edge + sign * 1e-11)
+    assert len(broken) == 1 and broken[0].startswith(diagnostic + ": "), broken
+
+
+def test_nan_er_exact_is_a_violation():
+    rec = measures.MeasureRecord(**{**CONSISTENT_ROW, "er_exact": math.nan})
+    assert rec.violations() == ["er_exact is nan: nan"]
