@@ -315,8 +315,18 @@ def _add_channel_flags(p):
     p.add_argument("--ntilde", type=float, help="effective reservoir excitation")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 1, the validation-failure code
+    (argparse's own 2 is the numerical-failure code here); subparsers are
+    built with the parser's class, so they inherit this."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qdephase",
         description="Entanglement versus mixedness for two coupled qubits "
                     "under a phase-damping channel.")
@@ -324,7 +334,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="emit measure records over an (epsilon, t) grid")
     sw.add_argument("--config", help="INI-style config file")
-    sw.add_argument("--epsilon-list", help="comma-separated epsilon values")
+    sw.add_argument("--epsilon-list", help="comma-separated epsilon values; a "
+                                           "list that starts with '-' needs the "
+                                           "--epsilon-list=-0,0.5 form")
     sw.add_argument("--t-max", type=float, help="end of the time grid (s)")
     sw.add_argument("--t-steps", type=int, help="number of grid points")
     sw.add_argument("--include-css", action="store_true", default=None,
@@ -339,8 +351,11 @@ def _build_parser() -> argparse.ArgumentParser:
     oc.add_argument("--modes", type=int, help="reservoir mode count")
     oc.add_argument("--alphas", help="comma-separated coherent amplitudes "
                                      "(complex literals); default splits "
-                                     "ntilde evenly")
-    oc.add_argument("--omega-ratios", help="comma-separated frequency ratios")
+                                     "ntilde evenly; a list that starts with "
+                                     "'-' needs the --alphas=-1j,1 form")
+    oc.add_argument("--omega-ratios", help="comma-separated frequency ratios; "
+                                           "a list that starts with '-' needs "
+                                           "the --omega-ratios=-1,1,1 form")
     oc.add_argument("--mu-cross", type=float, help="reservoir cross-Kerr (rad/s)")
     oc.add_argument("--mu12", type=float, help="qubit-qubit coupling (rad/s)")
     oc.add_argument("--cutoff-tail", type=float, help="truncation tail bound")

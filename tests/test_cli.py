@@ -571,7 +571,7 @@ class TestMainCss:
         save_state(initial_pure(FamilyParams(0.5)), path)
         with pytest.raises(SystemExit) as exc:
             cli.main(["css", str(path), "--opt-restarts", "4"])
-        assert exc.value.code == 2
+        assert exc.value.code == 1  # a usage error, not a numerical failure
         assert "--opt-restarts" in capsys.readouterr().err
 
     def test_invalid_state_exits_one(self, tmp_path, capsys):
@@ -625,3 +625,47 @@ class TestSweepInputs:
         assert rc == 1
         assert shown in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, shown", [
+        (["sweep", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+        (["sweep", "--t-steps", "x"], "invalid int value: 'x'"),
+        (["css"], "the following arguments are required: state"),
+        (["css", "s.json", "--opt-restarts", "4"], "unrecognized arguments"),
+        (["sweep", "--epsilon-list", "-0,0.5"], "--epsilon-list: expected one argument"),
+        (["oracle-check", "--omega-ratios", "-1,1,1"], "expected one argument"),
+        ([], "the following arguments are required: command"),
+        (["bogus"], "invalid choice: 'bogus'")])
+    def test_usage_error_exits_one(self, tmp_path, capsys, monkeypatch, argv, shown):
+        # exit 2 is the numerical-failure code; a bad command line is a
+        # validation failure
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qdephase") and shown in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["css", "--help"])
+        assert info.value.code == 0
+
+    def test_list_starting_with_minus_takes_the_equals_form(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--epsilon-list=-0,0.5", "--t-steps", "5",
+                         "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == 10
+
+    @pytest.mark.parametrize("command, flag", [("sweep", "--epsilon-list"),
+                                               ("oracle-check", "--alphas"),
+                                               ("oracle-check", "--omega-ratios")])
+    def test_list_flag_help_gives_the_equals_form(self, capsys, monkeypatch,
+                                                  command, flag):
+        monkeypatch.setenv("COLUMNS", "200")  # no line break inside the flag
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"{flag}=-" in help_text
