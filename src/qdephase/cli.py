@@ -9,10 +9,14 @@ sweep walks the (epsilon, t) grid in blocks of at most BLOCK_STATES states
 (sweep_blocks), each measured in one stacked spectral pass, with the closed
 forms taken on the block's columns. The blocks are checked for the record
 invariants and joined into one table (a structured array of MeasureRecord's
-fields) that the CSV rows and ordering_check read. build_record computes
-the same record for one point, with the single-state spectral measures and
-the same closed-form functions; it is the reference the blocks are tested
-against, to the byte of the CSV.
+fields) before the output file is opened, so a failing check writes
+nothing. The CSV is then formatted and written one slice of BLOCK_STATES
+table rows at a time (with --include-css, each slice's closed-form CSS
+columns too), so the text in memory does not grow with the grid;
+ordering_check reads the table. build_record computes the same record for
+one point, with the single-state spectral measures and the same
+closed-form functions; it is the reference the blocks are tested against,
+to the byte of the CSV.
 
 css builds the closest separable state of a stored state in closed form
 (refsearch.css_closed) and runs no search.
@@ -31,10 +35,10 @@ import numpy as np
 from . import kernels, measures, oracle, refsearch
 from .channel import ChannelParams, decoherence_factor
 from .errors import QDephaseError
+from .matcore import psd_root
 from .measures import MeasureRecord
 from .states import (FamilyParams, family_stack, family_state, initial_pure,
-                     initial_pure_stack, load_state, maximally_mixed,
-                     state_to_json)
+                     initial_pure_stack, load_state, state_to_json)
 
 FIG_EPSILONS = (0.5, 0.42, 0.37, 0.32, 0.26, 0.19, 0.12, 0.05)
 
@@ -46,7 +50,9 @@ CSS_COLUMNS = ",css_e_value,css_pt_min_eig"
 ROW_FORMAT = ",".join(["%.12g"] * len(measures.RECORD_DTYPE.names))
 CSS_ROW_FORMAT = ",%.12g,%.12g"
 
-BLOCK_STATES = 512  # states per stacked pass; bounds the stacks' memory
+# states per stacked pass and table rows per CSV slice; bounds the memory
+# the stacks and the formatted text take
+BLOCK_STATES = 512
 
 ORACLE_DIFF_BUDGET = 1e-8  # closed-form mismatch allowed on top of the tail
 
@@ -103,7 +109,7 @@ def build_record(epsilon: float, c: ChannelParams, t: float) -> MeasureRecord:
         concurrence_wootters=concurrence,
         fidelity_pure=measures.uhlmann_fidelity(rho, sigma_p),
         e_pure=1.0 - er_lin,
-        e_maxmixed=1.0 - np.sqrt(measures.uhlmann_fidelity(rho, maximally_mixed())),
+        e_maxmixed=1.0 - np.sqrt(measures.maxmixed_fidelity(psd_root(rho)[1])),
         er_exact=er_exact,
         er_lin=er_lin,
         **_closed_forms(epsilon, c, t, dec.a, dec.gamma, concurrence),
@@ -161,17 +167,12 @@ def run_sweep(cfg: SweepConfig) -> dict:
                 f"t={float(row['t'])}: {measures.violations_at(block, bad[0])}")
         blocks.append(block)
     table = np.concatenate(blocks)
+    del blocks  # the table holds the rows now
 
-    columns = [table[name] for name in measures.RECORD_DTYPE.names]
-    header, row_format = CSV_COLUMNS, ROW_FORMAT
-    if cfg.include_css:
-        # e_value and pt_min_eig; sigma* is not written
-        columns += refsearch.css_family_columns(table["epsilon"], table["gamma"])[1:]
-        header, row_format = header + CSS_COLUMNS, row_format + CSS_ROW_FORMAT
-    lines = [header] + [row_format % tuple(row)
-                        for row in np.column_stack(columns).tolist()]
     with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CSV_COLUMNS + (CSS_COLUMNS if cfg.include_css else "") + "\n")
+        for lo in range(0, len(table), BLOCK_STATES):
+            fh.write(_csv_rows(table[lo:lo + BLOCK_STATES], cfg.include_css))
 
     report = refsearch.ordering_check(table)
     return {
@@ -181,6 +182,18 @@ def run_sweep(cfg: SweepConfig) -> dict:
         "max_delta12": report.max_delta12,
         "ordering": report.as_dict(),
     }
+
+
+def _csv_rows(part, include_css: bool) -> str:
+    """The CSV lines of a slice of the sweep table, each ending in a newline."""
+    columns = [part[name] for name in measures.RECORD_DTYPE.names]
+    row_format = ROW_FORMAT
+    if include_css:
+        # e_value and pt_min_eig; sigma* is not written
+        columns += refsearch.css_family_columns(part["epsilon"], part["gamma"])[1:]
+        row_format += CSS_ROW_FORMAT
+    row_format += "\n"
+    return "".join([row_format % tuple(row) for row in np.column_stack(columns).tolist()])
 
 
 def run_oracle_check(r: oracle.ReservoirConfig, c: ChannelParams,

@@ -21,7 +21,6 @@ import numpy as np
 from . import kernels
 from .errors import InvalidState, SupportMismatch
 from .matcore import DEFAULT_TOL, as_matrix, partial_transpose, psd_root, psd_sqrt
-from .states import maximally_mixed
 
 # weight a pure reference may carry outside the state's support before the
 # relative entropy is reported as infinite
@@ -135,6 +134,17 @@ def _fidelity(s, sigma):
     # the Uhlmann fidelity from the state's PSD square root s
     val = kernels.sqrt_fidelity(s, sigma)
     return _min1(val * val)
+
+
+def maxmixed_fidelity(w):
+    """F(rho, I/4) = (Tr sqrt(rho))^2 / 4 from rho's ascending spectrum w,
+    under the noise floor the PSD root uses; (N,) for an (N, 4) stack.
+
+    sqrt(rho) (I/4) sqrt(rho) = rho/4, so the fidelity needs no eigensolve
+    beyond rho's own (Jozsa, J. Mod. Opt. 41, 2315 (1994)).
+    """
+    root = np.sqrt(kernels._clip_spectrum(w)).sum(axis=-1) / 2.0
+    return _min1(root * root)
 
 
 def bures_distance(rho, sigma) -> float:
@@ -319,11 +329,12 @@ def stacked_measures(rho, sigma_p) -> dict:
 
     Each column is its single-state function, or that function's helper, on
     the whole stack, so each value equals the per-state call bit for bit.
-    One checked root (psd_root) gives each state one eigendecomposition,
-    shared by the concurrence, both fidelities and the exact relative
-    entropy (inf for a reference outside the support). The first state of
-    rho that is not Hermitian or not PSD raises, and otherwise the first
-    impure reference in sigma_p, whatever their positions.
+    One checked root (psd_root) gives each state one eigendecomposition:
+    its root feeds the concurrence and the fidelity to sigma_p, its spectrum
+    the fidelity to I/4, and its eigenpairs the exact relative entropy (inf
+    for a reference outside the support). The first state of rho that is
+    not Hermitian or not PSD raises, and otherwise the first impure
+    reference in sigma_p, whatever their positions.
     """
     s, w, v = psd_root(rho)  # before any purity check
     outside, er = _support_entropy(w, v, sigma_p, DEFAULT_TOL)
@@ -332,7 +343,7 @@ def stacked_measures(rho, sigma_p) -> dict:
         "negativity": negativity(rho),
         "concurrence_wootters": _concurrence(s),
         "fidelity_pure": _fidelity(s, sigma_p),
-        "e_maxmixed": 1.0 - np.sqrt(_fidelity(s, maximally_mixed().matrix)),
+        "e_maxmixed": 1.0 - np.sqrt(maxmixed_fidelity(w)),
         "er_exact": np.where(outside >= SUPPORT_WEIGHT_TOL, math.inf, _max0(er)),
         "er_lin": relative_entropy_linearized(rho, sigma_p),
     }

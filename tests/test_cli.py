@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -110,6 +111,21 @@ def assert_columns_match(got, expect):
         assert np.abs(g[finite] - e[finite]).max(initial=0.0) <= 1e-14, name
 
 
+def per_point_csv(cfg):
+    """The CSV run_sweep should write, row by row from build_record (and
+    css_family with --include-css)."""
+    lines = [cli.CSV_COLUMNS + (cli.CSS_COLUMNS if cfg.include_css else "")]
+    for eps in sorted(cfg.epsilon_list):
+        for t in np.linspace(0.0, cfg.t_max, cfg.t_steps):
+            rec = build_record(eps, cfg.channel, float(t))
+            line = cli.ROW_FORMAT % astuple(rec)
+            if cfg.include_css:
+                res = refsearch.css_family(eps, rec.gamma)
+                line += cli.CSS_ROW_FORMAT % (res.e_value, res.pt_min_eig)
+            lines.append(line)
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestSweepBlocks:
     @settings(max_examples=30, deadline=None)
     @given(epsilons=st.lists(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0),
@@ -141,11 +157,7 @@ class TestSweepBlocks:
         out = tmp_path / "s.csv"
         cfg = SweepConfig(t_steps=t_steps, out_path=str(out))
         run_sweep(cfg)
-        lines = [cli.CSV_COLUMNS] + [
-            cli.ROW_FORMAT % astuple(build_record(eps, cfg.channel, float(t)))
-            for eps in sorted(cfg.epsilon_list)
-            for t in np.linspace(0.0, cfg.t_max, t_steps)]
-        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert out.read_bytes() == per_point_csv(cfg)
 
     def test_run_sweep_builds_no_per_point_records(self, tmp_path, monkeypatch, capsys):
         def per_point(*args, **kwargs):
@@ -200,6 +212,65 @@ class TestSweepBlocks:
         err = capsys.readouterr().err
         assert f"at eps=0.3, t={t}: ['fidelity_pure differs from 1 - er_lin: " in err
         assert not out.exists()
+
+
+class TestSliceWriter:
+    """run_sweep writes the CSV in slices of BLOCK_STATES table rows."""
+
+    @pytest.mark.parametrize("block", [2, 3, 4, 5])
+    @pytest.mark.parametrize("include_css", [False, True])
+    def test_slices_straddling_epsilon_runs_match_per_point_rows(
+            self, tmp_path, block, include_css):
+        # 7 t-points per epsilon: every block size leaves slices that hold
+        # the end of one epsilon's run and the start of the next
+        out = tmp_path / "s.csv"
+        cfg = SweepConfig(epsilon_list=(0.5, 0.26, 0.05), t_steps=7,
+                          include_css=include_css, out_path=str(out))
+        with mock.patch.object(cli, "BLOCK_STATES", block):
+            assert run_sweep(cfg)["rows"] == 21
+        assert out.read_bytes() == per_point_csv(cfg)
+
+    @pytest.mark.parametrize("existing", [None, b"an earlier run\n"])
+    def test_bad_row_in_the_third_block_writes_nothing(self, tmp_path, monkeypatch,
+                                                        existing):
+        stacked = measures.stacked_measures
+        seen = []
+
+        def third_corrupted(rho, sigma_p):
+            cols = stacked(rho, sigma_p)
+            seen.append(len(cols["negativity"]))
+            if len(seen) == 3:
+                cols["negativity"][0] = math.nan
+            return cols
+
+        monkeypatch.setattr(measures, "stacked_measures", third_corrupted)
+        monkeypatch.setattr(cli, "BLOCK_STATES", 3)
+        out = tmp_path / "s.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        with pytest.raises(ArithmeticError, match="negativity is not finite"):
+            run_sweep(small_config(out, t_steps=7, include_css=True))
+        assert seen == [3, 3, 1]  # eps 0.25: t[0:3], t[3:6], then t[6]
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == existing
+
+    @pytest.mark.parametrize("flags", [{}, {"include_css": True}])
+    def test_peak_memory_per_row_is_bounded(self, tmp_path, flags):
+        # the table and the ordering check grow with the grid; the formatted
+        # CSV text takes one slice at a time
+        def peak(t_steps):
+            cfg = SweepConfig(t_steps=t_steps, out_path=str(tmp_path / "s.csv"), **flags)
+            tracemalloc.start()
+            try:
+                run_sweep(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(1001), peak(4001)
+        assert (large - small) / (8 * 3000) <= 512
 
 
 class TestRecordFormatting:
@@ -648,11 +719,6 @@ class TestUsageErrors:
         assert err.startswith("usage: qdephase") and shown in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_help_still_exits_zero(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            cli.main(["css", "--help"])
-        assert info.value.code == 0
-
     def test_list_starting_with_minus_takes_the_equals_form(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         assert cli.main(["sweep", "--epsilon-list=-0,0.5", "--t-steps", "5",
@@ -665,7 +731,8 @@ class TestUsageErrors:
     def test_list_flag_help_gives_the_equals_form(self, capsys, monkeypatch,
                                                   command, flag):
         monkeypatch.setenv("COLUMNS", "200")  # no line break inside the flag
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as info:
             cli.main([command, "--help"])
+        assert info.value.code == 0
         help_text = " ".join(capsys.readouterr().out.split())
         assert f"{flag}=-" in help_text

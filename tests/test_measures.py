@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdephase import matcore, measures
+from qdephase import kernels, matcore, measures
 from qdephase.errors import InvalidState, NotHermitian, NotPSD, SupportMismatch
 from qdephase.states import (
     FamilyParams,
@@ -269,7 +269,8 @@ def per_state_measures(rho, sigma_p):
         "negativity": measures.negativity(rho),
         "concurrence_wootters": measures.concurrence_wootters(rho),
         "fidelity_pure": measures.uhlmann_fidelity(rho, sigma_p),
-        "e_maxmixed": 1.0 - math.sqrt(measures.uhlmann_fidelity(rho, maximally_mixed())),
+        "e_maxmixed": 1.0 - math.sqrt(
+            measures.maxmixed_fidelity(matcore.psd_root(rho)[1])),
         "er_exact": er_exact,
         "er_lin": measures.relative_entropy_linearized(rho, sigma_p),
     }
@@ -346,6 +347,49 @@ class TestStackedMeasuresShareOneRoot:
             measures.relative_entropy_exact(sigma[0], rho[0])
         assert calls == [(4, 4)] * 3
 
+    def test_one_eigh_one_svd_two_eigvalsh_per_stack(self, monkeypatch):
+        # eigh: the checked root; svd: the concurrence; eigvalsh: the
+        # fidelity to the pure reference and the partial-transpose spectrum.
+        # The fidelity to I/4 reuses the root's spectrum.
+        rng = np.random.default_rng(44)
+        rho = np.array([random_state(rng, rank) for rank in (1, 2, 3, 4)])
+        sigma = np.array([random_pure(rng) for _ in rho])
+        calls = []
+        for name in ("eigh", "svd", "eigvalsh", "eig", "eigvals"):
+            def counting(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, args[0].shape))
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        measures.stacked_measures(rho, sigma)
+        assert sorted(calls) == [("eigh", (4, 4, 4)), ("eigvalsh", (4, 4, 4)),
+                                 ("eigvalsh", (4, 4, 4)), ("svd", (4, 4, 4))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_maxmixed_fidelity_matches_the_general_fidelity(seed, rank):
+    # (Tr sqrt(rho))^2 / 4 from rho's spectrum against the Uhlmann fidelity
+    # of sqrt(rho) (I/4) sqrt(rho), an eigensolve of its own. Each route's
+    # eigenvalues carry an absolute rounding of a few eps, which the square
+    # root turns into ~eps / sqrt(lambda): a state with an eigenvalue near
+    # 1e-6 (about 3 in 10^4 random rank-4 states) can differ by ~4e-14, and
+    # neither route is then the closer one to a 40-digit reference.
+    rho = random_state(np.random.default_rng(seed), rank)
+    w = matcore.psd_root(rho)[1]
+    smallest = w[w > kernels.NOISE_FLOOR_REL * w[-1]].min()
+    tol = 1e-14 + 4.0 * np.finfo(float).eps / math.sqrt(smallest)
+    spectral = measures.maxmixed_fidelity(w)
+    assert abs(spectral - measures.uhlmann_fidelity(rho, maximally_mixed())) <= tol
+
+
+def test_maxmixed_fidelity_known_values():
+    w = np.array([[0.0, 0.0, 0.0, 1.0], [0.25] * 4, [0.0, 0.0, 0.5, 0.5]])
+    # a pure state, I/4 and an equal mix of two orthogonal pure states
+    assert measures.maxmixed_fidelity(w) == pytest.approx([0.25, 1.0, 0.5], abs=1e-15)
+    assert measures.maxmixed_fidelity(w[1]) == 1.0
+    assert measures.maxmixed_fidelity(np.array([-1e-12, 0.0, 0.0, 1.0])) == 0.25
+
 
 # the stack-aware functions, each called as f(stack, *references)
 STACKED = {
@@ -356,6 +400,7 @@ STACKED = {
     "uhlmann_fidelity": lambda r, sp: measures.uhlmann_fidelity(r, sp),
     "fidelity_to_maximally_mixed":
         lambda r, sp: measures.uhlmann_fidelity(r, maximally_mixed()),
+    "maxmixed_fidelity": lambda r, sp: measures.maxmixed_fidelity(matcore.psd_root(r)[1]),
     "relative_entropy_linearized":
         lambda r, sp: measures.relative_entropy_linearized(r, sp),
     "_assert_pure": lambda r, sp: measures._assert_pure(sp),
