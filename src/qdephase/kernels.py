@@ -1,6 +1,6 @@
 """Hot numeric kernels: Hermitian eigendecomposition, PSD square root,
-fidelity trace, and the closest-separable-state objective with its analytic
-gradient.
+fidelity trace, and the closest-separable-state objective over mixtures of
+four product states, with its analytic gradient.
 
 Plain numpy, one implementation. Everything here is pure and deterministic
 for fixed inputs on one platform.
@@ -14,17 +14,6 @@ BACKEND = "python"
 # rank-deficient product carry O(eps) noise whose sqrt would pollute
 # fidelities at the 1e-8 level.
 NOISE_FLOOR_REL = 64.0 * np.finfo(float).eps
-
-# Packing of the 16 parameters into the lower-triangular factor L, row by
-# row: each strictly-lower entry takes two slots (real, imaginary), each
-# diagonal entry one (real). vec(L) = _PACK @ x, and a lower-triangular L,
-# or a gradient dL in L, maps back to the slots as Re(_PACK^H vec(dL)).
-_TRIL = np.tril_indices(4)
-_LOWER = np.tril_indices(4, -1)
-_PACK = np.zeros((16, 16), dtype=complex)
-_PACK[4 * _TRIL[0] + _TRIL[1], [0, 1, 3, 4, 6, 8, 9, 11, 13, 15]] = 1.0
-_PACK[4 * _LOWER[0] + _LOWER[1], [2, 5, 7, 10, 12, 14]] = 1j
-_UNPACK = _PACK.conj().T.copy()
 
 
 def _clip_spectrum(w):
@@ -88,65 +77,54 @@ def pt_min_eig(m):
     return np.linalg.eigvalsh(_partial_transpose(m))[..., 0][()]
 
 
-def _factor(x):
-    """L packed in the 16 reals x, and Tr LL† = sum |L_ij|^2 = x·x."""
-    x = np.asarray(x, dtype=float)
-    return (_PACK @ x).reshape(4, 4), float(x @ x)
-
-
-def params_from_factor(ell):
-    """The 16 reals that pack a lower-triangular factor with real diagonal."""
-    return (_UNPACK @ ell.ravel()).real
+def _product_columns(x):
+    """The four members packed in the 32 reals x, 8 per member (Re a, Im a,
+    Re b, Im b): a (4, 2) and b (4, 2), Z with column k = a_k (x) b_k, and
+    Tr ZZ† = sum_k |a_k|^2 |b_k|^2."""
+    p = np.asarray(x, dtype=float).reshape(4, 4, 2)
+    a, b = p[:, 0] + 1j * p[:, 1], p[:, 2] + 1j * p[:, 3]
+    z = (a[:, :, None] * b[:, None, :]).reshape(4, 4).T
+    return a, b, z, float(np.vdot(z, z).real)
 
 
 def sigma_from_params(x):
-    """Map 16 reals to a unit-trace PSD 4x4 matrix via sigma = LL†/Tr(LL†).
-
-    L is lower triangular: 4 real diagonal entries and 6 complex
-    strictly-lower entries, packed row by row.
-    """
-    ell, tr = _factor(x)
+    """Map 32 reals to a separable unit-trace 4x4 state sigma = ZZ†/Tr(ZZ†):
+    the mixture of the four product states a_k (x) b_k, with weights
+    |a_k|^2 |b_k|^2. None where every member vanishes."""
+    _, _, z, tr = _product_columns(x)
     if tr < 1e-120:
         return None
-    return (ell @ ell.conj().T) / tr
+    return (z @ z.conj().T) / tr
 
 
-def css_objective(x, sqrt_rho, penalty_weight):
-    """Penalized Bures objective and its gradient in the 16 parameters.
-
-    The value is 1 - sqrt(F) + w * sum(max(0, -pt_eigs)^2) at
-    sigma = sigma_from_params(x). Returns (value, gradient); parameters that
-    give L = 0 return (1e6, 0).
+def css_objective(x, sqrt_rho):
+    """Bures objective 1 - sqrt(F) at sigma = sigma_from_params(x), and its
+    gradient in the 32 parameters. Parameters that give Z = 0 return
+    (1e6, 0).
 
     The gradient is assembled as a Hermitian G with d(value) = Tr(G dsigma):
-    the fidelity term contributes -1/2 sqrt_rho M^(-1/2) sqrt_rho with
-    M = sqrt_rho sigma sqrt_rho, inverted on M's support under the same
-    noise floor as the value; each negative partial-transpose eigenvalue
-    lambda with eigenvector v adds 2 w lambda (v v†)^Γ. Through
-    sigma = LL†/tr the trace normalization projects G to
-    G' = (G - Tr(G sigma) I)/tr, and d(value)/dL = 2 G' L, read off as real
-    parts at the real slots and imaginary parts at the imaginary slots.
+    G = -1/2 sqrt_rho M^(-1/2) sqrt_rho with M = sqrt_rho sigma sqrt_rho,
+    inverted on M's support under the same noise floor as the value. Through
+    sigma = ZZ†/tr, d(value) = Re Tr(W† dZ) with W = 2 (G - Tr(G sigma) I) Z/tr.
+    With column k of W read as a 2x2 matrix W_k, the gradient in a_k is
+    W_k conj(b_k), and in b_k it is W_k^T conj(a_k), as real and imaginary
+    parts.
     """
-    ell, tr = _factor(x)
+    a, b, z, tr = _product_columns(x)
     if tr < 1e-120:
-        return 1e6, np.zeros(16)
-    sigma = (ell @ ell.conj().T) / tr
+        return 1e6, np.zeros(32)
+    sigma = (z @ z.conj().T) / tr
 
     m = sqrt_rho @ sigma @ sqrt_rho
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     root = np.sqrt(_clip_spectrum(w))
     inv_root = np.zeros(4)
     inv_root[root > 0.0] = 1.0 / root[root > 0.0]
-    b = sqrt_rho @ v
-    g = -0.5 * (b * inv_root) @ b.conj().T
-    value = 1.0 - float(root.sum())
+    u = sqrt_rho @ v
+    g = -0.5 * (u * inv_root) @ u.conj().T
 
-    lam, u = np.linalg.eigh(_partial_transpose(sigma))
-    if lam[0] < 0.0:
-        neg = lam < 0.0
-        lam, u = lam[neg], u[:, neg]
-        value += penalty_weight * float(lam @ lam)
-        g += _partial_transpose((u * (2.0 * penalty_weight * lam)) @ u.conj().T)
-
-    dl = (2.0 / tr) * (g @ ell - np.vdot(g, sigma).real * ell)
-    return value, (_UNPACK @ dl.ravel()).real
+    wk = ((2.0 / tr) * (g @ z - np.vdot(g, sigma).real * z)).T.reshape(4, 2, 2)
+    grad_a = np.einsum("kij,kj->ki", wk, b.conj())
+    grad_b = np.einsum("kij,ki->kj", wk, a.conj())
+    grad = np.stack([grad_a.real, grad_a.imag, grad_b.real, grad_b.imag], axis=1)
+    return 1.0 - float(root.sum()), grad.ravel()

@@ -1,5 +1,5 @@
 """Distance-based entanglement measures: closed-form reference evaluations
-and a numerical Bures-distance minimization over the separable (PPT) set.
+and a numerical Bures-distance minimization over the separable set.
 
 The closest separable state (CSS) of any two-qubit state is built in closed
 form (css_closed, which the css command runs) from Wootters' optimal
@@ -8,13 +8,12 @@ decomposition; on the dephasing family it is simpler still
 (closest_separable_bures) serves the library and the tests, where it is the
 independent check on both.
 
-PPT is exact for two qubits, so the search's feasible set is parametrized as
-sigma = LL†/Tr(LL†) (16 reals) with a smooth quadratic penalty on the
-negative part of the partial-transpose spectrum. The penalized objective
-comes with its analytic gradient (kernels.css_objective) and is minimized by
-L-BFGS-B from deterministic restarts. The best restarts are then polished up
-a warm-started ladder of ever stiffer penalties, so the returned state meets
-the feasibility gate without any repair step.
+A two-qubit state of zero concurrence is a mixture of at most four product
+states (Wootters, PRL 80, 2245 (1998)), so the search parametrizes the
+separable set exactly, with no constraint: sigma = ZZ†/Tr(ZZ†), column k of
+Z a product vector a_k (x) b_k (32 reals). The objective 1 - sqrt(F) comes
+with its analytic gradient (kernels.css_objective) and is minimized by
+L-BFGS-B from seeded random restarts; nothing is penalized or repaired.
 """
 
 import itertools
@@ -30,9 +29,7 @@ from .matcore import as_matrix, psd_sqrt
 from .states import TwoQubitState, outer_block, validate
 
 PT_FEASIBILITY = -1e-7     # accepted partial-transpose floor for sigma*
-POLISH_RUNGS = 6           # stage-two ladder: penalty x10 per rung, 1e6 at the top
 GTOL = 1e-9                # L-BFGS-B stop on the largest gradient component
-POLISH_CANDIDATES = 2      # how many stage-one leaders get the stiff polish
 ORDER_TOL = 1e-12          # pointwise ordering slack
 DELTA_MATCH_TOL = 1e-9     # mixedness matching window for cross-eps pairs
 
@@ -41,7 +38,6 @@ DELTA_MATCH_TOL = 1e-9     # mixedness matching window for cross-eps pairs
 class OptimizerConfig:
     max_iters: int = 5000
     restarts: int = 8
-    penalty_weight: float = 1e3
     tol: float = 1e-10
     seed: int = 0
 
@@ -65,110 +61,57 @@ class CssResult:
     nfev: int
 
 
-def _params_from_matrix(m: np.ndarray) -> np.ndarray:
-    """Inverse of kernels.sigma_from_params via a jittered Cholesky factor."""
-    herm = (m + m.conj().T) / 2.0
-    return kernels.params_from_factor(np.linalg.cholesky(herm + 1e-10 * np.eye(4)))
-
-
-def _starting_points(rho: np.ndarray, cfg: OptimizerConfig) -> list:
-    """Deterministic seeds: the state itself, its dephased diagonal, then
-    seeded random draws."""
-    rng = np.random.default_rng(cfg.seed)
-    starts = [_params_from_matrix(rho),
-              _params_from_matrix(np.diag(np.diag(rho)))]
-    while len(starts) < cfg.restarts:
-        starts.append(rng.standard_normal(16) * 0.5)
-    return starts[: cfg.restarts]
-
-
 def minimize(*args, **kwargs):
     """scipy.optimize.minimize, imported on first use: only the general
-    search needs scipy, and its import outweighs the rest of the program's."""
-    from scipy.optimize import minimize as scipy_minimize
+    search needs scipy, an optional extra, and its import outweighs the rest
+    of the program's."""
+    try:
+        from scipy.optimize import minimize as scipy_minimize
+    except ImportError as exc:
+        raise ImportError("the general CSS search needs scipy: "
+                          "pip install 'qdephase[search]'") from exc
     return scipy_minimize(*args, **kwargs)
 
 
-def _minimize(x0, sqrt_rho, weight, cfg: OptimizerConfig):
-    """One L-BFGS-B run on the penalized objective at one penalty weight."""
-    # L-BFGS-B stops once a single iteration lowers f by less than ftol
-    # (relative); along the shallow valleys of the fidelity that happens
-    # well before the value is accurate to tol, hence the extra 1e-2
-    return minimize(kernels.css_objective, x0, args=(sqrt_rho, weight), jac=True,
-                    method="L-BFGS-B",
-                    options=dict(maxiter=cfg.max_iters, maxfun=4 * cfg.max_iters,
-                                 ftol=1e-2 * cfg.tol, gtol=GTOL))
-
-
 def closest_separable_bures(rho, cfg: OptimizerConfig = OptimizerConfig()) -> CssResult:
-    """Minimize half the squared Bures distance from rho over PPT states.
+    """Minimize half the squared Bures distance from rho over separable states.
 
-    Every restart runs L-BFGS-B with the analytic gradient at the configured
-    penalty weight. The POLISH_CANDIDATES best are then polished: L-BFGS-B
-    again, warm-started up a ladder of penalties ten times stiffer per rung,
-    ending 1e6 times stiffer after POLISH_RUNGS rungs, which parks the
-    partial-transpose floor at the 1e-10 scale. A single jump to the final
-    weight instead throws L-BFGS-B into the interior, where it stalls short
-    of the boundary optimum.
-
-    The result is the best polished restart passing the -1e-7 feasibility
-    gate; an infeasible-only outcome is returned flagged as not converged
-    rather than repaired. It is converged when the last minimizer run of its
-    ladder reported success or two feasible polished restarts agree in
-    value. nfev sums the objective evaluations of every minimizer run.
+    Each of cfg.restarts seeded random starts runs L-BFGS-B once, with the
+    analytic gradient, over mixtures of four product states; the best run is
+    the answer. Its sigma* is separable by construction, and pt_min_eig
+    reports that to rounding. It is converged when the partial-transpose
+    floor passes PT_FEASIBILITY and the best run reported success or the two
+    best runs agree in value. nfev sums the objective evaluations of every
+    run.
     """
-    m = as_matrix(rho)
-    sqrt_rho = psd_sqrt(m)
-    weight = cfg.penalty_weight
+    sqrt_rho = psd_sqrt(as_matrix(rho))
+    starts = np.random.default_rng(cfg.seed).standard_normal((cfg.restarts, 32)) * 0.5
 
     iterations = nfev = 0
-    stage_one = []
-    for idx, x0 in enumerate(_starting_points(m, cfg)):
-        res = _minimize(x0, sqrt_rho, weight, cfg)
+    runs = []
+    for x0 in starts:
+        # L-BFGS-B stops once a single iteration lowers f by less than ftol
+        # (relative); along the shallow valleys of the fidelity that happens
+        # well before the value is accurate to tol, hence the extra 1e-2
+        res = minimize(kernels.css_objective, x0, args=(sqrt_rho,), jac=True,
+                       method="L-BFGS-B",
+                       options=dict(maxiter=cfg.max_iters, maxfun=4 * cfg.max_iters,
+                                    ftol=1e-2 * cfg.tol, gtol=GTOL))
         iterations += int(res.nit)
         nfev += int(res.nfev)
-        stage_one.append((float(res.fun), idx, res.x))
-    stage_one.sort(key=lambda s: (s[0], s[1]))
-
-    best = None  # (e, order, x, ptmin, success)
-    best_any = None
-    feasible_values = []
-    for order, (_, _, x1) in enumerate(stage_one):
-        if order >= POLISH_CANDIDATES and best is not None:
-            break
-        x = x1
-        for rung in range(1, POLISH_RUNGS + 1):
-            polish = _minimize(x, sqrt_rho, weight * 10.0**rung, cfg)
-            iterations += int(polish.nit)
-            nfev += int(polish.nfev)
-            x = polish.x
-        sigma = kernels.sigma_from_params(x)
-        if sigma is None:
-            continue
-        ptmin = kernels.pt_min_eig(sigma)
-        e_raw = 1.0 - kernels.sqrt_fidelity(sqrt_rho, sigma)
-        entry = (e_raw, order, x, ptmin, bool(polish.success))
-        if best_any is None or e_raw < best_any[0]:
-            best_any = entry
-        if ptmin >= PT_FEASIBILITY:
-            feasible_values.append(e_raw)
-            if best is None or e_raw < best[0]:
-                best = entry
-    feasible = best is not None
-    chosen = best if feasible else best_any
-    if chosen is None:
-        raise RuntimeError("every restart degenerated; cannot build a state")
-    e_raw, _, x, ptmin, success = chosen
-    # convergence: the minimizer said so, or independent polished restarts
-    # landed on the same value
-    feasible_values.sort()
-    agreed = (len(feasible_values) >= 2
-              and feasible_values[1] - feasible_values[0] <= max(100 * cfg.tol, 1e-8))
+        runs.append((float(res.fun), bool(res.success), res.x))
+    runs.sort(key=lambda run: run[0])
+    _, success, x = runs[0]
     sigma = kernels.sigma_from_params(x)
+    if sigma is None:
+        raise RuntimeError("every restart degenerated; cannot build a state")
+    ptmin = kernels.pt_min_eig(sigma)
+    agreed = len(runs) >= 2 and runs[1][0] - runs[0][0] <= max(100 * cfg.tol, 1e-8)
+    e_raw = 1.0 - kernels.sqrt_fidelity(sqrt_rho, sigma)
     return CssResult(sigma_star=validate(sigma),
                      e_value=min(1.0, max(0.0, e_raw)),
                      iterations=iterations,
-                     converged=feasible and (success or agreed),
+                     converged=bool(ptmin >= PT_FEASIBILITY) and (success or agreed),
                      pt_min_eig=ptmin,
                      nfev=nfev)
 

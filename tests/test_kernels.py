@@ -1,10 +1,11 @@
-"""The closest-separable-state kernels: the parametrization and the analytic
-gradient of the penalized objective against central differences."""
+"""The spectral kernels, and the closest-separable-state kernels: the
+product-mixture parametrization and the analytic gradient of the objective
+against central differences."""
 
 import numpy as np
 import pytest
 
-from qdephase import kernels, refsearch
+from qdephase import kernels
 
 
 def random_density(rng, rank=4):
@@ -16,9 +17,11 @@ def random_density(rng, rank=4):
 def test_sigma_from_params_is_state():
     rng = np.random.default_rng(25)
     for _ in range(100):
-        sig = kernels.sigma_from_params(rng.standard_normal(16))
+        sig = kernels.sigma_from_params(rng.standard_normal(32))
         assert abs(sig.trace().real - 1.0) < 1e-12
         assert np.linalg.eigvalsh(sig).min() > -1e-13
+        # a mixture of product states: its partial transpose is a state too
+        assert kernels.pt_min_eig(sig) >= -1e-14
 
 
 def _clip_spectrum_reference(w):
@@ -68,61 +71,45 @@ def test_stacked_kernels_equal_single_matrix_calls():
 
 
 def test_degenerate_params_guarded():
-    zero = np.zeros(16)
+    zero = np.zeros(32)
     assert kernels.sigma_from_params(zero) is None
-    value, grad = kernels.css_objective(zero, np.eye(4, dtype=complex) / 2.0, 1e3)
+    value, grad = kernels.css_objective(zero, np.eye(4, dtype=complex) / 2.0)
     assert value == 1e6
-    assert np.array_equal(grad, np.zeros(16))
+    assert np.array_equal(grad, np.zeros(32))
 
 
 def test_objective_value_matches_its_parts():
     rng = np.random.default_rng(26)
     sqrt_rho, *_ = kernels.psd_sqrt_with_min(random_density(rng))
     for _ in range(50):
-        x = rng.standard_normal(16)
-        sigma = kernels.sigma_from_params(x)
-        pt = np.linalg.eigvalsh(kernels._partial_transpose(sigma))
-        expect = (1.0 - kernels.sqrt_fidelity(sqrt_rho, sigma)
-                  + 1e3 * (np.minimum(pt, 0.0) ** 2).sum())
-        assert abs(kernels.css_objective(x, sqrt_rho, 1e3)[0] - expect) < 1e-12
+        x = rng.standard_normal(32)
+        # its parts: the state sigma_from_params builds, and its root fidelity
+        expect = 1.0 - kernels.sqrt_fidelity(sqrt_rho, kernels.sigma_from_params(x))
+        assert abs(kernels.css_objective(x, sqrt_rho)[0] - expect) < 1e-12
 
 
-def _central_difference(x, sqrt_rho, weight, h):
+def _central_difference(x, sqrt_rho, h):
     """Two-point central differences of the objective value, slot by slot."""
-    grad = np.empty(16)
-    for k in range(16):
-        step = np.zeros(16)
+    grad = np.empty(32)
+    for k in range(32):
+        step = np.zeros(32)
         step[k] = h
-        grad[k] = (kernels.css_objective(x + step, sqrt_rho, weight)[0]
-                   - kernels.css_objective(x - step, sqrt_rho, weight)[0]) / (2.0 * h)
+        grad[k] = (kernels.css_objective(x + step, sqrt_rho)[0]
+                   - kernels.css_objective(x - step, sqrt_rho)[0]) / (2.0 * h)
     return grad
 
 
-def _point(rng, separable):
-    """Parameters whose sigma lacks (separable) or has a partial-transpose
-    eigenvalue below zero, kept 1e-3 away from the kink at zero."""
-    while True:
-        if separable:
-            # PT eigenvalues of a state are >= -1/2, so this mixture's are >= 0.1
-            sigma = 0.2 * random_density(rng) + 0.8 * np.eye(4) / 4.0
-            x = refsearch._params_from_matrix(sigma)
-        else:
-            x = rng.standard_normal(16)
-        ptmin = kernels.pt_min_eig(kernels.sigma_from_params(x))
-        if (ptmin > 1e-3) if separable else (ptmin < -1e-3):
-            return x
-
-
-@pytest.mark.parametrize("rank", [1, 4], ids=["pure_rho", "full_rank_rho"])
-@pytest.mark.parametrize("separable", [False, True], ids=["pt_negative", "pt_positive"])
-@pytest.mark.parametrize("weight", [1e3, 1e9])
-def test_gradient_matches_central_differences(rank, separable, weight):
-    rng = np.random.default_rng([27, rank, int(separable), int(np.log10(weight))])
+@pytest.mark.parametrize("rank", [1, 2, 4], ids=["pure_rho", "rank_two_rho", "full_rank_rho"])
+@pytest.mark.parametrize("zero_member", [False, True], ids=["generic", "a_k_zero"])
+def test_gradient_matches_central_differences(rank, zero_member):
+    rng = np.random.default_rng([27, rank, int(zero_member)])
     sqrt_rho, *_ = kernels.psd_sqrt_with_min(random_density(rng, rank))
-    for _ in range(3):
-        x = _point(rng, separable)
-        _, grad = kernels.css_objective(x, sqrt_rho, weight)
-        numeric = _central_difference(x, sqrt_rho, weight, 1e-6)
+    for k in range(4):
+        x = rng.standard_normal(32)
+        if zero_member:
+            x[8 * k: 8 * k + 4] = 0.0  # Re a_k, Im a_k: member k drops out of sigma
+        _, grad = kernels.css_objective(x, sqrt_rho)
+        numeric = _central_difference(x, sqrt_rho, 1e-6)
         scale = max(1.0, np.abs(grad).max())
         assert np.abs(grad - numeric).max() <= 1e-6 * scale
 
