@@ -21,6 +21,7 @@ from .measures import (
     eof,
     linear_entropy,
     negativity,
+    pure_fidelity,
     relative_entropy_exact,
     relative_entropy_linearized,
     uhlmann_fidelity,
@@ -58,6 +59,7 @@ __all__ = [
     "mixed_reference",
     "negativity",
     "oracle",
+    "pure_fidelity",
     "refsearch",
     "relative_entropy_exact",
     "relative_entropy_linearized",

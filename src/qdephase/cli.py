@@ -35,7 +35,7 @@ import numpy as np
 from . import kernels, measures, oracle, refsearch
 from .channel import ChannelParams, decoherence_factor
 from .errors import QDephaseError
-from .matcore import psd_root
+from .matcore import psd_eig
 from .measures import MeasureRecord
 from .states import (FamilyParams, family_stack, family_state, initial_pure,
                      initial_pure_stack, load_state, state_to_json)
@@ -107,9 +107,9 @@ def build_record(epsilon: float, c: ChannelParams, t: float) -> MeasureRecord:
         delta12=measures.linear_entropy(rho),
         negativity=measures.negativity(rho),
         concurrence_wootters=concurrence,
-        fidelity_pure=measures.uhlmann_fidelity(rho, sigma_p),
+        fidelity_pure=measures.pure_fidelity(rho, sigma_p),
         e_pure=1.0 - er_lin,
-        e_maxmixed=1.0 - np.sqrt(measures.maxmixed_fidelity(psd_root(rho)[1])),
+        e_maxmixed=1.0 - np.sqrt(measures.maxmixed_fidelity(psd_eig(rho)[0])),
         er_exact=er_exact,
         er_lin=er_lin,
         **_closed_forms(epsilon, c, t, dec.a, dec.gamma, concurrence),

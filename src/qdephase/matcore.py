@@ -62,17 +62,32 @@ def hermitian_eig(m, tol: Tolerances = DEFAULT_TOL):
     return w, v
 
 
+def psd_eig(m, tol: Tolerances = DEFAULT_TOL):
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a PSD
+    matrix, per matrix for an (N, n, n) stack. The first matrix that is not
+    Hermitian within tol.herm raises NotHermitian, or that has an eigenvalue
+    below -tol.psd NotPSD; the caller clips the noise-level negatives."""
+    return _checked_psd(as_matrix(m, stacked=True), kernels.eigh_herm, tol)
+
+
 def psd_root(m, tol: Tolerances = DEFAULT_TOL):
     """psd_sqrt(m, tol) and the eigendecomposition it was built from:
-    (sqrt, w, v), w ascending, per matrix for a stack."""
-    (s, w, v), defect = _eigen(as_matrix(m, stacked=True), kernels.psd_sqrt_with_min)
+    (sqrt, w, v), w ascending, per matrix for a stack; checked as psd_eig."""
+    return _checked_psd(as_matrix(m, stacked=True), kernels.psd_sqrt_with_min, tol)
+
+
+def _checked_psd(a, kernel, tol):
+    # kernel's output, whose last two items are the ascending spectrum and
+    # the eigenvectors, once every matrix passes the PSD checks
+    out, defect = _eigen(a, kernel)
+    w = out[-2]
     bad = np.flatnonzero((defect > tol.herm) | (w[..., 0] < -tol.psd))
     if bad.size:  # the first failing matrix names itself
         defect, wmin = np.ravel(defect)[bad[0]], np.ravel(w[..., 0])[bad[0]]
         if defect > tol.herm:
             raise NotHermitian(f"hermiticity defect {defect:.3e} > {tol.herm:.1e}")
         raise NotPSD(f"eigenvalue {wmin:.3e} < -{tol.psd:.1e}")
-    return s, w, v
+    return out
 
 
 def psd_sqrt(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -10,7 +10,10 @@ numpy scalar, by the same arithmetic (squares as x * x: a numpy scalar's
 x**2 goes through pow, which can round differently). Each spectral measure
 is one function too: a 4x4 state gives a numpy scalar, an (N, 4, 4) stack an
 (N,) array, by the same arithmetic on each matrix. stacked_measures only
-composes them around one checked eigendecomposition per state.
+composes them around one checked eigendecomposition per state: the
+concurrence, the fidelity to a pure reference, the fidelity to I/4 and the
+exact relative entropy all read rho's eigenpairs, and no square root of rho
+is formed.
 """
 
 import math
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InvalidState, SupportMismatch
-from .matcore import DEFAULT_TOL, as_matrix, partial_transpose, psd_root, psd_sqrt
+from .matcore import DEFAULT_TOL, as_matrix, partial_transpose, psd_eig, psd_sqrt
 
 # weight a pure reference may carry outside the state's support before the
 # relative entropy is reported as infinite
@@ -38,6 +41,8 @@ _SY2 = np.array(
      [0, 0, 1, 0],
      [0, 1, 0, 0],
      [-1, 0, 0, 0]], dtype=complex)  # sigma_y (x) sigma_y, the two-qubit spin flip
+# _SY2 @ x reverses x's rows and signs them: _SY2_SIGNS[:, None] * x[..., ::-1, :]
+_SY2_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
 def _max0(x):
@@ -83,15 +88,20 @@ def concurrence_wootters(rho) -> float:
 
     The l_i are the (descending) eigenvalues of rho.(sy x sy).rho*.(sy x sy),
     conjugation in the computational basis. Their square roots equal the
-    singular values of sqrt(rho).(sy x sy).conj(sqrt(rho)), which avoids the
-    sqrt-of-noise blowup at zero eigenvalues.
+    singular values of tau = U^T (sy x sy) U, with U = V sqrt(Lambda) the
+    subnormalized eigenvectors of rho (Wootters, PRL 80, 2245 (1998)), as
+    do those of sqrt(rho).(sy x sy).conj(sqrt(rho)). The SVD avoids the
+    sqrt-of-noise blowup at the product's zero eigenvalues, and tau needs
+    no square root of rho.
     """
-    return _concurrence(psd_sqrt(rho))
+    return _concurrence(*psd_eig(rho))
 
 
-def _concurrence(s):
-    # the spin-flip concurrence from the state's PSD square root s
-    roots = np.linalg.svd(s @ _SY2 @ s.conj(), compute_uv=False)
+def _concurrence(w, v):
+    # the spin-flip concurrence from rho's checked eigenpairs, w ascending
+    u = v * np.sqrt(kernels._clip_spectrum(w))[..., None, :]
+    tau = np.swapaxes(u, -1, -2) @ (_SY2_SIGNS[:, None] * u[..., ::-1, :])
+    roots = np.linalg.svd(tau, compute_uv=False)
     return _max0(roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3])
 
 
@@ -127,18 +137,32 @@ def _binary_entropy(x):
 
 def uhlmann_fidelity(rho, sigma) -> float:
     """General fidelity {Tr sqrt(sqrt(rho) sigma sqrt(rho))}^2, in [0, 1]."""
-    return _fidelity(psd_sqrt(rho), as_matrix(sigma, stacked=True))
-
-
-def _fidelity(s, sigma):
-    # the Uhlmann fidelity from the state's PSD square root s
-    val = kernels.sqrt_fidelity(s, sigma)
+    val = kernels.sqrt_fidelity(psd_sqrt(rho), as_matrix(sigma, stacked=True))
     return _min1(val * val)
 
 
+def pure_fidelity(rho, sigma_p) -> float:
+    """F(rho, |psi><psi|) = <psi|rho|psi> = sum_i lambda_i |<v_i|psi>|^2 for a
+    pure reference sigma_p, from rho's checked eigenpairs under the noise
+    floor the PSD root uses (Jozsa, J. Mod. Opt. 41, 2315 (1994)); the
+    Uhlmann fidelity to sigma_p, with no eigensolve of its own."""
+    w, v = psd_eig(rho)
+    return _pure_fidelity(w, _reference_weights(v, _assert_pure(sigma_p)))
+
+
+def _reference_weights(v, sp):
+    # |<v_i|psi>|^2 = (v^dagger sigma_p v)_ii per eigenvector column v_i
+    return np.einsum("...ij,...jk,...ki->...i", kernels._dagger(v), sp, v).real
+
+
+def _pure_fidelity(w, weights):
+    return _min1(_max0((kernels._clip_spectrum(w) * weights).sum(axis=-1)))
+
+
 def maxmixed_fidelity(w):
-    """F(rho, I/4) = (Tr sqrt(rho))^2 / 4 from rho's ascending spectrum w,
-    under the noise floor the PSD root uses; (N,) for an (N, 4) stack.
+    """F(rho, I/4) = (Tr sqrt(rho))^2 / 4 from rho's ascending spectrum w
+    (psd_eig's), under the noise floor the PSD root uses; (N,) for an
+    (N, 4) stack.
 
     sqrt(rho) (I/4) sqrt(rho) = rho/4, so the fidelity needs no eigensolve
     beyond rho's own (Jozsa, J. Mod. Opt. 41, 2315 (1994)).
@@ -165,25 +189,24 @@ def _assert_pure(sigma_p) -> np.ndarray:
 def relative_entropy_exact(sigma_p, rho, tol=DEFAULT_TOL) -> float:
     """-Tr(sigma_p ln rho) in nats for a pure reference sigma_p.
 
-    Computed on the support of rho, from its checked root (psd_root: an
-    indefinite rho raises NotPSD); raises SupportMismatch (the value is
+    Computed on the support of rho, from its checked eigenpairs (psd_eig:
+    an indefinite rho raises NotPSD); raises SupportMismatch (the value is
     +inf) when sigma_p carries weight >= 1e-8 outside that support.
     """
     sp = _assert_pure(sigma_p)
-    _, w, v = psd_root(as_matrix(rho), tol)
-    outside, val = _support_entropy(w, v, sp, tol)
+    w, v = psd_eig(as_matrix(rho), tol)
+    outside, val = _support_entropy(w, _reference_weights(v, sp), tol)
     if outside >= SUPPORT_WEIGHT_TOL:
         raise SupportMismatch(
             f"reference weight {float(outside):.3e} outside the state's support")
     return _max0(val)
 
 
-def _support_entropy(w, v, sp, tol):
+def _support_entropy(w, weights, tol):
     """(weight of sp outside rho's support, -Tr(sp ln rho) on that support)
-    from rho's eigendecomposition w (ascending), v; a leading stack axis is
-    carried through. Off-support slots take weight and log 0, so every state
-    runs the same length-4 product whatever its rank."""
-    weights = np.einsum("...ij,...jk,...ki->...i", kernels._dagger(v), sp, v).real
+    from rho's ascending spectrum w and sp's weights on its eigenvectors; a
+    leading stack axis is carried through. Off-support slots take weight and
+    log 0, so every state runs the same length-4 product whatever its rank."""
     on_support = w > tol.psd
     outside = np.where(on_support, 0.0, weights).sum(axis=-1)
     log_w = np.where(on_support, np.log(np.where(on_support, w, 1.0)), 0.0)
@@ -329,20 +352,23 @@ def stacked_measures(rho, sigma_p) -> dict:
 
     Each column is its single-state function, or that function's helper, on
     the whole stack, so each value equals the per-state call bit for bit.
-    One checked root (psd_root) gives each state one eigendecomposition:
-    its root feeds the concurrence and the fidelity to sigma_p, its spectrum
-    the fidelity to I/4, and its eigenpairs the exact relative entropy (inf
-    for a reference outside the support). The first state of rho that is
-    not Hermitian or not PSD raises, and otherwise the first impure
-    reference in sigma_p, whatever their positions.
+    One checked eigendecomposition (psd_eig) per state feeds the
+    concurrence, and the spectrum the fidelity to I/4. sigma_p's weights on
+    the eigenvectors, taken once, give the fidelity to sigma_p and the
+    exact relative entropy (inf for a reference outside the support). So a
+    stack takes one eigh, one svd (the concurrence) and one eigvalsh (the
+    partial transpose). The first state of rho that is not Hermitian or not
+    PSD raises, and otherwise the first impure reference in sigma_p,
+    whatever their positions.
     """
-    s, w, v = psd_root(rho)  # before any purity check
-    outside, er = _support_entropy(w, v, sigma_p, DEFAULT_TOL)
+    w, v = psd_eig(rho)  # before any purity check
+    weights = _reference_weights(v, _assert_pure(sigma_p))
+    outside, er = _support_entropy(w, weights, DEFAULT_TOL)
     return {
         "delta12": linear_entropy(rho),
         "negativity": negativity(rho),
-        "concurrence_wootters": _concurrence(s),
-        "fidelity_pure": _fidelity(s, sigma_p),
+        "concurrence_wootters": _concurrence(w, v),
+        "fidelity_pure": _pure_fidelity(w, weights),
         "e_maxmixed": 1.0 - np.sqrt(maxmixed_fidelity(w)),
         "er_exact": np.where(outside >= SUPPORT_WEIGHT_TOL, math.inf, _max0(er)),
         "er_lin": relative_entropy_linearized(rho, sigma_p),

@@ -397,14 +397,16 @@ def ordering_check(table) -> OrderingReport:
     between e_mixed and N.
 
     table is a sweep table (measures.RECORD_DTYPE rows), grouped by epsilon
-    here with a stable sort. Violations come epsilon ascending, then in row
-    and check order; a witness is the first matched row, over the ordered
-    epsilon pairs, with its gap beyond 1e-9.
+    here with a stable sort, which an epsilon-ascending table (a sweep's)
+    skips. Violations come epsilon ascending, then in row and check order; a
+    witness is the first matched row, over the ordered epsilon pairs, with
+    its gap beyond 1e-9.
     """
     orders = (("e_mixed", "negativity", "e_mixed > negativity"),
               ("negativity", "e_pure", "negativity > e_pure"),
               ("e_pure", "concurrence_paper", "e_pure > concurrence"))
-    rows = table[np.argsort(table["epsilon"], kind="stable")]
+    eps = table["epsilon"]
+    rows = table if (eps[1:] >= eps[:-1]).all() else table[np.argsort(eps, kind="stable")]
     eps, t, d12 = rows["epsilon"], rows["t"], rows["delta12"]
     broken = np.column_stack([rows[lo] > rows[hi] + ORDER_TOL for lo, hi, _ in orders])
     violations = [(float(eps[k]), float(t[k]), orders[j][2])

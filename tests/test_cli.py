@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdephase import cli, measures, oracle, refsearch
+from qdephase import cli, kernels, measures, oracle, refsearch
 from qdephase.channel import ChannelParams
 from qdephase.cli import SweepConfig, build_record, run_sweep
 from qdephase.measures import MeasureRecord
@@ -173,6 +173,17 @@ class TestSweepBlocks:
             raise AssertionError("sweep built a MeasureRecord")
 
         monkeypatch.setattr(MeasureRecord, "__init__", no_record)
+        assert cli.main(["sweep", *flags, "--out", str(tmp_path / "s.csv")]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == 408
+
+    @pytest.mark.parametrize("flags", [[], ["--include-css"]])
+    def test_run_sweep_takes_no_psd_root(self, tmp_path, monkeypatch, capsys, flags):
+        # rho's eigenpairs feed every spectral column
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sweep took a PSD root or a fidelity eigensolve")
+
+        for name in ("psd_sqrt_with_min", "sqrt_fidelity"):
+            monkeypatch.setattr(kernels, name, forbidden)
         assert cli.main(["sweep", *flags, "--out", str(tmp_path / "s.csv")]) == 0
         assert json.loads(capsys.readouterr().out)["rows"] == 408
 

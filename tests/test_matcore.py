@@ -103,7 +103,7 @@ class TestPsdSqrt:
             matcore.psd_sqrt(stack)
 
     @pytest.mark.parametrize("call", [matcore.psd_sqrt, matcore.psd_root,
-                                      matcore.hermitian_eig])
+                                      matcore.hermitian_eig, matcore.psd_eig])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
     def test_non_finite_matrix_is_named_not_hermitian(self, call, bad):
         m = np.eye(4, dtype=complex) / 4.0
@@ -113,7 +113,7 @@ class TestPsdSqrt:
             with pytest.raises(NotHermitian, match="^matrix has a non-finite entry$"):
                 call(m)
 
-    @pytest.mark.parametrize("call", [matcore.psd_sqrt, matcore.psd_root])
+    @pytest.mark.parametrize("call", [matcore.psd_sqrt, matcore.psd_root, matcore.psd_eig])
     def test_first_non_finite_matrix_of_a_stack_names_itself(self, call):
         stack = np.array([np.eye(4, dtype=complex) / 4.0] * 5)
         stack[4, 2, 2] = np.nan
@@ -132,6 +132,8 @@ class TestPsdSqrt:
             assert np.array_equal(s[k], matcore.psd_sqrt(m))
             wk, vk = matcore.hermitian_eig(m)
             assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+        we, ve = matcore.psd_eig(stack)
+        assert np.array_equal(we, w) and np.array_equal(ve, v)
 
 
 def _no_convergence(*args):
@@ -141,6 +143,7 @@ def _no_convergence(*args):
 @pytest.mark.parametrize("kernel, call", [
     ("eigh_herm", matcore.hermitian_eig),
     ("psd_sqrt_with_min", matcore.psd_sqrt),
+    ("eigh_herm", matcore.psd_eig),
 ])
 def test_eigensolver_failure_maps_to_no_convergence(monkeypatch, kernel, call):
     monkeypatch.setattr(kernels, kernel, _no_convergence)

@@ -268,9 +268,8 @@ def per_state_measures(rho, sigma_p):
         "delta12": measures.linear_entropy(rho),
         "negativity": measures.negativity(rho),
         "concurrence_wootters": measures.concurrence_wootters(rho),
-        "fidelity_pure": measures.uhlmann_fidelity(rho, sigma_p),
-        "e_maxmixed": 1.0 - math.sqrt(
-            measures.maxmixed_fidelity(matcore.psd_root(rho)[1])),
+        "fidelity_pure": measures.pure_fidelity(rho, sigma_p),
+        "e_maxmixed": 1.0 - math.sqrt(measures.maxmixed_fidelity(matcore.psd_eig(rho)[0])),
         "er_exact": er_exact,
         "er_lin": measures.relative_entropy_linearized(rho, sigma_p),
     }
@@ -342,15 +341,16 @@ class TestStackedMeasuresShareOneRoot:
         assert calls == [(4, 4, 4)]
         calls.clear()
         measures.concurrence_wootters(rho[0])
+        measures.pure_fidelity(rho[0], sigma[0])
         measures.uhlmann_fidelity(rho[0], sigma[0])
         with pytest.raises(SupportMismatch):
             measures.relative_entropy_exact(sigma[0], rho[0])
-        assert calls == [(4, 4)] * 3
+        assert calls == [(4, 4)] * 4
 
-    def test_one_eigh_one_svd_two_eigvalsh_per_stack(self, monkeypatch):
-        # eigh: the checked root; svd: the concurrence; eigvalsh: the
-        # fidelity to the pure reference and the partial-transpose spectrum.
-        # The fidelity to I/4 reuses the root's spectrum.
+    def test_one_eigh_one_svd_one_eigvalsh_per_stack(self, monkeypatch):
+        # eigh: the checked eigenpairs; svd: the concurrence; eigvalsh: the
+        # partial-transpose spectrum. The fidelities to the pure reference
+        # and to I/4 reuse the eigenpairs, and no PSD root is built.
         rng = np.random.default_rng(44)
         rho = np.array([random_state(rng, rank) for rank in (1, 2, 3, 4)])
         sigma = np.array([random_pure(rng) for _ in rho])
@@ -361,9 +361,14 @@ class TestStackedMeasuresShareOneRoot:
                 return _f(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
+        for name in ("psd_sqrt_with_min", "sqrt_fidelity"):
+            def forbidden(*args, _name=name):
+                raise AssertionError(f"kernels.{_name} called")
+
+            monkeypatch.setattr(kernels, name, forbidden)
         measures.stacked_measures(rho, sigma)
         assert sorted(calls) == [("eigh", (4, 4, 4)), ("eigvalsh", (4, 4, 4)),
-                                 ("eigvalsh", (4, 4, 4)), ("svd", (4, 4, 4))]
+                                 ("svd", (4, 4, 4))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -383,6 +388,67 @@ def test_maxmixed_fidelity_matches_the_general_fidelity(seed, rank):
     assert abs(spectral - measures.uhlmann_fidelity(rho, maximally_mixed())) <= tol
 
 
+def sqrt_route_concurrence(rho):
+    # the spin-flip SVD of sqrt(rho) (sy x sy) conj(sqrt(rho)), from the PSD
+    # root: the route the eigenpair route replaced, kept as its reference
+    s = matcore.psd_sqrt(rho)
+    roots = np.linalg.svd(s @ measures._SY2 @ s.conj(), compute_uv=False)
+    return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_eigenpair_routes_match_the_root_routes(seed, rank):
+    # tau = U^T (sy x sy) U, U = V sqrt(Lambda), has the singular values of
+    # sqrt(rho) (sy x sy) conj(sqrt(rho)) = U V^dag (sy x sy) conj(V) U^T, and
+    # sum_i lambda_i |<v_i|psi>|^2 is the Uhlmann fidelity to |psi><psi|.
+    # Both routes take the same clipped spectrum from the same eigh, so
+    # they differ by matmul and SVD rounding alone: at most 1.1e-15 over
+    # 3000 seeded draws of each rank, against 1e-14 here.
+    rng = np.random.default_rng(seed)
+    rho, sigma_p = random_state(rng, rank), random_pure(rng)
+    assert abs(measures.concurrence_wootters(rho) - sqrt_route_concurrence(rho)) <= 1e-14
+    assert abs(measures.pure_fidelity(rho, sigma_p)
+               - measures.uhlmann_fidelity(rho, sigma_p)) <= 1e-14
+
+
+def test_pure_fidelity_needs_a_pure_reference():
+    with pytest.raises(InvalidState, match="must be pure"):
+        measures.pure_fidelity(BELL, maximally_mixed())
+
+
+def werner(p):
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    return p * np.outer(singlet, singlet) + (1.0 - p) * np.eye(4) / 4.0
+
+
+def assert_ppt_iff_unentangled(rho):
+    # two qubits are separable exactly when their partial transpose is PSD
+    # (Horodecki), so N = 0 and C = 0 hold together: both within 1e-12 of
+    # 0, or both above it
+    n, c = measures.negativity(rho), measures.concurrence_wootters(rho)
+    assert (n <= 1e-12 and c <= 1e-12) or (n > 0.0 and c > 0.0), (n, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_ppt_iff_zero_concurrence_on_random_states(seed, rank):
+    assert_ppt_iff_unentangled(random_state(np.random.default_rng(seed), rank))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9))
+       | st.floats(-1e-3, 1e-3))
+def test_ppt_iff_zero_concurrence_on_werner_states(offset):
+    # N = C = max(0, (3p - 1) / 2) across the separability edge p = 1/3
+    p = 1.0 / 3.0 + offset
+    rho = werner(p)
+    assert_ppt_iff_unentangled(rho)
+    exact = max(0.0, (3.0 * p - 1.0) / 2.0)
+    assert abs(measures.negativity(rho) - exact) <= 1e-14
+    assert abs(measures.concurrence_wootters(rho) - exact) <= 1e-14
+
+
 def test_maxmixed_fidelity_known_values():
     w = np.array([[0.0, 0.0, 0.0, 1.0], [0.25] * 4, [0.0, 0.0, 0.5, 0.5]])
     # a pure state, I/4 and an equal mix of two orthogonal pure states
@@ -398,9 +464,10 @@ STACKED = {
     "negativity": lambda r, sp: measures.negativity(r),
     "concurrence_wootters": lambda r, sp: measures.concurrence_wootters(r),
     "uhlmann_fidelity": lambda r, sp: measures.uhlmann_fidelity(r, sp),
+    "pure_fidelity": lambda r, sp: measures.pure_fidelity(r, sp),
     "fidelity_to_maximally_mixed":
         lambda r, sp: measures.uhlmann_fidelity(r, maximally_mixed()),
-    "maxmixed_fidelity": lambda r, sp: measures.maxmixed_fidelity(matcore.psd_root(r)[1]),
+    "maxmixed_fidelity": lambda r, sp: measures.maxmixed_fidelity(matcore.psd_eig(r)[0]),
     "relative_entropy_linearized":
         lambda r, sp: measures.relative_entropy_linearized(r, sp),
     "_assert_pure": lambda r, sp: measures._assert_pure(sp),

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdephase import kernels, measures, refsearch
-from qdephase.cli import FIG_EPSILONS, build_record
+from qdephase.cli import FIG_EPSILONS, build_record, sweep_blocks
 from qdephase.channel import ChannelParams, decoherence_factor
 from qdephase.matcore import psd_sqrt
 from qdephase.measures import MeasureRecord
@@ -254,6 +255,42 @@ class TestOrderingCheck:
         report = refsearch.ordering_check(as_table(shuffled))
         assert report == nested_loop_ordering_check(shuffled)
         assert report.no_global_order
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_table_reports_as_the_sorted_one(self, records, seed):
+        # the sorted table skips the sort; a random interleaving of its
+        # epsilon groups, each group's rows kept in order, sorts back to it
+        ordered = sorted(records, key=lambda r: r.epsilon)  # stable
+        groups = {}
+        for r in ordered:
+            groups.setdefault(r.epsilon, []).append(r)
+        labels = np.random.default_rng(seed).permutation([r.epsilon for r in ordered])
+        queues = {eps: iter(rows) for eps, rows in groups.items()}
+        shuffled = [next(queues[eps]) for eps in labels.tolist()]
+        assert shuffled != ordered
+        report = refsearch.ordering_check(as_table(ordered))
+        assert refsearch.ordering_check(as_table(shuffled)) == report
+        assert report == nested_loop_ordering_check(ordered)
+        assert report.no_global_order
+
+    def test_sorted_table_is_not_copied(self):
+        # a sweep's table is epsilon-ascending: ordering_check's traced
+        # peak grows by ~29 B a row, against 149 with a sorted copy
+        # (128 B a row)
+        c = ChannelParams(omega1=1.0, omega2=1.0, mu1=0.5, mu2=0.5, ntilde=1.0)
+
+        def peak(t_steps):
+            ts = np.linspace(0.0, c.period, t_steps)
+            table = np.concatenate([measures.as_table(cols) for cols in
+                                    sweep_blocks(FIG_EPSILONS, c, ts)])
+            tracemalloc.start()
+            try:
+                refsearch.ordering_check(table)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(2001) - peak(501)) / (8 * 1500) <= 64
 
     def test_single_epsilon_group(self, records):
         one = [r for r in records if r.epsilon == 0.26][::-1]
