@@ -232,7 +232,7 @@ def run_css(state_path: str) -> dict:
     concurrence C, and closed_gap = e_value - e_closed. The gap stays within
     1e-13 except as C -> 1, where the formula loses accuracy, not sigma*:
     sqrt(1 - C^2) turns C's rounding error into one of its square root
-    (closed_gap 9.1e-9 at the Bell state).
+    (closed_gap 7.5e-9 at the Bell state).
     """
     rho = load_state(state_path)
     res = refsearch.css_closed(rho)

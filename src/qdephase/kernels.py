@@ -1,6 +1,6 @@
 """Hot numeric kernels: Hermitian eigendecomposition, PSD square root,
 fidelity trace, and the closest-separable-state objective over mixtures of
-four product states, with its analytic gradient.
+four product states, with its analytic gradient, for any factor rho = uu†.
 
 Plain numpy, one implementation. Everything here is pure and deterministic
 for fixed inputs on one platform.
@@ -97,34 +97,28 @@ def sigma_from_params(x):
     return (z @ z.conj().T) / tr
 
 
-def css_objective(x, sqrt_rho):
+def css_objective(x, u):
     """Bures objective 1 - sqrt(F) at sigma = sigma_from_params(x), and its
-    gradient in the 32 parameters. Parameters that give Z = 0 return
-    (1e6, 0).
+    gradient in the 32 parameters, for any factor u of rho = uu†. Parameters
+    that give Z = 0 return (1e6, 0).
 
-    The gradient is assembled as a Hermitian G with d(value) = Tr(G dsigma):
-    G = -1/2 sqrt_rho M^(-1/2) sqrt_rho with M = sqrt_rho sigma sqrt_rho,
-    inverted on M's support under the same noise floor as the value. Through
-    sigma = ZZ†/tr, d(value) = Re Tr(W† dZ) with W = 2 (G - Tr(G sigma) I) Z/tr.
-    With column k of W read as a 2x2 matrix W_k, the gradient in a_k is
-    W_k conj(b_k), and in b_k it is W_k^T conj(a_k), as real and imaginary
+    sigma's factor Z/sqrt(tr) gives sqrt(F) = ||u†Z||_1/sqrt(tr) (Uhlmann,
+    Rep. Math. Phys. 9, 273 (1976)), a sum of singular values. With
+    u†Z = P S R† and W = P R† on the singular values above the noise floor,
+    d(value) = Re Tr(G† dZ) with G = ||u†Z||_1 Z/tr^(3/2) - uW/sqrt(tr).
+    With column k of G read as a 2x2 matrix G_k, the gradient in a_k is
+    G_k conj(b_k), and in b_k it is G_k^T conj(a_k), as real and imaginary
     parts.
     """
     a, b, z, tr = _product_columns(x)
     if tr < 1e-120:
         return 1e6, np.zeros(32)
-    sigma = (z @ z.conj().T) / tr
-
-    m = sqrt_rho @ sigma @ sqrt_rho
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    root = np.sqrt(_clip_spectrum(w))
-    inv_root = np.zeros(4)
-    inv_root[root > 0.0] = 1.0 / root[root > 0.0]
-    u = sqrt_rho @ v
-    g = -0.5 * (u * inv_root) @ u.conj().T
-
-    wk = ((2.0 / tr) * (g @ z - np.vdot(g, sigma).real * z)).T.reshape(4, 2, 2)
-    grad_a = np.einsum("kij,kj->ki", wk, b.conj())
-    grad_b = np.einsum("kij,ki->kj", wk, a.conj())
+    p, s, rh = np.linalg.svd(u.conj().T @ z)
+    keep = s > NOISE_FLOOR_REL * s[0]
+    norm = float(s.sum())
+    g = (norm / tr**1.5) * z - (u @ p[:, keep] @ rh[keep]) / np.sqrt(tr)
+    gk = g.T.reshape(4, 2, 2)
+    grad_a = np.einsum("kij,kj->ki", gk, b.conj())
+    grad_b = np.einsum("kij,ki->kj", gk, a.conj())
     grad = np.stack([grad_a.real, grad_a.imag, grad_b.real, grad_b.imag], axis=1)
-    return 1.0 - float(root.sum()), grad.ravel()
+    return 1.0 - norm / np.sqrt(tr), grad.ravel()

@@ -36,12 +36,7 @@ UNIT_RANGED = ("delta12", "negativity", "concurrence_wootters",
                "e_mixed", "e_maxmixed", "er_lin")
 RANGE_SLACK = 1e-12
 
-_SY2 = np.array(
-    [[0, 0, 0, -1],
-     [0, 0, 1, 0],
-     [0, 1, 0, 0],
-     [-1, 0, 0, 0]], dtype=complex)  # sigma_y (x) sigma_y, the two-qubit spin flip
-# _SY2 @ x reverses x's rows and signs them: _SY2_SIGNS[:, None] * x[..., ::-1, :]
+# sy (x) sy is antidiagonal: (sy (x) sy) @ x is x's rows reversed, times these signs
 _SY2_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
@@ -87,22 +82,29 @@ def concurrence_wootters(rho) -> float:
     """Spin-flip concurrence max{0, sqrt(l1)-sqrt(l2)-sqrt(l3)-sqrt(l4)}.
 
     The l_i are the (descending) eigenvalues of rho.(sy x sy).rho*.(sy x sy),
-    conjugation in the computational basis. Their square roots equal the
-    singular values of tau = U^T (sy x sy) U, with U = V sqrt(Lambda) the
-    subnormalized eigenvectors of rho (Wootters, PRL 80, 2245 (1998)), as
-    do those of sqrt(rho).(sy x sy).conj(sqrt(rho)). The SVD avoids the
-    sqrt-of-noise blowup at the product's zero eigenvalues, and tau needs
-    no square root of rho.
+    conjugation in the computational basis. Their square roots are the
+    singular values of tau = U^T (sy x sy) U for any factor rho = UU†, here
+    U = V sqrt(Lambda) from rho's eigenpairs (Wootters, PRL 80, 2245 (1998)).
+    The SVD avoids the sqrt-of-noise blowup at the product's zero
+    eigenvalues, and tau needs no square root of rho.
     """
     return _concurrence(*psd_eig(rho))
 
 
 def _concurrence(w, v):
     # the spin-flip concurrence from rho's checked eigenpairs, w ascending
-    u = v * np.sqrt(kernels._clip_spectrum(w))[..., None, :]
-    tau = np.swapaxes(u, -1, -2) @ (_SY2_SIGNS[:, None] * u[..., ::-1, :])
-    roots = np.linalg.svd(tau, compute_uv=False)
+    roots = np.linalg.svd(_spin_flip(_eig_factor(w, v)), compute_uv=False)
     return _max0(roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3])
+
+
+def _eig_factor(w, v):
+    # U = V sqrt(Lambda), rho = UU†, from rho's checked eigenpairs, w ascending
+    return v * np.sqrt(kernels._clip_spectrum(w))[..., None, :]
+
+
+def _spin_flip(a):
+    # tau = a^T (sy x sy) a, whose singular values are Wootters' for any rho = aa†
+    return np.swapaxes(a, -1, -2) @ (_SY2_SIGNS[:, None] * a[..., ::-1, :])
 
 
 def concurrence_family(epsilon: float, abs_a):

@@ -6,7 +6,8 @@ form (css_closed, which the css command runs) from Wootters' optimal
 decomposition; on the dephasing family it is simpler still
 (css_family_columns, which sweep uses). The numerical search
 (closest_separable_bures) serves the library and the tests, where it is the
-independent check on both.
+independent check on both. css_closed and the search read rho through one
+factor rho = UU†, U = V sqrt(Lambda) of its checked eigenpairs: no sqrt(rho).
 
 A two-qubit state of zero concurrence is a mixture of at most four product
 states (Wootters, PRL 80, 2245 (1998)), so the search parametrizes the
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .measures import (_SY2, MeasureRecord, _max0, _min1, negativity_closed,
-                       relative_entropy_linearized)
-from .matcore import as_matrix, psd_sqrt
+from .measures import (MeasureRecord, _eig_factor, _max0, _min1, _spin_flip,
+                       negativity_closed, relative_entropy_linearized)
+from .matcore import as_matrix, psd_eig
 from .states import TwoQubitState, outer_block, validate
 
 PT_FEASIBILITY = -1e-7     # accepted partial-transpose floor for sigma*
@@ -81,10 +82,10 @@ def closest_separable_bures(rho, cfg: OptimizerConfig = OptimizerConfig()) -> Cs
     the answer. Its sigma* is separable by construction, and pt_min_eig
     reports that to rounding. It is converged when the partial-transpose
     floor passes PT_FEASIBILITY and the best run reported success or the two
-    best runs agree in value. nfev sums the objective evaluations of every
-    run.
+    best runs agree in value. e_value is the best run's objective value, and
+    nfev sums the objective evaluations of every run.
     """
-    sqrt_rho = psd_sqrt(as_matrix(rho))
+    u = _eig_factor(*psd_eig(as_matrix(rho)))
     starts = np.random.default_rng(cfg.seed).standard_normal((cfg.restarts, 32)) * 0.5
 
     iterations = nfev = 0
@@ -93,7 +94,7 @@ def closest_separable_bures(rho, cfg: OptimizerConfig = OptimizerConfig()) -> Cs
         # L-BFGS-B stops once a single iteration lowers f by less than ftol
         # (relative); along the shallow valleys of the fidelity that happens
         # well before the value is accurate to tol, hence the extra 1e-2
-        res = minimize(kernels.css_objective, x0, args=(sqrt_rho,), jac=True,
+        res = minimize(kernels.css_objective, x0, args=(u,), jac=True,
                        method="L-BFGS-B",
                        options=dict(maxiter=cfg.max_iters, maxfun=4 * cfg.max_iters,
                                     ftol=1e-2 * cfg.tol, gtol=GTOL))
@@ -101,15 +102,14 @@ def closest_separable_bures(rho, cfg: OptimizerConfig = OptimizerConfig()) -> Cs
         nfev += int(res.nfev)
         runs.append((float(res.fun), bool(res.success), res.x))
     runs.sort(key=lambda run: run[0])
-    _, success, x = runs[0]
+    e_value, success, x = runs[0]
     sigma = kernels.sigma_from_params(x)
     if sigma is None:
         raise RuntimeError("every restart degenerated; cannot build a state")
     ptmin = kernels.pt_min_eig(sigma)
     agreed = len(runs) >= 2 and runs[1][0] - runs[0][0] <= max(100 * cfg.tol, 1e-8)
-    e_raw = 1.0 - kernels.sqrt_fidelity(sqrt_rho, sigma)
     return CssResult(sigma_star=validate(sigma),
-                     e_value=min(1.0, max(0.0, e_raw)),
+                     e_value=min(1.0, max(0.0, e_value)),
                      iterations=iterations,
                      converged=bool(ptmin >= PT_FEASIBILITY) and (success or agreed),
                      pt_min_eig=ptmin,
@@ -154,24 +154,24 @@ def _zero_diagonal(a):
     return o
 
 
-def wootters_decomposition(sqrt_rho):
-    """Wootters' optimal decomposition of rho = sqrt_rho^2 (Wootters, PRL 80,
-    2245 (1998)): (z, c) with rho = z z† and every column z_j of z, once
-    normalized, of concurrence c, the state's concurrence. For c = 0 it is
-    (None, 0.0).
+def wootters_decomposition(u):
+    """Wootters' optimal decomposition of rho = uu†, for any factor u such as
+    sqrt(rho) or V sqrt(Lambda) (Wootters, PRL 80, 2245 (1998)): (z, c) with
+    rho = z z† and every column z_j of z, once normalized, of concurrence c,
+    the state's concurrence. For c = 0 it is (None, 0.0).
 
-    tau = sqrt_rho (sy x sy) conj(sqrt_rho), Takagi-factored as Q L Q^T,
-    turns the columns of X = sqrt_rho Q into a decomposition whose spin-flip
-    overlaps form diag(L). Y = X diag(1, i, i, i) makes them diag(l1, -l2,
-    -l3, -l4), of trace c; a real rotation Z = Y O^T that zeros the diagonal
-    of A = diag(l1, -l2, -l3, -l4) - c Re(Y†Y) gives each z_j the overlap
+    tau = u† (sy x sy) conj(u), Takagi-factored as Q L Q^T, turns the
+    columns of X = u Q into a decomposition whose spin-flip overlaps form
+    diag(L). Y = X diag(1, i, i, i) makes them diag(l1, -l2, -l3, -l4), of
+    trace c; a real rotation Z = Y O^T that zeros the diagonal of
+    A = diag(l1, -l2, -l3, -l4) - c Re(Y†Y) gives each z_j the overlap
     c |z_j|^2.
     """
-    lam, q = _takagi(sqrt_rho @ _SY2 @ sqrt_rho.conj())
+    lam, q = _takagi(_spin_flip(u).conj())
     c = lam[0] - lam[1] - lam[2] - lam[3]
     if not c > 0.0:
         return None, 0.0
-    y = sqrt_rho @ q * np.array([1.0, 1j, 1j, 1j])
+    y = u @ q * np.array([1.0, 1j, 1j, 1j])
     a = np.diag(lam * np.array([1.0, -1.0, -1.0, -1.0])) - c * (y.conj().T @ y).real
     return y @ _zero_diagonal(a).T, float(c)
 
@@ -186,19 +186,22 @@ def css_closed(rho) -> CssResult:
     separable, and the strong concavity of the root fidelity gives
     sqrt(F(rho, sigma*)) >= sqrt((1 + sqrt(1 - C^2))/2), the largest
     fidelity any separable state reaches (Wei & Goldbart, PRA 68, 042307
-    (2003)). e_value is taken at the sigma* returned, as the search's is.
+    (2003)). e_value is taken at the sigma* returned, as the search's is: for
+    sigma* = BB†, 1 - ||U†B||_1 (Uhlmann, Rep. Math. Phys. 9, 273 (1976)).
     """
     m = as_matrix(rho)
-    sqrt_rho = psd_sqrt(m)
-    z, _ = wootters_decomposition(sqrt_rho)
+    u = _eig_factor(*psd_eig(m))
+    z, _ = wootters_decomposition(u)
     if z is None:
-        sigma = m
+        sigma, e_value = m, 0.0
     else:
-        u, _, vh = np.linalg.svd(z.T.reshape(4, 2, 2))
-        phi = (u[:, :, 0, None] * vh[:, None, 0, :]).reshape(4, 4)  # row j: u_j (x) v_j
-        sigma = (phi.T * (z.conj() * z).real.sum(axis=0)) @ phi.conj()
+        su, _, svh = np.linalg.svd(z.T.reshape(4, 2, 2))
+        # column j of b: |z_j| u_j (x) v_j
+        b = (su[:, :, 0, None] * svh[:, None, 0, :]).reshape(4, 4).T
+        b = b * np.linalg.norm(z, axis=0)
+        sigma = b @ b.conj().T
         sigma = (sigma + sigma.conj().T) / 2.0
-    e_value = 1.0 - kernels.sqrt_fidelity(sqrt_rho, sigma)
+        e_value = 1.0 - float(np.linalg.svd(u.conj().T @ b, compute_uv=False).sum())
     return CssResult(sigma_star=validate(sigma), e_value=min(1.0, max(0.0, e_value)),
                      iterations=0, converged=True,
                      pt_min_eig=float(kernels.pt_min_eig(sigma)), nfev=0)

@@ -1,6 +1,7 @@
 """The spectral kernels, and the closest-separable-state kernels: the
 product-mixture parametrization and the analytic gradient of the objective
-against central differences."""
+against central differences, for both factors a of rho = aa† the library
+forms."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,13 @@ def random_density(rng, rank=4):
     g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     m = g @ g.conj().T
     return m / m.trace().real
+
+
+def factors(rho):
+    """Two factors a of rho = aa†: the PSD root, and V sqrt(Lambda) from the
+    eigenpairs, which the closest-separable-state routes read."""
+    s, w, v = kernels.psd_sqrt_with_min(rho)
+    return {"sqrt_rho": s, "eigenpairs": v * np.sqrt(kernels._clip_spectrum(w))}
 
 
 def test_sigma_from_params_is_state():
@@ -80,22 +88,24 @@ def test_degenerate_params_guarded():
 
 def test_objective_value_matches_its_parts():
     rng = np.random.default_rng(26)
-    sqrt_rho, *_ = kernels.psd_sqrt_with_min(random_density(rng))
+    both = factors(random_density(rng))
     for _ in range(50):
         x = rng.standard_normal(32)
         # its parts: the state sigma_from_params builds, and its root fidelity
-        expect = 1.0 - kernels.sqrt_fidelity(sqrt_rho, kernels.sigma_from_params(x))
-        assert abs(kernels.css_objective(x, sqrt_rho)[0] - expect) < 1e-12
+        # through sqrt(rho) sigma sqrt(rho)
+        expect = 1.0 - kernels.sqrt_fidelity(both["sqrt_rho"], kernels.sigma_from_params(x))
+        for a in both.values():
+            assert abs(kernels.css_objective(x, a)[0] - expect) < 1e-12
 
 
-def _central_difference(x, sqrt_rho, h):
+def _central_difference(x, a, h):
     """Two-point central differences of the objective value, slot by slot."""
     grad = np.empty(32)
     for k in range(32):
         step = np.zeros(32)
         step[k] = h
-        grad[k] = (kernels.css_objective(x + step, sqrt_rho)[0]
-                   - kernels.css_objective(x - step, sqrt_rho)[0]) / (2.0 * h)
+        grad[k] = (kernels.css_objective(x + step, a)[0]
+                   - kernels.css_objective(x - step, a)[0]) / (2.0 * h)
     return grad
 
 
@@ -103,15 +113,16 @@ def _central_difference(x, sqrt_rho, h):
 @pytest.mark.parametrize("zero_member", [False, True], ids=["generic", "a_k_zero"])
 def test_gradient_matches_central_differences(rank, zero_member):
     rng = np.random.default_rng([27, rank, int(zero_member)])
-    sqrt_rho, *_ = kernels.psd_sqrt_with_min(random_density(rng, rank))
+    both = factors(random_density(rng, rank))
     for k in range(4):
         x = rng.standard_normal(32)
         if zero_member:
             x[8 * k: 8 * k + 4] = 0.0  # Re a_k, Im a_k: member k drops out of sigma
-        _, grad = kernels.css_objective(x, sqrt_rho)
-        numeric = _central_difference(x, sqrt_rho, 1e-6)
-        scale = max(1.0, np.abs(grad).max())
-        assert np.abs(grad - numeric).max() <= 1e-6 * scale
+        for a in both.values():
+            _, grad = kernels.css_objective(x, a)
+            numeric = _central_difference(x, a, 1e-6)
+            scale = max(1.0, np.abs(grad).max())
+            assert np.abs(grad - numeric).max() <= 1e-6 * scale
 
 
 def test_purity_of_a_stack_is_each_matrix_vdot():

@@ -17,6 +17,8 @@ from qdephase.states import (
 )
 
 BELL = initial_pure(FamilyParams(0.5))
+SY = np.array([[0.0, -1j], [1j, 0.0]])
+SY2 = np.kron(SY, SY)  # the two-qubit spin flip, written out as a matrix
 
 
 def family(eps, abs_a, phase=0.0):
@@ -392,8 +394,16 @@ def sqrt_route_concurrence(rho):
     # the spin-flip SVD of sqrt(rho) (sy x sy) conj(sqrt(rho)), from the PSD
     # root: the route the eigenpair route replaced, kept as its reference
     s = matcore.psd_sqrt(rho)
-    roots = np.linalg.svd(s @ measures._SY2 @ s.conj(), compute_uv=False)
+    roots = np.linalg.svd(s @ SY2 @ s.conj(), compute_uv=False)
     return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+
+
+def test_spin_flip_is_the_matrix_product():
+    # tau = a^T (sy x sy) a by the signed row reversal, per matrix of a stack
+    rng = np.random.default_rng(45)
+    a = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    expect = np.swapaxes(a, -1, -2) @ (SY2 @ a)
+    assert np.abs(measures._spin_flip(a) - expect).max() <= 1e-14
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import tracemalloc
@@ -8,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdephase import kernels, measures, refsearch
+from qdephase import cli, kernels, measures, refsearch
 from qdephase.cli import FIG_EPSILONS, build_record, sweep_blocks
 from qdephase.channel import ChannelParams, decoherence_factor
-from qdephase.matcore import psd_sqrt
+from qdephase.matcore import psd_eig, psd_sqrt
 from qdephase.measures import MeasureRecord
 from qdephase.refsearch import OptimizerConfig, closest_separable_bures
 from qdephase.states import (
@@ -21,11 +22,14 @@ from qdephase.states import (
     maximally_mixed,
     mixed_reference,
     mixed_reference_family,
+    save_state,
     validate,
 )
 
 BELL = initial_pure(FamilyParams(0.5))
 BELL_CSS = 1.0 - math.sqrt(0.5)
+SY = np.array([[0.0, -1j], [1j, 0.0]])
+SY2 = np.kron(SY, SY)  # the two-qubit spin flip, written out as a matrix
 
 
 def family(eps, abs_a, phase=0.0):
@@ -604,21 +608,25 @@ def _random_full_rank(rng, p):
 
 def _assert_css_closed(rho):
     """css_closed's sigma* and value, checked against the decomposition it
-    is built from, the fidelity and the concurrence formula."""
+    is built from, the fidelity and the concurrence formula. The
+    decomposition is checked from both factors a of rho = aa†: the PSD root,
+    and V sqrt(Lambda) from the checked eigenpairs, which css_closed reads."""
     rho = validate((rho + rho.conj().T) / 2.0).matrix
     res = refsearch.css_closed(rho)
-    z, c = refsearch.wootters_decomposition(psd_sqrt(rho))
     c_spectral = measures.concurrence_wootters(rho)
-    if z is None:  # separable: sigma* = rho
-        assert c == 0.0
-        assert np.array_equal(res.sigma_star.matrix, rho)
-    else:
+    for a in (psd_sqrt(rho), measures._eig_factor(*psd_eig(rho))):
+        z, c = refsearch.wootters_decomposition(a)
+        if z is None:
+            assert c == 0.0
+            continue
         assert abs(c - c_spectral) <= 1e-12
         assert np.abs(z @ z.conj().T - rho).max() <= 1e-12
         weight = (z.conj() * z).real.sum(axis=0)
-        overlap = np.abs(np.einsum("ij,ik,kj->j", z, measures._SY2, z))
+        overlap = np.abs(np.einsum("ij,ik,kj->j", z, SY2, z))
         member = weight > 1e-12  # a rank-deficient rho leaves members of weight ~0
         assert np.abs(overlap[member] / weight[member] - c).max() <= 1e-10
+    if z is None:  # separable by css_closed's own factor, the last: sigma* = rho
+        assert np.array_equal(res.sigma_star.matrix, rho)
     validate(res.sigma_star.matrix)
     assert res.pt_min_eig >= -1e-12
     assert res.pt_min_eig == kernels.pt_min_eig(res.sigma_star.matrix)
@@ -689,6 +697,56 @@ class TestCssClosed:
         rho = entangled_non_x_state(k)
         closed = _assert_css_closed(rho)
         assert closest_separable_bures(rho).e_value >= closed.e_value - 1e-9
+
+
+# 1 - sqrt((1 + sqrt(1 - C^2))/2) of nearly_singular_state(), from its
+# spin-flip spectrum at 50 digits (mpmath)
+NEARLY_SINGULAR_CSS = 0.044665631195813270016
+
+
+def nearly_singular_state():
+    """rho = (g w) g†, normalized, with lambda_min = 8.9e-9: there a fidelity
+    through the eigenvalues of sqrt(rho) sigma sqrt(rho) loses ~3e-8."""
+    rng = np.random.default_rng(10_107)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    w = rng.dirichlet(np.ones(4) * 0.5)
+    rho = (g * w) @ g.conj().T
+    rho = (rho + rho.conj().T) / 2.0
+    return validate(rho / rho.trace().real).matrix
+
+
+class TestNearlySingularState:
+    def test_css_closed_meets_the_optimum(self):
+        rho = nearly_singular_state()
+        assert 8.8e-9 < np.linalg.eigvalsh(rho)[0] < 9e-9
+        assert abs(refsearch.css_closed(rho).e_value - NEARLY_SINGULAR_CSS) <= 1e-12
+
+    def test_general_solver_meets_the_optimum(self):
+        res = closest_separable_bures(nearly_singular_state())
+        assert res.converged
+        assert abs(res.e_value - NEARLY_SINGULAR_CSS) <= 1e-10
+
+    def test_css_command_closed_gap(self, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        save_state(nearly_singular_state(), path)
+        assert cli.main(["css", str(path)]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["closed_gap"]) <= 1e-12
+
+    def test_css_routes_take_no_psd_root(self, tmp_path, monkeypatch, capsys):
+        # both routes read rho through V sqrt(Lambda): no root of rho, and no
+        # eigensolve of sqrt(rho) sigma sqrt(rho)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a CSS route took a PSD root or a fidelity eigensolve")
+
+        rho = nearly_singular_state()
+        path = tmp_path / "state.json"
+        save_state(rho, path)
+        for name in ("psd_sqrt_with_min", "sqrt_fidelity"):
+            monkeypatch.setattr(kernels, name, forbidden)
+        refsearch.css_closed(rho)
+        closest_separable_bures(rho, OptimizerConfig(restarts=2))
+        assert cli.main(["css", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["nfev"] == 0
 
 
 # a kind of random state and its mixing weight: pure, q pure + (1 - q) pure,

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdephase import states
@@ -157,13 +157,26 @@ class TestValidate:
             rho.matrix[0, 0] = 9.0
 
 
+def random_state(seed, rank):
+    """A random state of the given rank: g g† / Tr, g a complex 4 x rank."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    m = g @ g.conj().T
+    return states.validate(m / m.trace().real)
+
+
 class TestJson:
-    def test_round_trip(self, tmp_path):
-        rho = initial_pure(FamilyParams(0.25, 0.9))
-        path = tmp_path / "state.json"
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+    @example(seed=None, rank=None)  # the family's pure state at eps = 0.25
+    def test_round_trip(self, tmp_path_factory, seed, rank):
+        # JSON holds each float's shortest repr, which reads back exactly
+        rho = (initial_pure(FamilyParams(0.25, 0.9)) if seed is None
+               else random_state(seed, rank))
+        path = tmp_path_factory.mktemp("round_trip") / "state.json"
         states.save_state(rho, path)
         back = states.load_state(path)
-        assert np.abs(back.matrix - rho.matrix).max() < 1e-15
+        assert np.array_equal(back.matrix, rho.matrix)
 
     def test_schema_fields(self):
         blob = states.state_to_json(maximally_mixed())
