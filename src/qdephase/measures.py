@@ -223,23 +223,41 @@ def relative_entropy_linearized(rho, sigma_p) -> float:
     return _min1(_max0(val))
 
 
-@dataclass(frozen=True)
-class MonotonicResiduals:
-    """Residuals of the inter-measure relations on the family."""
+def relation_residuals(columns) -> dict:
+    """Residuals of the paper's inter-measure relations, for columns (field
+    name -> a scalar or an (N,) array; a sweep table, a sweep_blocks dict or
+    a record's asdict) with epsilon, delta12, negativity, concurrence_paper,
+    e_pure and er_lin.
 
-    delta12: float      # delta12 - (2/3)(N0^2 - Nt^2)
-    concurrence: float  # C_closed - sqrt(1 - (N0^2 - Nt^2)/2)
+    N0 = negativity_closed(eps, 1) is the undamped negativity. On the family
+    delta12_drop (delta12 = (2/3)(N0^2 - N^2)), concurrence_drop
+    (concurrence_paper = sqrt(1 - (N0^2 - N^2)/2)), widetext_purity and
+    widetext_concurrence are identities at every epsilon; product_half and
+    triangular_half only at epsilon = 1/2. The widetext forms are
+    implemented with the inner duplicate prefactor dropped and the spurious
+    additive N0 term removed, without which they fail their own
+    epsilon = 1/2 reductions. 8/3 is the printed 2d/(d-1) at d = 4.
+    """
+    d12, neg = columns["delta12"], columns["negativity"]
+    c, e, er = columns["concurrence_paper"], columns["e_pure"], columns["er_lin"]
+    n0 = negativity_closed(columns["epsilon"], 1.0)
+    drop = n0 * n0 - neg * neg
+    return {
+        "delta12_drop": d12 - (2.0 / 3.0) * drop,
+        "concurrence_drop": c - np.sqrt(1.0 - 0.5 * drop),
+        "widetext_purity": d12 * n0 * n0 - (8.0 / 3.0) * (
+            er * (e - 1.0) + 0.5 * n0 * (er * (1.0 + n0) + (e - 1.0) * (1.0 - n0))),
+        "widetext_concurrence": c * c * n0 * n0 - (
+            (e - 1.0) * (e - 1.0) + er * er + n0 * n0 * (e - er)),
+        "product_half": d12 - (8.0 / 3.0) * e * er,
+        "triangular_half": c * c - (e * e + er * er),
+    }
 
 
-def monotonic_relations_check(epsilon: float, gamma: float) -> MonotonicResiduals:
-    """Both monotonic inter-measure relations at one (epsilon, gamma) point."""
-    abs_a = math.sqrt(max(0.0, 1.0 - gamma))
-    n0 = negativity_closed(epsilon, 1.0)
-    nt = negativity_closed(epsilon, abs_a)
-    drop = n0 * n0 - nt * nt
-    r1 = linear_entropy_closed(epsilon, gamma) - (2.0 / 3.0) * drop
-    r2 = concurrence_family(epsilon, abs_a) - math.sqrt(1.0 - 0.5 * drop)
-    return MonotonicResiduals(delta12=r1, concurrence=r2)
+# the field each relation's diagnostic names: its left-hand side
+_RELATION_FIELDS = {"delta12_drop": "delta12", "concurrence_drop": "concurrence_paper",
+                    "widetext_purity": "delta12", "widetext_concurrence": "concurrence_paper",
+                    "product_half": "delta12", "triangular_half": "concurrence_paper"}
 
 
 @dataclass(frozen=True)
@@ -329,6 +347,15 @@ def _cross_route_checks(table, in_range):
     # er_exact may be +inf: only RANGE_SLACK is added to it
     ok, lin = usable("er_lin")
     yield "er_lin", "exceeds er_exact", ok & (lin > table["er_exact"] + RANGE_SLACK)
+    # the paper's relations, on the family's domain; the _half ones at 1/2 only
+    names = ("delta12", "negativity", "concurrence_paper", "e_pure", "er_lin")
+    ok, *cols = usable(*names)
+    ok &= (0.0 <= eps) & (eps <= 1.0)
+    res = relation_residuals(dict(zip(names, cols), epsilon=np.where(ok, eps, 0.5)))
+    for relation, name in _RELATION_FIELDS.items():
+        where = ok & (eps == 0.5) if relation.endswith("_half") else ok
+        yield (name, f"breaks the {relation} relation",
+               where & (np.abs(res[relation]) > RANGE_SLACK))
 
 
 def violation_mask(table) -> np.ndarray:

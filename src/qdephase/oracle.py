@@ -43,7 +43,6 @@ class ReservoirConfig:
     mu_cross: float = 0.0
     mu12: float = 0.0
     cutoff_tail: float = 1e-10
-    hard_cutoff: int = 64
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(complex(a) for a in self.alphas))
@@ -61,8 +60,6 @@ class ReservoirConfig:
             raise ValueError("omega_ratios and alphas must have equal length")
         if not 0.0 < self.cutoff_tail < 1.0:
             raise ValueError("cutoff_tail must be in (0, 1)")
-        if self.hard_cutoff < 1:
-            raise ValueError("hard_cutoff must be >= 1")
 
     @property
     def modes(self) -> int:
@@ -107,8 +104,7 @@ def fock_cutoff(mean: float, tail: float, limit: int = 64) -> int:
 
 def _mode_sizes(r: ReservoirConfig) -> tuple:
     # per-mode Fock grid sizes: each cutoff plus the vacuum
-    return tuple(fock_cutoff(abs(a) ** 2, r.cutoff_tail, r.hard_cutoff) + 1
-                 for a in r.alphas)
+    return tuple(fock_cutoff(abs(a) ** 2, r.cutoff_tail) + 1 for a in r.alphas)
 
 
 def _mode_coefficients(alpha: complex, size: int) -> np.ndarray:

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .measures import (MeasureRecord, _eig_factor, _max0, _min1, _spin_flip,
-                       negativity_closed, relative_entropy_linearized)
+from .measures import _eig_factor, _max0, _min1, _spin_flip, relative_entropy_linearized
 from .matcore import as_matrix, psd_eig
 from .states import TwoQubitState, outer_block, validate
 
@@ -308,40 +307,6 @@ def pure_ref_measure_family(epsilon: float, abs_a: float) -> float:
     """Family closed form 1 - 2 eps^2 (1-eps)^2 (1-|a|)/n^2."""
     n = epsilon**2 + (1.0 - epsilon) ** 2
     return 1.0 - 2.0 * epsilon**2 * (1.0 - epsilon) ** 2 * (1.0 - abs_a) / n**2
-
-
-@dataclass(frozen=True)
-class RelationResiduals:
-    """Residuals of the closed-form consistency relations at one sweep point.
-
-    product_half and triangular_half are identities only at epsilon = 1/2;
-    the two widetext residuals are identities for every epsilon. The widetext
-    forms are implemented with the inner duplicate prefactor dropped and the
-    spurious additive N0 term removed, without which they fail their own
-    epsilon = 1/2 reductions.
-    """
-
-    product_half: float
-    triangular_half: float
-    widetext_purity: float
-    widetext_concurrence: float
-
-
-def relation_residuals(record: MeasureRecord, d: int = 4) -> RelationResiduals:
-    """Evaluate the inter-measure relations on one record's closed-form fields."""
-    coef = 2.0 * d / (d - 1.0)
-    e = record.e_pure
-    er = record.er_lin
-    c2 = record.concurrence_paper**2
-    n0 = negativity_closed(record.epsilon, 1.0)
-    product_half = record.delta12 - coef * e * er
-    triangular_half = c2 - (e * e + er * er)
-    widetext_purity = record.delta12 * n0 * n0 - coef * (
-        er * (e - 1.0) + 0.5 * n0 * (er * (1.0 + n0) + (e - 1.0) * (1.0 - n0)))
-    widetext_concurrence = c2 * n0 * n0 - (
-        (e - 1.0) ** 2 + er * er + n0 * n0 * (e - er))
-    return RelationResiduals(product_half, triangular_half,
-                             widetext_purity, widetext_concurrence)
 
 
 @dataclass

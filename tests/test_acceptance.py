@@ -3,6 +3,7 @@ line printed per criterion (run with -s to watch them)."""
 
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 from qdephase import measures, refsearch
@@ -74,8 +75,15 @@ def test_criterion_3_closed_vs_spectral():
                     - measures.negativity_closed(float(eps), abs_a)),
                 abs(measures.linear_entropy(rho)
                     - measures.linear_entropy_closed(float(eps), float(gamma))))
-            res = measures.monotonic_relations_check(float(eps), float(gamma))
-            worst = max(worst, abs(res.delta12), abs(res.concurrence))
+            # the paper's drop relations on the closed-form columns
+            e_pure = refsearch.pure_ref_measure_family(float(eps), abs_a)
+            res = measures.relation_residuals({
+                "epsilon": float(eps),
+                "delta12": measures.linear_entropy_closed(float(eps), float(gamma)),
+                "negativity": measures.negativity_closed(float(eps), abs_a),
+                "concurrence_paper": measures.concurrence_family(float(eps), abs_a),
+                "e_pure": e_pure, "er_lin": 1.0 - e_pure})
+            worst = max(worst, abs(res["delta12_drop"]), abs(res["concurrence_drop"]))
     _verdict(3, "closed forms vs spectra", worst <= 1e-12, f"worst {worst:.3e}")
 
 
@@ -83,14 +91,15 @@ def test_criterion_4_relation_identities():
     channel = ChannelParams(omega1=1.0, omega2=1.0, mu1=0.5, mu2=0.5, ntilde=1.0)
     worst_half = 0.0
     for t in np.linspace(0.0, channel.period, 60):
-        res = refsearch.relation_residuals(build_record(0.5, channel, float(t)))
-        worst_half = max(worst_half, abs(res.product_half), abs(res.triangular_half))
+        res = measures.relation_residuals(asdict(build_record(0.5, channel, float(t))))
+        worst_half = max(worst_half, abs(res["product_half"]), abs(res["triangular_half"]))
     worst_general = 0.0
     for eps in np.linspace(0.0, 1.0, 21):
         for t in np.linspace(0.0, channel.period, 21):
-            res = refsearch.relation_residuals(build_record(float(eps), channel, float(t)))
-            worst_general = max(worst_general, abs(res.widetext_purity),
-                                abs(res.widetext_concurrence))
+            res = measures.relation_residuals(
+                asdict(build_record(float(eps), channel, float(t))))
+            worst_general = max(worst_general, abs(res["widetext_purity"]),
+                                abs(res["widetext_concurrence"]))
     ok = worst_half <= 1e-12 and worst_general <= 1e-12
     _verdict(4, "measure relation identities",
              ok, f"eps=1/2 worst {worst_half:.3e}, general worst {worst_general:.3e}")

@@ -224,6 +224,48 @@ class TestSweepBlocks:
         assert f"at eps=0.3, t={t}: ['fidelity_pure differs from 1 - er_lin: " in err
         assert not out.exists()
 
+    def test_drifted_purity_breaks_the_delta12_drop_relation(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # delta12 off by 1e-9 of the purity stays inside [0, 1] and, away from
+        # eps = 1/2, below C^2 + (3/2) delta12 <= 1; only the paper's
+        # delta12 = (2/3)(N0^2 - N^2) catches it
+        purity = kernels.purity
+        monkeypatch.setattr(kernels, "purity", lambda m: purity(m) * (1.0 - 1e-9))
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--epsilon-list", "0.42,0.12", "--t-steps", "51",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "at eps=0.12, t=0.0: ['delta12 breaks the delta12_drop relation: " in err
+        assert not out.exists()
+
+    @settings(max_examples=25, deadline=None)
+    @given(epsilons=st.lists(st.sampled_from(cli.FIG_EPSILONS + (1e-9, 1.0 - 1e-9)),
+                             max_size=3),
+           ntilde=st.floats(0.0, 20.0),
+           mu1=st.floats(-2.0, 2.0), mu2=st.floats(-2.0, 2.0),
+           omega=st.floats(-5.0, 5.0),
+           t_max=st.floats(0.0, 40.0))
+    def test_random_channels_pass_every_gate(self, epsilons, ntilde, mu1, mu2, omega,
+                                             t_max):
+        # the paper's relations and the cross-route identities hold off the
+        # figure's channel, at the product endpoints and epsilon = 1/2 too
+        c = ChannelParams(omega1=omega, omega2=omega, mu1=mu1, mu2=mu2, ntilde=ntilde)
+        ts = np.linspace(0.0, t_max, 33)
+        for cols in cli.sweep_blocks({0.0, 0.5, 1.0, *epsilons}, c, ts):
+            bad = np.flatnonzero(measures.violation_mask(cols))
+            assert not bad.size, measures.violations_at(measures.as_table(cols), bad[0])
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="er_exact drops the reference's weight on eigenvalues "
+                              "below tol.psd = 1e-9, which er_lin keeps; near the "
+                              "product endpoints er_lin then exceeds er_exact")
+    def test_near_product_states_pass_every_gate(self):
+        c = cli._default_channel()
+        ts = np.linspace(0.0, c.period, 51)
+        for cols in cli.sweep_blocks((3e-6, 1e-5, 3e-5, 1e-4), c, ts):
+            bad = np.flatnonzero(measures.violation_mask(cols))
+            assert not bad.size, measures.violations_at(measures.as_table(cols), bad[0])
+
 
 class TestSliceWriter:
     """run_sweep writes the CSV in slices of BLOCK_STATES table rows."""

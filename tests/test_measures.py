@@ -1,12 +1,14 @@
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdephase import kernels, matcore, measures
+from qdephase import kernels, matcore, measures, refsearch
+from qdephase.channel import ChannelParams
+from qdephase.cli import build_record
 from qdephase.errors import InvalidState, NotHermitian, NotPSD, SupportMismatch
 from qdephase.states import (
     FamilyParams,
@@ -217,25 +219,49 @@ class TestRelativeEntropy:
             measures.relative_entropy_exact(maximally_mixed(), BELL)
 
 
+def closed_columns(eps, gamma):
+    """The fields relation_residuals reads, in closed form, for the family
+    state at damping gamma."""
+    abs_a = math.sqrt(max(0.0, 1.0 - gamma))
+    e_pure = refsearch.pure_ref_measure_family(eps, abs_a)
+    return {"epsilon": eps, "delta12": measures.linear_entropy_closed(eps, gamma),
+            "negativity": measures.negativity_closed(eps, abs_a),
+            "concurrence_paper": measures.concurrence_family(eps, abs_a),
+            "e_pure": e_pure, "er_lin": 1.0 - e_pure}
+
+
 class TestMonotonicRelations:
     def test_no_damping(self):
-        res = measures.monotonic_relations_check(0.3, 0.0)
-        assert res.delta12 == pytest.approx(0.0, abs=1e-15)
-        assert res.concurrence == pytest.approx(0.0, abs=1e-15)
+        res = measures.relation_residuals(closed_columns(0.3, 0.0))
+        assert res["delta12_drop"] == pytest.approx(0.0, abs=1e-15)
+        assert res["concurrence_drop"] == pytest.approx(0.0, abs=1e-15)
 
     def test_half_identity(self):
         # delta12 = (2/3)(1 - N^2) at eps = 1/2
         for gamma in np.linspace(0.0, 1.0, 21):
-            res = measures.monotonic_relations_check(0.5, float(gamma))
-            assert abs(res.delta12) < 1e-12
-            assert abs(res.concurrence) < 1e-12
+            res = measures.relation_residuals(closed_columns(0.5, float(gamma)))
+            assert abs(res["delta12_drop"]) < 1e-12
+            assert abs(res["concurrence_drop"]) < 1e-12
 
     def test_general_grid(self):
         for eps in np.linspace(0.0, 1.0, 50):
             for gamma in np.linspace(0.0, 1.0, 50):
-                res = measures.monotonic_relations_check(float(eps), float(gamma))
-                assert abs(res.delta12) < 1e-12
-                assert abs(res.concurrence) < 1e-12
+                res = measures.relation_residuals(closed_columns(float(eps), float(gamma)))
+                assert abs(res["delta12_drop"]) < 1e-12
+                assert abs(res["concurrence_drop"]) < 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(eps=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+       gamma=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+@example(eps=0.5, gamma=0.37)
+def test_relations_hold_off_the_figure_grid(eps, gamma):
+    # the paper states its relations for the whole family, not only the
+    # figure's epsilons; the _half ones are identities at epsilon = 1/2 only
+    res = measures.relation_residuals(closed_columns(eps, gamma))
+    for name, residual in res.items():
+        if eps == 0.5 or not name.endswith("_half"):
+            assert abs(residual) <= measures.RANGE_SLACK, (name, residual)
 
 
 class TestMixedReferencePartialTranspose:
@@ -506,11 +532,12 @@ def test_exact_relative_entropy_rejects_an_indefinite_state():
 
 
 FIELDS = [f.name for f in fields(measures.MeasureRecord)]
-# a row that passes every check, the cross-route ones included: N = C =
-# 2 eps (1-eps) |a| / n = 0.3, fidelity_pure = 1 - er_lin, eof <= C,
-# er_lin <= er_exact (at equality) and C^2 + (3/2) delta12 = 0.465
-CONSISTENT_ROW = {**{name: 0.25 for name in FIELDS}, "abs_a": 0.5, "negativity": 0.3,
-                  "concurrence_wootters": 0.3, "fidelity_pure": 0.75}
+# real family rows, which pass every check, the cross-route ones and the
+# paper's relations included; at epsilon = 1/2 the bound C^2 + (3/2) delta12
+# <= 1 is an equality and the _half relations apply
+CHANNEL = ChannelParams(omega1=1.0, omega2=1.0, mu1=0.5, mu2=0.5, ntilde=1.0)
+CONSISTENT_ROW = asdict(build_record(0.5, CHANNEL, 1.5))  # gamma = 0.84
+OFF_HALF_ROW = asdict(build_record(0.26, CHANNEL, 1.5))
 BAD_VALUES = (math.nan, math.inf, -math.inf, -2e-12, 1.0 + 2e-12, -0.5, 1.5,
               -1e-12, 1.0 + 1e-12, -0.0, 7.0)
 
@@ -528,25 +555,56 @@ def test_violation_mask_matches_records(overrides):
     assert mask.tolist() == [bool(r.violations()) for r in rows]
 
 
-@pytest.mark.parametrize("field, edge, sign, diagnostic", [
-    ("fidelity_pure", 0.75, 1, "fidelity_pure differs from 1 - er_lin"),
-    ("negativity", 0.3, 1, "negativity differs from concurrence_wootters"),
-    ("abs_a", 0.5, 1, "concurrence_wootters differs from 2 eps (1-eps) |a| / n"),
-    ("delta12", (1.0 - 0.3 * 0.3) / 1.5, 1,
-     "concurrence_wootters breaks C^2 + (3/2) delta12 <= 1"),
-    ("eof", 0.3, 1, "eof exceeds concurrence_wootters"),
-    ("er_exact", 0.25, -1, "er_lin exceeds er_exact"),
+H, O = CONSISTENT_ROW, OFF_HALF_ROW
+DROP = "delta12 breaks the delta12_drop relation"
+C_DROP = "concurrence_paper breaks the concurrence_drop relation"
+W_PURITY = "delta12 breaks the widetext_purity relation"
+W_CONC = "concurrence_paper breaks the widetext_concurrence relation"
+PRODUCT = "delta12 breaks the product_half relation"
+TRIANGLE = "concurrence_paper breaks the triangular_half relation"
+
+
+# each case is named after the check it targets
+@pytest.mark.parametrize("row, field, edge, sign, broken", [
+    pytest.param(H, "fidelity_pure", 1.0 - H["er_lin"], 1,
+                 ["fidelity_pure differs from 1 - er_lin"], id="fidelity_pure"),
+    pytest.param(H, "negativity", H["concurrence_wootters"], 1,
+                 ["negativity differs from concurrence_wootters", DROP, C_DROP],
+                 id="negativity"),
+    pytest.param(H, "abs_a", H["abs_a"], 1,
+                 ["concurrence_wootters differs from 2 eps (1-eps) |a| / n"],
+                 id="closed_concurrence"),
+    pytest.param(H, "delta12", (1.0 - H["concurrence_wootters"] ** 2) / 1.5, 1,
+                 ["concurrence_wootters breaks C^2 + (3/2) delta12 <= 1",
+                  DROP, W_PURITY, PRODUCT], id="c2_delta12_bound"),
+    pytest.param(H, "eof", H["concurrence_wootters"], 1,
+                 ["eof exceeds concurrence_wootters"], id="eof"),
+    pytest.param(H, "er_exact", H["er_lin"], -1, ["er_lin exceeds er_exact"], id="er_exact"),
+    # the relations; off 1/2 the _half ones are not identities, so not checked
+    pytest.param(O, "delta12", O["delta12"], 1, [DROP, W_PURITY], id="delta12_drop"),
+    pytest.param(O, "concurrence_paper", O["concurrence_paper"], 1, [C_DROP, W_CONC],
+                 id="concurrence_drop"),
+    pytest.param(O, "e_pure", O["e_pure"], 1, [W_PURITY, W_CONC], id="widetext_purity"),
+    pytest.param(O, "er_lin", O["er_lin"], 1,
+                 ["fidelity_pure differs from 1 - er_lin", W_PURITY, W_CONC],
+                 id="widetext_concurrence"),
+    pytest.param(H, "e_pure", H["e_pure"], 1, [W_PURITY, W_CONC, PRODUCT, TRIANGLE],
+                 id="product_half"),
+    pytest.param(H, "concurrence_paper", H["concurrence_paper"], -1,
+                 [C_DROP, W_CONC, TRIANGLE], id="triangular_half"),
 ])
-def test_cross_route_checks_name_the_broken_route(field, edge, sign, diagnostic):
-    # edge puts the row on the identity or bound; past it by RANGE_SLACK / 2
-    # nothing is reported, by 10 RANGE_SLACK the one check is
+def test_cross_route_checks_name_the_broken_route(row, field, edge, sign, broken):
+    # edge puts the row on the identity or bound; RANGE_SLACK / 2.5 off it
+    # either way nothing is reported, past it by 10 RANGE_SLACK exactly the
+    # checks in broken are, in report order
     def violations(value):
-        return measures.MeasureRecord(**{**CONSISTENT_ROW, field: value}).violations()
+        found = measures.MeasureRecord(**{**row, field: value}).violations()
+        return [v.split(":")[0] for v in found]
 
     assert violations(edge) == []
-    assert violations(edge + sign * 0.4e-12) == []
-    broken = violations(edge + sign * 1e-11)
-    assert len(broken) == 1 and broken[0].startswith(diagnostic + ": "), broken
+    assert violations(edge + 0.4e-12) == []
+    assert violations(edge - 0.4e-12) == []
+    assert violations(edge + sign * 1e-11) == broken
 
 
 def test_nan_er_exact_is_a_violation():

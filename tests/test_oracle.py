@@ -79,10 +79,11 @@ class TestBuildJoint:
                 a[0] = 0.0
 
     def test_hard_cutoff(self):
-        r = ReservoirConfig(alphas=(6.0,), omega_ratios=(1.0,), hard_cutoff=16)
+        # mean occupation 81 needs more than the 64 Fock states a mode may take
+        r = ReservoirConfig(alphas=(9.0,), omega_ratios=(1.0,))
         with pytest.raises(CutoffTooTight):
             build_joint(0.5, r, channel_for(r))
-        with pytest.raises(CutoffTooTight, match="hard limit 16"):
+        with pytest.raises(CutoffTooTight, match="hard limit 64"):
             oracle.occupation_weights(r)
 
 class TestEvolveJoint:

@@ -2,7 +2,7 @@ import json
 import math
 import sys
 import tracemalloc
-from dataclasses import astuple, replace
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from qdephase import cli, kernels, measures, refsearch
 from qdephase.cli import FIG_EPSILONS, build_record, sweep_blocks
 from qdephase.channel import ChannelParams, decoherence_factor
 from qdephase.matcore import psd_eig, psd_sqrt
-from qdephase.measures import MeasureRecord
+from qdephase.measures import MeasureRecord, relation_residuals
 from qdephase.refsearch import OptimizerConfig, closest_separable_bures
 from qdephase.states import (
     FamilyParams,
@@ -159,28 +159,28 @@ def record_at(eps, theta, ntilde=1.0):
 
 class TestRelationResiduals:
     def test_undamped_half(self):
-        res = refsearch.relation_residuals(record_at(0.5, 0.0))
-        assert abs(res.product_half) < 1e-12
-        assert abs(res.triangular_half) < 1e-12
+        res = relation_residuals(asdict(record_at(0.5, 0.0)))
+        assert abs(res["product_half"]) < 1e-12
+        assert abs(res["triangular_half"]) < 1e-12
 
     def test_fully_damped_half(self):
         # gamma -> 1 needs a hot reservoir; theta = pi maximizes damping
-        res = refsearch.relation_residuals(record_at(0.5, math.pi, ntilde=8.0))
-        assert abs(res.product_half) < 1e-12
-        assert abs(res.triangular_half) < 1e-12
+        res = relation_residuals(asdict(record_at(0.5, math.pi, ntilde=8.0)))
+        assert abs(res["product_half"]) < 1e-12
+        assert abs(res["triangular_half"]) < 1e-12
 
     def test_half_identities_along_trajectory(self):
         for theta in np.linspace(0.0, 2 * math.pi, 41):
-            res = refsearch.relation_residuals(record_at(0.5, float(theta)))
-            assert abs(res.product_half) < 1e-12
-            assert abs(res.triangular_half) < 1e-12
+            res = relation_residuals(asdict(record_at(0.5, float(theta))))
+            assert abs(res["product_half"]) < 1e-12
+            assert abs(res["triangular_half"]) < 1e-12
 
     def test_widetext_identities_any_epsilon(self):
         for eps in (0.05, 0.3, 0.42, 0.77, 1.0):
             for theta in np.linspace(0.0, 2 * math.pi, 21):
-                res = refsearch.relation_residuals(record_at(float(eps), float(theta)))
-                assert abs(res.widetext_purity) < 1e-12
-                assert abs(res.widetext_concurrence) < 1e-12
+                res = relation_residuals(asdict(record_at(float(eps), float(theta))))
+                assert abs(res["widetext_purity"]) < 1e-12
+                assert abs(res["widetext_concurrence"]) < 1e-12
 
 
 # delta12 values that repeat exactly, sit equally near on both sides of one
