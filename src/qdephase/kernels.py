@@ -1,6 +1,7 @@
-"""Hot numeric kernels: Hermitian eigendecomposition, PSD square root,
-fidelity trace, and the closest-separable-state objective over mixtures of
-four product states, with its analytic gradient, for any factor rho = uu†.
+"""Hot numeric kernels: Hermitian eigendecomposition, the spectrum floor,
+PSD square root and fidelity trace (the tests' reference routes), and the
+closest-separable-state objective over mixtures of four product states,
+with its analytic gradient, for any factor rho = uu†.
 
 Plain numpy, one implementation. Everything here is pure and deterministic
 for fixed inputs on one platform.

@@ -1,5 +1,5 @@
-"""Dense complex-matrix kernels: Hermitian eigendecomposition, PSD square
-root, partial transpose, partial trace and tensor products.
+"""Dense complex-matrix kernels: checked Hermitian eigendecomposition, PSD
+square root, partial transpose, partial trace and tensor products.
 
 Matrices are plain complex128 numpy arrays. All operations are pure
 functions; nothing here mutates its inputs.
@@ -15,10 +15,11 @@ from .errors import BadDim, BadDims, NoConvergence, NotHermitian, NotPSD
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Central numeric tolerances, overridable per call so tests can tighten them."""
+    """Central numeric tolerances: every check reads DEFAULT_TOL, but
+    states.check takes one, so the oracle can widen its trace bound."""
 
     herm: float = 1e-10   # max entrywise |m - m†| accepted as Hermitian
-    psd: float = 1e-9     # eigenvalues >= -psd are clipped to 0, below is an error
+    psd: float = 1e-9     # an eigenvalue below -psd is an error (NotPSD)
     trace: float = 1e-10  # |Tr rho - 1| accepted for density matrices
 
 
@@ -52,35 +53,30 @@ def _eigen(a, kernel):
     return out, np.abs(a - a_dag).max(axis=(-2, -1))
 
 
-def hermitian_eig(m, tol: Tolerances = DEFAULT_TOL):
+def hermitian_eig(m):
     """Eigenvalues (ascending) and orthonormal eigenvector columns; raises
-    NotHermitian if m is not Hermitian within tol.herm and NoConvergence if
-    the eigensolver does not converge."""
+    NotHermitian if m is not Hermitian within DEFAULT_TOL.herm and
+    NoConvergence if the eigensolver does not converge."""
     (w, v), defect = _eigen(as_matrix(m), kernels.eigh_herm)
-    if defect > tol.herm:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} > {tol.herm:.1e}")
+    if defect > DEFAULT_TOL.herm:
+        raise NotHermitian(f"hermiticity defect {defect:.3e} > {DEFAULT_TOL.herm:.1e}")
     return w, v
 
 
-def psd_eig(m, tol: Tolerances = DEFAULT_TOL):
+def psd_eig(m):
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a PSD
     matrix, per matrix for an (N, n, n) stack. The first matrix that is not
-    Hermitian within tol.herm raises NotHermitian, or that has an eigenvalue
-    below -tol.psd NotPSD; the caller clips the noise-level negatives."""
-    return _checked_psd(as_matrix(m, stacked=True), kernels.eigh_herm, tol)
+    Hermitian within DEFAULT_TOL.herm raises NotHermitian, or that has an
+    eigenvalue below -DEFAULT_TOL.psd NotPSD; the caller clips the
+    noise-level negatives (kernels._clip_spectrum)."""
+    return _checked_psd(as_matrix(m, stacked=True), kernels.eigh_herm)
 
 
-def psd_root(m, tol: Tolerances = DEFAULT_TOL):
-    """psd_sqrt(m, tol) and the eigendecomposition it was built from:
-    (sqrt, w, v), w ascending, per matrix for a stack; checked as psd_eig."""
-    return _checked_psd(as_matrix(m, stacked=True), kernels.psd_sqrt_with_min, tol)
-
-
-def _checked_psd(a, kernel, tol):
+def _checked_psd(a, kernel):
     # kernel's output, whose last two items are the ascending spectrum and
     # the eigenvectors, once every matrix passes the PSD checks
     out, defect = _eigen(a, kernel)
-    w = out[-2]
+    w, tol = out[-2], DEFAULT_TOL
     bad = np.flatnonzero((defect > tol.herm) | (w[..., 0] < -tol.psd))
     if bad.size:  # the first failing matrix names itself
         defect, wmin = np.ravel(defect)[bad[0]], np.ravel(w[..., 0])[bad[0]]
@@ -90,12 +86,11 @@ def _checked_psd(a, kernel, tol):
     return out
 
 
-def psd_sqrt(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def psd_sqrt(m) -> np.ndarray:
     """Hermitian PSD square root of a matrix, or of each matrix in an
-    (N, n, n) stack by the same arithmetic; eigenvalues in [-tol.psd, 0) are
-    clipped. The first matrix that is not Hermitian within tol.herm raises
-    NotHermitian, or that has an eigenvalue below -tol.psd NotPSD."""
-    return psd_root(m, tol)[0]
+    (N, n, n) stack by the same arithmetic, checked as psd_eig; eigenvalues
+    under kernels._clip_spectrum's floor are taken as 0."""
+    return _checked_psd(as_matrix(m, stacked=True), kernels.psd_sqrt_with_min)[0]
 
 
 def partial_transpose(rho, subsystem: str = "second") -> np.ndarray:

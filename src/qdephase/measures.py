@@ -9,11 +9,10 @@ Each closed form is one numpy function: an array gives a column, a scalar a
 numpy scalar, by the same arithmetic (squares as x * x: a numpy scalar's
 x**2 goes through pow, which can round differently). Each spectral measure
 is one function too: a 4x4 state gives a numpy scalar, an (N, 4, 4) stack an
-(N,) array, by the same arithmetic on each matrix. stacked_measures only
-composes them around one checked eigendecomposition per state: the
-concurrence, the fidelity to a pure reference, the fidelity to I/4 and the
-exact relative entropy all read rho's eigenpairs, and no square root of rho
-is formed.
+(N,) array, by the same arithmetic on each matrix. Each reads a state
+through its checked eigenpairs (psd_eig) under one floor,
+kernels._clip_spectrum, and forms no square root of it; stacked_measures
+only composes them around one eigendecomposition per state.
 """
 
 import math
@@ -23,7 +22,8 @@ import numpy as np
 
 from . import kernels
 from .errors import InvalidState, SupportMismatch
-from .matcore import DEFAULT_TOL, as_matrix, partial_transpose, psd_eig, psd_sqrt
+# psd_sqrt has no caller here: perfbench/test_harness.py traces it through this name
+from .matcore import as_matrix, partial_transpose, psd_eig, psd_sqrt  # noqa: F401
 
 # weight a pure reference may carry outside the state's support before the
 # relative entropy is reported as infinite
@@ -138,16 +138,23 @@ def _binary_entropy(x):
 
 
 def uhlmann_fidelity(rho, sigma) -> float:
-    """General fidelity {Tr sqrt(sqrt(rho) sigma sqrt(rho))}^2, in [0, 1]."""
-    val = kernels.sqrt_fidelity(psd_sqrt(rho), as_matrix(sigma, stacked=True))
+    """General fidelity {Tr sqrt(sqrt(rho) sigma sqrt(rho))}^2, in [0, 1], as
+    ||U†W||_1^2 for the factors rho = UU†, sigma = WW† from each state's
+    eigenpairs (Uhlmann, Rep. Math. Phys. 9, 273 (1976))."""
+    val = _trace_norm(_eig_factor(*psd_eig(rho)), _eig_factor(*psd_eig(sigma)))
     return _min1(val * val)
+
+
+def _trace_norm(u, b):
+    # ||u† b||_1: the root fidelity of rho = uu† and sigma = bb†
+    return np.linalg.svd(kernels._dagger(u) @ b, compute_uv=False).sum(-1)
 
 
 def pure_fidelity(rho, sigma_p) -> float:
     """F(rho, |psi><psi|) = <psi|rho|psi> = sum_i lambda_i |<v_i|psi>|^2 for a
-    pure reference sigma_p, from rho's checked eigenpairs under the noise
-    floor the PSD root uses (Jozsa, J. Mod. Opt. 41, 2315 (1994)); the
-    Uhlmann fidelity to sigma_p, with no eigensolve of its own."""
+    pure reference sigma_p, from rho's checked eigenpairs under
+    kernels._clip_spectrum's floor (Jozsa, J. Mod. Opt. 41, 2315 (1994));
+    the Uhlmann fidelity to sigma_p, with no eigensolve of its own."""
     w, v = psd_eig(rho)
     return _pure_fidelity(w, _reference_weights(v, _assert_pure(sigma_p)))
 
@@ -163,8 +170,8 @@ def _pure_fidelity(w, weights):
 
 def maxmixed_fidelity(w):
     """F(rho, I/4) = (Tr sqrt(rho))^2 / 4 from rho's ascending spectrum w
-    (psd_eig's), under the noise floor the PSD root uses; (N,) for an
-    (N, 4) stack.
+    (psd_eig's), under kernels._clip_spectrum's floor; (N,) for an (N, 4)
+    stack.
 
     sqrt(rho) (I/4) sqrt(rho) = rho/4, so the fidelity needs no eigensolve
     beyond rho's own (Jozsa, J. Mod. Opt. 41, 2315 (1994)).
@@ -175,8 +182,7 @@ def maxmixed_fidelity(w):
 
 def bures_distance(rho, sigma) -> float:
     """Fidelity-derived metric sqrt(2 - 2 sqrt(F)), in [0, sqrt(2)]."""
-    f = uhlmann_fidelity(rho, sigma)
-    return math.sqrt(max(0.0, 2.0 - 2.0 * math.sqrt(f)))
+    return np.sqrt(_max0(2.0 - 2.0 * np.sqrt(uhlmann_fidelity(rho, sigma))))
 
 
 def _assert_pure(sigma_p) -> np.ndarray:
@@ -188,7 +194,7 @@ def _assert_pure(sigma_p) -> np.ndarray:
     return m
 
 
-def relative_entropy_exact(sigma_p, rho, tol=DEFAULT_TOL) -> float:
+def relative_entropy_exact(sigma_p, rho) -> float:
     """-Tr(sigma_p ln rho) in nats for a pure reference sigma_p.
 
     Computed on the support of rho, from its checked eigenpairs (psd_eig:
@@ -196,20 +202,21 @@ def relative_entropy_exact(sigma_p, rho, tol=DEFAULT_TOL) -> float:
     +inf) when sigma_p carries weight >= 1e-8 outside that support.
     """
     sp = _assert_pure(sigma_p)
-    w, v = psd_eig(as_matrix(rho), tol)
-    outside, val = _support_entropy(w, _reference_weights(v, sp), tol)
+    w, v = psd_eig(as_matrix(rho))
+    outside, val = _support_entropy(w, _reference_weights(v, sp))
     if outside >= SUPPORT_WEIGHT_TOL:
         raise SupportMismatch(
             f"reference weight {float(outside):.3e} outside the state's support")
     return _max0(val)
 
 
-def _support_entropy(w, weights, tol):
+def _support_entropy(w, weights):
     """(weight of sp outside rho's support, -Tr(sp ln rho) on that support)
     from rho's ascending spectrum w and sp's weights on its eigenvectors; a
-    leading stack axis is carried through. Off-support slots take weight and
-    log 0, so every state runs the same length-4 product whatever its rank."""
-    on_support = w > tol.psd
+    leading stack axis is carried through. The support is what
+    kernels._clip_spectrum keeps; off-support slots take weight and log 0,
+    so every state runs the same length-4 product whatever its rank."""
+    on_support = kernels._clip_spectrum(w) > 0.0
     outside = np.where(on_support, 0.0, weights).sum(axis=-1)
     log_w = np.where(on_support, np.log(np.where(on_support, w, 1.0)), 0.0)
     dot = (np.where(on_support, weights, 0.0)[..., None, :] @ log_w[..., :, None])
@@ -392,7 +399,7 @@ def stacked_measures(rho, sigma_p) -> dict:
     """
     w, v = psd_eig(rho)  # before any purity check
     weights = _reference_weights(v, _assert_pure(sigma_p))
-    outside, er = _support_entropy(w, weights, DEFAULT_TOL)
+    outside, er = _support_entropy(w, weights)
     return {
         "delta12": linear_entropy(rho),
         "negativity": negativity(rho),

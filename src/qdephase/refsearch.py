@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .measures import _eig_factor, _max0, _min1, _spin_flip, relative_entropy_linearized
+from .measures import _eig_factor, _max0, _min1, _spin_flip, _trace_norm
+from .measures import relative_entropy_linearized
 from .matcore import as_matrix, psd_eig
 from .states import TwoQubitState, outer_block, validate
 
@@ -200,7 +201,7 @@ def css_closed(rho) -> CssResult:
         b = b * np.linalg.norm(z, axis=0)
         sigma = b @ b.conj().T
         sigma = (sigma + sigma.conj().T) / 2.0
-        e_value = 1.0 - float(np.linalg.svd(u.conj().T @ b, compute_uv=False).sum())
+        e_value = 1.0 - float(_trace_norm(u, b))
     return CssResult(sigma_star=validate(sigma), e_value=min(1.0, max(0.0, e_value)),
                      iterations=0, converged=True,
                      pt_min_eig=float(kernels.pt_min_eig(sigma)), nfev=0)

@@ -81,9 +81,9 @@ def check(m, tol: Tolerances = DEFAULT_TOL) -> list:
     return [where + text for text, hit in zip(said, broken[k]) if hit]
 
 
-def validate(m, tol: Tolerances = DEFAULT_TOL) -> TwoQubitState:
+def validate(m) -> TwoQubitState:
     """Return a validated TwoQubitState or raise InvalidState with diagnostics."""
-    problems = check(m, tol)
+    problems = check(m)
     if problems:
         raise InvalidState(problems)
     return TwoQubitState(as_matrix(m).copy())

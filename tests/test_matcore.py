@@ -102,8 +102,8 @@ class TestPsdSqrt:
         with pytest.raises(NotHermitian, match="1.000e-06"):
             matcore.psd_sqrt(stack)
 
-    @pytest.mark.parametrize("call", [matcore.psd_sqrt, matcore.psd_root,
-                                      matcore.hermitian_eig, matcore.psd_eig])
+    @pytest.mark.parametrize("call", [matcore.psd_sqrt, matcore.hermitian_eig,
+                                      matcore.psd_eig])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
     def test_non_finite_matrix_is_named_not_hermitian(self, call, bad):
         m = np.eye(4, dtype=complex) / 4.0
@@ -113,7 +113,7 @@ class TestPsdSqrt:
             with pytest.raises(NotHermitian, match="^matrix has a non-finite entry$"):
                 call(m)
 
-    @pytest.mark.parametrize("call", [matcore.psd_sqrt, matcore.psd_root, matcore.psd_eig])
+    @pytest.mark.parametrize("call", [matcore.psd_sqrt, matcore.psd_eig])
     def test_first_non_finite_matrix_of_a_stack_names_itself(self, call):
         stack = np.array([np.eye(4, dtype=complex) / 4.0] * 5)
         stack[4, 2, 2] = np.nan
@@ -125,15 +125,19 @@ class TestPsdSqrt:
                 call(stack)
 
     def test_root_carries_the_decomposition_it_used(self):
+        # psd_sqrt's root is built from psd_eig's eigenpairs; a stack equals
+        # its per-matrix calls
         rng = np.random.default_rng(20)
         stack = np.array([random_psd(rng, 4) for _ in range(3)])
-        s, w, v = matcore.psd_root(stack)
+        s = matcore.psd_sqrt(stack)
+        w, v = matcore.psd_eig(stack)
         for k, m in enumerate(stack):
             assert np.array_equal(s[k], matcore.psd_sqrt(m))
             wk, vk = matcore.hermitian_eig(m)
             assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
-        we, ve = matcore.psd_eig(stack)
-        assert np.array_equal(we, w) and np.array_equal(ve, v)
+        sk, wk, vk = kernels.psd_sqrt_with_min((stack + kernels._dagger(stack)) / 2.0)
+        assert np.array_equal(sk, s)
+        assert np.array_equal(wk, w) and np.array_equal(vk, v)
 
 
 def _no_convergence(*args):

@@ -358,22 +358,24 @@ class TestStackedMeasuresShareOneRoot:
         rho = np.array([random_state(rng, rank) for rank in (1, 2, 3, 4)])
         sigma = np.array([random_pure(rng) for _ in rho])
         calls = []
-        eigh = np.linalg.eigh
+        for name in ("eigh", "svd", "eigvalsh"):
+            def counting(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, args[0].shape))
+                return _f(*args, **kwargs)
 
-        def counting_eigh(m):
-            calls.append(m.shape)
-            return eigh(m)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+            monkeypatch.setattr(np.linalg, name, counting)
         measures.stacked_measures(rho, sigma)
-        assert calls == [(4, 4, 4)]
+        assert [shape for name, shape in calls if name == "eigh"] == [(4, 4, 4)]
         calls.clear()
         measures.concurrence_wootters(rho[0])
         measures.pure_fidelity(rho[0], sigma[0])
-        measures.uhlmann_fidelity(rho[0], sigma[0])
         with pytest.raises(SupportMismatch):
             measures.relative_entropy_exact(sigma[0], rho[0])
-        assert calls == [(4, 4)] * 4
+        assert [shape for name, shape in calls if name == "eigh"] == [(4, 4)] * 3
+        # the Uhlmann fidelity: each state's eigenpairs, then ||U†W||_1
+        calls.clear()
+        measures.uhlmann_fidelity(rho[0], sigma[0])
+        assert calls == [("eigh", (4, 4)), ("eigh", (4, 4)), ("svd", (4, 4))]
 
     def test_one_eigh_one_svd_one_eigvalsh_per_stack(self, monkeypatch):
         # eigh: the checked eigenpairs; svd: the concurrence; eigvalsh: the
@@ -403,17 +405,41 @@ class TestStackedMeasuresShareOneRoot:
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
 def test_maxmixed_fidelity_matches_the_general_fidelity(seed, rank):
     # (Tr sqrt(rho))^2 / 4 from rho's spectrum against the Uhlmann fidelity
-    # of sqrt(rho) (I/4) sqrt(rho), an eigensolve of its own. Each route's
+    # ||U†W||_1^2, W the factor of I/4 from an eigensolve of its own. Each route's
     # eigenvalues carry an absolute rounding of a few eps, which the square
     # root turns into ~eps / sqrt(lambda): a state with an eigenvalue near
     # 1e-6 (about 3 in 10^4 random rank-4 states) can differ by ~4e-14, and
     # neither route is then the closer one to a 40-digit reference.
     rho = random_state(np.random.default_rng(seed), rank)
-    w = matcore.psd_root(rho)[1]
+    w = matcore.psd_eig(rho)[0]
     smallest = w[w > kernels.NOISE_FLOOR_REL * w[-1]].min()
     tol = 1e-14 + 4.0 * np.finfo(float).eps / math.sqrt(smallest)
     spectral = measures.maxmixed_fidelity(w)
     assert abs(spectral - measures.uhlmann_fidelity(rho, maximally_mixed())) <= tol
+
+
+def root_route_fidelity(rho, sigma):
+    # {Tr sqrt(sqrt(rho) sigma sqrt(rho))}^2 from the PSD root and an
+    # eigensolve of sqrt(rho) sigma sqrt(rho): the route the factor route
+    # replaced, kept as its reference
+    val = kernels.sqrt_fidelity(matcore.psd_sqrt(rho), sigma)
+    return min(1.0, val * val)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4))
+def test_uhlmann_fidelity_matches_the_root_route(seed, rank_rho, rank_sigma):
+    # both routes clip each spectrum at the same floor; the root route's
+    # eigenvalues of sqrt(rho) sigma sqrt(rho) carry an absolute rounding of
+    # a few eps, which the square root turns into ~eps / sqrt(lambda). Over
+    # 12000 seeded pairs the routes differ by at most 1.7e-14, and by at
+    # most 1.7 eps / sqrt(lambda) beyond 1e-14.
+    rng = np.random.default_rng(seed)
+    rho, sigma = random_state(rng, rank_rho), random_state(rng, rank_sigma)
+    smallest = min(w[w > kernels.NOISE_FLOOR_REL * w[-1]].min()
+                   for w in (matcore.psd_eig(rho)[0], matcore.psd_eig(sigma)[0]))
+    tol = 1e-14 + 4.0 * np.finfo(float).eps / math.sqrt(smallest)
+    assert abs(measures.uhlmann_fidelity(rho, sigma) - root_route_fidelity(rho, sigma)) <= tol
 
 
 def sqrt_route_concurrence(rho):
@@ -501,6 +527,7 @@ STACKED = {
     "concurrence_wootters": lambda r, sp: measures.concurrence_wootters(r),
     "uhlmann_fidelity": lambda r, sp: measures.uhlmann_fidelity(r, sp),
     "pure_fidelity": lambda r, sp: measures.pure_fidelity(r, sp),
+    "bures_distance": lambda r, sp: measures.bures_distance(r, sp),
     "fidelity_to_maximally_mixed":
         lambda r, sp: measures.uhlmann_fidelity(r, maximally_mixed()),
     "maxmixed_fidelity": lambda r, sp: measures.maxmixed_fidelity(matcore.psd_eig(r)[0]),

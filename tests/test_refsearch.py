@@ -732,6 +732,33 @@ class TestNearlySingularState:
         assert cli.main(["css", str(path)]) == 0
         assert abs(json.loads(capsys.readouterr().out)["closed_gap"]) <= 1e-12
 
+    def test_uhlmann_fidelity_meets_the_optimum(self):
+        # the general fidelity at css_closed's sigma* meets the 50-digit
+        # optimum, as css_closed's own e_value does
+        rho = nearly_singular_state()
+        sigma = refsearch.css_closed(rho).sigma_star
+        f = measures.uhlmann_fidelity(rho, sigma)
+        assert abs(1.0 - math.sqrt(f) - NEARLY_SINGULAR_CSS) <= 1e-15
+        # the Bures distance is sqrt(2 (1 - sqrt(F))) of the same fidelity
+        bures = measures.bures_distance(rho, sigma)
+        assert bures == math.sqrt(2.0 - 2.0 * math.sqrt(f))
+        assert abs(bures - math.sqrt(2.0 * NEARLY_SINGULAR_CSS)) <= 4e-15
+
+    def test_fidelities_take_no_psd_root(self, monkeypatch):
+        # uhlmann_fidelity and bures_distance read each state through its
+        # eigenpairs: no root of rho, and no eigensolve of sqrt(rho) sigma sqrt(rho)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a fidelity took a PSD root or a fidelity eigensolve")
+
+        rho = nearly_singular_state()
+        for name in ("psd_sqrt_with_min", "sqrt_fidelity"):
+            monkeypatch.setattr(kernels, name, forbidden)
+        f = measures.uhlmann_fidelity(rho, BELL)
+        assert 0.0 <= f <= 1.0
+        assert measures.bures_distance(rho, BELL) == math.sqrt(2.0 - 2.0 * math.sqrt(f))
+        stack = np.array([rho, BELL.matrix])
+        assert measures.uhlmann_fidelity(stack, BELL)[0] == f
+
     def test_css_routes_take_no_psd_root(self, tmp_path, monkeypatch, capsys):
         # both routes read rho through V sqrt(Lambda): no root of rho, and no
         # eigensolve of sqrt(rho) sigma sqrt(rho)
