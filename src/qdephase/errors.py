@@ -21,10 +21,6 @@ class BadDim(QDephaseError):
     """Matrix dimension does not match the operation's requirement."""
 
 
-class BadDims(QDephaseError):
-    """Tensor-factor dimensions are inconsistent with the matrix."""
-
-
 class InvalidState(QDephaseError):
     """Matrix fails the density-matrix invariants.
 

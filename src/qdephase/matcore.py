@@ -1,5 +1,5 @@
 """Dense complex-matrix kernels: checked Hermitian eigendecomposition, PSD
-square root, partial transpose, partial trace and tensor products.
+square root and partial transpose.
 
 Matrices are plain complex128 numpy arrays. All operations are pure
 functions; nothing here mutates its inputs.
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import BadDim, BadDims, NoConvergence, NotHermitian, NotPSD
+from .errors import BadDim, NoConvergence, NotHermitian, NotPSD
 
 
 @dataclass(frozen=True)
@@ -104,43 +104,3 @@ def partial_transpose(rho, subsystem: str = "second") -> np.ndarray:
     pt = kernels._partial_transpose(a)
     # the first factor's transpose is the full transpose of the second's
     return pt if subsystem == "second" else np.swapaxes(pt, -1, -2)
-
-
-def partial_trace(full, dims, keep) -> np.ndarray:
-    """Trace out all tensor factors not listed in keep.
-
-    dims lists the factor dimensions whose product must equal the matrix
-    dimension; keep is a nonempty collection of factor indices, and the kept
-    factors stay in their original order.
-    """
-    a = as_matrix(full)
-    dims = [int(d) for d in dims]
-    if any(d < 1 for d in dims):
-        raise BadDims(f"factor dimensions must be positive, got {dims}")
-    n = int(np.prod(dims))
-    if n != a.shape[0]:
-        raise BadDims(f"prod(dims)={n} does not match matrix dim {a.shape[0]}")
-    keep = sorted(set(int(k) for k in keep))
-    if not keep:
-        raise BadDims("keep must be nonempty")
-    if keep[0] < 0 or keep[-1] >= len(dims):
-        raise BadDims(f"keep indices {keep} out of range for {len(dims)} factors")
-
-    nf = len(dims)
-    if nf > 26:
-        raise BadDims("at most 26 tensor factors supported")
-    row = [chr(ord("a") + i) for i in range(nf)]
-    col = [chr(ord("A") + i) for i in range(nf)]
-    for i in range(nf):
-        if i not in keep:
-            col[i] = row[i]  # traced factor: row and column indices contract
-    spec = "".join(row) + "".join(col)
-    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    r = np.einsum(f"{spec}->{out}", a.reshape(dims + dims))
-    d_keep = int(np.prod([dims[i] for i in keep]))
-    return r.reshape(d_keep, d_keep)
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product of two square matrices."""
-    return np.kron(as_matrix(a), as_matrix(b))

@@ -1,9 +1,10 @@
 """Entanglement and mixedness measures.
 
-Two routes are carried side by side wherever the closed form disagrees with
-the general definition: spectral pipelines (authoritative) and the family
-closed forms (reproduction targets). They are asserted against each other in
-tests rather than reconciled here.
+The spectral pipelines are authoritative. The family closed forms here are
+the ones the sweep writes or gates a row on; where a closed form disagrees
+with the general definition it is kept as labeled (concurrence_family), and
+the tests hold the two against each other rather than reconciling them. The
+printed forms that no command runs live with the tests (tests/reference.py).
 
 Each closed form is one numpy function: an array gives a column, a scalar a
 numpy scalar, by the same arithmetic (squares as x * x: a numpy scalar's
@@ -58,12 +59,6 @@ def _norm(epsilon: float) -> float:
 def linear_entropy(rho) -> float:
     """Normalized mixedness (4/3)(1 - Tr rho^2): 0 pure, 1 maximally mixed."""
     return _min1(_max0((4.0 / 3.0) * (1.0 - kernels.purity(as_matrix(rho, stacked=True)))))
-
-
-def linear_entropy_closed(epsilon: float, gamma: float) -> float:
-    """Family closed form (8/3) eps^2 (1-eps)^2 gamma / n^2."""
-    n = _norm(epsilon)
-    return (8.0 / 3.0) * epsilon**2 * (1.0 - epsilon) ** 2 * gamma / n**2
 
 
 def negativity(rho) -> float:

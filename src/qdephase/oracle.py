@@ -69,10 +69,6 @@ class ReservoirConfig:
     def ntilde(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.alphas))
 
-    @property
-    def resonant(self) -> bool:
-        return len(set(self.omega_ratios)) == 1
-
     def channel_params(self, omega1, omega2, mu1, mu2) -> ChannelParams:
         """Channel parameters whose ntilde matches this reservoir."""
         return ChannelParams(omega1, omega2, mu1, mu2, self.ntilde)
@@ -269,16 +265,3 @@ def corner_phase_offset(raw: np.ndarray, closed: np.ndarray):
     a, b = raw[..., 0, 3], closed[..., 0, 3]
     vanished = (np.abs(a) < 1e-300) | (np.abs(b) < 1e-300)
     return np.where(vanished, 0.0, np.angle(a * np.conj(b)))[()]
-
-
-def joint_vector(j: JointAmplitudes) -> np.ndarray:
-    """Full joint pure-state vector on (qubit pair) x (truncated reservoir).
-
-    Ordered as the 4-dim qubit basis tensor the flattened Fock grid; only
-    the |++> and |--> blocks are populated. Intended for small configs.
-    """
-    total = int(np.prod(j.sizes))
-    v = np.zeros(4 * total, dtype=complex)
-    v[:total] = j.weight_plus * j.plus
-    v[3 * total:] = j.weight_minus * j.minus
-    return v

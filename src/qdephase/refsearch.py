@@ -1,5 +1,7 @@
-"""Distance-based entanglement measures: closed-form reference evaluations
-and a numerical Bures-distance minimization over the separable set.
+"""Distance-based entanglement measures: the family's distance to its
+dephasing floor, the closest separable state in closed form, a numerical
+Bures-distance minimization over the separable set, and the sweep's
+ordering check.
 
 The closest separable state (CSS) of any two-qubit state is built in closed
 form (css_closed, which the css command runs) from Wootters' optimal
@@ -25,7 +27,6 @@ import numpy as np
 
 from . import kernels
 from .measures import _eig_factor, _max0, _min1, _spin_flip, _trace_norm
-from .measures import relative_entropy_linearized
 from .matcore import as_matrix, psd_eig
 from .states import TwoQubitState, outer_block, validate
 
@@ -207,35 +208,12 @@ def css_closed(rho) -> CssResult:
                      pt_min_eig=float(kernels.pt_min_eig(sigma)), nfev=0)
 
 
-def mixed_ref_fidelity(abs_a: float, ntilde: float, phase: float = 0.0) -> float:
-    """Closed-form fidelity of the maximally entangled family state to its
-    dephasing-floor reference.
-
-    phase is the angle between the state's corner and the reference corner
-    (ntilde*sin((mu1+mu2)t) along the channel trajectory). The reference
-    corner element has magnitude e^{-2*ntilde}/2; the printed form of the
-    auxiliary symbol omits that 1/2, with which the formula would not even
-    return 1 for identical states.
-    """
-    x = math.exp(-2.0 * ntilde) / 2.0
-    beta = 2.0 * abs_a * x * math.cos(phase)
-    alpha = math.sqrt((1.0 + beta) ** 2
-                      - (abs_a**2 - 1.0) * (4.0 * x * x - 1.0))
-    lo = math.sqrt(max(0.0, 1.0 + beta - alpha))
-    hi = math.sqrt(max(0.0, 1.0 + beta + alpha))
-    return 0.25 * (lo + hi) ** 2
-
-
-def mixed_ref_measure(abs_a: float, ntilde: float, phase: float = 0.0) -> float:
-    """Closed-form half-squared Bures distance to the dephasing floor (eps=1/2)."""
-    return 1.0 - math.sqrt(mixed_ref_fidelity(abs_a, ntilde, phase))
-
-
 def mixed_ref_measure_family(epsilon: float, abs_a, ntilde: float, phase=0.0):
     """General-epsilon distance to the family's own dephasing floor.
 
     The reference keeps the family populations and damps the corner by
-    e^{-2*ntilde}; at epsilon = 1/2 this is exactly mixed_ref_measure.
+    e^{-2*ntilde}. At epsilon = 1/2 it is exactly the printed
+    maximally-entangled form (tests/reference.py's mixed_ref_measure).
     """
     n = epsilon**2 + (1.0 - epsilon) ** 2
     w = epsilon * (1.0 - epsilon) / n
@@ -274,40 +252,6 @@ def css_family_columns(epsilon, gamma):
     u = _min1(_max0(0.5 * (1.0 + split)))
     sigma = outer_block(u, 1.0 - u, np.zeros_like(u))
     return sigma, 1.0 - np.sqrt((1.0 + delta) / 2.0), kernels.pt_min_eig(sigma)
-
-
-def css_family(epsilon: float, gamma: float) -> CssResult:
-    """css_family_columns at one point, sigma* validated."""
-    sigma, e_value, pt_min_eig = css_family_columns([epsilon], [gamma])
-    return CssResult(sigma_star=validate(sigma[0]), e_value=float(e_value[0]),
-                     iterations=0, converged=True,
-                     pt_min_eig=float(pt_min_eig[0]), nfev=0)
-
-
-def maxmixed_fidelity_closed(abs_a: float) -> float:
-    """Fidelity to I/4 in its printed closed form (1/4)[sqrt(1-|a|)+sqrt(1+|a|)]^2.
-
-    Documented discrepancy: this is twice the general Uhlmann value (1/2
-    versus 1/4 at |a| = 1); kept verbatim as the reproduction target.
-    """
-    return 0.25 * (math.sqrt(1.0 - abs_a) + math.sqrt(1.0 + abs_a)) ** 2
-
-
-def maxmixed_measure(abs_a: float) -> float:
-    """Closed-form measure 1 - (1/2)[sqrt(1-|a|) + sqrt(1+|a|)] against I/4."""
-    return 1.0 - 0.5 * (math.sqrt(1.0 - abs_a) + math.sqrt(1.0 + abs_a))
-
-
-def pure_ref_measure(rho, sigma_p) -> float:
-    """Measure against a pure reference: Tr(rho sigma_p), equal to the fidelity
-    and, exactly, to one minus the linearized relative entropy."""
-    return 1.0 - relative_entropy_linearized(rho, sigma_p)
-
-
-def pure_ref_measure_family(epsilon: float, abs_a: float) -> float:
-    """Family closed form 1 - 2 eps^2 (1-eps)^2 (1-|a|)/n^2."""
-    n = epsilon**2 + (1.0 - epsilon) ** 2
-    return 1.0 - 2.0 * epsilon**2 * (1.0 - epsilon) ** 2 * (1.0 - abs_a) / n**2
 
 
 @dataclass

@@ -43,10 +43,6 @@ class TwoQubitState:
     def __post_init__(self):
         self.matrix.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return 4
-
     def purity(self) -> float:
         return float(kernels.purity(self.matrix))
 
@@ -152,17 +148,6 @@ def mixed_reference(ntilde: float, phase: float = 0.0) -> TwoQubitState:
         raise ValueError(f"ntilde must be >= 0, got {ntilde}")
     return TwoQubitState(outer_block(0.5, 0.5,
                                      np.exp(-1j * phase) * np.exp(-2.0 * ntilde) / 2.0))
-
-
-def mixed_reference_family(epsilon: float, ntilde: float, phase: float = 0.0) -> TwoQubitState:
-    """General-epsilon dephasing floor: same populations as the family, corner
-    damped by e^{-2*ntilde}. Reduces to mixed_reference at epsilon = 1/2."""
-    if ntilde < 0:
-        raise ValueError(f"ntilde must be >= 0, got {ntilde}")
-    p = FamilyParams(epsilon)
-    corner = (p.epsilon * (1.0 - p.epsilon) / p.norm
-              * np.exp(-1j * phase) * np.exp(-2.0 * ntilde))
-    return TwoQubitState(_family_matrix(p, corner))
 
 
 def state_to_json(state) -> dict:

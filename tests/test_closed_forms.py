@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qdephase import measures, refsearch
 from qdephase.channel import ChannelParams, decoherence_factor
+from reference import linear_entropy_closed, pure_ref_measure_family
 
 EPS = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 ABS_A = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
@@ -116,6 +117,34 @@ def test_decoherence_factor(ntilde, mu, omega, t):
         assert abs(d.a - a) <= 1e-14
         assert abs(d.gamma - gamma) <= 1e-14
         assert abs(d.phase - phase) <= 1e-14
+
+
+# Each form below is a chain of operations that are monotone in gamma (|a| =
+# sqrt(1 - gamma), products and sums with fixed nonnegative factors, sqrt),
+# each correctly rounded, and correct rounding never reverses an order: the
+# forms are monotone to the bit. MONOTONE_SLACK (about four ulps of 1) only
+# lets a rewrite of one of them round differently; it is no tolerance for a
+# form that turns the wrong way.
+MONOTONE_SLACK = 1e-15
+
+
+@settings(max_examples=300, deadline=None)
+@given(eps=EPS, gammas=st.tuples(ABS_A, ABS_A))
+def test_family_measures_are_monotone_in_gamma(eps, gammas):
+    def values(gamma):
+        abs_a = math.sqrt(1.0 - gamma)
+        return {"linear_entropy_closed": linear_entropy_closed(eps, gamma),
+                "negativity_closed": measures.negativity_closed(eps, abs_a),
+                "concurrence_family": measures.concurrence_family(eps, abs_a),
+                "pure_ref_measure_family": pure_ref_measure_family(eps, abs_a),
+                "css_e_value": refsearch.css_family_columns([eps], [gamma])[1][0]}
+
+    before, after = (values(gamma) for gamma in sorted(gammas))
+    # mixedness grows with the damping; every entanglement-type measure falls
+    assert after["linear_entropy_closed"] >= before["linear_entropy_closed"] - MONOTONE_SLACK
+    for name in ("negativity_closed", "concurrence_family", "pure_ref_measure_family",
+                 "css_e_value"):
+        assert after[name] <= before[name] + MONOTONE_SLACK, name
 
 
 @pytest.mark.parametrize("c, shown", [

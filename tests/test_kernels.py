@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from qdephase import kernels
-
-
-def random_density(rng, rank=4):
-    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
-    m = g @ g.conj().T
-    return m / m.trace().real
+from reference import random_density
 
 
 def factors(rho):

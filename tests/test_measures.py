@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdephase import kernels, matcore, measures, refsearch
+from qdephase import kernels, matcore, measures
 from qdephase.channel import ChannelParams
 from qdephase.cli import build_record
 from qdephase.errors import InvalidState, NotHermitian, NotPSD, SupportMismatch
@@ -17,14 +17,8 @@ from qdephase.states import (
     maximally_mixed,
     mixed_reference,
 )
-
-BELL = initial_pure(FamilyParams(0.5))
-SY = np.array([[0.0, -1j], [1j, 0.0]])
-SY2 = np.kron(SY, SY)  # the two-qubit spin flip, written out as a matrix
-
-
-def family(eps, abs_a, phase=0.0):
-    return family_state(eps, abs_a * np.exp(-1j * phase))
+from reference import (BELL, SY2, family, linear_entropy_closed,
+                       pure_ref_measure_family, random_density)
 
 
 class TestLinearEntropy:
@@ -40,16 +34,16 @@ class TestLinearEntropy:
         assert measures.linear_entropy(rho) == pytest.approx(2.0 / 3.0, abs=1e-14)
 
     def test_closed_form_values(self):
-        assert measures.linear_entropy_closed(0.5, 0.0) == 0.0
-        assert measures.linear_entropy_closed(0.5, 1.0) == pytest.approx(2 / 3, abs=1e-15)
-        assert measures.linear_entropy_closed(0.25, 0.5) == pytest.approx(0.12, abs=1e-15)
+        assert linear_entropy_closed(0.5, 0.0) == 0.0
+        assert linear_entropy_closed(0.5, 1.0) == pytest.approx(2 / 3, abs=1e-15)
+        assert linear_entropy_closed(0.25, 0.5) == pytest.approx(0.12, abs=1e-15)
 
     def test_closed_vs_spectral_grid(self):
         for eps in np.linspace(0.0, 1.0, 50):
             for gamma in np.linspace(0.0, 1.0, 50):
                 rho = family(float(eps), math.sqrt(1 - gamma), phase=0.4)
                 diff = abs(measures.linear_entropy(rho)
-                           - measures.linear_entropy_closed(float(eps), float(gamma)))
+                           - linear_entropy_closed(float(eps), float(gamma)))
                 assert diff < 1e-12
 
 
@@ -223,8 +217,8 @@ def closed_columns(eps, gamma):
     """The fields relation_residuals reads, in closed form, for the family
     state at damping gamma."""
     abs_a = math.sqrt(max(0.0, 1.0 - gamma))
-    e_pure = refsearch.pure_ref_measure_family(eps, abs_a)
-    return {"epsilon": eps, "delta12": measures.linear_entropy_closed(eps, gamma),
+    e_pure = pure_ref_measure_family(eps, abs_a)
+    return {"epsilon": eps, "delta12": linear_entropy_closed(eps, gamma),
             "negativity": measures.negativity_closed(eps, abs_a),
             "concurrence_paper": measures.concurrence_family(eps, abs_a),
             "e_pure": e_pure, "er_lin": 1.0 - e_pure}
@@ -274,12 +268,6 @@ class TestMixedReferencePartialTranspose:
             assert low < 0
 
 
-def random_state(rng, rank=4):
-    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
-    m = g @ g.conj().T
-    return m / m.trace().real
-
-
 def random_pure(rng):
     psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     psi /= np.linalg.norm(psi)
@@ -306,7 +294,7 @@ def per_state_measures(rho, sigma_p):
 class TestStackedMeasures:
     def test_matches_per_state_functions(self):
         rng = np.random.default_rng(40)
-        rho = [random_state(rng, rank) for rank in (1, 2, 3, 4) for _ in range(6)]
+        rho = [random_density(rng, rank) for rank in (1, 2, 3, 4) for _ in range(6)]
         sigma = [random_pure(rng) for _ in rho]
         # a reference inside a rank-deficient state's support: finite er_exact
         rho.append(family_state(0.3, 0.4).matrix)
@@ -320,7 +308,7 @@ class TestStackedMeasures:
 
     def test_first_failing_state_raises_its_per_state_error(self):
         rng = np.random.default_rng(41)
-        rho = np.array([random_state(rng) for _ in range(4)])
+        rho = np.array([random_density(rng) for _ in range(4)])
         sigma = np.array([random_pure(rng) for _ in range(4)])
         skewed = rho.copy()
         skewed[2, 0, 1] += 1e-6
@@ -343,7 +331,7 @@ class TestStackedMeasures:
 class TestStackedMeasuresShareOneRoot:
     def test_bad_state_raises_before_an_earlier_impure_reference(self):
         rng = np.random.default_rng(42)
-        rho = np.array([random_state(rng) for _ in range(4)])
+        rho = np.array([random_density(rng) for _ in range(4)])
         sigma = np.array([random_pure(rng) for _ in range(4)])
         sigma[0] = np.diag([0.5, 0.5, 0.0, 0.0])
         sigma[2] = np.eye(4) / 4.0
@@ -355,7 +343,7 @@ class TestStackedMeasuresShareOneRoot:
 
     def test_one_eigh_per_stack(self, monkeypatch):
         rng = np.random.default_rng(43)
-        rho = np.array([random_state(rng, rank) for rank in (1, 2, 3, 4)])
+        rho = np.array([random_density(rng, rank) for rank in (1, 2, 3, 4)])
         sigma = np.array([random_pure(rng) for _ in rho])
         calls = []
         for name in ("eigh", "svd", "eigvalsh"):
@@ -382,7 +370,7 @@ class TestStackedMeasuresShareOneRoot:
         # partial-transpose spectrum. The fidelities to the pure reference
         # and to I/4 reuse the eigenpairs, and no PSD root is built.
         rng = np.random.default_rng(44)
-        rho = np.array([random_state(rng, rank) for rank in (1, 2, 3, 4)])
+        rho = np.array([random_density(rng, rank) for rank in (1, 2, 3, 4)])
         sigma = np.array([random_pure(rng) for _ in rho])
         calls = []
         for name in ("eigh", "svd", "eigvalsh", "eig", "eigvals"):
@@ -410,7 +398,7 @@ def test_maxmixed_fidelity_matches_the_general_fidelity(seed, rank):
     # root turns into ~eps / sqrt(lambda): a state with an eigenvalue near
     # 1e-6 (about 3 in 10^4 random rank-4 states) can differ by ~4e-14, and
     # neither route is then the closer one to a 40-digit reference.
-    rho = random_state(np.random.default_rng(seed), rank)
+    rho = random_density(np.random.default_rng(seed), rank)
     w = matcore.psd_eig(rho)[0]
     smallest = w[w > kernels.NOISE_FLOOR_REL * w[-1]].min()
     tol = 1e-14 + 4.0 * np.finfo(float).eps / math.sqrt(smallest)
@@ -435,7 +423,7 @@ def test_uhlmann_fidelity_matches_the_root_route(seed, rank_rho, rank_sigma):
     # 12000 seeded pairs the routes differ by at most 1.7e-14, and by at
     # most 1.7 eps / sqrt(lambda) beyond 1e-14.
     rng = np.random.default_rng(seed)
-    rho, sigma = random_state(rng, rank_rho), random_state(rng, rank_sigma)
+    rho, sigma = random_density(rng, rank_rho), random_density(rng, rank_sigma)
     smallest = min(w[w > kernels.NOISE_FLOOR_REL * w[-1]].min()
                    for w in (matcore.psd_eig(rho)[0], matcore.psd_eig(sigma)[0]))
     tol = 1e-14 + 4.0 * np.finfo(float).eps / math.sqrt(smallest)
@@ -468,7 +456,7 @@ def test_eigenpair_routes_match_the_root_routes(seed, rank):
     # they differ by matmul and SVD rounding alone: at most 1.1e-15 over
     # 3000 seeded draws of each rank, against 1e-14 here.
     rng = np.random.default_rng(seed)
-    rho, sigma_p = random_state(rng, rank), random_pure(rng)
+    rho, sigma_p = random_density(rng, rank), random_pure(rng)
     assert abs(measures.concurrence_wootters(rho) - sqrt_route_concurrence(rho)) <= 1e-14
     assert abs(measures.pure_fidelity(rho, sigma_p)
                - measures.uhlmann_fidelity(rho, sigma_p)) <= 1e-14
@@ -495,7 +483,7 @@ def assert_ppt_iff_unentangled(rho):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
 def test_ppt_iff_zero_concurrence_on_random_states(seed, rank):
-    assert_ppt_iff_unentangled(random_state(np.random.default_rng(seed), rank))
+    assert_ppt_iff_unentangled(random_density(np.random.default_rng(seed), rank))
 
 
 @settings(max_examples=200, deadline=None)
@@ -541,7 +529,7 @@ STACKED = {
 @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 4), min_size=1, max_size=6))
 def test_stack_equals_per_matrix_calls(seed, ranks):
     rng = np.random.default_rng(seed)
-    rho = np.array([random_state(rng, rank) for rank in ranks])
+    rho = np.array([random_density(rng, rank) for rank in ranks])
     sigma = np.array([random_pure(rng) for _ in ranks])
     for name, f in STACKED.items():
         got = f(rho, sigma)

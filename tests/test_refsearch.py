@@ -21,19 +21,14 @@ from qdephase.states import (
     initial_pure,
     maximally_mixed,
     mixed_reference,
-    mixed_reference_family,
     save_state,
     validate,
 )
+from reference import (BELL, SY2, family, maxmixed_fidelity_closed, maxmixed_measure,
+                       mixed_ref_fidelity, mixed_ref_measure, mixed_reference_family,
+                       pure_ref_measure_family)
 
-BELL = initial_pure(FamilyParams(0.5))
 BELL_CSS = 1.0 - math.sqrt(0.5)
-SY = np.array([[0.0, -1j], [1j, 0.0]])
-SY2 = np.kron(SY, SY)  # the two-qubit spin flip, written out as a matrix
-
-
-def family(eps, abs_a, phase=0.0):
-    return family_state(eps, abs_a * np.exp(-1j * phase))
 
 
 def werner_line_minimum():
@@ -49,17 +44,17 @@ class TestMixedReferenceClosedForms:
     def test_zero_at_own_floor(self):
         # |a| = e^{-2*ntilde} with aligned phases is the reference itself
         for nt in (0.3, 1.0, 2.5):
-            assert refsearch.mixed_ref_measure(math.exp(-2 * nt), nt, 0.0) == \
+            assert mixed_ref_measure(math.exp(-2 * nt), nt, 0.0) == \
                 pytest.approx(0.0, abs=1e-12)
 
     def test_maximal_value(self):
         for nt in (0.5, 1.0, 3.0):
             expect = 1.0 - math.sqrt((1.0 + math.exp(-2.0 * nt)) / 2.0)
-            assert refsearch.mixed_ref_measure(1.0, nt, 0.0) == pytest.approx(
+            assert mixed_ref_measure(1.0, nt, 0.0) == pytest.approx(
                 expect, abs=1e-14)
 
     def test_identical_states_have_unit_fidelity(self):
-        assert refsearch.mixed_ref_fidelity(1.0, 0.0, 0.0) == pytest.approx(
+        assert mixed_ref_fidelity(1.0, 0.0, 0.0) == pytest.approx(
             1.0, abs=1e-14)
 
     def test_closed_form_vs_uhlmann(self):
@@ -71,7 +66,7 @@ class TestMixedReferenceClosedForms:
                 rho = family_state(0.5, abs_a * np.exp(-1j * (common + rel)))
                 ref = mixed_reference(nt, common)
                 general = 1.0 - math.sqrt(measures.uhlmann_fidelity(rho, ref))
-                closed = refsearch.mixed_ref_measure(abs_a, nt, rel)
+                closed = mixed_ref_measure(abs_a, nt, rel)
                 assert abs(general - closed) < 1e-10
 
     def test_family_form_vs_uhlmann(self):
@@ -89,23 +84,23 @@ class TestMixedReferenceClosedForms:
     def test_family_form_reduces_at_half(self):
         for abs_a in (0.2, 0.7, 1.0):
             assert refsearch.mixed_ref_measure_family(0.5, abs_a, 1.1, 0.4) == \
-                pytest.approx(refsearch.mixed_ref_measure(abs_a, 1.1, 0.4), abs=1e-14)
+                pytest.approx(mixed_ref_measure(abs_a, 1.1, 0.4), abs=1e-14)
 
 
 class TestMaxMixedClosedForms:
     def test_endpoints(self):
-        assert refsearch.maxmixed_measure(0.0) == 0.0
-        assert refsearch.maxmixed_measure(1.0) == pytest.approx(
+        assert maxmixed_measure(0.0) == 0.0
+        assert maxmixed_measure(1.0) == pytest.approx(
             1.0 - 1.0 / math.sqrt(2.0), abs=1e-15)
 
     def test_intermediate(self):
-        assert refsearch.maxmixed_measure(0.6) == pytest.approx(
+        assert maxmixed_measure(0.6) == pytest.approx(
             0.05131670194948623, abs=1e-14)
 
     def test_closed_fidelity_vs_uhlmann_discrepancy(self):
         # the printed closed form doubles the true fidelity everywhere on the
         # family; both pipelines must hold their own value
-        closed = refsearch.maxmixed_fidelity_closed(1.0)
+        closed = maxmixed_fidelity_closed(1.0)
         general = measures.uhlmann_fidelity(BELL, maximally_mixed())
         assert closed == pytest.approx(0.5, abs=1e-15)
         assert general == pytest.approx(0.25, abs=1e-12)
@@ -113,15 +108,16 @@ class TestMaxMixedClosedForms:
 
 class TestPureReference:
     def test_zero_time(self):
-        assert refsearch.pure_ref_measure(BELL, BELL) == pytest.approx(1.0, abs=1e-15)
+        assert 1.0 - measures.relative_entropy_linearized(BELL, BELL) == pytest.approx(
+            1.0, abs=1e-15)
 
     def test_half_family_form(self):
         for abs_a in (0.0, 0.4, 1.0):
-            assert refsearch.pure_ref_measure_family(0.5, abs_a) == pytest.approx(
+            assert pure_ref_measure_family(0.5, abs_a) == pytest.approx(
                 (1.0 + abs_a) / 2.0, abs=1e-15)
 
     def test_quarter_value(self):
-        assert refsearch.pure_ref_measure_family(0.25, 0.5) == pytest.approx(
+        assert pure_ref_measure_family(0.25, 0.5) == pytest.approx(
             0.91, abs=1e-15)
 
     def test_trajectory_floor_value(self):
@@ -129,7 +125,7 @@ class TestPureReference:
         # its floor; the other printed endpoint sqrt((1+e^{-2nt})/2) is the
         # square root of this and does not match the formula it annotates
         for nt in (0.5, 1.0, 3.0):
-            floor = refsearch.pure_ref_measure_family(0.5, math.exp(-2 * nt))
+            floor = pure_ref_measure_family(0.5, math.exp(-2 * nt))
             assert floor == pytest.approx((1 + math.exp(-2 * nt)) / 2, abs=1e-15)
             assert abs(floor - math.sqrt((1 + math.exp(-2 * nt)) / 2)) > 1e-3
 
@@ -139,16 +135,16 @@ class TestPureReference:
                 phase = 0.8
                 rho = family(float(eps), float(abs_a), phase)
                 ref = initial_pure(FamilyParams(float(eps), phase))
-                trace_form = refsearch.pure_ref_measure(rho, ref)
-                closed = refsearch.pure_ref_measure_family(float(eps), float(abs_a))
+                trace_form = 1.0 - measures.relative_entropy_linearized(rho, ref)
+                closed = pure_ref_measure_family(float(eps), float(abs_a))
                 assert abs(trace_form - closed) < 1e-12
 
     def test_complements_linearized_entropy_exactly(self):
         for eps in (0.1, 0.5, 0.9):
             rho = family(eps, 0.3, 0.2)
             ref = initial_pure(FamilyParams(eps, 0.2))
-            e = refsearch.pure_ref_measure(rho, ref)
             er = measures.relative_entropy_linearized(rho, ref)
+            e = 1.0 - er
             assert abs(e + er - 1.0) <= 1e-15
 
 
@@ -504,37 +500,37 @@ FIG_CHANNEL = ChannelParams(1.0, 1.0, 0.5, 0.5, 1.0)
 
 class TestCssFamily:
     def test_bell(self):
-        assert abs(refsearch.css_family(0.5, 0.0).e_value - BELL_CSS) <= 1e-12
+        assert abs(refsearch.css_family_columns([0.5], [0.0])[1][0] - BELL_CSS) <= 1e-12
 
     @pytest.mark.parametrize("eps", [0.0, 1.0])
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
     def test_product_states_exactly_zero(self, eps, gamma):
-        assert refsearch.css_family(eps, gamma).e_value == 0.0
+        assert refsearch.css_family_columns([eps], [gamma])[1][0] == 0.0
 
     @pytest.mark.parametrize("eps", FIG_EPSILONS)
     def test_sigma_star_separable_and_attains_value(self, eps):
         for t in np.linspace(0.0, FIG_CHANNEL.period, 11):
             dec = decoherence_factor(FIG_CHANNEL, float(t))
-            res = refsearch.css_family(eps, dec.gamma)
-            validate(res.sigma_star.matrix)
-            assert res.pt_min_eig >= 0.0
+            sigma, e_value, pt_min_eig = refsearch.css_family_columns([eps], [dec.gamma])
+            sigma_star = validate(sigma[0])
+            assert pt_min_eig[0] >= 0.0
             rho = family_state(eps, dec.a)
-            fid = measures.uhlmann_fidelity(rho, res.sigma_star)
-            assert abs(1.0 - math.sqrt(fid) - res.e_value) <= 1e-12
+            fid = measures.uhlmann_fidelity(rho, sigma_star)
+            assert abs(1.0 - math.sqrt(fid) - e_value[0]) <= 1e-12
 
     @pytest.mark.parametrize("eps", [0.5, 0.42, 0.26, 0.12])
     def test_matches_general_solver(self, eps):
         for t in (0.0, 1.3, math.pi):
             dec = decoherence_factor(FIG_CHANNEL, t)
             general = closest_separable_bures(family_state(eps, dec.a))
-            assert abs(refsearch.css_family(eps, dec.gamma).e_value
+            assert abs(refsearch.css_family_columns([eps], [dec.gamma])[1][0]
                        - general.e_value) <= 1e-8
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            refsearch.css_family(0.5, 1.5)
+            refsearch.css_family_columns([0.5], [1.5])
         with pytest.raises(ValueError):
-            refsearch.css_family(-0.1, 0.5)
+            refsearch.css_family_columns([-0.1], [0.5])
         with pytest.raises(ValueError, match="got 0.3, nan$"):
             refsearch.css_family_columns([0.5, 0.3, 2.0], [0.5, math.nan, 0.5])
 
@@ -547,9 +543,9 @@ class TestCssFamily:
         assert sigma.shape == (306, 4, 4) and e_value.shape == pt_min_eig.shape == (306,)
         assert e_value[1] == 1.0 - math.sqrt(0.5)
         for k in range(306):
-            one = refsearch.css_family(float(eps[k]), float(gamma[k]))
-            assert one.e_value == e_value[k] and one.pt_min_eig == pt_min_eig[k]
-            assert np.array_equal(one.sigma_star.matrix, sigma[k])
+            one = refsearch.css_family_columns([float(eps[k])], [float(gamma[k])])
+            assert one[1][0] == e_value[k] and one[2][0] == pt_min_eig[k]
+            assert np.array_equal(validate(one[0][0]).matrix, sigma[k])
 
 
 def css_from_concurrence(c):
@@ -690,7 +686,8 @@ class TestCssClosed:
         for t in np.linspace(0.0, FIG_CHANNEL.period, 11):
             dec = decoherence_factor(FIG_CHANNEL, float(t))
             closed = refsearch.css_closed(family_state(eps, dec.a))
-            assert abs(closed.e_value - refsearch.css_family(eps, dec.gamma).e_value) <= 1e-14
+            family_e = refsearch.css_family_columns([eps], [dec.gamma])[1][0]
+            assert abs(closed.e_value - family_e) <= 1e-14
 
     @pytest.mark.parametrize("k", range(4))
     def test_general_solver_never_beats_it(self, k):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qdephase import states
 from qdephase.errors import InvalidState
 from qdephase.states import FamilyParams, initial_pure, maximally_mixed, mixed_reference
+from reference import mixed_reference_family
 
 
 def test_params_validation():
@@ -96,7 +97,7 @@ class TestReferences:
                       - initial_pure(FamilyParams(0.5)).matrix).max() < 1e-15
 
     def test_mixed_reference_family_reduces(self):
-        a = states.mixed_reference_family(0.5, 1.3, 0.4).matrix
+        a = mixed_reference_family(0.5, 1.3, 0.4).matrix
         b = mixed_reference(1.3, 0.4).matrix
         assert np.abs(a - b).max() < 1e-15
 
