@@ -1,0 +1,61 @@
+#!/usr/bin/env bash
+# CLI smoke run: every command on the inputs that once broke it, with the
+# exit codes the CLI promises (0 success, 1 validation failure). No command
+# needs scipy, so this runs with numpy alone as well as with the "search"
+# extra. Run from anywhere: bash .github/cli_smoke.sh
+set -euo pipefail
+cd "$(dirname "$0")/.."
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+
+qd() { python -m qdephase "$@"; }
+# a validation failure: exit 1, not 2 and not 0
+exits_one() { local rc=0; qd "$@" || rc=$?; test "$rc" -eq 1; }
+
+qd sweep --t-steps 11 --out "$out/s.csv"
+qd sweep --include-css --t-steps 11 --out "$out/c.csv"
+# the figure grid at 2001 t-points, written in slices
+qd sweep --include-css --t-steps 2001 --out "$out/d.csv"
+# the product-state endpoints: rho's eigenpairs have three zero weights
+# there, and the spin-flip matrix has rank <= 1
+qd sweep --epsilon-list 0,0.5,1 --t-steps 501 --out "$out/e.csv"
+# a hot reservoir at the endpoints, where N0 -> 0 and gamma -> 1: every row
+# still meets the paper's relations at RANGE_SLACK
+qd sweep --epsilon-list 0,0.05,0.5,0.95,1 --ntilde 8 --t-steps 2001 --out "$out/h.csv"
+# a hair from the product states: rho's small eigenvalue falls below 1e-9,
+# and er_exact still counts it as support, so er_lin <= er_exact
+qd sweep --epsilon-list 0.00001,0.99999 --t-steps 51 --out "$out/p.csv"
+# a usage error is a validation failure
+exits_one sweep --no-such-flag
+# a list that starts with "-" takes the --flag=-x,y form
+qd sweep --epsilon-list=-0,0.5 --t-steps 5 --out "$out/m.csv"
+
+qd oracle-check --modes 30 --t-steps 200
+# a non-finite reservoir input is a validation failure
+exits_one oracle-check --omega-ratios nan,1,1 --modes 3
+# so is a non-positive frequency ratio (the "=" keeps argparse from reading
+# -1,1,1 as a flag)
+exits_one oracle-check --omega-ratios=-1,1,1 --modes 3
+
+# css on a stored Bell state, in closed form
+python -c "import sys; from qdephase.states import *
+save_state(initial_pure(FamilyParams(0.5)), sys.argv[1])" "$out/bell.json"
+qd css "$out/bell.json"
+# a nearly singular state (lambda_min = 8.9e-9): css reads rho through
+# V sqrt(Lambda), and its e_value meets the concurrence formula
+python - "$out/near.json" <<'EOF'
+import sys
+import numpy as np
+from qdephase.states import save_state
+rng = np.random.default_rng(10_107)
+g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+w = rng.dirichlet(np.ones(4) * 0.5)
+rho = (g * w) @ g.conj().T
+rho = (rho + rho.conj().T) / 2.0
+save_state(rho / rho.trace().real, sys.argv[1])
+EOF
+qd css "$out/near.json" --out "$out/near_css.json"
+python -c "import json, sys; gap = json.load(open(sys.argv[1]))['closed_gap']
+assert abs(gap) <= 1e-12, gap" "$out/near_css.json"
+echo "cli smoke: ok"

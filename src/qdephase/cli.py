@@ -97,10 +97,6 @@ def build_record(epsilon: float, c: ChannelParams, t: float) -> MeasureRecord:
     sigma_p = initial_pure(FamilyParams(epsilon, dec.phase))
     concurrence = measures.concurrence_wootters(rho)
     er_lin = measures.relative_entropy_linearized(rho, sigma_p)
-    try:
-        er_exact = measures.relative_entropy_exact(sigma_p, rho)
-    except QDephaseError:
-        er_exact = math.inf
     return MeasureRecord(
         epsilon=epsilon,
         t=t,
@@ -110,7 +106,7 @@ def build_record(epsilon: float, c: ChannelParams, t: float) -> MeasureRecord:
         fidelity_pure=measures.pure_fidelity(rho, sigma_p),
         e_pure=1.0 - er_lin,
         e_maxmixed=1.0 - np.sqrt(measures.maxmixed_fidelity(psd_eig(rho)[0])),
-        er_exact=er_exact,
+        er_exact=measures.relative_entropy_exact(sigma_p, rho),
         er_lin=er_lin,
         **_closed_forms(epsilon, c, t, dec.a, dec.gamma, concurrence),
     )
@@ -265,11 +261,15 @@ CONFIG_KEYS = {
 
 def _load_config(path) -> dict:
     """Flat key/value sections -> nested dict of strings. An unknown section
-    ([DEFAULT] included) or key raises ValueError instead of being ignored."""
+    ([DEFAULT] included) or key raises ValueError instead of being ignored,
+    and so does a file configparser cannot read, naming the file."""
     parser = configparser.ConfigParser(default_section="")
-    with open(path, encoding="utf-8") as fh:
-        parser.read_file(fh)
-    cfg = {s: dict(parser.items(s)) for s in parser.sections()}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+        cfg = {s: dict(parser.items(s)) for s in parser.sections()}
+    except configparser.Error as exc:  # no section header, a repeated key, a bare %
+        raise ValueError(f"config {path}: {exc}") from exc
     for section, items in cfg.items():
         if section not in CONFIG_KEYS:
             raise ValueError(f"config [{section}]: unknown section, expected "

@@ -37,9 +37,5 @@ class UnsupportedSubspace(QDephaseError):
     """State populates the middle block where the Kraus pair loses trace."""
 
 
-class SupportMismatch(QDephaseError):
-    """Pure reference has weight outside the state's support (value is +inf)."""
-
-
 class CutoffTooTight(QDephaseError):
     """Requested truncation tail needs more Fock states than the hard limit."""

@@ -2,28 +2,19 @@
 square root and partial transpose.
 
 Matrices are plain complex128 numpy arrays. All operations are pure
-functions; nothing here mutates its inputs.
+functions; nothing here mutates its inputs. The check tolerances are fixed
+module constants; only states.check takes a trace bound, so the oracle can
+widen it by the reservoir's cutoff tail.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import BadDim, NoConvergence, NotHermitian, NotPSD
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Central numeric tolerances: every check reads DEFAULT_TOL, but
-    states.check takes one, so the oracle can widen its trace bound."""
-
-    herm: float = 1e-10   # max entrywise |m - m†| accepted as Hermitian
-    psd: float = 1e-9     # an eigenvalue below -psd is an error (NotPSD)
-    trace: float = 1e-10  # |Tr rho - 1| accepted for density matrices
-
-
-DEFAULT_TOL = Tolerances()
+HERM_TOL = 1e-10   # max entrywise |m - m†| accepted as Hermitian
+PSD_TOL = 1e-9     # an eigenvalue below -PSD_TOL is an error (NotPSD)
+TRACE_TOL = 1e-10  # |Tr rho - 1| accepted for density matrices
 
 
 def as_matrix(m, stacked: bool = False) -> np.ndarray:
@@ -55,20 +46,20 @@ def _eigen(a, kernel):
 
 def hermitian_eig(m):
     """Eigenvalues (ascending) and orthonormal eigenvector columns; raises
-    NotHermitian if m is not Hermitian within DEFAULT_TOL.herm and
-    NoConvergence if the eigensolver does not converge."""
+    NotHermitian if m is not Hermitian within HERM_TOL and NoConvergence if
+    the eigensolver does not converge."""
     (w, v), defect = _eigen(as_matrix(m), kernels.eigh_herm)
-    if defect > DEFAULT_TOL.herm:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} > {DEFAULT_TOL.herm:.1e}")
+    if defect > HERM_TOL:
+        raise NotHermitian(f"hermiticity defect {defect:.3e} > {HERM_TOL:.1e}")
     return w, v
 
 
 def psd_eig(m):
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a PSD
     matrix, per matrix for an (N, n, n) stack. The first matrix that is not
-    Hermitian within DEFAULT_TOL.herm raises NotHermitian, or that has an
-    eigenvalue below -DEFAULT_TOL.psd NotPSD; the caller clips the
-    noise-level negatives (kernels._clip_spectrum)."""
+    Hermitian within HERM_TOL raises NotHermitian, or that has an eigenvalue
+    below -PSD_TOL NotPSD; the caller clips the noise-level negatives
+    (kernels._clip_spectrum)."""
     return _checked_psd(as_matrix(m, stacked=True), kernels.eigh_herm)
 
 
@@ -76,13 +67,13 @@ def _checked_psd(a, kernel):
     # kernel's output, whose last two items are the ascending spectrum and
     # the eigenvectors, once every matrix passes the PSD checks
     out, defect = _eigen(a, kernel)
-    w, tol = out[-2], DEFAULT_TOL
-    bad = np.flatnonzero((defect > tol.herm) | (w[..., 0] < -tol.psd))
+    w = out[-2]
+    bad = np.flatnonzero((defect > HERM_TOL) | (w[..., 0] < -PSD_TOL))
     if bad.size:  # the first failing matrix names itself
         defect, wmin = np.ravel(defect)[bad[0]], np.ravel(w[..., 0])[bad[0]]
-        if defect > tol.herm:
-            raise NotHermitian(f"hermiticity defect {defect:.3e} > {tol.herm:.1e}")
-        raise NotPSD(f"eigenvalue {wmin:.3e} < -{tol.psd:.1e}")
+        if defect > HERM_TOL:
+            raise NotHermitian(f"hermiticity defect {defect:.3e} > {HERM_TOL:.1e}")
+        raise NotPSD(f"eigenvalue {wmin:.3e} < -{PSD_TOL:.1e}")
     return out
 
 
@@ -93,14 +84,10 @@ def psd_sqrt(m) -> np.ndarray:
     return _checked_psd(as_matrix(m, stacked=True), kernels.psd_sqrt_with_min)[0]
 
 
-def partial_transpose(rho, subsystem: str = "second") -> np.ndarray:
-    """Transpose one tensor factor of a two-qubit (4x4) matrix, or of each
-    matrix in an (N, 4, 4) stack."""
+def partial_transpose(rho) -> np.ndarray:
+    """Transpose the second qubit's factor of a two-qubit (4x4) matrix, or of
+    each matrix in an (N, 4, 4) stack."""
     a = as_matrix(rho, stacked=True)
     if a.shape[-2:] != (4, 4):
         raise BadDim(f"partial transpose needs 4x4 matrices, got shape {a.shape}")
-    if subsystem not in ("first", "second"):
-        raise ValueError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
-    pt = kernels._partial_transpose(a)
-    # the first factor's transpose is the full transpose of the second's
-    return pt if subsystem == "second" else np.swapaxes(pt, -1, -2)
+    return kernels._partial_transpose(a)

@@ -16,18 +16,18 @@ kernels._clip_spectrum, and forms no square root of it; stacked_measures
 only composes them around one eigendecomposition per state.
 """
 
-import math
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import kernels
-from .errors import InvalidState, SupportMismatch
+from .errors import InvalidState
 # psd_sqrt has no caller here: perfbench/test_harness.py traces it through this name
 from .matcore import as_matrix, partial_transpose, psd_eig, psd_sqrt  # noqa: F401
+from .states import family_norm
 
 # weight a pure reference may carry outside the state's support before the
-# relative entropy is reported as infinite
+# relative entropy is infinite
 SUPPORT_WEIGHT_TOL = 1e-8
 PURITY_TOL = 1e-8  # |Tr sigma^2 - 1| accepted for a pure reference
 
@@ -52,10 +52,6 @@ def _min1(x):
     return np.where(x < 1.0, x, 1.0)[()]
 
 
-def _norm(epsilon: float) -> float:
-    return epsilon**2 + (1.0 - epsilon) ** 2
-
-
 def linear_entropy(rho) -> float:
     """Normalized mixedness (4/3)(1 - Tr rho^2): 0 pure, 1 maximally mixed."""
     return _min1(_max0((4.0 / 3.0) * (1.0 - kernels.purity(as_matrix(rho, stacked=True)))))
@@ -63,14 +59,14 @@ def linear_entropy(rho) -> float:
 
 def negativity(rho) -> float:
     """Twice the magnitude of the most negative partial-transpose eigenvalue."""
-    pt = partial_transpose(rho, "second")
+    pt = partial_transpose(rho)
     w = kernels.eigvalsh_herm((pt + kernels._dagger(pt)) / 2.0)
     return 2.0 * _max0(-w[..., 0])
 
 
 def negativity_closed(epsilon: float, abs_a: float) -> float:
     """Family closed form 2 eps (1-eps) |a| / n."""
-    return 2.0 * epsilon * (1.0 - epsilon) * abs_a / _norm(epsilon)
+    return 2.0 * epsilon * (1.0 - epsilon) * abs_a / family_norm(epsilon)
 
 
 def concurrence_wootters(rho) -> float:
@@ -109,7 +105,7 @@ def concurrence_family(epsilon: float, abs_a):
     on this family and disagrees with the spin-flip value away from
     epsilon = 1/2 (it returns 1 at |a| = 1 even for product endpoints).
     """
-    n = _norm(epsilon)
+    n = family_norm(epsilon)
     rad = 1.0 - 2.0 * epsilon**2 * (1.0 - epsilon) ** 2 * (1.0 - abs_a * abs_a) / n**2
     return np.sqrt(_max0(rad))
 
@@ -117,7 +113,7 @@ def concurrence_family(epsilon: float, abs_a):
 def eof(c):
     """Entanglement of formation h((1 + sqrt(1-c^2))/2) for concurrence c."""
     c = np.asarray(c, dtype=float)
-    bad = c[~((0.0 <= c) & (c <= 1.0 + 1e-12))]
+    bad = c[~((0.0 <= c) & (c <= 1.0 + RANGE_SLACK))]
     if bad.size:
         raise ValueError(f"concurrence must be in [0, 1], got {bad[0]}")
     c = _min1(c)
@@ -193,36 +189,37 @@ def relative_entropy_exact(sigma_p, rho) -> float:
     """-Tr(sigma_p ln rho) in nats for a pure reference sigma_p.
 
     Computed on the support of rho, from its checked eigenpairs (psd_eig:
-    an indefinite rho raises NotPSD); raises SupportMismatch (the value is
-    +inf) when sigma_p carries weight >= 1e-8 outside that support.
+    an indefinite rho raises NotPSD); inf when sigma_p carries weight
+    >= SUPPORT_WEIGHT_TOL outside that support.
     """
     sp = _assert_pure(sigma_p)
     w, v = psd_eig(as_matrix(rho))
-    outside, val = _support_entropy(w, _reference_weights(v, sp))
-    if outside >= SUPPORT_WEIGHT_TOL:
-        raise SupportMismatch(
-            f"reference weight {float(outside):.3e} outside the state's support")
-    return _max0(val)
+    return _support_entropy(w, _reference_weights(v, sp))
 
 
 def _support_entropy(w, weights):
-    """(weight of sp outside rho's support, -Tr(sp ln rho) on that support)
-    from rho's ascending spectrum w and sp's weights on its eigenvectors; a
-    leading stack axis is carried through. The support is what
-    kernels._clip_spectrum keeps; off-support slots take weight and log 0,
-    so every state runs the same length-4 product whatever its rank."""
+    """-Tr(sp ln rho) from rho's ascending spectrum w and sp's weights on its
+    eigenvectors, or inf where sp's weight outside rho's support reaches
+    SUPPORT_WEIGHT_TOL; a leading stack axis is carried through. The
+    support is what kernels._clip_spectrum keeps; off-support slots take
+    weight and log 0, so every state runs the same length-4 product
+    whatever its rank."""
     on_support = kernels._clip_spectrum(w) > 0.0
     outside = np.where(on_support, 0.0, weights).sum(axis=-1)
     log_w = np.where(on_support, np.log(np.where(on_support, w, 1.0)), 0.0)
     dot = (np.where(on_support, weights, 0.0)[..., None, :] @ log_w[..., :, None])
-    return outside, -dot[..., 0, 0]
+    return np.where(outside >= SUPPORT_WEIGHT_TOL, np.inf, _max0(-dot[..., 0, 0]))[()]
 
 
 def relative_entropy_linearized(rho, sigma_p) -> float:
     """First-order relative entropy 1 - Tr(sigma_p rho); never above the exact value."""
     sp = _assert_pure(sigma_p)
-    val = 1.0 - np.trace(sp @ as_matrix(rho, stacked=True), axis1=-2, axis2=-1).real
-    return _min1(_max0(val))
+    return _linearized(as_matrix(rho, stacked=True), sp)
+
+
+def _linearized(rho, sp):
+    # 1 - Tr(sp rho) clipped to [0, 1], for a checked pure sp
+    return _min1(_max0(1.0 - np.trace(sp @ rho, axis1=-2, axis2=-1).real))
 
 
 def relation_residuals(columns) -> dict:
@@ -392,15 +389,16 @@ def stacked_measures(rho, sigma_p) -> dict:
     PSD raises, and otherwise the first impure reference in sigma_p,
     whatever their positions.
     """
+    rho = as_matrix(rho, stacked=True)
     w, v = psd_eig(rho)  # before any purity check
-    weights = _reference_weights(v, _assert_pure(sigma_p))
-    outside, er = _support_entropy(w, weights)
+    sp = _assert_pure(sigma_p)  # once, for the weights and er_lin
+    weights = _reference_weights(v, sp)
     return {
         "delta12": linear_entropy(rho),
         "negativity": negativity(rho),
         "concurrence_wootters": _concurrence(w, v),
         "fidelity_pure": _pure_fidelity(w, weights),
         "e_maxmixed": 1.0 - np.sqrt(maxmixed_fidelity(w)),
-        "er_exact": np.where(outside >= SUPPORT_WEIGHT_TOL, math.inf, _max0(er)),
-        "er_lin": relative_entropy_linearized(rho, sigma_p),
+        "er_exact": _support_entropy(w, weights),
+        "er_lin": _linearized(rho, sp),
     }

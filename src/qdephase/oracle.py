@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import ChannelParams, decoherence_factor, evolve
 from .errors import CutoffTooTight, InvalidState
-from .matcore import Tolerances
+from .matcore import TRACE_TOL
 from .states import FamilyParams, TwoQubitState, check, family_stack, outer_block
 
 
@@ -230,7 +230,7 @@ def compare_reduced(raw: np.ndarray, closed: np.ndarray, modes: int,
     Truncation leaves the trace at 1 - (sum of per-mode tails), so one check
     runs with the trace tolerance widened accordingly (never renormalized).
     """
-    problems = check(raw, Tolerances(trace=max(1e-10, 20.0 * modes * cutoff_tail)))
+    problems = check(raw, trace_tol=max(TRACE_TOL, 20.0 * modes * cutoff_tail))
     if problems:
         raise InvalidState(problems)
     return np.abs(raw - closed).max(axis=(-2, -1)), corner_phase_offset(raw, closed)

@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels
 from .measures import _eig_factor, _max0, _min1, _spin_flip, _trace_norm
 from .matcore import as_matrix, psd_eig
-from .states import TwoQubitState, outer_block, validate
+from .states import TwoQubitState, family_norm, outer_block, validate
 
 PT_FEASIBILITY = -1e-7     # accepted partial-transpose floor for sigma*
 GTOL = 1e-9                # L-BFGS-B stop on the largest gradient component
@@ -215,8 +215,7 @@ def mixed_ref_measure_family(epsilon: float, abs_a, ntilde: float, phase=0.0):
     e^{-2*ntilde}. At epsilon = 1/2 it is exactly the printed
     maximally-entangled form (tests/reference.py's mixed_ref_measure).
     """
-    n = epsilon**2 + (1.0 - epsilon) ** 2
-    w = epsilon * (1.0 - epsilon) / n
+    w = epsilon * (1.0 - epsilon) / family_norm(epsilon)
     x = np.exp(-2.0 * ntilde)
     fid = (1.0 - 2.0 * w * w
            + 2.0 * w * w * abs_a * x * np.cos(phase)
@@ -244,7 +243,7 @@ def css_family_columns(epsilon, gamma):
     if bad.size:
         raise ValueError(f"need epsilon, gamma in [0, 1], got "
                          f"{epsilon.flat[bad[0]]}, {gamma.flat[bad[0]]}")
-    n = epsilon * epsilon + (1.0 - epsilon) * (1.0 - epsilon)
+    n = family_norm(epsilon)
     m = 2.0 * epsilon * (1.0 - epsilon)
     delta = np.sqrt((1.0 - 2.0 * epsilon) * (1.0 - 2.0 * epsilon) + m * m * gamma) / n
     # Delta = 0 only where 2 eps - 1 = 0, and there u = 1/2

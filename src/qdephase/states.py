@@ -12,7 +12,13 @@ import numpy as np
 
 from . import kernels
 from .errors import BadDim, InvalidState, NotHermitian
-from .matcore import DEFAULT_TOL, Tolerances, _eigen, as_matrix
+from .matcore import HERM_TOL, PSD_TOL, TRACE_TOL, _eigen, as_matrix
+
+
+def family_norm(epsilon):
+    """The family normalization n = epsilon^2 + (1-epsilon)^2, never below
+    1/2 on [0, 1]; elementwise for an array."""
+    return epsilon**2 + (1.0 - epsilon) ** 2
 
 
 @dataclass(frozen=True)
@@ -30,8 +36,7 @@ class FamilyParams:
 
     @property
     def norm(self) -> float:
-        """epsilon^2 + (1-epsilon)^2; never below 1/2 on [0, 1]."""
-        return self.epsilon**2 + (1.0 - self.epsilon) ** 2
+        return family_norm(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -47,10 +52,11 @@ class TwoQubitState:
         return float(kernels.purity(self.matrix))
 
 
-def check(m, tol: Tolerances = DEFAULT_TOL) -> list:
-    """Diagnostics for the density-matrix invariants; empty when valid. An
-    (N, 4, 4) stack gives its first failing matrix k's, prefixed "matrix k
-    of the stack: ", but a non-finite matrix first, wherever it sits."""
+def check(m, trace_tol: float = TRACE_TOL) -> list:
+    """Diagnostics for the density-matrix invariants, with |Tr m - 1| held to
+    trace_tol; empty when valid. An (N, 4, 4) stack gives its first failing
+    matrix k's, prefixed "matrix k of the stack: ", but a non-finite matrix
+    first, wherever it sits."""
     try:
         a = as_matrix(m, stacked=True)
     except BadDim as exc:
@@ -63,16 +69,16 @@ def check(m, tol: Tolerances = DEFAULT_TOL) -> list:
     except NotHermitian as exc:  # a non-finite entry
         return [str(exc) if a.ndim == 3 else "matrix contains non-finite entries"]
     deviation = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
-    hermitian = defect <= tol.herm
-    broken = np.column_stack([~hermitian, deviation > tol.trace,
-                              hermitian & (w[:, 0] < -tol.psd)])
+    hermitian = defect <= HERM_TOL
+    broken = np.column_stack([~hermitian, deviation > trace_tol,
+                              hermitian & (w[:, 0] < -PSD_TOL)])
     bad = np.flatnonzero(broken.any(axis=1))
     if not bad.size:
         return []
     k = bad[0]
-    said = (f"hermiticity defect {defect[k]:.3e} exceeds {tol.herm:.1e}",
+    said = (f"hermiticity defect {defect[k]:.3e} exceeds {HERM_TOL:.1e}",
             f"trace deviates from 1 by {deviation[k]:.3e}",
-            f"negative eigenvalue {w[k, 0]:.3e} below -{tol.psd:.1e}")
+            f"negative eigenvalue {w[k, 0]:.3e} below -{PSD_TOL:.1e}")
     where = f"matrix {k} of the stack: " if a.ndim == 3 else ""
     return [where + text for text, hit in zip(said, broken[k]) if hit]
 

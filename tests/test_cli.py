@@ -466,7 +466,12 @@ class TestMainSweep:
         ("sweep", "[optimizer]\nmax_iters = 5\n", "config [optimizer]"),
         ("sweep", "[DEFAULT]\nt_steps = 5\n", "config [DEFAULT]"),
         ("oracle-check", "[oracle]\nepsilon = 0.4\nt_step = 5\n",
-         "config [oracle] t_step")])
+         "config [oracle] t_step"),
+        # a file configparser cannot read is named, not a traceback
+        ("sweep", "t_steps = 5\n", "config {path}: File contains no section headers"),
+        ("sweep", "[sweep]\nt_steps = 5\nt_steps = 6\n",
+         "config {path}: While reading from"),
+        ("oracle-check", "[oracle]\nepsilon = 5%\n", "config {path}: '%' must be followed")])
     def test_config_unknown_key_or_section_exits_one(self, tmp_path, capsys,
                                                      command, text, where):
         cfgfile = tmp_path / "run.ini"
@@ -475,7 +480,7 @@ class TestMainSweep:
         rc = cli.main([command, "--config", str(cfgfile), "--out", str(out)])
         assert rc == 1
         captured = capsys.readouterr()
-        assert where in captured.err
+        assert captured.err.startswith("error: " + where.format(path=cfgfile))
         assert captured.out == ""
         assert not out.exists()
 

@@ -154,21 +154,18 @@ def test_eigensolver_failure_maps_to_no_convergence(monkeypatch, kernel, call):
 class TestPartialTranspose:
     def test_diagonal_invariant(self):
         m = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
-        for sub in ("first", "second"):
-            assert np.array_equal(matcore.partial_transpose(m, sub), m)
+        assert np.array_equal(matcore.partial_transpose(m), m)
 
     def test_bell_projector_spectrum(self):
         rho = initial_pure(FamilyParams(0.5)).matrix
-        for sub in ("first", "second"):
-            w = np.linalg.eigvalsh(matcore.partial_transpose(rho, sub))
-            assert np.allclose(np.sort(w), [-0.5, 0.5, 0.5, 0.5], atol=1e-14)
+        w = np.linalg.eigvalsh(matcore.partial_transpose(rho))
+        assert np.allclose(np.sort(w), [-0.5, 0.5, 0.5, 0.5], atol=1e-14)
 
     def test_involution_exact(self):
         rng = np.random.default_rng(14)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        for sub in ("first", "second"):
-            twice = matcore.partial_transpose(matcore.partial_transpose(m, sub), sub)
-            assert np.array_equal(twice, m)
+        twice = matcore.partial_transpose(matcore.partial_transpose(m))
+        assert np.array_equal(twice, m)
 
     def test_preserves_trace_and_hermiticity(self):
         rng = np.random.default_rng(15)
@@ -187,10 +184,9 @@ class TestPartialTranspose:
     def test_stack_equals_each_matrix(self):
         rng = np.random.default_rng(17)
         stack = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
-        for sub in ("first", "second"):
-            got = matcore.partial_transpose(stack, sub)
-            for k, m in enumerate(stack):
-                assert np.array_equal(got[k], matcore.partial_transpose(m, sub))
+        got = matcore.partial_transpose(stack)
+        for k, m in enumerate(stack):
+            assert np.array_equal(got[k], matcore.partial_transpose(m))
 
     def test_as_matrix_takes_stacks_only_when_asked(self):
         stack = np.zeros((3, 4, 4))

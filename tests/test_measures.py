@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qdephase import kernels, matcore, measures
 from qdephase.channel import ChannelParams
 from qdephase.cli import build_record
-from qdephase.errors import InvalidState, NotHermitian, NotPSD, SupportMismatch
+from qdephase.errors import InvalidState, NotHermitian, NotPSD
 from qdephase.states import (
     FamilyParams,
     family_state,
@@ -189,8 +189,7 @@ class TestRelativeEntropy:
 
     def test_support_mismatch(self):
         rho = initial_pure(FamilyParams(0.0))
-        with pytest.raises(SupportMismatch):
-            measures.relative_entropy_exact(BELL, rho)
+        assert measures.relative_entropy_exact(BELL, rho) == math.inf
 
     def test_linearized(self):
         assert measures.relative_entropy_linearized(BELL, BELL) == pytest.approx(
@@ -276,17 +275,13 @@ def random_pure(rng):
 
 def per_state_measures(rho, sigma_p):
     """The state measures one at a time, as build_record takes them."""
-    try:
-        er_exact = measures.relative_entropy_exact(sigma_p, rho)
-    except SupportMismatch:
-        er_exact = math.inf
     return {
         "delta12": measures.linear_entropy(rho),
         "negativity": measures.negativity(rho),
         "concurrence_wootters": measures.concurrence_wootters(rho),
         "fidelity_pure": measures.pure_fidelity(rho, sigma_p),
         "e_maxmixed": 1.0 - math.sqrt(measures.maxmixed_fidelity(matcore.psd_eig(rho)[0])),
-        "er_exact": er_exact,
+        "er_exact": measures.relative_entropy_exact(sigma_p, rho),
         "er_lin": measures.relative_entropy_linearized(rho, sigma_p),
     }
 
@@ -357,8 +352,7 @@ class TestStackedMeasuresShareOneRoot:
         calls.clear()
         measures.concurrence_wootters(rho[0])
         measures.pure_fidelity(rho[0], sigma[0])
-        with pytest.raises(SupportMismatch):
-            measures.relative_entropy_exact(sigma[0], rho[0])
+        assert measures.relative_entropy_exact(sigma[0], rho[0]) == math.inf
         assert [shape for name, shape in calls if name == "eigh"] == [(4, 4)] * 3
         # the Uhlmann fidelity: each state's eigenpairs, then ||U†W||_1
         calls.clear()
@@ -484,6 +478,73 @@ def assert_ppt_iff_unentangled(rho):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
 def test_ppt_iff_zero_concurrence_on_random_states(seed, rank):
     assert_ppt_iff_unentangled(random_density(np.random.default_rng(seed), rank))
+
+
+def weight_outside_support(rho, psi):
+    # |<v_i|psi>|^2 summed over the eigenvectors of rho whose eigenvalue the
+    # spectrum floor (kernels._clip_spectrum) drops
+    w, v = np.linalg.eigh(rho)
+    off = w < kernels.NOISE_FLOOR_REL * w[-1]
+    return float((np.abs(v[:, off].conj().T @ psi) ** 2).sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4),
+       st.none() | st.just(-math.inf) | st.floats(-7.0, -2.0))
+def test_measures_in_range_on_random_states(seed, rank, log_leak):
+    # log_leak None: a random pure reference. Otherwise a reference in rho's
+    # range plus 10**log_leak times a random vector, so that its weight
+    # outside rho's support runs from rounding (-inf: no leak) up through
+    # SUPPORT_WEIGHT_TOL.
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, rank)
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    if log_leak is not None:
+        inside = rho @ (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        psi = inside / np.linalg.norm(inside) + 10.0 ** log_leak * psi
+    psi /= np.linalg.norm(psi)
+    sigma_p = np.outer(psi, psi.conj())
+
+    c = measures.concurrence_wootters(rho)
+    er_lin = measures.relative_entropy_linearized(rho, sigma_p)
+    unit = {"linear_entropy": measures.linear_entropy(rho),
+            "negativity": measures.negativity(rho),
+            "concurrence_wootters": c,
+            "eof": measures.eof(c),
+            "pure_fidelity": measures.pure_fidelity(rho, sigma_p),
+            "uhlmann_fidelity": measures.uhlmann_fidelity(rho, sigma_p),
+            "maxmixed_fidelity": measures.maxmixed_fidelity(matcore.psd_eig(rho)[0]),
+            "relative_entropy_linearized": er_lin}
+    for name, value in unit.items():
+        assert 0.0 <= value <= 1.0, (name, value)
+    assert 0.0 <= measures.bures_distance(rho, sigma_p) <= math.sqrt(2.0)
+
+    er = measures.relative_entropy_exact(sigma_p, rho)
+    outside = weight_outside_support(rho, psi)
+    assert er >= 0.0
+    assert math.isinf(er) == (outside >= measures.SUPPORT_WEIGHT_TOL), (outside, er)
+    stacked = measures.stacked_measures(rho[None], sigma_p[None])["er_exact"][0]
+    assert np.float64(stacked).tobytes() == np.float64(er).tobytes()
+    # the sweep's gate, where the reference stays in the support up to
+    # rounding or leaves it; a weight outside between the two breaks it (the
+    # xfail test below)
+    if not 1e-20 < outside < measures.SUPPORT_WEIGHT_TOL:
+        assert er_lin <= er + measures.RANGE_SLACK, (er_lin, er, outside)
+
+
+@pytest.mark.xfail(strict=True, reason="er_exact drops a reference weight below "
+                                       "SUPPORT_WEIGHT_TOL outside the support, "
+                                       "which er_lin keeps")
+def test_er_lin_bounded_by_er_exact_when_the_reference_leaks_under_the_tolerance():
+    # rho = |0><0| and psi = sqrt(1 - o)|0> + sqrt(o)|1> with o = 5e-9: -Tr(sigma
+    # ln rho) is +inf, er_exact counts o as rounding and gives 0, and
+    # er_lin = o
+    o = 5e-9
+    rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    psi = np.array([math.sqrt(1.0 - o), math.sqrt(o), 0.0, 0.0], dtype=complex)
+    sigma_p = np.outer(psi, psi.conj())
+    er = measures.relative_entropy_exact(sigma_p, rho)
+    assert measures.relative_entropy_linearized(rho, sigma_p) <= er + measures.RANGE_SLACK
 
 
 @settings(max_examples=200, deadline=None)

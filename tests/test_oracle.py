@@ -305,7 +305,8 @@ class TestGrouped:
         seen = []
         real = oracle.check
         monkeypatch.setattr(oracle, "check",
-                            lambda m, tol: seen.append((m.shape, tol.trace)) or real(m, tol))
+                            lambda m, trace_tol: seen.append((m.shape, trace_tol))
+                            or real(m, trace_tol))
         r = resonant_config(modes=2)
         oracle.check_grid(0.5, r, channel_for(r), np.linspace(0.0, 1.0, 7))
         assert seen == [((7, 4, 4), max(1e-10, 20.0 * 2 * r.cutoff_tail))]

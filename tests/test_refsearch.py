@@ -140,12 +140,12 @@ class TestPureReference:
                 assert abs(trace_form - closed) < 1e-12
 
     def test_complements_linearized_entropy_exactly(self):
+        # the fidelity from rho's eigenpairs against 1 - Tr(sigma_p rho)
         for eps in (0.1, 0.5, 0.9):
             rho = family(eps, 0.3, 0.2)
             ref = initial_pure(FamilyParams(eps, 0.2))
             er = measures.relative_entropy_linearized(rho, ref)
-            e = 1.0 - er
-            assert abs(e + er - 1.0) <= 1e-15
+            assert abs(measures.pure_fidelity(rho, ref) + er - 1.0) <= 1e-15
 
 
 def record_at(eps, theta, ntilde=1.0):

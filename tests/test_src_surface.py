@@ -124,6 +124,6 @@ def test_the_scan_sees_uses():
     callers = _callers(_modules())
     assert callers["measures._eig_factor"]       # from .measures import _eig_factor
     assert callers["refsearch.css_family_columns"]  # refsearch.css_family_columns in cli
-    assert callers["measures._norm"]              # a call within its own module
+    assert callers["measures._support_entropy"]   # a call within its own module
     assert callers["cli.main"]                    # from .cli import main in __main__
     assert not callers["cli.build_record"]
