@@ -24,8 +24,23 @@ qd sweep --epsilon-list 0,0.5,1 --t-steps 501 --out "$out/e.csv"
 # still meets the paper's relations at RANGE_SLACK
 qd sweep --epsilon-list 0,0.05,0.5,0.95,1 --ntilde 8 --t-steps 2001 --out "$out/h.csv"
 # a hair from the product states: rho's small eigenvalue falls below 1e-9,
-# and er_exact still counts it as support, so er_lin <= er_exact
-qd sweep --epsilon-list 0.00001,0.99999 --t-steps 51 --out "$out/p.csv"
+# and er_exact still counts it as support, so er_lin <= er_exact. On 10001
+# t-points it also comes near 1.4e-14, where an eigensolve's spectrum floor
+# cost e_maxmixed up to 6e-8; from the Kraus factor's singular values it
+# meets 1 - (sqrt(l1) + sqrt(pq gamma / l1))/2 of the 2x2 outer block
+qd sweep --epsilon-list 0.00001,0.99999 --t-steps 10001 --out "$out/p.csv"
+python - "$out/p.csv" <<'EOF'
+import sys
+import numpy as np
+rows = np.genfromtxt(sys.argv[1], delimiter=",", names=True)
+eps, gamma, abs_a = rows["epsilon"], rows["gamma"], rows["abs_a"]
+n = eps * eps + (1.0 - eps) * (1.0 - eps)
+p, q = eps * eps / n, (1.0 - eps) * (1.0 - eps) / n
+l1 = (p + q + np.sqrt((p - q) * (p - q) + 4.0 * p * q * abs_a * abs_a)) / 2.0
+expect = 1.0 - (np.sqrt(l1) + np.sqrt(p * q * gamma / l1)) / 2.0
+worst = np.abs(rows["e_maxmixed"] - expect).max()
+assert len(rows) == 20002 and worst <= 1e-11, (len(rows), worst)
+EOF
 # a usage error is a validation failure
 exits_one sweep --no-such-flag
 # a list that starts with "-" takes the --flag=-x,y form

@@ -11,7 +11,7 @@ simulation that validates every closed form.
 """
 
 from . import channel, matcore, measures, oracle, refsearch, states
-from .channel import ChannelParams, DecoherenceFactor, apply_channel, decoherence_factor, evolve, kraus_ops
+from .channel import ChannelParams, DecoherenceFactor, decoherence_factor, evolve, kraus_factor
 from .kernels import BACKEND as KERNEL_BACKEND
 from .measures import (
     MeasureRecord,
@@ -40,7 +40,6 @@ __all__ = [
     "MeasureRecord",
     "OptimizerConfig",
     "TwoQubitState",
-    "apply_channel",
     "bures_distance",
     "channel",
     "closest_separable_bures",
@@ -51,7 +50,7 @@ __all__ = [
     "eof",
     "evolve",
     "initial_pure",
-    "kraus_ops",
+    "kraus_factor",
     "linear_entropy",
     "matcore",
     "maximally_mixed",

@@ -1,5 +1,5 @@
-"""The phase-damping channel: decoherence factor, Kraus pair and the
-closed-form evolution of the family states.
+"""The phase-damping channel: decoherence factor, the Kraus factor of the
+evolved family states and their closed-form evolution.
 
 The damping parameter gamma is computed in one place (decoherence_factor)
 from ntilde and (mu1+mu2)t, to full relative precision even where it is
@@ -11,10 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedSubspace
 from .states import FamilyParams, TwoQubitState, family_state, initial_pure
-
-MIDDLE_BLOCK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,32 +76,28 @@ def decoherence_factor(p: ChannelParams, t) -> DecoherenceFactor:
     return DecoherenceFactor(a=a, gamma=gamma, phase=phase)
 
 
-def kraus_ops(gamma: float):
-    """The channel's Kraus pair E0 = diag(1,0,0,sqrt(1-gamma)), E1 = diag(0,0,0,sqrt(gamma)).
+def kraus_factor(epsilon: float, a, gamma) -> np.ndarray:
+    """The family state at corner factor a and damping gamma as its exact
+    factor rho = UU†: U = [E0 psi, E1 psi], the channel's Kraus pair
+    E0 = diag(1, 0, 0, conj(a)), E1 = diag(0, 0, 0, sqrt(gamma)) applied to
+    psi = (eps, 0, 0, 1-eps)/sqrt(n). Its columns are (eps, 0, 0,
+    (1-eps) conj(a))/sqrt(n) and (0, 0, 0, (1-eps) sqrt(gamma))/sqrt(n).
 
-    Complete only on the populated outer block: E0†E0 + E1†E1 = diag(1,0,0,1).
+    A (4, 2) array, or (N, 4, 2) for arrays a and gamma. The pair takes
+    conj(a), not sqrt(1 - gamma), which loses its digits as gamma -> 1. The
+    first gamma outside [0, 1] raises ValueError.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    e0 = np.diag([1.0, 0.0, 0.0, math.sqrt(1.0 - gamma)]).astype(complex)
-    e1 = np.diag([0.0, 0.0, 0.0, math.sqrt(gamma)]).astype(complex)
-    return e0, e1
-
-
-def apply_channel(rho0: TwoQubitState, gamma: float) -> TwoQubitState:
-    """E0 rho0 E0† + E1 rho0 E1† for states supported on span{|++>, |-->}.
-
-    The Kraus pair is not trace preserving off that block, so populated
-    middle rows/columns are rejected rather than silently losing trace.
-    """
-    m = rho0.matrix
-    mid = max(np.abs(m[1:3, :]).max(), np.abs(m[:, 1:3]).max())
-    if mid > MIDDLE_BLOCK_TOL:
-        raise UnsupportedSubspace(
-            f"middle block magnitude {mid:.3e} exceeds {MIDDLE_BLOCK_TOL:.1e}")
-    e0, e1 = kraus_ops(gamma)
-    out = e0 @ m @ e0.conj().T + e1 @ m @ e1.conj().T
-    return TwoQubitState(out)
+    p = FamilyParams(epsilon)
+    a, gamma = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(gamma, dtype=float))
+    bad = gamma[~((0.0 <= gamma) & (gamma <= 1.0))]
+    if bad.size:
+        raise ValueError(f"gamma must be in [0, 1], got {bad[0]}")
+    root_n = math.sqrt(p.norm)
+    u = np.zeros(a.shape + (4, 2), dtype=complex)
+    u[..., 0, 0] = p.epsilon / root_n
+    u[..., 3, 0] = (1.0 - p.epsilon) * np.conj(a) / root_n
+    u[..., 3, 1] = (1.0 - p.epsilon) * np.sqrt(gamma) / root_n
+    return u
 
 
 def evolve(epsilon: float, c: ChannelParams, t: float) -> TwoQubitState:

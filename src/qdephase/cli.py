@@ -6,17 +6,17 @@ command-line flag; the command line wins. Exit codes: 0 success,
 1 validation failure, 2 numerical failure.
 
 sweep walks the (epsilon, t) grid in blocks of at most BLOCK_STATES states
-(sweep_blocks), each measured in one stacked spectral pass, with the closed
-forms taken on the block's columns. The blocks are checked for the record
+(sweep_blocks), each measured in one stacked pass over the states' exact
+factors rho = UU† (channel.kraus_factor), with the closed forms taken on
+the block's columns. The blocks are checked for the record
 invariants and joined into one table (a structured array of MeasureRecord's
 fields) before the output file is opened, so a failing check writes
 nothing. The CSV is then formatted and written one slice of BLOCK_STATES
 table rows at a time (with --include-css, each slice's closed-form CSS
 columns too), so the text in memory does not grow with the grid;
 ordering_check reads the table. build_record computes the same record for
-one point, with the single-state spectral measures and the same
-closed-form functions; it is the reference the blocks are tested against,
-to the byte of the CSV.
+one point, from that point's factor alone through the same functions; it
+is the reference the blocks are tested against, to the byte of the CSV.
 
 css builds the closest separable state of a stored state in closed form
 (refsearch.css_closed) and runs no search.
@@ -33,11 +33,11 @@ from functools import partial
 import numpy as np
 
 from . import kernels, measures, oracle, refsearch
-from .channel import ChannelParams, decoherence_factor
+from .channel import ChannelParams, decoherence_factor, kraus_factor
 from .errors import QDephaseError
-from .matcore import psd_eig
 from .measures import MeasureRecord
-from .states import (FamilyParams, family_stack, family_state, initial_pure,
+# family_state has no caller here: perfbench/test_harness.py traces it through this name
+from .states import (FamilyParams, family_state, initial_pure,  # noqa: F401
                      initial_pure_stack, load_state, state_to_json)
 
 FIG_EPSILONS = (0.5, 0.42, 0.37, 0.32, 0.26, 0.19, 0.12, 0.05)
@@ -91,24 +91,14 @@ def _check_t_max(t_max: float) -> None:
 
 
 def build_record(epsilon: float, c: ChannelParams, t: float) -> MeasureRecord:
-    """Every measure at one (epsilon, t) sweep point."""
+    """Every measure at one (epsilon, t) sweep point, from the state's
+    Kraus factor (channel.kraus_factor)."""
     dec = decoherence_factor(c, t)
-    rho = family_state(epsilon, dec.a)
-    sigma_p = initial_pure(FamilyParams(epsilon, dec.phase))
-    concurrence = measures.concurrence_wootters(rho)
-    er_lin = measures.relative_entropy_linearized(rho, sigma_p)
+    cols = measures.stacked_measures(kraus_factor(epsilon, dec.a, dec.gamma),
+                                     initial_pure(FamilyParams(epsilon, dec.phase)))
     return MeasureRecord(
-        epsilon=epsilon,
-        t=t,
-        delta12=measures.linear_entropy(rho),
-        negativity=measures.negativity(rho),
-        concurrence_wootters=concurrence,
-        fidelity_pure=measures.pure_fidelity(rho, sigma_p),
-        e_pure=1.0 - er_lin,
-        e_maxmixed=1.0 - np.sqrt(measures.maxmixed_fidelity(psd_eig(rho)[0])),
-        er_exact=measures.relative_entropy_exact(sigma_p, rho),
-        er_lin=er_lin,
-        **_closed_forms(epsilon, c, t, dec.a, dec.gamma, concurrence),
+        epsilon=epsilon, t=t, e_pure=1.0 - cols["er_lin"], **cols,
+        **_closed_forms(epsilon, c, t, dec.a, dec.gamma, cols["concurrence_wootters"]),
     )
 
 
@@ -120,8 +110,8 @@ def _closed_forms(epsilon: float, c: ChannelParams, t, a, gamma, concurrence) ->
     return dict(gamma=gamma, abs_a=abs_a,
                 concurrence_paper=measures.concurrence_family(epsilon, abs_a),
                 eof=measures.eof(concurrence),
-                e_mixed=refsearch.mixed_ref_measure_family(epsilon, abs_a, c.ntilde,
-                                                           rel_phase))
+                e_mixed=refsearch.mixed_ref_measure_family(epsilon, abs_a, gamma,
+                                                           c.ntilde, rel_phase))
 
 
 def sweep_blocks(epsilons, c: ChannelParams, ts):
@@ -130,8 +120,8 @@ def sweep_blocks(epsilons, c: ChannelParams, ts):
     most BLOCK_STATES states, in MeasureRecord field order.
 
     The decoherence factor is taken once, on the whole t grid. A block is
-    one epsilon's run of consecutive t: its state and reference stacks go
-    through measures.stacked_measures in one pass, and its closed forms
+    one epsilon's run of consecutive t: its Kraus factors and reference
+    stacks go through measures.stacked_measures in one pass, and its closed forms
     through _closed_forms on the block's columns, as build_record's do, so
     every closed-form value equals build_record's bit for bit.
     """
@@ -141,7 +131,7 @@ def sweep_blocks(epsilons, c: ChannelParams, ts):
         for lo in range(0, len(ts), BLOCK_STATES):
             part = slice(lo, lo + BLOCK_STATES)
             t = ts[part]
-            cols = measures.stacked_measures(family_stack(eps, dec.a[part]),
+            cols = measures.stacked_measures(kraus_factor(eps, dec.a[part], dec.gamma[part]),
                                              initial_pure_stack(eps, dec.phase[part]))
             cols.update(epsilon=np.full(len(t), eps), t=t, e_pure=1.0 - cols["er_lin"],
                         **_closed_forms(eps, c, t, dec.a[part], dec.gamma[part],

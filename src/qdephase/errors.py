@@ -33,9 +33,5 @@ class InvalidState(QDephaseError):
         super().__init__("; ".join(self.diagnostics))
 
 
-class UnsupportedSubspace(QDephaseError):
-    """State populates the middle block where the Kraus pair loses trace."""
-
-
 class CutoffTooTight(QDephaseError):
     """Requested truncation tail needs more Fock states than the hard limit."""

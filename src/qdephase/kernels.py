@@ -34,11 +34,18 @@ def _partial_transpose(m):
     return np.swapaxes(m.reshape(m.shape[:-2] + (2, 2, 2, 2)), -3, -1).reshape(m.shape)
 
 
+def trace_dot(a, b):
+    """Re Tr(a b) for a Hermitian a, or an (N,) array for (N, 4, 4) stacks:
+    Tr(a b) = sum_ij conj(a_ij) b_ij, per matrix the BLAS dot np.vdot(a, b)
+    takes, whatever the stack, with no matrix product formed."""
+    row_a = a.reshape(a.shape[:-2] + (1, -1))
+    row_b = b.reshape(b.shape[:-2] + (1, -1))
+    return (row_a.conj() @ np.swapaxes(row_b, -1, -2)).real[..., 0, 0][()]
+
+
 def purity(m):
-    """Tr m^2 of a Hermitian matrix, or an (N,) array for an (N, 4, 4) stack:
-    per matrix, the BLAS dot np.vdot(m, m) takes, whatever the stack."""
-    row = m.reshape(m.shape[:-2] + (1, -1))
-    return (row.conj() @ np.swapaxes(row, -1, -2)).real[..., 0, 0][()]
+    """Tr m^2 of a Hermitian matrix, per matrix of a stack: trace_dot(m, m)."""
+    return trace_dot(m, m)
 
 
 def eigh_herm(m):

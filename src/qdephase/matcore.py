@@ -26,6 +26,12 @@ def as_matrix(m, stacked: bool = False) -> np.ndarray:
     return a
 
 
+def _stack_prefix(a, k) -> str:
+    # how an error names matrix k: "matrix k of the stack: " in an
+    # (N, n, n) stack, nothing for a single matrix
+    return f"matrix {k} of the stack: " if a.ndim == 3 else ""
+
+
 def _eigen(a, kernel):
     # kernel on the Hermitian part of a, and each matrix's hermiticity
     # defect; the one place an eigensolver failure becomes NoConvergence.
@@ -70,10 +76,12 @@ def _checked_psd(a, kernel):
     w = out[-2]
     bad = np.flatnonzero((defect > HERM_TOL) | (w[..., 0] < -PSD_TOL))
     if bad.size:  # the first failing matrix names itself
-        defect, wmin = np.ravel(defect)[bad[0]], np.ravel(w[..., 0])[bad[0]]
+        k = bad[0]
+        defect, wmin = np.ravel(defect)[k], np.ravel(w[..., 0])[k]
         if defect > HERM_TOL:
-            raise NotHermitian(f"hermiticity defect {defect:.3e} > {HERM_TOL:.1e}")
-        raise NotPSD(f"eigenvalue {wmin:.3e} < -{PSD_TOL:.1e}")
+            raise NotHermitian(f"{_stack_prefix(a, k)}hermiticity defect {defect:.3e} "
+                               f"> {HERM_TOL:.1e}")
+        raise NotPSD(f"{_stack_prefix(a, k)}eigenvalue {wmin:.3e} < -{PSD_TOL:.1e}")
     return out
 
 

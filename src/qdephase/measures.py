@@ -10,10 +10,13 @@ Each closed form is one numpy function: an array gives a column, a scalar a
 numpy scalar, by the same arithmetic (squares as x * x: a numpy scalar's
 x**2 goes through pow, which can round differently). Each spectral measure
 is one function too: a 4x4 state gives a numpy scalar, an (N, 4, 4) stack an
-(N,) array, by the same arithmetic on each matrix. Each reads a state
-through its checked eigenpairs (psd_eig) under one floor,
-kernels._clip_spectrum, and forms no square root of it; stacked_measures
-only composes them around one eigendecomposition per state.
+(N,) array, by the same arithmetic on each matrix. Each reads an arbitrary
+state through its checked eigenpairs (psd_eig) under one floor,
+kernels._clip_spectrum, and forms no square root of it. stacked_measures
+reads the sweep's states through their exact factors rho = UU†
+(channel.kraus_factor) instead: one SVD of each factor gives the spectrum
+and the support basis that the same helpers read, so the sweep takes no
+eigendecomposition.
 """
 
 from dataclasses import astuple, dataclass, fields
@@ -23,7 +26,7 @@ import numpy as np
 from . import kernels
 from .errors import InvalidState
 # psd_sqrt has no caller here: perfbench/test_harness.py traces it through this name
-from .matcore import as_matrix, partial_transpose, psd_eig, psd_sqrt  # noqa: F401
+from .matcore import _stack_prefix, as_matrix, partial_transpose, psd_eig, psd_sqrt  # noqa: F401
 from .states import family_norm
 
 # weight a pure reference may carry outside the state's support before the
@@ -79,13 +82,14 @@ def concurrence_wootters(rho) -> float:
     The SVD avoids the sqrt-of-noise blowup at the product's zero
     eigenvalues, and tau needs no square root of rho.
     """
-    return _concurrence(*psd_eig(rho))
+    return _concurrence(_eig_factor(*psd_eig(rho)))
 
 
-def _concurrence(w, v):
-    # the spin-flip concurrence from rho's checked eigenpairs, w ascending
-    roots = np.linalg.svd(_spin_flip(_eig_factor(w, v)), compute_uv=False)
-    return _max0(roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3])
+def _concurrence(u):
+    # the spin-flip concurrence of rho = uu† for any factor u (4 x k): the
+    # largest singular value of tau less the other k - 1
+    roots = np.linalg.svd(_spin_flip(u), compute_uv=False)
+    return _max0(roots[..., 0] - roots[..., 1:].sum(axis=-1))
 
 
 def _eig_factor(w, v):
@@ -151,24 +155,12 @@ def pure_fidelity(rho, sigma_p) -> float:
 
 
 def _reference_weights(v, sp):
-    # |<v_i|psi>|^2 = (v^dagger sigma_p v)_ii per eigenvector column v_i
+    # |<v_i|psi>|^2 = (v^dagger sigma_p v)_ii per orthonormal column v_i
     return np.einsum("...ij,...jk,...ki->...i", kernels._dagger(v), sp, v).real
 
 
 def _pure_fidelity(w, weights):
     return _min1(_max0((kernels._clip_spectrum(w) * weights).sum(axis=-1)))
-
-
-def maxmixed_fidelity(w):
-    """F(rho, I/4) = (Tr sqrt(rho))^2 / 4 from rho's ascending spectrum w
-    (psd_eig's), under kernels._clip_spectrum's floor; (N,) for an (N, 4)
-    stack.
-
-    sqrt(rho) (I/4) sqrt(rho) = rho/4, so the fidelity needs no eigensolve
-    beyond rho's own (Jozsa, J. Mod. Opt. 41, 2315 (1994)).
-    """
-    root = np.sqrt(kernels._clip_spectrum(w)).sum(axis=-1) / 2.0
-    return _min1(root * root)
 
 
 def bures_distance(rho, sigma) -> float:
@@ -179,9 +171,11 @@ def bures_distance(rho, sigma) -> float:
 def _assert_pure(sigma_p) -> np.ndarray:
     m = as_matrix(sigma_p, stacked=True)
     purity = np.ravel(kernels.purity(m))
-    bad = purity[np.abs(purity - 1.0) > PURITY_TOL]
+    bad = np.flatnonzero(np.abs(purity - 1.0) > PURITY_TOL)
     if bad.size:  # the first impure reference names itself
-        raise InvalidState([f"reference must be pure, Tr sigma^2 = {bad[0]:.6f}"])
+        k = bad[0]
+        raise InvalidState([f"{_stack_prefix(m, k)}reference must be pure, "
+                            f"Tr sigma^2 = {purity[k]:.6f}"])
     return m
 
 
@@ -198,16 +192,19 @@ def relative_entropy_exact(sigma_p, rho) -> float:
 
 
 def _support_entropy(w, weights):
-    """-Tr(sp ln rho) from rho's ascending spectrum w and sp's weights on its
-    eigenvectors, or inf where sp's weight outside rho's support reaches
-    SUPPORT_WEIGHT_TOL; a leading stack axis is carried through. The
-    support is what kernels._clip_spectrum keeps; off-support slots take
-    weight and log 0, so every state runs the same length-4 product
+    """-Tr(sp ln rho) from rho's ascending spectrum w on orthonormal vectors
+    and sp's weights on them, or inf where sp's weight outside rho's support
+    reaches SUPPORT_WEIGHT_TOL; a leading stack axis is carried through.
+    The support is what kernels._clip_spectrum keeps. sp is pure, so its
+    weight outside is 1 less its weight inside: the vectors may be all of
+    rho's eigenvectors or a factor's left singular vectors alone.
+    Off-support slots take log 0, so every state runs the same product
     whatever its rank."""
     on_support = kernels._clip_spectrum(w) > 0.0
-    outside = np.where(on_support, 0.0, weights).sum(axis=-1)
+    inside = np.where(on_support, weights, 0.0)
     log_w = np.where(on_support, np.log(np.where(on_support, w, 1.0)), 0.0)
-    dot = (np.where(on_support, weights, 0.0)[..., None, :] @ log_w[..., :, None])
+    dot = inside[..., None, :] @ log_w[..., :, None]
+    outside = 1.0 - inside.sum(axis=-1)
     return np.where(outside >= SUPPORT_WEIGHT_TOL, np.inf, _max0(-dot[..., 0, 0]))[()]
 
 
@@ -219,7 +216,7 @@ def relative_entropy_linearized(rho, sigma_p) -> float:
 
 def _linearized(rho, sp):
     # 1 - Tr(sp rho) clipped to [0, 1], for a checked pure sp
-    return _min1(_max0(1.0 - np.trace(sp @ rho, axis1=-2, axis2=-1).real))
+    return _min1(_max0(1.0 - kernels.trace_dot(sp, rho)))
 
 
 def relation_residuals(columns) -> dict:
@@ -372,33 +369,34 @@ def violations_at(table, k: int) -> list:
 # ------------------------------------------------------------ stacked states
 
 
-def stacked_measures(rho, sigma_p) -> dict:
-    """The state measures of one sweep record for a stack of states rho and
-    their pure references sigma_p, both (N, 4, 4): an (N,) array for each of
-    delta12, negativity, concurrence_wootters, fidelity_pure, e_maxmixed,
-    er_exact and er_lin.
+def stacked_measures(u, sigma_p) -> dict:
+    """The state measures of sweep records from the states' factors
+    rho = UU†, u (N, 4, k), and their pure references sigma_p (N, 4, 4): an
+    (N,) array for each of delta12, negativity, concurrence_wootters,
+    fidelity_pure, e_maxmixed, er_exact and er_lin; numpy scalars, by the
+    same arithmetic, for one (4, k) factor and one reference.
 
-    Each column is its single-state function, or that function's helper, on
-    the whole stack, so each value equals the per-state call bit for bit.
-    One checked eigendecomposition (psd_eig) per state feeds the
-    concurrence, and the spectrum the fidelity to I/4. sigma_p's weights on
-    the eigenvectors, taken once, give the fidelity to sigma_p and the
-    exact relative entropy (inf for a reference outside the support). So a
-    stack takes one eigh, one svd (the concurrence) and one eigvalsh (the
-    partial transpose). The first state of rho that is not Hermitian or not
-    PSD raises, and otherwise the first impure reference in sigma_p,
-    whatever their positions.
+    rho = UU† feeds the purity, the partial transpose and Tr(sigma_p rho),
+    and U the concurrence. One SVD of U gives rho's spectrum s^2 and support
+    basis, on which sigma_p's weights give the fidelity to sigma_p and the
+    exact relative entropy under the eigen route's floor. sqrt(rho) (I/4)
+    sqrt(rho) = rho/4, so e_maxmixed = 1 - sum(s)/2 from the unclipped
+    singular values, whose error is ~eps where an eigenvalue's root has
+    ~sqrt(eps). A stack takes two svd calls and one eigvalsh, and the first
+    impure reference raises.
     """
-    rho = as_matrix(rho, stacked=True)
-    w, v = psd_eig(rho)  # before any purity check
-    sp = _assert_pure(sigma_p)  # once, for the weights and er_lin
-    weights = _reference_weights(v, sp)
+    u = np.asarray(u, dtype=complex)
+    rho = u @ kernels._dagger(u)
+    sp = _assert_pure(sigma_p)
+    basis, s, _ = np.linalg.svd(u, full_matrices=False)
+    w = (s * s)[..., ::-1]  # ascending, as the eigen route's helpers read it
+    weights = _reference_weights(basis[..., ::-1], sp)
     return {
         "delta12": linear_entropy(rho),
         "negativity": negativity(rho),
-        "concurrence_wootters": _concurrence(w, v),
+        "concurrence_wootters": _concurrence(u),
         "fidelity_pure": _pure_fidelity(w, weights),
-        "e_maxmixed": 1.0 - np.sqrt(maxmixed_fidelity(w)),
+        "e_maxmixed": 1.0 - s.sum(axis=-1) / 2.0,
         "er_exact": _support_entropy(w, weights),
         "er_lin": _linearized(rho, sp),
     }

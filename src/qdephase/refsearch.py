@@ -208,18 +208,21 @@ def css_closed(rho) -> CssResult:
                      pt_min_eig=float(kernels.pt_min_eig(sigma)), nfev=0)
 
 
-def mixed_ref_measure_family(epsilon: float, abs_a, ntilde: float, phase=0.0):
-    """General-epsilon distance to the family's own dephasing floor.
+def mixed_ref_measure_family(epsilon: float, abs_a, gamma, ntilde: float, phase=0.0):
+    """General-epsilon distance to the family's own dephasing floor, for the
+    state at corner factor |a| and damping gamma = 1 - |a|^2.
 
     The reference keeps the family populations and damps the corner by
     e^{-2*ntilde}. At epsilon = 1/2 it is exactly the printed
     maximally-entangled form (tests/reference.py's mixed_ref_measure).
+    gamma is read as given, not as 1 - |a|^2, which cancels to ~eps
+    absolute where gamma is small: near t = 0 and each revival.
     """
     w = epsilon * (1.0 - epsilon) / family_norm(epsilon)
     x = np.exp(-2.0 * ntilde)
     fid = (1.0 - 2.0 * w * w
            + 2.0 * w * w * abs_a * x * np.cos(phase)
-           + 2.0 * w * w * np.sqrt(_max0((1.0 - abs_a * abs_a) * (1.0 - x * x))))
+           + 2.0 * w * w * np.sqrt(_max0(gamma * (1.0 - x * x))))
     return 1.0 - np.sqrt(_min1(_max0(fid)))
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import kernels
 from .errors import BadDim, InvalidState, NotHermitian
-from .matcore import HERM_TOL, PSD_TOL, TRACE_TOL, _eigen, as_matrix
+from .matcore import HERM_TOL, PSD_TOL, TRACE_TOL, _eigen, _stack_prefix, as_matrix
 
 
 def family_norm(epsilon):
@@ -79,8 +79,7 @@ def check(m, trace_tol: float = TRACE_TOL) -> list:
     said = (f"hermiticity defect {defect[k]:.3e} exceeds {HERM_TOL:.1e}",
             f"trace deviates from 1 by {deviation[k]:.3e}",
             f"negative eigenvalue {w[k, 0]:.3e} below -{PSD_TOL:.1e}")
-    where = f"matrix {k} of the stack: " if a.ndim == 3 else ""
-    return [where + text for text, hit in zip(said, broken[k]) if hit]
+    return [_stack_prefix(a, k) + text for text, hit in zip(said, broken[k]) if hit]
 
 
 def validate(m) -> TwoQubitState:

@@ -102,6 +102,49 @@ def mixed_reference_family(epsilon: float, ntilde: float, phase: float = 0.0) ->
                                      corner))
 
 
+# ----------------------------------------------------- 50-digit references
+
+
+def _family_block_50(epsilon: float, theta: float, ntilde: float):
+    """The populations p, q, the corner factor |a| and gamma = 1 - |a|^2 of
+    the family state at (mu1 + mu2) t = theta, the float inputs taken as
+    exact, in mpmath at the working precision."""
+    import mpmath
+
+    eps = mpmath.mpf(epsilon)
+    n = eps**2 + (1 - eps) ** 2
+    log_a = ntilde * (mpmath.cos(theta) - 1)
+    return eps**2 / n, (1 - eps) ** 2 / n, mpmath.exp(log_a), -mpmath.expm1(2 * log_a)
+
+
+def e_maxmixed_50(epsilon: float, theta: float, ntilde: float) -> float:
+    """1 - (sqrt(l1) + sqrt(l2))/2, the family state's distance to I/4, at 50
+    digits: l1 >= l2 are the eigenvalues of its 2x2 outer block
+    [[p, c], [conj(c), q]], |c|^2 = pq|a|^2, with l2 = pq gamma / l1."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        p, q, abs_a, gamma = _family_block_50(epsilon, theta, ntilde)
+        l1 = (p + q + mpmath.sqrt((p - q) ** 2 + 4 * p * q * abs_a**2)) / 2
+        return float(1 - (mpmath.sqrt(l1) + mpmath.sqrt(p * q * gamma / l1)) / 2)
+
+
+def e_mixed_50(epsilon: float, theta: float, ntilde: float) -> float:
+    """1 - sqrt(F), the family state's distance to its dephasing floor
+    (corner damped by e^{-2 ntilde}, rotated by ntilde sin(theta) against
+    the state's), at 50 digits. On the two unit-trace 2x2 outer blocks
+    F = Tr(rho sigma) + 2 sqrt(det rho det sigma), with det rho = pq gamma
+    and det sigma = pq (1 - x^2), x = e^{-2 ntilde}."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        p, q, abs_a, gamma = _family_block_50(epsilon, theta, ntilde)
+        x = mpmath.exp(-2 * mpmath.mpf(ntilde))
+        overlap = p * p + q * q + 2 * p * q * abs_a * x * mpmath.cos(ntilde * mpmath.sin(theta))
+        f = overlap + 2 * p * q * mpmath.sqrt(gamma * (1 - x * x))
+        return float(1 - mpmath.sqrt(f))
+
+
 # ---------------------------------------------------------- reference tools
 
 

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from qdephase import channel
-from qdephase.channel import ChannelParams, apply_channel, decoherence_factor, evolve, kraus_ops
-from qdephase.errors import UnsupportedSubspace
-from qdephase.states import FamilyParams, initial_pure
+from qdephase.channel import ChannelParams, decoherence_factor, evolve, kraus_factor
+from qdephase.states import FamilyParams, family_stack, initial_pure
 
 
 def params(ntilde=1.0, mu=0.5, omega=1.0):
@@ -56,53 +55,87 @@ class TestDecoherenceFactor:
             decoherence_factor(params(), -0.1)
 
 
+def channel_state(epsilon, a, gamma):
+    """rho = UU† from the Kraus factor, per state of a stack."""
+    u = kraus_factor(epsilon, a, gamma)
+    return u @ np.swapaxes(u.conj(), -1, -2)
+
+
 class TestKraus:
     def test_endpoints(self):
-        e0, e1 = kraus_ops(0.0)
-        assert np.array_equal(e0, np.diag([1, 0, 0, 1]).astype(complex))
-        assert np.count_nonzero(e1) == 0
-        e0, e1 = kraus_ops(1.0)
-        assert np.array_equal(e0, np.diag([1, 0, 0, 0]).astype(complex))
-        assert np.array_equal(e1, np.diag([0, 0, 0, 1]).astype(complex))
+        r = math.sqrt(0.5)  # eps / sqrt(n) = (1 - eps) / sqrt(n) at eps = 1/2
+        u = kraus_factor(0.5, 1.0, 0.0)
+        assert u.shape == (4, 2)
+        assert np.abs(u - np.array([[r, 0], [0, 0], [0, 0], [r, 0]])).max() <= 2e-16
+        u = kraus_factor(0.5, 0.0, 1.0)
+        assert np.abs(u - np.array([[r, 0], [0, 0], [0, 0], [0, r]])).max() <= 2e-16
 
     def test_completeness_on_populated_block(self):
-        for gamma in np.linspace(0.0, 1.0, 21):
-            e0, e1 = kraus_ops(float(gamma))
-            total = e0.conj().T @ e0 + e1.conj().T @ e1
-            assert np.abs(total - np.diag([1, 0, 0, 1])).max() < 1e-15
+        # E0†E0 + E1†E1 = diag(1, 0, 0, |a|^2 + gamma): the factor keeps unit
+        # norm, so UU† unit trace, wherever |a|^2 + gamma = 1
+        c = params(ntilde=1.7, mu=0.3, omega=0.9)
+        d = decoherence_factor(c, np.linspace(0.0, 2 * c.period, 201))
+        for eps in (0.0, 0.2, 0.5, 1.0):
+            u = kraus_factor(eps, d.a, d.gamma)
+            assert np.abs(np.linalg.norm(u, axis=(1, 2)) ** 2 - 1.0).max() <= 1e-15
 
     def test_rejects_bad_gamma(self):
-        with pytest.raises(ValueError):
-            kraus_ops(-0.01)
-        with pytest.raises(ValueError):
-            kraus_ops(1.01)
+        with pytest.raises(ValueError, match="got -0.01"):
+            kraus_factor(0.5, 1.0, -0.01)
+        with pytest.raises(ValueError, match="got 1.01"):
+            kraus_factor(0.5, 0.0, 1.01)
+        with pytest.raises(ValueError, match="got 2.0"):  # the first bad one
+            kraus_factor(0.5, [1.0, 0.0, 0.0], [0.0, 2.0, -1.0])
+        with pytest.raises(ValueError, match="epsilon"):
+            kraus_factor(1.5, 1.0, 0.0)
+
+    def test_takes_a_not_one_minus_gamma(self):
+        # at ntilde = 40 and (mu1+mu2)t = pi, |a| = e^{-80}: sqrt(1 - gamma)
+        # would round to 0, and the corner would vanish
+        c = params(ntilde=40.0)
+        d = decoherence_factor(c, math.pi / (c.mu1 + c.mu2))
+        corner = channel_state(0.3, d.a, d.gamma)[0, 3]
+        assert corner != 0.0
+        assert abs(corner / family_stack(0.3, [d.a])[0, 0, 3] - 1.0) <= 1e-15
 
 
 class TestApplyChannel:
+    """The channel on the initial pure state, through its Kraus factor."""
+
     def test_identity_at_zero(self):
         rho = initial_pure(FamilyParams(0.3, 0.2))
-        out = apply_channel(rho, 0.0)
-        assert np.abs(out.matrix - rho.matrix).max() < 1e-15
+        out = channel_state(0.3, np.exp(-0.2j), 0.0)
+        assert np.abs(out - rho.matrix).max() < 1e-15
 
     def test_full_damping_kills_corner(self):
-        out = apply_channel(initial_pure(FamilyParams(0.5)), 1.0)
-        assert np.abs(out.matrix - np.diag([0.5, 0, 0, 0.5])).max() < 1e-15
+        out = channel_state(0.5, 0.0, 1.0)
+        assert np.abs(out - np.diag([0.5, 0, 0, 0.5])).max() < 1e-15
 
     def test_corner_scaling(self):
-        out = apply_channel(initial_pure(FamilyParams(0.5)), 0.75)
-        assert abs(out.matrix[0, 3]) == pytest.approx(0.25, abs=1e-15)
+        out = channel_state(0.5, 0.5, 0.75)
+        assert abs(out[0, 3]) == pytest.approx(0.25, abs=1e-15)
 
     def test_trace_preserved_on_family(self):
         for eps in (0.0, 0.2, 0.5, 1.0):
             for gamma in (0.0, 0.4, 1.0):
-                out = apply_channel(initial_pure(FamilyParams(eps)), gamma)
-                assert abs(np.trace(out.matrix).real - 1.0) < 1e-12
+                out = channel_state(eps, math.sqrt(1.0 - gamma), gamma)
+                assert abs(np.trace(out).real - 1.0) < 1e-12
 
-    def test_rejects_populated_middle_block(self):
-        m = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
-        from qdephase.states import validate
-        with pytest.raises(UnsupportedSubspace):
-            apply_channel(validate(m), 0.5)
+    def test_middle_block_is_bit_zero(self):
+        # the pair acts on the outer block alone: no state it builds
+        # populates |+->, |-+>
+        c = params(ntilde=1.3, mu=0.4, omega=0.8)
+        d = decoherence_factor(c, np.linspace(0.0, c.period, 37))
+        for eps in (0.0, 0.37, 1.0):
+            out = channel_state(eps, d.a, d.gamma)
+            assert not out[:, 1:3, :].any() and not out[:, :, 1:3].any()
+
+    def test_stack_equals_single_factors(self):
+        c = params(ntilde=0.8, mu=0.4, omega=1.3)
+        d = decoherence_factor(c, np.linspace(0.0, c.period, 17))
+        u = kraus_factor(0.26, d.a, d.gamma)
+        for k in range(17):
+            assert np.array_equal(u[k], kraus_factor(0.26, d.a[k], d.gamma[k]))
 
 
 class TestEvolve:
@@ -122,16 +155,15 @@ class TestEvolve:
         assert np.abs(rho.matrix - np.diag([0.5, 0, 0, 0.5])).max() < 1e-12
 
     def test_factorization_identity(self):
-        # evolve == apply_channel(pure_reference(phase(t)), gamma(t))
+        # evolve == UU†, U the Kraus pair applied to the initial pure state
         c = params(ntilde=0.8, mu=0.4, omega=1.3)
         count = 0
         for eps in np.linspace(0.0, 1.0, 11):
             for t in np.linspace(0.0, 2 * c.period, 51):
                 d = decoherence_factor(c, float(t))
                 direct = evolve(float(eps), c, float(t))
-                staged = apply_channel(
-                    initial_pure(FamilyParams(float(eps), d.phase)), d.gamma)
-                assert np.abs(direct.matrix - staged.matrix).max() < 1e-12
+                staged = channel_state(float(eps), d.a, d.gamma)
+                assert np.abs(direct.matrix - staged).max() < 1e-15
                 count += 1
         assert count >= 500
 

@@ -20,6 +20,7 @@ from qdephase.channel import ChannelParams
 from qdephase.cli import SweepConfig, build_record, run_sweep
 from qdephase.measures import MeasureRecord
 from qdephase.states import FamilyParams, initial_pure, save_state
+from reference import e_maxmixed_50, e_mixed_50
 
 EXPECTED_HEADER = ("epsilon,t,gamma,abs_a,delta12,negativity,concurrence_wootters,"
                    "concurrence_paper,eof,fidelity_pure,e_pure,e_mixed,e_maxmixed,"
@@ -187,6 +188,38 @@ class TestSweepBlocks:
         assert cli.main(["sweep", *flags, "--out", str(tmp_path / "s.csv")]) == 0
         assert json.loads(capsys.readouterr().out)["rows"] == 408
 
+    @pytest.mark.parametrize("flags", [[], ["--include-css"]])
+    def test_run_sweep_takes_no_eigh(self, tmp_path, monkeypatch, capsys, flags):
+        # every spectral column reads the states' Kraus factors: their SVD,
+        # and the partial transpose's eigenvalues
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sweep took an eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        assert cli.main(["sweep", *flags, "--out", str(tmp_path / "s.csv")]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == 408
+
+    @pytest.mark.parametrize("slip", ["a for conj(a)", "gamma for sqrt(gamma)"])
+    def test_slipped_kraus_factor_exits_two(self, tmp_path, monkeypatch, capsys, slip):
+        # the sweep reads every state through its factor, so a slip in the
+        # factor's second row must break a gate, not reach the CSV
+        kraus_factor = cli.kraus_factor
+
+        def slipped(epsilon, a, gamma):
+            u = kraus_factor(epsilon, a, gamma)
+            scale = (1.0 - epsilon) / math.sqrt(epsilon**2 + (1.0 - epsilon) ** 2)
+            if slip.startswith("a "):
+                u[..., 3, 0] = scale * np.asarray(a)
+            else:
+                u[..., 3, 1] = scale * np.asarray(gamma)
+            return u
+
+        monkeypatch.setattr(cli, "kraus_factor", slipped)
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--out", str(out)]) == 2
+        assert "record invariants violated" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invariant_failure_names_first_bad_row(self, tmp_path, monkeypatch):
         stacked = measures.stacked_measures
 
@@ -267,6 +300,40 @@ class TestSweepBlocks:
         for cols in cli.sweep_blocks((3e-6, 1e-5, 3e-5, 1e-4), c, ts):
             bad = np.flatnonzero(measures.violation_mask(cols))
             assert not bad.size, measures.violations_at(measures.as_table(cols), bad[0])
+
+
+# item 14's edge grid: product endpoints and states a hair from them, the
+# figure's epsilon; t near 0 and near the revival 2 pi, and the default rows
+EDGE_EPSILONS = (0.0, 1e-9, 1e-5, 1e-3, *cli.FIG_EPSILONS, 1.0 - 1e-5, 1.0)
+EDGE_TS = np.unique(np.concatenate([[1e-8, 1e-6, 2.0 * math.pi - 1e-7],
+                                    np.linspace(0.0, 2.0 * math.pi, 51)]))
+
+
+@pytest.fixture(scope="module")
+def edge_grid_columns():
+    # per ntilde, the sweep's columns over the edge grid
+    out = {}
+    for ntilde in (1.0, 8.0, 40.0):
+        c = ChannelParams(1.0, 1.0, 0.5, 0.5, ntilde)
+        blocks = list(cli.sweep_blocks(EDGE_EPSILONS, c, EDGE_TS))
+        out[c] = {name: np.concatenate([b[name] for b in blocks]) for name in FIELDS}
+    return out
+
+
+# the largest error on the edge grid, measured on numpy 2.4.6: e_maxmixed
+# 1.1e-15 (eps = 1e-9, t = 1e-8, ntilde = 40), e_mixed 1.4e-16
+@pytest.mark.parametrize("column, reference, bound", [
+    ("e_maxmixed", e_maxmixed_50, 2e-15),
+    ("e_mixed", e_mixed_50, 5e-16)])
+def test_column_meets_its_50_digit_value_on_the_edge_grid(edge_grid_columns, column,
+                                                          reference, bound):
+    # e_maxmixed from the Kraus factor's singular values, e_mixed from the
+    # channel's exact gamma: the eigenvalue floor (6e-8 off near a product
+    # state) and 1 - |a|^2 (3.3e-9 off at t = 1e-8) are gone
+    for c, cols in edge_grid_columns.items():
+        for eps, t, got in zip(cols["epsilon"], cols["t"], cols[column]):
+            expect = reference(float(eps), (c.mu1 + c.mu2) * float(t), c.ntilde)
+            assert abs(got - expect) <= bound, (float(eps), float(t), c.ntilde)
 
 
 class TestSliceWriter:

@@ -92,8 +92,9 @@ def test_eof(c):
        points=st.lists(st.tuples(ABS_A, PHASE), min_size=1, max_size=12))
 def test_mixed_ref_measure_family(eps, ntilde, points):
     abs_a, phase = (np.array(v) for v in zip(*points))
-    got = refsearch.mixed_ref_measure_family(eps, abs_a, ntilde, phase)
-    scalars = [refsearch.mixed_ref_measure_family(eps, a, ntilde, p) for a, p in points]
+    got = refsearch.mixed_ref_measure_family(eps, abs_a, 1.0 - abs_a * abs_a, ntilde, phase)
+    scalars = [refsearch.mixed_ref_measure_family(eps, a, 1.0 - a * a, ntilde, p)
+               for a, p in points]
     assert all(isinstance(v, float) for v in scalars)
     assert_elementwise(got, scalars)
     # compared as fidelities (1 - e)^2: near a vanishing fidelity the square

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdephase import kernels, matcore, measures
-from qdephase.channel import ChannelParams
+from qdephase.channel import ChannelParams, decoherence_factor, kraus_factor
 from qdephase.cli import build_record
 from qdephase.errors import InvalidState, NotHermitian, NotPSD
 from qdephase.states import (
@@ -273,17 +273,33 @@ def random_pure(rng):
     return np.outer(psi, psi.conj())
 
 
+def eig_factor(rho):
+    """U = V sqrt(Lambda), rho's factor from its checked eigenpairs; per
+    matrix of a stack."""
+    return measures._eig_factor(*matcore.psd_eig(rho))
+
+
 def per_state_measures(rho, sigma_p):
-    """The state measures one at a time, as build_record takes them."""
+    """The state measures one at a time, through the library's eigen route:
+    stacked_measures on U = V sqrt(Lambda) reads rho_u = UU† where these
+    read rho, and U's SVD where these read rho's eigenpairs."""
+    u = eig_factor(rho)
+    rho_u = u @ u.conj().T
+    root = np.sqrt(kernels._clip_spectrum(matcore.psd_eig(rho)[0])).sum() / 2.0
     return {
-        "delta12": measures.linear_entropy(rho),
-        "negativity": measures.negativity(rho),
+        "delta12": measures.linear_entropy(rho_u),
+        "negativity": measures.negativity(rho_u),
         "concurrence_wootters": measures.concurrence_wootters(rho),
         "fidelity_pure": measures.pure_fidelity(rho, sigma_p),
-        "e_maxmixed": 1.0 - math.sqrt(measures.maxmixed_fidelity(matcore.psd_eig(rho)[0])),
+        "e_maxmixed": 1.0 - root,  # ||U||_* = Tr sqrt(rho), from rho's spectrum
         "er_exact": measures.relative_entropy_exact(sigma_p, rho),
-        "er_lin": measures.relative_entropy_linearized(rho, sigma_p),
+        "er_lin": measures.relative_entropy_linearized(rho_u, sigma_p),
     }
+
+
+# the columns whose stacked value runs the per-state arithmetic; the others
+# read U's SVD in place of rho's eigenpairs
+SAME_ARITHMETIC = ("delta12", "negativity", "concurrence_wootters", "er_lin")
 
 
 class TestStackedMeasures:
@@ -294,33 +310,77 @@ class TestStackedMeasures:
         # a reference inside a rank-deficient state's support: finite er_exact
         rho.append(family_state(0.3, 0.4).matrix)
         sigma.append(initial_pure(FamilyParams(0.3)).matrix)
-        got = measures.stacked_measures(np.array(rho), np.array(sigma))
+        u, sigma = eig_factor(np.array(rho)), np.array(sigma)
+        got = measures.stacked_measures(u, sigma)
         for k, (r, sp) in enumerate(zip(rho, sigma)):
+            one = measures.stacked_measures(u[k], sp)
             for name, value in per_state_measures(r, sp).items():
-                assert got[name][k] == value, (k, name)
+                assert one[name] == got[name][k], (k, name)
+                if name in SAME_ARITHMETIC:
+                    assert got[name][k] == value, (k, name)
+                elif np.isinf(value):
+                    assert np.isinf(got[name][k]), (k, name)
+                else:
+                    assert abs(got[name][k] - value) <= 1e-14, (k, name)
         assert np.isinf(got["er_exact"][:6]).all()  # pure state, other reference
         assert np.isfinite(got["er_exact"][-1])
 
     def test_first_failing_state_raises_its_per_state_error(self):
+        # a factor's rho = UU† is PSD by construction, so stacked_measures
+        # checks the references alone; the eigen route, which reads
+        # arbitrary stacks, raises for the first failing state
         rng = np.random.default_rng(41)
         rho = np.array([random_density(rng) for _ in range(4)])
         sigma = np.array([random_pure(rng) for _ in range(4)])
         skewed = rho.copy()
         skewed[2, 0, 1] += 1e-6
-        with pytest.raises(NotHermitian):
-            measures.stacked_measures(skewed, sigma)
+        with pytest.raises(NotHermitian, match="^matrix 2 of the stack: "):
+            measures.pure_fidelity(skewed, sigma)
         indefinite = skewed.copy()
         indefinite[1] = np.diag([0.5, 0.5 + 1e-6, 0.0, -1e-6])
-        with pytest.raises(NotPSD, match="-1.000e-06"):  # state 1 before state 2
-            measures.stacked_measures(indefinite, sigma)
+        with pytest.raises(NotPSD, match="^matrix 1 of the stack: eigenvalue -1.000e-06"):
+            measures.pure_fidelity(indefinite, sigma)  # state 1 before state 2
         mixed = sigma.copy()
         mixed[3] = np.eye(4) / 4.0
         with pytest.raises(InvalidState, match="must be pure"):
-            measures.stacked_measures(rho, mixed)
+            measures.stacked_measures(eig_factor(rho), mixed)
         # within the tolerances nothing raises
         nearly = rho.copy()
         nearly[0, 0, 1] += 1e-11
-        measures.stacked_measures(nearly, sigma)
+        measures.stacked_measures(eig_factor(nearly), sigma)
+        measures.pure_fidelity(nearly, sigma)
+
+
+class TestStackedErrorsNameTheirMatrix:
+    """An error on a stack names its first failing matrix; on one matrix, none."""
+
+    def test_not_psd(self):
+        stack = np.array([np.eye(4) / 4.0] * 3, dtype=complex)
+        stack[2] = np.diag([1.0, 0.5, 0.0, -0.5])
+        with pytest.raises(NotPSD) as info:
+            matcore.psd_eig(stack)
+        assert str(info.value) == "matrix 2 of the stack: eigenvalue -5.000e-01 < -1.0e-09"
+        with pytest.raises(NotPSD, match="^eigenvalue -5.000e-01"):
+            matcore.psd_eig(stack[2])
+
+    def test_not_hermitian(self):
+        stack = np.array([np.eye(4) / 4.0] * 3, dtype=complex)
+        stack[1, 0, 2] = 1e-6
+        with pytest.raises(NotHermitian) as info:
+            matcore.psd_eig(stack)
+        assert str(info.value) == "matrix 1 of the stack: hermiticity defect 1.000e-06 > 1.0e-10"
+        with pytest.raises(NotHermitian, match="^hermiticity defect 1.000e-06"):
+            matcore.psd_eig(stack[1])
+
+    def test_impure_reference(self):
+        sigma = np.array([BELL.matrix] * 3)
+        sigma[2] = np.eye(4) / 4.0
+        with pytest.raises(InvalidState) as info:
+            measures.pure_fidelity(BELL.matrix, sigma)
+        assert info.value.diagnostics == [
+            "matrix 2 of the stack: reference must be pure, Tr sigma^2 = 0.250000"]
+        with pytest.raises(InvalidState, match="^reference must be pure"):
+            measures.pure_fidelity(BELL, sigma[2])
 
 
 class TestStackedMeasuresShareOneRoot:
@@ -331,24 +391,32 @@ class TestStackedMeasuresShareOneRoot:
         sigma[0] = np.diag([0.5, 0.5, 0.0, 0.0])
         sigma[2] = np.eye(4) / 4.0
         with pytest.raises(InvalidState, match="Tr sigma\\^2 = 0.500000"):
-            measures.stacked_measures(rho, sigma)  # the first impure one
+            measures.stacked_measures(eig_factor(rho), sigma)  # the first impure one
         rho[3] = np.diag([0.5, 0.5 + 1e-6, 0.0, -1e-6])
         with pytest.raises(NotPSD, match="-1.000e-06"):
-            measures.stacked_measures(rho, sigma)
+            measures.pure_fidelity(rho, sigma)
 
-    def test_one_eigh_per_stack(self, monkeypatch):
-        rng = np.random.default_rng(43)
-        rho = np.array([random_density(rng, rank) for rank in (1, 2, 3, 4)])
-        sigma = np.array([random_pure(rng) for _ in rho])
+    @staticmethod
+    def count_lapack(monkeypatch, names=("eigh", "svd", "eigvalsh", "eig", "eigvals")):
         calls = []
-        for name in ("eigh", "svd", "eigvalsh"):
+        for name in names:
             def counting(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
                 calls.append((_name, args[0].shape))
                 return _f(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
-        measures.stacked_measures(rho, sigma)
-        assert [shape for name, shape in calls if name == "eigh"] == [(4, 4, 4)]
+        return calls
+
+    def test_one_eigh_per_stack(self, monkeypatch):
+        # the eigen route, for arbitrary states: one eigh per call, whether
+        # it reads one state or a stack
+        rng = np.random.default_rng(43)
+        rho = np.array([random_density(rng, rank) for rank in (1, 2, 3, 4)])
+        sigma = np.array([random_pure(rng) for _ in rho])
+        calls = self.count_lapack(monkeypatch)
+        measures.concurrence_wootters(rho)
+        measures.pure_fidelity(rho, sigma)
+        assert [shape for name, shape in calls if name == "eigh"] == [(4, 4, 4)] * 2
         calls.clear()
         measures.concurrence_wootters(rho[0])
         measures.pure_fidelity(rho[0], sigma[0])
@@ -359,45 +427,40 @@ class TestStackedMeasuresShareOneRoot:
         measures.uhlmann_fidelity(rho[0], sigma[0])
         assert calls == [("eigh", (4, 4)), ("eigh", (4, 4)), ("svd", (4, 4))]
 
-    def test_one_eigh_one_svd_one_eigvalsh_per_stack(self, monkeypatch):
-        # eigh: the checked eigenpairs; svd: the concurrence; eigvalsh: the
-        # partial-transpose spectrum. The fidelities to the pure reference
-        # and to I/4 reuse the eigenpairs, and no PSD root is built.
-        rng = np.random.default_rng(44)
-        rho = np.array([random_density(rng, rank) for rank in (1, 2, 3, 4)])
-        sigma = np.array([random_pure(rng) for _ in rho])
-        calls = []
-        for name in ("eigh", "svd", "eigvalsh", "eig", "eigvals"):
-            def counting(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
-                calls.append((_name, args[0].shape))
-                return _f(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counting)
+    def test_two_svds_one_eigvalsh_per_stack(self, monkeypatch):
+        # the sweep's route: svd of the Kraus factor U (the spectrum and the
+        # support), svd of tau (the concurrence), eigvalsh of the partial
+        # transpose of UU†; no eigensolve of rho and no PSD root
+        c = ChannelParams(1.0, 1.0, 0.5, 0.5, 1.0)
+        dec = decoherence_factor(c, np.linspace(0.0, c.period, 7))
+        u = kraus_factor(0.26, dec.a, dec.gamma)
+        sigma = np.array([initial_pure(FamilyParams(0.26, p)).matrix for p in dec.phase])
+        calls = self.count_lapack(monkeypatch)
         for name in ("psd_sqrt_with_min", "sqrt_fidelity"):
             def forbidden(*args, _name=name):
                 raise AssertionError(f"kernels.{_name} called")
 
             monkeypatch.setattr(kernels, name, forbidden)
-        measures.stacked_measures(rho, sigma)
-        assert sorted(calls) == [("eigh", (4, 4, 4)), ("eigvalsh", (4, 4, 4)),
-                                 ("svd", (4, 4, 4))]
+        measures.stacked_measures(u, sigma)
+        assert sorted(calls) == [("eigvalsh", (7, 4, 4)), ("svd", (7, 2, 2)),
+                                 ("svd", (7, 4, 2))]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
-def test_maxmixed_fidelity_matches_the_general_fidelity(seed, rank):
-    # (Tr sqrt(rho))^2 / 4 from rho's spectrum against the Uhlmann fidelity
-    # ||U†W||_1^2, W the factor of I/4 from an eigensolve of its own. Each route's
-    # eigenvalues carry an absolute rounding of a few eps, which the square
-    # root turns into ~eps / sqrt(lambda): a state with an eigenvalue near
-    # 1e-6 (about 3 in 10^4 random rank-4 states) can differ by ~4e-14, and
-    # neither route is then the closer one to a 40-digit reference.
+def test_e_maxmixed_matches_the_general_fidelity(seed, rank):
+    # 1 - ||U||_*/2 from the factor U = V sqrt(Lambda) against the Uhlmann
+    # fidelity ||U†W||_1^2, W the factor of I/4 from an eigensolve of its
+    # own, compared as fidelities. Each route's eigenvalues carry an
+    # absolute rounding of a few eps, which the square root turns into
+    # ~eps / sqrt(lambda): a state with an eigenvalue near 1e-6 (about 3 in
+    # 10^4 random rank-4 states) can differ by ~4e-14.
     rho = random_density(np.random.default_rng(seed), rank)
     w = matcore.psd_eig(rho)[0]
     smallest = w[w > kernels.NOISE_FLOOR_REL * w[-1]].min()
     tol = 1e-14 + 4.0 * np.finfo(float).eps / math.sqrt(smallest)
-    spectral = measures.maxmixed_fidelity(w)
-    assert abs(spectral - measures.uhlmann_fidelity(rho, maximally_mixed())) <= tol
+    e = measures.stacked_measures(eig_factor(rho), BELL)["e_maxmixed"]
+    assert abs((1.0 - e) ** 2 - measures.uhlmann_fidelity(rho, maximally_mixed())) <= tol
 
 
 def root_route_fidelity(rho, sigma):
@@ -513,7 +576,6 @@ def test_measures_in_range_on_random_states(seed, rank, log_leak):
             "eof": measures.eof(c),
             "pure_fidelity": measures.pure_fidelity(rho, sigma_p),
             "uhlmann_fidelity": measures.uhlmann_fidelity(rho, sigma_p),
-            "maxmixed_fidelity": measures.maxmixed_fidelity(matcore.psd_eig(rho)[0]),
             "relative_entropy_linearized": er_lin}
     for name, value in unit.items():
         assert 0.0 <= value <= 1.0, (name, value)
@@ -523,8 +585,11 @@ def test_measures_in_range_on_random_states(seed, rank, log_leak):
     outside = weight_outside_support(rho, psi)
     assert er >= 0.0
     assert math.isinf(er) == (outside >= measures.SUPPORT_WEIGHT_TOL), (outside, er)
-    stacked = measures.stacked_measures(rho[None], sigma_p[None])["er_exact"][0]
-    assert np.float64(stacked).tobytes() == np.float64(er).tobytes()
+    stacked = measures.stacked_measures(eig_factor(rho)[None], sigma_p[None])
+    assert 0.0 <= stacked["e_maxmixed"][0] <= 1.0
+    assert np.isinf(stacked["er_exact"][0]) == math.isinf(er)
+    if not math.isinf(er):
+        assert abs(stacked["er_exact"][0] - er) <= 1e-14
     # the sweep's gate, where the reference stays in the support up to
     # rounding or leaves it; a weight outside between the two breaks it (the
     # xfail test below)
@@ -560,12 +625,17 @@ def test_ppt_iff_zero_concurrence_on_werner_states(offset):
     assert abs(measures.concurrence_wootters(rho) - exact) <= 1e-14
 
 
-def test_maxmixed_fidelity_known_values():
-    w = np.array([[0.0, 0.0, 0.0, 1.0], [0.25] * 4, [0.0, 0.0, 0.5, 0.5]])
-    # a pure state, I/4 and an equal mix of two orthogonal pure states
-    assert measures.maxmixed_fidelity(w) == pytest.approx([0.25, 1.0, 0.5], abs=1e-15)
-    assert measures.maxmixed_fidelity(w[1]) == 1.0
-    assert measures.maxmixed_fidelity(np.array([-1e-12, 0.0, 0.0, 1.0])) == 0.25
+def test_e_maxmixed_known_values():
+    # a pure state, I/4 and an equal mix of two orthogonal pure states, as
+    # factors; the last two also as Kraus factors, undamped and fully damped
+    eye = np.eye(4, dtype=complex)
+    u = np.array([eye * [1.0, 0.0, 0.0, 0.0], eye / 2.0,
+                  eye * [0.0, 0.0, 1.0, 1.0] / math.sqrt(2.0)])
+    got = measures.stacked_measures(u, np.array([BELL.matrix] * 3))["e_maxmixed"]
+    assert got == pytest.approx([0.5, 0.0, 1.0 - math.sqrt(0.5)], abs=1e-15)
+    kraus = kraus_factor(0.5, [1.0, 0.0], [0.0, 1.0])
+    got = measures.stacked_measures(kraus, np.array([BELL.matrix] * 2))["e_maxmixed"]
+    assert got == pytest.approx([0.5, 1.0 - math.sqrt(0.5)], abs=1e-15)
 
 
 # the stack-aware functions, each called as f(stack, *references)
@@ -579,7 +649,6 @@ STACKED = {
     "bures_distance": lambda r, sp: measures.bures_distance(r, sp),
     "fidelity_to_maximally_mixed":
         lambda r, sp: measures.uhlmann_fidelity(r, maximally_mixed()),
-    "maxmixed_fidelity": lambda r, sp: measures.maxmixed_fidelity(matcore.psd_eig(r)[0]),
     "relative_entropy_linearized":
         lambda r, sp: measures.relative_entropy_linearized(r, sp),
     "_assert_pure": lambda r, sp: measures._assert_pure(sp),

@@ -78,12 +78,14 @@ class TestMixedReferenceClosedForms:
                 rho = family_state(eps, abs_a * np.exp(-1j * rel))
                 ref = mixed_reference_family(eps, nt, 0.0)
                 general = 1.0 - math.sqrt(measures.uhlmann_fidelity(rho, ref))
-                closed = refsearch.mixed_ref_measure_family(eps, abs_a, nt, rel)
+                gamma = -math.expm1(2.0 * nt * (math.cos(theta) - 1.0))
+                closed = refsearch.mixed_ref_measure_family(eps, abs_a, gamma, nt, rel)
                 assert abs(general - closed) < 1e-10
 
     def test_family_form_reduces_at_half(self):
         for abs_a in (0.2, 0.7, 1.0):
-            assert refsearch.mixed_ref_measure_family(0.5, abs_a, 1.1, 0.4) == \
+            assert refsearch.mixed_ref_measure_family(0.5, abs_a, 1.0 - abs_a * abs_a,
+                                                      1.1, 0.4) == \
                 pytest.approx(mixed_ref_measure(abs_a, 1.1, 0.4), abs=1e-14)
 
 
