@@ -302,8 +302,9 @@ class TestSweepBlocks:
             assert not bad.size, measures.violations_at(measures.as_table(cols), bad[0])
 
 
-# item 14's edge grid: product endpoints and states a hair from them, the
-# figure's epsilon; t near 0 and near the revival 2 pi, and the default rows
+# the 50-digit audit's edge grid: the product endpoints, states a hair from
+# them and the figure's epsilon; t near 0 and near the revival 2 pi, and the
+# default rows
 EDGE_EPSILONS = (0.0, 1e-9, 1e-5, 1e-3, *cli.FIG_EPSILONS, 1.0 - 1e-5, 1.0)
 EDGE_TS = np.unique(np.concatenate([[1e-8, 1e-6, 2.0 * math.pi - 1e-7],
                                     np.linspace(0.0, 2.0 * math.pi, 51)]))
