@@ -52,11 +52,15 @@ exits_one oracle-check --omega-ratios nan,1,1 --modes 3
 # so is a non-positive frequency ratio (the "=" keeps argparse from reading
 # -1,1,1 as a flag)
 exits_one oracle-check --omega-ratios=-1,1,1 --modes 3
+# and an epsilon outside [0, 1]
+exits_one oracle-check --epsilon 1.5
 
-# css on a stored Bell state, in closed form
+# css on a stored Bell state, in closed form: e_value = 1 - 1/sqrt(2)
 python -c "import sys; from qdephase.states import *
-save_state(initial_pure(FamilyParams(0.5)), sys.argv[1])" "$out/bell.json"
-qd css "$out/bell.json"
+save_state(initial_pure(0.5), sys.argv[1])" "$out/bell.json"
+qd css "$out/bell.json" --out "$out/bell_css.json"
+python -c "import json, math, sys; e = json.load(open(sys.argv[1]))['e_value']
+assert abs(e - (1.0 - 1.0 / math.sqrt(2.0))) <= 1e-14, e" "$out/bell_css.json"
 # a nearly singular state (lambda_min = 8.9e-9): css reads rho through
 # V sqrt(Lambda), and its e_value meets the concurrence formula
 python - "$out/near.json" <<'EOF'

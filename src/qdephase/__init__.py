@@ -27,7 +27,7 @@ from .measures import (
     uhlmann_fidelity,
 )
 from .refsearch import CssResult, OptimizerConfig, closest_separable_bures, css_closed
-from .states import FamilyParams, TwoQubitState, initial_pure, maximally_mixed, mixed_reference, validate
+from .states import initial_pure, maximally_mixed, mixed_reference, validate
 
 __version__ = "0.1.0"
 
@@ -35,11 +35,9 @@ __all__ = [
     "ChannelParams",
     "CssResult",
     "DecoherenceFactor",
-    "FamilyParams",
     "KERNEL_BACKEND",
     "MeasureRecord",
     "OptimizerConfig",
-    "TwoQubitState",
     "bures_distance",
     "channel",
     "closest_separable_bures",

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import FamilyParams, TwoQubitState, family_state, initial_pure
+from .states import _checked_epsilon, family_norm, family_state, initial_pure
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,11 @@ def decoherence_factor(p: ChannelParams, t) -> DecoherenceFactor:
     array of times.
 
     |a| = exp(ntilde*(cos((mu1+mu2)t) - 1)), phase = (omega1+omega2)t
-    + ntilde*sin((mu1+mu2)t), and gamma = 1 - |a|^2 as -expm1(-4 ntilde
-    sin^2((mu1+mu2)t/2)), precise near t = 0 and each revival. The first
-    negative t, or t whose (mu1+mu2)t or phase overflows, raises ValueError.
+    + ntilde*sin((mu1+mu2)t), and gamma = 1 - |a|^2. Both come from one
+    log|a| = -2 ntilde sin^2((mu1+mu2)t/2), which keeps the digits that
+    cos - 1 cancels near t = 0 and each revival: |a| = exp(log|a|) and
+    gamma = -expm1(2 log|a|). The first negative t, or t whose (mu1+mu2)t
+    or phase overflows, raises ValueError.
     """
     t = np.asarray(t, dtype=float)
     if (t < 0).any():
@@ -70,9 +72,9 @@ def decoherence_factor(p: ChannelParams, t) -> DecoherenceFactor:
     bad = ~(np.isfinite(theta) & np.isfinite(phase))
     if bad.any():
         raise ValueError(f"the channel phase at t = {t[bad][0]} is not finite")
-    mag = np.exp(p.ntilde * (np.cos(theta) - 1.0))
-    gamma = -np.expm1(p.ntilde * (-4.0 * np.square(np.sin(0.5 * theta))))
-    a = mag * (np.cos(phase) - 1j * np.sin(phase))
+    log_mag = p.ntilde * (-2.0 * np.square(np.sin(0.5 * theta)))
+    gamma = -np.expm1(2.0 * log_mag)
+    a = np.exp(log_mag) * (np.cos(phase) - 1j * np.sin(phase))
     return DecoherenceFactor(a=a, gamma=gamma, phase=phase)
 
 
@@ -87,24 +89,26 @@ def kraus_factor(epsilon: float, a, gamma) -> np.ndarray:
     conj(a), not sqrt(1 - gamma), which loses its digits as gamma -> 1. The
     first gamma outside [0, 1] raises ValueError.
     """
-    p = FamilyParams(epsilon)
+    epsilon = _checked_epsilon(epsilon)
     a, gamma = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(gamma, dtype=float))
     bad = gamma[~((0.0 <= gamma) & (gamma <= 1.0))]
     if bad.size:
         raise ValueError(f"gamma must be in [0, 1], got {bad[0]}")
-    root_n = math.sqrt(p.norm)
+    root_n = math.sqrt(family_norm(epsilon))
     u = np.zeros(a.shape + (4, 2), dtype=complex)
-    u[..., 0, 0] = p.epsilon / root_n
-    u[..., 3, 0] = (1.0 - p.epsilon) * np.conj(a) / root_n
-    u[..., 3, 1] = (1.0 - p.epsilon) * np.sqrt(gamma) / root_n
+    u[..., 0, 0] = epsilon / root_n
+    u[..., 3, 0] = (1.0 - epsilon) * np.conj(a) / root_n
+    u[..., 3, 1] = (1.0 - epsilon) * np.sqrt(gamma) / root_n
     return u
 
 
-def evolve(epsilon: float, c: ChannelParams, t: float) -> TwoQubitState:
-    """Closed-form family state at time t: corner scaled by the decoherence factor."""
+def evolve(epsilon: float, c: ChannelParams, t) -> np.ndarray:
+    """Closed-form family state at time t, corner scaled by the decoherence
+    factor; an (N, 4, 4) stack over an array of times."""
     return family_state(epsilon, decoherence_factor(c, t).a)
 
 
-def pure_reference_at(epsilon: float, c: ChannelParams, t: float) -> TwoQubitState:
-    """Co-rotating pure reference: the initial pure state at the channel phase."""
-    return initial_pure(FamilyParams(epsilon, decoherence_factor(c, t).phase))
+def pure_reference_at(epsilon: float, c: ChannelParams, t) -> np.ndarray:
+    """Co-rotating pure reference: the initial pure state at the channel
+    phase; an (N, 4, 4) stack over an array of times."""
+    return initial_pure(epsilon, decoherence_factor(c, t).phase)

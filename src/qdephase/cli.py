@@ -37,8 +37,7 @@ from .channel import ChannelParams, decoherence_factor, kraus_factor
 from .errors import QDephaseError
 from .measures import MeasureRecord
 # family_state has no caller here: perfbench/test_harness.py traces it through this name
-from .states import (FamilyParams, family_state, initial_pure,  # noqa: F401
-                     initial_pure_stack, load_state, state_to_json)
+from .states import family_state, initial_pure, load_state, state_to_json  # noqa: F401
 
 FIG_EPSILONS = (0.5, 0.42, 0.37, 0.32, 0.26, 0.19, 0.12, 0.05)
 
@@ -95,7 +94,7 @@ def build_record(epsilon: float, c: ChannelParams, t: float) -> MeasureRecord:
     Kraus factor (channel.kraus_factor)."""
     dec = decoherence_factor(c, t)
     cols = measures.stacked_measures(kraus_factor(epsilon, dec.a, dec.gamma),
-                                     initial_pure(FamilyParams(epsilon, dec.phase)))
+                                     initial_pure(epsilon, dec.phase))
     return MeasureRecord(
         epsilon=epsilon, t=t, e_pure=1.0 - cols["er_lin"], **cols,
         **_closed_forms(epsilon, c, t, dec.a, dec.gamma, cols["concurrence_wootters"]),
@@ -132,7 +131,7 @@ def sweep_blocks(epsilons, c: ChannelParams, ts):
             part = slice(lo, lo + BLOCK_STATES)
             t = ts[part]
             cols = measures.stacked_measures(kraus_factor(eps, dec.a[part], dec.gamma[part]),
-                                             initial_pure_stack(eps, dec.phase[part]))
+                                             initial_pure(eps, dec.phase[part]))
             cols.update(epsilon=np.full(len(t), eps), t=t, e_pure=1.0 - cols["er_lin"],
                         **_closed_forms(eps, c, t, dec.a[part], dec.gamma[part],
                                         cols["concurrence_wootters"]))
@@ -420,22 +419,23 @@ def _cmd_oracle_check(args) -> int:
         raise ValueError(f"t_steps must be >= 1, got {t_steps}")
     report = run_oracle_check(r, channel, epsilon,
                               np.linspace(0.0, t_max, t_steps))
-    text = json.dumps(report, indent=2)
-    print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return 0 if report["passed"] else 2
+    return _report(report, args.out, report["passed"])
 
 
 def _cmd_css(args) -> int:
     report = run_css(args.state)
+    return _report(report, args.out, report["feasible"])
+
+
+def _report(report: dict, out, ok: bool) -> int:
+    """Print the JSON report, write it to out as well if given, and return
+    the exit code: 0 if ok, else 2."""
     text = json.dumps(report, indent=2)
     print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    return 0 if report["feasible"] else 2
+    return 0 if ok else 2
 
 
 def main(argv=None) -> int:

@@ -18,9 +18,9 @@ TRACE_TOL = 1e-10  # |Tr rho - 1| accepted for density matrices
 
 
 def as_matrix(m, stacked: bool = False) -> np.ndarray:
-    """Coerce a matrix-like (including TwoQubitState) to a complex ndarray;
-    with stacked=True, also an (N, n, n) stack of square matrices."""
-    a = np.asarray(getattr(m, "matrix", m), dtype=complex)
+    """Coerce a matrix-like to a complex ndarray; with stacked=True, also an
+    (N, n, n) stack of square matrices."""
+    a = np.asarray(m, dtype=complex)
     if (a.ndim != 2 and not (stacked and a.ndim == 3)) or a.shape[-2] != a.shape[-1]:
         raise BadDim(f"expected a square matrix, got shape {a.shape}")
     return a

@@ -27,10 +27,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams, decoherence_factor, evolve
+from .channel import ChannelParams, evolve
 from .errors import CutoffTooTight, InvalidState
 from .matcore import TRACE_TOL
-from .states import FamilyParams, TwoQubitState, check, family_stack, outer_block
+from .states import _checked_epsilon, check, family_norm, outer_block
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def _branch_rate(c: ChannelParams, occupation):
 
 def _branch_weights(eps: float) -> tuple:
     # the scalar weights eps/sqrt(n) and (1-eps)/sqrt(n) of |++> and |-->
-    root_n = math.sqrt(FamilyParams(eps).norm)
+    root_n = math.sqrt(family_norm(_checked_epsilon(eps)))
     return eps / root_n, (1.0 - eps) / root_n
 
 
@@ -241,15 +241,15 @@ def reduce_and_compare(j_evolved: JointAmplitudes, eps: float,
     """The per-index reduction of an evolved joint state, checked, and
     compare_reduced's distance and offset to the closed form at t."""
     raw = reduce_density(j_evolved)
-    diff, offset = compare_reduced(raw, evolve(eps, c, t).matrix,
+    diff, offset = compare_reduced(raw, evolve(eps, c, t),
                                    len(j_evolved.sizes), j_evolved.cutoff_tail)
-    return TwoQubitState(raw), diff, offset
+    return raw, diff, offset
 
 
 def check_grid(eps: float, r: ReservoirConfig, c: ChannelParams, t_grid):
     """Entrywise distances to the closed form and corner phase offsets of
     the grouped reduction, one of each per t, every state checked."""
-    closed = family_stack(eps, decoherence_factor(c, t_grid).a)
+    closed = evolve(eps, c, t_grid)
     diffs, offsets = compare_reduced(reduce_grouped(eps, r, c, t_grid), closed,
                                      r.modes, r.cutoff_tail)
     return diffs.tolist(), offsets.tolist()

@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels
 from .measures import _eig_factor, _max0, _min1, _spin_flip, _trace_norm
 from .matcore import as_matrix, psd_eig
-from .states import TwoQubitState, family_norm, outer_block, validate
+from .states import family_norm, outer_block, validate
 
 PT_FEASIBILITY = -1e-7     # accepted partial-transpose floor for sigma*
 GTOL = 1e-9                # L-BFGS-B stop on the largest gradient component
@@ -55,7 +55,7 @@ class CssResult:
     """Closest separable state sigma* of a state: e_value = 1 - sqrt(F) at
     sigma*, and the search's effort (0 evaluations for a closed form)."""
 
-    sigma_star: TwoQubitState
+    sigma_star: np.ndarray
     e_value: float
     iterations: int
     converged: bool

@@ -3,10 +3,13 @@
 Basis order is fixed everywhere as |++>, |+->, |-+>, |--> and the family
 lives on the outer 2x2 block (|++>, |-->); the middle block is zero by
 construction, bit-exact.
+
+A state is a plain complex ndarray: a 4x4 matrix, or an (N, 4, 4) stack
+where a builder is given an array. validate returns a read-only checked
+copy; the family builders build by construction and check only epsilon.
 """
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,35 +24,11 @@ def family_norm(epsilon):
     return epsilon**2 + (1.0 - epsilon) ** 2
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    """Mixing weight epsilon in [0, 1] and corner phase (radians)."""
-
-    epsilon: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if not np.isfinite(self.phase):
-            raise ValueError("phase must be finite")
-
-    @property
-    def norm(self) -> float:
-        return family_norm(self.epsilon)
-
-
-@dataclass(frozen=True)
-class TwoQubitState:
-    """A validated 4x4 density matrix. Construct via validate()."""
-
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    def purity(self) -> float:
-        return float(kernels.purity(self.matrix))
+def _checked_epsilon(epsilon):
+    # the family's mixing weight, returned as given once it is in [0, 1]
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    return epsilon
 
 
 def check(m, trace_tol: float = TRACE_TOL) -> list:
@@ -82,12 +61,15 @@ def check(m, trace_tol: float = TRACE_TOL) -> list:
     return [_stack_prefix(a, k) + text for text, hit in zip(said, broken[k]) if hit]
 
 
-def validate(m) -> TwoQubitState:
-    """Return a validated TwoQubitState or raise InvalidState with diagnostics."""
+def validate(m) -> np.ndarray:
+    """A read-only copy of m once it passes check, or InvalidState with the
+    diagnostics."""
     problems = check(m)
     if problems:
         raise InvalidState(problems)
-    return TwoQubitState(as_matrix(m).copy())
+    a = as_matrix(m).copy()
+    a.setflags(write=False)
+    return a
 
 
 def outer_block(pop_plus, pop_minus, corner) -> np.ndarray:
@@ -102,46 +84,30 @@ def outer_block(pop_plus, pop_minus, corner) -> np.ndarray:
     return m
 
 
-def _family_matrix(p: FamilyParams, corner) -> np.ndarray:
-    return outer_block(p.epsilon**2 / p.norm, (1.0 - p.epsilon) ** 2 / p.norm, corner)
+def family_state(epsilon: float, a) -> np.ndarray:
+    """The family state with corner coherence eps(1-eps) a/n (|a| <= 1): a
+    4x4 matrix, or an (N, 4, 4) stack for an array of corner factors a, by
+    the same arithmetic."""
+    eps = _checked_epsilon(epsilon)
+    n = family_norm(eps)
+    return outer_block(eps**2 / n, (1.0 - eps) ** 2 / n,
+                       eps * (1.0 - eps) * np.asarray(a, dtype=complex) / n)
 
 
-def _corner(p: FamilyParams, factor):
-    """The family corner eps(1-eps) factor/n; factor may be an array."""
-    return p.epsilon * (1.0 - p.epsilon) * factor / p.norm
-
-
-def family_state(epsilon: float, a: complex) -> TwoQubitState:
-    """Family state with corner coherence eps(1-eps)*a/n (|a| <= 1)."""
-    return TwoQubitState(family_stack(epsilon, [a])[0])
-
-
-def family_stack(epsilon: float, a) -> np.ndarray:
-    """The family states of corner factors a_k, as one (N, 4, 4) array."""
-    p = FamilyParams(epsilon)
-    return _family_matrix(p, _corner(p, np.asarray(a, dtype=complex)))
-
-
-def initial_pure(p: FamilyParams) -> TwoQubitState:
-    """Rank-1 projector onto (eps|++> + (1-eps)e^{i phase}|-->)/sqrt(n)."""
-    return TwoQubitState(initial_pure_stack(p.epsilon, [p.phase])[0])
-
-
-def initial_pure_stack(epsilon: float, phases) -> np.ndarray:
-    """initial_pure(FamilyParams(epsilon, phase_k)).matrix for each phase, as
-    one (N, 4, 4) array, equal to the single-state matrices bit for bit."""
-    p = FamilyParams(epsilon)
-    phases = np.asarray(phases, dtype=float)
-    if not np.all(np.isfinite(phases)):
+def initial_pure(epsilon: float, phase=0.0) -> np.ndarray:
+    """Rank-1 projector onto (eps|++> + (1-eps)e^{i phase}|-->)/sqrt(n):
+    family_state at a = e^{-i phase}, a stack for an array of phases."""
+    phase = np.asarray(phase, dtype=float)
+    if not np.isfinite(phase).all():
         raise ValueError("phase must be finite")
-    return _family_matrix(p, _corner(p, np.exp(-1j * phases)))
+    return family_state(epsilon, np.exp(-1j * phase))
 
 
-def maximally_mixed() -> TwoQubitState:
-    return TwoQubitState(np.eye(4, dtype=complex) / 4.0)
+def maximally_mixed() -> np.ndarray:
+    return np.eye(4, dtype=complex) / 4.0
 
 
-def mixed_reference(ntilde: float, phase: float = 0.0) -> TwoQubitState:
+def mixed_reference(ntilde: float, phase: float = 0.0) -> np.ndarray:
     """Maximally entangled family's dephasing floor: diag(1/2,0,0,1/2) plus a
     corner of magnitude e^{-2*ntilde}/2 at phase e^{-i*phase}.
 
@@ -151,8 +117,7 @@ def mixed_reference(ntilde: float, phase: float = 0.0) -> TwoQubitState:
     """
     if ntilde < 0:
         raise ValueError(f"ntilde must be >= 0, got {ntilde}")
-    return TwoQubitState(outer_block(0.5, 0.5,
-                                     np.exp(-1j * phase) * np.exp(-2.0 * ntilde) / 2.0))
+    return outer_block(0.5, 0.5, np.exp(-1j * phase) * np.exp(-2.0 * ntilde) / 2.0)
 
 
 def state_to_json(state) -> dict:
@@ -161,7 +126,7 @@ def state_to_json(state) -> dict:
     return {"dim": int(a.shape[0]), "re": a.real.tolist(), "im": a.imag.tolist()}
 
 
-def state_from_json(data) -> TwoQubitState:
+def state_from_json(data) -> np.ndarray:
     """Parse and validate the JSON state format."""
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
@@ -182,6 +147,6 @@ def save_state(state, path) -> None:
         fh.write("\n")
 
 
-def load_state(path) -> TwoQubitState:
+def load_state(path) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         return state_from_json(json.load(fh))

@@ -7,14 +7,16 @@ pipelines; where the print is wrong, the docstring says how. Nothing in
 src/qdephase imports this module, and pytest does not collect it.
 """
 
+import functools
 import math
 
 import numpy as np
 
 from qdephase.matcore import as_matrix
-from qdephase.states import FamilyParams, TwoQubitState, family_state, initial_pure, outer_block
+from qdephase.states import (_checked_epsilon, family_norm, family_state, initial_pure,
+                             outer_block, validate)
 
-BELL = initial_pure(FamilyParams(0.5))
+BELL = validate(initial_pure(0.5))  # read-only: the test modules share it
 SY = np.array([[0.0, -1j], [1j, 0.0]])
 # the two-qubit spin flip sy (x) sy, written out by hand
 SY2 = np.array([[0, 0, 0, -1],
@@ -90,16 +92,15 @@ def maxmixed_measure(abs_a: float) -> float:
     return 1.0 - 0.5 * (math.sqrt(1.0 - abs_a) + math.sqrt(1.0 + abs_a))
 
 
-def mixed_reference_family(epsilon: float, ntilde: float, phase: float = 0.0) -> TwoQubitState:
+def mixed_reference_family(epsilon: float, ntilde: float, phase: float = 0.0) -> np.ndarray:
     """General-epsilon dephasing floor: same populations as the family, corner
     damped by e^{-2*ntilde}. Reduces to states.mixed_reference at epsilon = 1/2."""
     if ntilde < 0:
         raise ValueError(f"ntilde must be >= 0, got {ntilde}")
-    p = FamilyParams(epsilon)
-    corner = (p.epsilon * (1.0 - p.epsilon) / p.norm
+    n = family_norm(_checked_epsilon(epsilon))
+    corner = (epsilon * (1.0 - epsilon) / n
               * np.exp(-1j * phase) * np.exp(-2.0 * ntilde))
-    return TwoQubitState(outer_block(p.epsilon**2 / p.norm, (1.0 - p.epsilon) ** 2 / p.norm,
-                                     corner))
+    return outer_block(epsilon**2 / n, (1.0 - epsilon) ** 2 / n, corner)
 
 
 # ----------------------------------------------------- 50-digit references
@@ -143,6 +144,89 @@ def e_mixed_50(epsilon: float, theta: float, ntilde: float) -> float:
         overlap = p * p + q * q + 2 * p * q * abs_a * x * mpmath.cos(ntilde * mpmath.sin(theta))
         f = overlap + 2 * p * q * mpmath.sqrt(gamma * (1 - x * x))
         return float(1 - mpmath.sqrt(f))
+
+
+def _block_form_50(form):
+    """The reference(epsilon, theta, ntilde) -> float that evaluates
+    form(p, q, |a|, gamma) of _family_block_50 at 50 digits."""
+    @functools.wraps(form)
+    def reference(epsilon: float, theta: float, ntilde: float) -> float:
+        import mpmath
+
+        with mpmath.workdps(50):
+            return float(form(*_family_block_50(epsilon, theta, ntilde)))
+
+    return reference
+
+
+@_block_form_50
+def abs_a_50(p, q, abs_a, gamma):
+    """|a| = exp(ntilde (cos theta - 1))."""
+    return abs_a
+
+
+@_block_form_50
+def delta12_50(p, q, abs_a, gamma):
+    """(4/3)(1 - Tr rho^2) = (8/3) pq gamma: Tr rho^2 = p^2 + q^2 + 2pq|a|^2."""
+    return 8 * p * q * gamma / 3
+
+
+@_block_form_50
+def concurrence_50(p, q, abs_a, gamma):
+    """N = C = 2|c| = 2 sqrt(pq) |a|, the corner's magnitude doubled."""
+    import mpmath
+
+    return 2 * mpmath.sqrt(p * q) * abs_a
+
+
+@_block_form_50
+def er_lin_50(p, q, abs_a, gamma):
+    """1 - Tr(rho sigma_p) = 2pq(1 - |a|) against the co-rotating pure
+    reference (sqrt p, sqrt q), whose corner shares the state's phase."""
+    return 2 * p * q * (1 - abs_a)
+
+
+@_block_form_50
+def e_pure_50(p, q, abs_a, gamma):
+    """Tr(rho sigma_p) = 1 - 2pq(1 - |a|): e_pure and fidelity_pure."""
+    return 1 - 2 * p * q * (1 - abs_a)
+
+
+@_block_form_50
+def concurrence_paper_50(p, q, abs_a, gamma):
+    """sqrt(1 - 2pq gamma), the family closed form from the exact gamma."""
+    import mpmath
+
+    return mpmath.sqrt(1 - 2 * p * q * gamma)
+
+
+@_block_form_50
+def eof_50(p, q, abs_a, gamma):
+    """h((1 + sqrt(1 - C^2))/2) at C = 2 sqrt(pq) |a|, h the binary entropy
+    in bits with 0 log 0 = 0."""
+    import mpmath
+
+    x = (1 + mpmath.sqrt(1 - 4 * p * q * abs_a**2)) / 2
+    return -sum(v * mpmath.log(v, 2) for v in (x, 1 - x) if v > 0)
+
+
+@_block_form_50
+def er_exact_50(p, q, abs_a, gamma):
+    """-Tr(sigma_p ln rho) in nats from the outer block's eigenpairs: l1,2 =
+    (1 +- D)/2 with D = sqrt(1 - 4pq gamma) and l2 = pq gamma / l1, and
+    sigma_p's weight on l1's eigenvector w1 = (F - l2)/D, F = Tr(rho
+    sigma_p). l2 = 0 only at pq = 0 or gamma = 0, where w2 = 0 too; D = 0
+    (to the working precision) only at the fully dephased Bell state, where
+    l1 = l2 = 1/2."""
+    import mpmath
+
+    d = mpmath.sqrt(1 - 4 * p * q * gamma)
+    if d == 0:
+        return mpmath.log(2)
+    l1 = (1 + d) / 2
+    l2 = p * q * gamma / l1
+    w1 = (1 - 2 * p * q * (1 - abs_a) - l2) / d
+    return -(w1 * mpmath.log(l1) + ((1 - w1) * mpmath.log(l2) if l2 > 0 else 0))
 
 
 # ---------------------------------------------------------- reference tools

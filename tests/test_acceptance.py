@@ -13,7 +13,6 @@ from qdephase.matcore import partial_transpose
 from qdephase.oracle import ReservoirConfig
 from qdephase.refsearch import closest_separable_bures
 from qdephase.states import (
-    FamilyParams,
     family_state,
     initial_pure,
     maximally_mixed,
@@ -165,7 +164,7 @@ def test_criterion_7_measure_pipeline_properties():
                 - measures.uhlmann_fidelity(sigma, rho)),
             abs(measures.uhlmann_fidelity(sigma, sigma) - 1.0),
             abs(measures.uhlmann_fidelity(sigma, BELL)
-                - float(np.trace(sigma.matrix @ BELL.matrix).real)))
+                - float(np.trace(sigma @ BELL).real)))
 
     grid = np.linspace(0.0, 1.0, 1001)
     eof_vals = [measures.eof(float(c)) for c in grid]
@@ -174,7 +173,7 @@ def test_criterion_7_measure_pipeline_properties():
     worst_complement = 0.0
     for eps in (0.1, 0.5, 0.9):
         rho = family_state(eps, 0.4 * np.exp(-0.2j))
-        ref = initial_pure(FamilyParams(eps, 0.2))
+        ref = initial_pure(eps, 0.2)
         # the eigensolve route against the trace route: F = 1 - er_lin
         er = measures.relative_entropy_linearized(rho, ref)
         worst_complement = max(worst_complement,
@@ -189,14 +188,14 @@ def test_criterion_7_measure_pipeline_properties():
 
 def test_criterion_8_documented_discrepancies():
     closed_endpoint = measures.concurrence_family(0.0, 1.0)
-    spin_flip_endpoint = measures.concurrence_wootters(initial_pure(FamilyParams(0.0)))
+    spin_flip_endpoint = measures.concurrence_wootters(initial_pure(0.0))
 
     general_fid = measures.uhlmann_fidelity(BELL, maximally_mixed())
     closed_fid = maxmixed_fidelity_closed(1.0)
 
     floors = []
     for ntilde in (0.5, 1.0, 2.0):
-        pt = partial_transpose(mixed_reference(ntilde).matrix)
+        pt = partial_transpose(mixed_reference(ntilde))
         low = float(np.linalg.eigvalsh(pt).min())
         floors.append(abs(low + math.exp(-2.0 * ntilde) / 2.0))
         floors.append(0.0 if low < 0 else 1.0)

@@ -6,7 +6,7 @@ import pytest
 
 from qdephase import channel
 from qdephase.channel import ChannelParams, decoherence_factor, evolve, kraus_factor
-from qdephase.states import FamilyParams, family_stack, initial_pure
+from qdephase.states import family_state, initial_pure
 
 
 def params(ntilde=1.0, mu=0.5, omega=1.0):
@@ -88,6 +88,8 @@ class TestKraus:
             kraus_factor(0.5, [1.0, 0.0, 0.0], [0.0, 2.0, -1.0])
         with pytest.raises(ValueError, match="epsilon"):
             kraus_factor(1.5, 1.0, 0.0)
+        with pytest.raises(ValueError, match=r"epsilon must be in \[0, 1\], got nan"):
+            kraus_factor(math.nan, 1, 0)
 
     def test_takes_a_not_one_minus_gamma(self):
         # at ntilde = 40 and (mu1+mu2)t = pi, |a| = e^{-80}: sqrt(1 - gamma)
@@ -96,16 +98,16 @@ class TestKraus:
         d = decoherence_factor(c, math.pi / (c.mu1 + c.mu2))
         corner = channel_state(0.3, d.a, d.gamma)[0, 3]
         assert corner != 0.0
-        assert abs(corner / family_stack(0.3, [d.a])[0, 0, 3] - 1.0) <= 1e-15
+        assert abs(corner / family_state(0.3, d.a)[0, 3] - 1.0) <= 1e-15
 
 
 class TestApplyChannel:
     """The channel on the initial pure state, through its Kraus factor."""
 
     def test_identity_at_zero(self):
-        rho = initial_pure(FamilyParams(0.3, 0.2))
+        rho = initial_pure(0.3, 0.2)
         out = channel_state(0.3, np.exp(-0.2j), 0.0)
-        assert np.abs(out - rho.matrix).max() < 1e-15
+        assert np.abs(out - rho).max() < 1e-15
 
     def test_full_damping_kills_corner(self):
         out = channel_state(0.5, 0.0, 1.0)
@@ -141,18 +143,18 @@ class TestApplyChannel:
 class TestEvolve:
     def test_initial_condition(self):
         rho = evolve(0.3, params(), 0.0)
-        assert np.abs(rho.matrix - initial_pure(FamilyParams(0.3)).matrix).max() < 1e-15
+        assert np.abs(rho - initial_pure(0.3)).max() < 1e-15
 
     def test_separable_endpoint_invariant(self):
         c = params()
         for t in (0.0, 0.7, 2.0):
             rho = evolve(0.0, c, t)
-            assert np.abs(rho.matrix - np.diag([0, 0, 0, 1])).max() < 1e-15
+            assert np.abs(rho - np.diag([0, 0, 0, 1])).max() < 1e-15
 
     def test_strong_damping_limit(self):
         c = params(ntilde=50.0)
         rho = evolve(0.5, c, c.period / 2)
-        assert np.abs(rho.matrix - np.diag([0.5, 0, 0, 0.5])).max() < 1e-12
+        assert np.abs(rho - np.diag([0.5, 0, 0, 0.5])).max() < 1e-12
 
     def test_factorization_identity(self):
         # evolve == UU†, U the Kraus pair applied to the initial pure state
@@ -163,25 +165,36 @@ class TestEvolve:
                 d = decoherence_factor(c, float(t))
                 direct = evolve(float(eps), c, float(t))
                 staged = channel_state(float(eps), d.a, d.gamma)
-                assert np.abs(direct.matrix - staged).max() < 1e-15
+                assert np.abs(direct - staged).max() < 1e-15
                 count += 1
         assert count >= 500
 
     def test_diagonal_frozen_in_time(self):
         c = params(ntilde=1.3)
-        base = evolve(0.3, c, 0.0).matrix
+        base = evolve(0.3, c, 0.0)
         for t in np.linspace(0.0, c.period, 37):
-            m = evolve(0.3, c, float(t)).matrix
+            m = evolve(0.3, c, float(t))
             assert abs(m[0, 0] - base[0, 0]) <= 1e-14
             assert abs(m[3, 3] - base[3, 3]) <= 1e-14
             assert m[1, 1] == 0.0 and m[2, 2] == 0.0
+
+    def test_array_of_times_gives_the_stack(self):
+        # evolve and pure_reference_at broadcast over t, as
+        # decoherence_factor does
+        c = params(ntilde=0.8, mu=0.4, omega=1.3)
+        ts = np.linspace(0.0, 2 * c.period, 9)
+        for build in (evolve, channel.pure_reference_at):
+            stack = build(0.3, c, ts)
+            assert stack.shape == (9, 4, 4)
+            for k, t in enumerate(ts):
+                assert np.abs(stack[k] - build(0.3, c, float(t))).max() <= 1e-15
 
     def test_pure_reference_at_matches_gamma_zero(self):
         c = params(ntilde=0.0)  # gamma(t) = 0 for all t, pure rotation
         for t in (0.0, 0.91, 2.4):
             ref = channel.pure_reference_at(0.37, c, t)
             evo = evolve(0.37, c, t)
-            assert np.abs(ref.matrix - evo.matrix).max() < 1e-13
+            assert np.abs(ref - evo).max() < 1e-13
 
 
 class TestDecoherenceFactorInputs:
@@ -236,3 +249,15 @@ def test_small_gamma_keeps_its_relative_precision(c, t, expect):
     # near t = 0 and each revival 1 - |a|^2 would cancel to ~1e-10 relative
     for gamma in (decoherence_factor(c, t).gamma, decoherence_factor(c, [t]).gamma[0]):
         assert abs(gamma - expect) <= 1e-14 * expect
+
+
+def test_abs_a_squared_plus_gamma_is_one_to_rounding():
+    # |a| and gamma come from one log|a|, so |a|^2 + gamma = 1 to 3 eps on
+    # this grid (measured); |a| from exp(ntilde (cos theta - 1)) put it
+    # 21.5 eps off, near t = 0 and the revival
+    near = np.geomspace(1e-12, 1e-2, 1001)
+    ts = np.concatenate([np.linspace(0.0, 4.0 * math.pi, 100001), near, 2.0 * math.pi - near])
+    for ntilde in (0.3, 1.0, 8.0, 40.0):
+        d = decoherence_factor(params(ntilde=ntilde), ts)
+        abs_a = np.abs(d.a)
+        assert np.abs(abs_a * abs_a + d.gamma - 1.0).max() <= 6.0 * np.finfo(float).eps

@@ -19,8 +19,9 @@ from qdephase import cli, kernels, measures, oracle, refsearch
 from qdephase.channel import ChannelParams
 from qdephase.cli import SweepConfig, build_record, run_sweep
 from qdephase.measures import MeasureRecord
-from qdephase.states import FamilyParams, initial_pure, save_state
-from reference import e_maxmixed_50, e_mixed_50
+from qdephase.states import initial_pure, save_state
+from reference import (abs_a_50, concurrence_50, concurrence_paper_50, delta12_50, e_maxmixed_50,
+                       e_mixed_50, e_pure_50, eof_50, er_exact_50, er_lin_50)
 
 EXPECTED_HEADER = ("epsilon,t,gamma,abs_a,delta12,negativity,concurrence_wootters,"
                    "concurrence_paper,eof,fidelity_pure,e_pure,e_mixed,e_maxmixed,"
@@ -321,9 +322,24 @@ def edge_grid_columns():
     return out
 
 
-# the largest error on the edge grid, measured on numpy 2.4.6: e_maxmixed
-# 1.1e-15 (eps = 1e-9, t = 1e-8, ntilde = 40), e_mixed 1.4e-16
+# the largest error on the edge grid, measured on numpy 2.4.6 with |a| and
+# gamma from one log|a|: abs_a 2.2e-16, delta12 1.3e-15, negativity
+# 4.4e-16, concurrence_wootters 5.6e-16, er_lin 5.2e-16, e_pure 5.6e-16,
+# concurrence_paper 1.1e-16, e_maxmixed 3.3e-16, fidelity_pure 3.9e-15,
+# eof 4.6e-15, er_exact 7.9e-15, e_mixed 1.4e-16. With |a| from
+# exp(ntilde (cos - 1)), 2e-15 off near t = 0, the cases from abs_a to
+# concurrence_paper fail their bounds
 @pytest.mark.parametrize("column, reference, bound", [
+    ("abs_a", abs_a_50, 5e-16),
+    ("delta12", delta12_50, 3e-15),
+    ("negativity", concurrence_50, 1e-15),
+    ("concurrence_wootters", concurrence_50, 1e-15),
+    ("er_lin", er_lin_50, 1e-15),
+    ("e_pure", e_pure_50, 1e-15),
+    ("concurrence_paper", concurrence_paper_50, 3e-16),
+    ("fidelity_pure", e_pure_50, 8e-15),
+    ("eof", eof_50, 1e-14),
+    ("er_exact", er_exact_50, 1.6e-14),
     ("e_maxmixed", e_maxmixed_50, 2e-15),
     ("e_mixed", e_mixed_50, 5e-16)])
 def test_column_meets_its_50_digit_value_on_the_edge_grid(edge_grid_columns, column,
@@ -702,11 +718,21 @@ class TestMainOracleCheck:
         captured = capsys.readouterr()
         assert "omega_ratios must be positive" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("epsilon", ["1.5", "-0.1", "nan"])
+    def test_epsilon_outside_the_unit_interval_exits_one(self, tmp_path, capsys, epsilon):
+        out = tmp_path / "bad.json"
+        rc = cli.main(["oracle-check", f"--epsilon={epsilon}", "--t-steps", "3",
+                       "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "epsilon must be in [0, 1]" in captured.err and captured.out == ""
+        assert not out.exists()
+
 
 def test_cli_commands_import_no_scipy(tmp_path):
     # scipy.optimize dominates the import time; only the general search,
     # which no command runs, needs it
-    save_state(initial_pure(FamilyParams(0.3)), tmp_path / "state.json")
+    save_state(initial_pure(0.3), tmp_path / "state.json")
     code = ("import sys\n"
             "from qdephase import cli\n"
             "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
@@ -726,7 +752,7 @@ def test_cli_commands_import_no_scipy(tmp_path):
 class TestMainCss:
     def test_bell_state_file(self, tmp_path, capsys):
         path = tmp_path / "bell.json"
-        save_state(initial_pure(FamilyParams(0.5)), path)
+        save_state(initial_pure(0.5), path)
         rc = cli.main(["css", str(path)])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
@@ -771,13 +797,13 @@ class TestMainCss:
 
         monkeypatch.setattr(refsearch, "minimize", no_search)
         path = tmp_path / "bell.json"
-        save_state(initial_pure(FamilyParams(0.5)), path)
+        save_state(initial_pure(0.5), path)
         assert cli.main(["css", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["iterations"] == 0
 
     def test_has_no_optimizer_flags(self, tmp_path, capsys):
         path = tmp_path / "bell.json"
-        save_state(initial_pure(FamilyParams(0.5)), path)
+        save_state(initial_pure(0.5), path)
         with pytest.raises(SystemExit) as exc:
             cli.main(["css", str(path), "--opt-restarts", "4"])
         assert exc.value.code == 1  # a usage error, not a numerical failure

@@ -5,7 +5,7 @@ import pytest
 
 from qdephase import kernels, matcore
 from qdephase.errors import BadDim, NoConvergence, NotHermitian, NotPSD
-from qdephase.states import family_state, initial_pure, FamilyParams
+from qdephase.states import family_state, initial_pure
 from reference import SY, SY2, partial_trace
 
 
@@ -26,7 +26,7 @@ class TestHermitianEig:
     def test_family_state_spectrum(self):
         # 2x2 corner block gives (1 +- |a|)/2 by hand
         rho = family_state(0.5, 0.5)
-        w, _ = matcore.hermitian_eig(rho.matrix)
+        w, _ = matcore.hermitian_eig(rho)
         assert np.allclose(w, [0.0, 0.0, 0.25, 0.75], atol=1e-14)
 
     def test_ascending_and_orthonormal(self):
@@ -66,7 +66,7 @@ class TestPsdSqrt:
         assert np.abs(s - np.diag([2.0, 1.0, 0.0, 3.0])).max() < 1e-13
 
     def test_pure_projector_is_fixed_point(self):
-        rho = initial_pure(FamilyParams(0.5)).matrix
+        rho = initial_pure(0.5)
         assert np.abs(matcore.psd_sqrt(rho) - rho).max() < 1e-12
 
     def test_square_recovers_input(self):
@@ -157,7 +157,7 @@ class TestPartialTranspose:
         assert np.array_equal(matcore.partial_transpose(m), m)
 
     def test_bell_projector_spectrum(self):
-        rho = initial_pure(FamilyParams(0.5)).matrix
+        rho = initial_pure(0.5)
         w = np.linalg.eigvalsh(matcore.partial_transpose(rho))
         assert np.allclose(np.sort(w), [-0.5, 0.5, 0.5, 0.5], atol=1e-14)
 
@@ -207,7 +207,7 @@ class TestPartialTrace:
         assert np.abs(out - rho * np.trace(sig)).max() < 1e-12
 
     def test_bell_marginal_is_maximally_mixed(self):
-        rho = initial_pure(FamilyParams(0.5)).matrix
+        rho = initial_pure(0.5)
         for keep in ({0}, {1}):
             out = partial_trace(rho, [2, 2], keep)
             assert np.abs(out - np.eye(2) / 2).max() < 1e-14

@@ -11,7 +11,6 @@ from qdephase.channel import ChannelParams, decoherence_factor, kraus_factor
 from qdephase.cli import build_record
 from qdephase.errors import InvalidState, NotHermitian, NotPSD
 from qdephase.states import (
-    FamilyParams,
     family_state,
     initial_pure,
     maximally_mixed,
@@ -24,7 +23,7 @@ from reference import (BELL, SY2, family, linear_entropy_closed,
 class TestLinearEntropy:
     def test_pure_state(self):
         assert measures.linear_entropy(
-            initial_pure(FamilyParams(0.3))) == pytest.approx(0.0, abs=1e-14)
+            initial_pure(0.3)) == pytest.approx(0.0, abs=1e-14)
 
     def test_maximally_mixed(self):
         assert measures.linear_entropy(maximally_mixed()) == pytest.approx(1.0, abs=1e-15)
@@ -55,7 +54,7 @@ class TestNegativity:
         assert measures.negativity(maximally_mixed()) == 0.0
 
     def test_initial_quarter(self):
-        assert measures.negativity(initial_pure(FamilyParams(0.25))) == pytest.approx(
+        assert measures.negativity(initial_pure(0.25)) == pytest.approx(
             0.6, abs=1e-14)
 
     def test_closed_form(self):
@@ -78,8 +77,8 @@ class TestConcurrence:
         assert measures.concurrence_wootters(BELL) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state(self):
-        assert measures.concurrence_wootters(initial_pure(FamilyParams(0.0))) == 0.0
-        assert measures.concurrence_wootters(initial_pure(FamilyParams(1.0))) == 0.0
+        assert measures.concurrence_wootters(initial_pure(0.0)) == 0.0
+        assert measures.concurrence_wootters(initial_pure(1.0)) == 0.0
 
     def test_equals_negativity_on_family(self):
         for eps in np.linspace(0.0, 1.0, 21):
@@ -94,7 +93,7 @@ class TestConcurrence:
             for abs_a in (0.0, 0.3, 1.0):
                 rho = family(eps, abs_a)
                 assert measures.concurrence_family(eps, abs_a) == pytest.approx(
-                    math.sqrt(rho.purity()), abs=1e-14)
+                    math.sqrt(kernels.purity(rho)), abs=1e-14)
 
     def test_closed_form_half(self):
         for gamma in np.linspace(0.0, 1.0, 11):
@@ -107,7 +106,7 @@ class TestConcurrence:
         # closed form reports 1 on the pure product endpoints, the spin-flip
         # definition reports 0; both pipelines must hold their value
         assert measures.concurrence_family(0.0, 1.0) == 1.0
-        assert measures.concurrence_wootters(initial_pure(FamilyParams(0.0))) == 0.0
+        assert measures.concurrence_wootters(initial_pure(0.0)) == 0.0
 
 
 class TestEof:
@@ -152,8 +151,8 @@ class TestFidelity:
             f1 = measures.uhlmann_fidelity(rho, m)
             f2 = measures.uhlmann_fidelity(m, rho)
             assert abs(f1 - f2) < 1e-10
-            pure = initial_pure(FamilyParams(0.5, 0.9))
-            overlap = float(np.trace(pure.matrix @ m).real)
+            pure = initial_pure(0.5, 0.9)
+            overlap = float(np.trace(pure @ m).real)
             assert abs(measures.uhlmann_fidelity(m, pure) - overlap) < 1e-10
 
 
@@ -162,8 +161,8 @@ class TestBures:
         assert measures.bures_distance(BELL, BELL) == pytest.approx(0.0, abs=1e-7)
 
     def test_orthogonal_pure(self):
-        a = initial_pure(FamilyParams(0.0))
-        b = initial_pure(FamilyParams(1.0))
+        a = initial_pure(0.0)
+        b = initial_pure(1.0)
         assert measures.bures_distance(a, b) == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_bell_vs_maximally_mixed(self):
@@ -188,7 +187,7 @@ class TestRelativeEntropy:
         assert val == pytest.approx(0.2876820724517809, abs=1e-12)
 
     def test_support_mismatch(self):
-        rho = initial_pure(FamilyParams(0.0))
+        rho = initial_pure(0.0)
         assert measures.relative_entropy_exact(BELL, rho) == math.inf
 
     def test_linearized(self):
@@ -201,7 +200,7 @@ class TestRelativeEntropy:
         for eps in (0.2, 0.5, 0.8):
             for abs_a in (0.1, 0.6, 0.95):
                 rho = family(eps, abs_a)
-                ref = initial_pure(FamilyParams(eps))
+                ref = initial_pure(eps)
                 lin = measures.relative_entropy_linearized(rho, ref)
                 exact = measures.relative_entropy_exact(ref, rho)
                 assert lin <= exact + 1e-12
@@ -261,7 +260,7 @@ class TestMixedReferencePartialTranspose:
     def test_always_entangled(self):
         from qdephase.matcore import partial_transpose
         for ntilde in (0.2, 1.0, 4.0):
-            pt = partial_transpose(mixed_reference(ntilde).matrix)
+            pt = partial_transpose(mixed_reference(ntilde))
             low = np.linalg.eigvalsh(pt).min()
             assert low == pytest.approx(-math.exp(-2 * ntilde) / 2, abs=1e-14)
             assert low < 0
@@ -308,8 +307,8 @@ class TestStackedMeasures:
         rho = [random_density(rng, rank) for rank in (1, 2, 3, 4) for _ in range(6)]
         sigma = [random_pure(rng) for _ in rho]
         # a reference inside a rank-deficient state's support: finite er_exact
-        rho.append(family_state(0.3, 0.4).matrix)
-        sigma.append(initial_pure(FamilyParams(0.3)).matrix)
+        rho.append(family_state(0.3, 0.4))
+        sigma.append(initial_pure(0.3))
         u, sigma = eig_factor(np.array(rho)), np.array(sigma)
         got = measures.stacked_measures(u, sigma)
         for k, (r, sp) in enumerate(zip(rho, sigma)):
@@ -373,10 +372,10 @@ class TestStackedErrorsNameTheirMatrix:
             matcore.psd_eig(stack[1])
 
     def test_impure_reference(self):
-        sigma = np.array([BELL.matrix] * 3)
+        sigma = np.array([BELL] * 3)
         sigma[2] = np.eye(4) / 4.0
         with pytest.raises(InvalidState) as info:
-            measures.pure_fidelity(BELL.matrix, sigma)
+            measures.pure_fidelity(BELL, sigma)
         assert info.value.diagnostics == [
             "matrix 2 of the stack: reference must be pure, Tr sigma^2 = 0.250000"]
         with pytest.raises(InvalidState, match="^reference must be pure"):
@@ -434,7 +433,7 @@ class TestStackedMeasuresShareOneRoot:
         c = ChannelParams(1.0, 1.0, 0.5, 0.5, 1.0)
         dec = decoherence_factor(c, np.linspace(0.0, c.period, 7))
         u = kraus_factor(0.26, dec.a, dec.gamma)
-        sigma = np.array([initial_pure(FamilyParams(0.26, p)).matrix for p in dec.phase])
+        sigma = np.array([initial_pure(0.26, p) for p in dec.phase])
         calls = self.count_lapack(monkeypatch)
         for name in ("psd_sqrt_with_min", "sqrt_fidelity"):
             def forbidden(*args, _name=name):
@@ -631,10 +630,10 @@ def test_e_maxmixed_known_values():
     eye = np.eye(4, dtype=complex)
     u = np.array([eye * [1.0, 0.0, 0.0, 0.0], eye / 2.0,
                   eye * [0.0, 0.0, 1.0, 1.0] / math.sqrt(2.0)])
-    got = measures.stacked_measures(u, np.array([BELL.matrix] * 3))["e_maxmixed"]
+    got = measures.stacked_measures(u, np.array([BELL] * 3))["e_maxmixed"]
     assert got == pytest.approx([0.5, 0.0, 1.0 - math.sqrt(0.5)], abs=1e-15)
     kraus = kraus_factor(0.5, [1.0, 0.0], [0.0, 1.0])
-    got = measures.stacked_measures(kraus, np.array([BELL.matrix] * 2))["e_maxmixed"]
+    got = measures.stacked_measures(kraus, np.array([BELL] * 2))["e_maxmixed"]
     assert got == pytest.approx([0.5, 1.0 - math.sqrt(0.5)], abs=1e-15)
 
 

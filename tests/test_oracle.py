@@ -10,7 +10,7 @@ from qdephase.channel import ChannelParams
 
 from qdephase.errors import CutoffTooTight, InvalidState
 from qdephase.oracle import ReservoirConfig, build_joint, evolve_joint
-from qdephase.states import FamilyParams, initial_pure
+from qdephase.states import initial_pure
 from reference import joint_vector, partial_trace
 
 def resonant_config(ntilde=1.0, modes=3, **kw):
@@ -145,7 +145,7 @@ class TestReduceAndCompare:
         j = build_joint(0.3, r, c)
         state, diff, _ = oracle.reduce_and_compare(j, 0.3, c, 0.0)
         assert diff <= 1e-9
-        assert np.abs(state.matrix - initial_pure(FamilyParams(0.3)).matrix).max() < 1e-9
+        assert np.abs(state - initial_pure(0.3)).max() < 1e-9
 
     def test_initial_state_tight_tail(self):
         # with the tail pushed to 1e-13 the t=0 residue drops below 1e-12
@@ -164,7 +164,7 @@ class TestReduceAndCompare:
         assert diff <= 1e-8
         n = 0.3**2 + 0.7**2
         expect = (0.3 * 0.7 / n) * math.exp(-1.0)
-        assert abs(state.matrix[0, 3]) == pytest.approx(expect, abs=1e-8)
+        assert abs(state[0, 3]) == pytest.approx(expect, abs=1e-8)
 
     def test_equivalence_over_period_grid(self):
         r = resonant_config()
@@ -244,7 +244,7 @@ class TestReduceAndCompare:
         j = build_joint(0.5, r, c)
         state, diff, _ = oracle.reduce_and_compare(evolve_joint(j, 0.8), 0.5, c, 0.8)
         assert math.isfinite(diff)
-        assert state.matrix[1, 1] == 0.0
+        assert state[1, 1] == 0.0
 
 # a non-resonant bath with every coupling on: the shared rate (mode energies,
 # cross-Kerr, mu12) differs between basis states of one total occupation
@@ -388,7 +388,7 @@ class TestJointVector:
         v = joint_vector(j)
         total = int(np.prod(j.sizes))
         reduced = partial_trace(np.outer(v, v.conj()), [4, total], {0})
-        expect = initial_pure(FamilyParams(0.3)).matrix
+        expect = initial_pure(0.3)
         assert np.abs(reduced - expect).max() < 1e-7
 
 class TestConfigValidation:

@@ -16,7 +16,6 @@ from qdephase.matcore import psd_eig, psd_sqrt
 from qdephase.measures import MeasureRecord, relation_residuals
 from qdephase.refsearch import OptimizerConfig, closest_separable_bures
 from qdephase.states import (
-    FamilyParams,
     family_state,
     initial_pure,
     maximally_mixed,
@@ -136,7 +135,7 @@ class TestPureReference:
             for abs_a in np.linspace(0.0, 1.0, 21):
                 phase = 0.8
                 rho = family(float(eps), float(abs_a), phase)
-                ref = initial_pure(FamilyParams(float(eps), phase))
+                ref = initial_pure(float(eps), phase)
                 trace_form = 1.0 - measures.relative_entropy_linearized(rho, ref)
                 closed = pure_ref_measure_family(float(eps), float(abs_a))
                 assert abs(trace_form - closed) < 1e-12
@@ -145,7 +144,7 @@ class TestPureReference:
         # the fidelity from rho's eigenpairs against 1 - Tr(sigma_p rho)
         for eps in (0.1, 0.5, 0.9):
             rho = family(eps, 0.3, 0.2)
-            ref = initial_pure(FamilyParams(eps, 0.2))
+            ref = initial_pure(eps, 0.2)
             er = measures.relative_entropy_linearized(rho, ref)
             assert abs(measures.pure_fidelity(rho, ref) + er - 1.0) <= 1e-15
 
@@ -417,7 +416,7 @@ class TestClosestSeparable:
     def test_random_ppt_sampling_never_beats_werner(self):
         rng = np.random.default_rng(41)
         best = np.inf
-        sqrt_rho = BELL.matrix  # pure: sqrt(rho) = rho
+        sqrt_rho = BELL  # pure: sqrt(rho) = rho
         for _ in range(3000):
             g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             s = g @ g.conj().T
@@ -432,7 +431,7 @@ class TestClosestSeparable:
         res = closest_separable_bures(rho)
         assert res.e_value <= 1e-6
         assert res.pt_min_eig >= -1e-7
-        assert np.abs(res.sigma_star.matrix - rho.matrix).max() < 1e-4
+        assert np.abs(res.sigma_star - rho).max() < 1e-4
 
     def test_separable_product_with_coherence(self):
         plus = np.array([1.0, 1.0]) / math.sqrt(2)
@@ -458,7 +457,7 @@ class TestClosestSeparable:
         b = closest_separable_bures(rho, cfg)
         assert a.e_value == b.e_value
         assert a.pt_min_eig == b.pt_min_eig
-        assert np.array_equal(a.sigma_star.matrix, b.sigma_star.matrix)
+        assert np.array_equal(a.sigma_star, b.sigma_star)
 
     def test_feasibility_of_sigma_star(self):
         for rho in (BELL, family(0.3, 0.9, 1.0), family(0.5, 0.5)):
@@ -547,7 +546,7 @@ class TestCssFamily:
         for k in range(306):
             one = refsearch.css_family_columns([float(eps[k])], [float(gamma[k])])
             assert one[1][0] == e_value[k] and one[2][0] == pt_min_eig[k]
-            assert np.array_equal(validate(one[0][0]).matrix, sigma[k])
+            assert np.array_equal(validate(one[0][0]), sigma[k])
 
 
 def css_from_concurrence(c):
@@ -595,7 +594,7 @@ class TestGeneralSolverAgainstConcurrence:
 
 
 def werner(p):
-    return p * BELL.matrix + (1.0 - p) * np.eye(4) / 4.0
+    return p * BELL + (1.0 - p) * np.eye(4) / 4.0
 
 
 def _random_full_rank(rng, p):
@@ -609,7 +608,7 @@ def _assert_css_closed(rho):
     is built from, the fidelity and the concurrence formula. The
     decomposition is checked from both factors a of rho = aa†: the PSD root,
     and V sqrt(Lambda) from the checked eigenpairs, which css_closed reads."""
-    rho = validate((rho + rho.conj().T) / 2.0).matrix
+    rho = validate((rho + rho.conj().T) / 2.0)
     res = refsearch.css_closed(rho)
     c_spectral = measures.concurrence_wootters(rho)
     for a in (psd_sqrt(rho), measures._eig_factor(*psd_eig(rho))):
@@ -624,10 +623,10 @@ def _assert_css_closed(rho):
         member = weight > 1e-12  # a rank-deficient rho leaves members of weight ~0
         assert np.abs(overlap[member] / weight[member] - c).max() <= 1e-10
     if z is None:  # separable by css_closed's own factor, the last: sigma* = rho
-        assert np.array_equal(res.sigma_star.matrix, rho)
-    validate(res.sigma_star.matrix)
+        assert np.array_equal(res.sigma_star, rho)
+    validate(res.sigma_star)
     assert res.pt_min_eig >= -1e-12
-    assert res.pt_min_eig == kernels.pt_min_eig(res.sigma_star.matrix)
+    assert res.pt_min_eig == kernels.pt_min_eig(res.sigma_star)
     fid = measures.uhlmann_fidelity(rho, res.sigma_star)
     assert abs(1.0 - math.sqrt(fid) - res.e_value) <= 1e-12
     if c_spectral <= 0.999:
@@ -669,7 +668,7 @@ class TestCssClosed:
         local = np.kron(*(np.linalg.qr(rng.standard_normal((2, 2))
                                        + 1j * rng.standard_normal((2, 2)))[0]
                           for _ in range(2)))
-        rho = local @ (p * BELL.matrix + (1.0 - p) * e01) @ local.conj().T
+        rho = local @ (p * BELL + (1.0 - p) * e01) @ local.conj().T
         res = _assert_css_closed(rho)
         assert abs(res.e_value - css_from_concurrence(p)) <= 1e-12
 
@@ -680,7 +679,7 @@ class TestCssClosed:
         assert res.e_value == 0.0
 
     def test_bell(self):
-        res = _assert_css_closed(BELL.matrix)
+        res = _assert_css_closed(BELL)
         assert abs(res.e_value - BELL_CSS) <= 1e-15
 
     @pytest.mark.parametrize("eps", FIG_EPSILONS)
@@ -711,7 +710,7 @@ def nearly_singular_state():
     w = rng.dirichlet(np.ones(4) * 0.5)
     rho = (g * w) @ g.conj().T
     rho = (rho + rho.conj().T) / 2.0
-    return validate(rho / rho.trace().real).matrix
+    return validate(rho / rho.trace().real)
 
 
 class TestNearlySingularState:
@@ -755,7 +754,7 @@ class TestNearlySingularState:
         f = measures.uhlmann_fidelity(rho, BELL)
         assert 0.0 <= f <= 1.0
         assert measures.bures_distance(rho, BELL) == math.sqrt(2.0 - 2.0 * math.sqrt(f))
-        stack = np.array([rho, BELL.matrix])
+        stack = np.array([rho, BELL])
         assert measures.uhlmann_fidelity(stack, BELL)[0] == f
 
     def test_css_routes_take_no_psd_root(self, tmp_path, monkeypatch, capsys):
@@ -793,7 +792,7 @@ def test_general_solver_meets_css_closed(seed, kind):
         rho = weight * _random_pure(rng) + (1.0 - weight) * _random_pure(rng)
     else:
         rho = _random_full_rank(rng, weight)
-    rho = validate((rho + rho.conj().T) / 2.0).matrix
+    rho = validate((rho + rho.conj().T) / 2.0)
     res = closest_separable_bures(rho)
     assert res.converged
     assert res.pt_min_eig >= -1e-12

@@ -5,100 +5,106 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdephase import states
+from qdephase import kernels, states
+from qdephase.channel import kraus_factor
 from qdephase.errors import InvalidState
-from qdephase.states import FamilyParams, initial_pure, maximally_mixed, mixed_reference
+from qdephase.states import family_norm, family_state, initial_pure, maximally_mixed, mixed_reference
 from reference import mixed_reference_family
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        FamilyParams(-0.1)
-    with pytest.raises(ValueError):
-        FamilyParams(1.0001)
-    assert FamilyParams(0.0).norm == 1.0
-    assert FamilyParams(0.5).norm == 0.5
+    for build in (lambda eps: family_state(eps, 1.0), initial_pure,
+                  lambda eps: kraus_factor(eps, 1.0, 0.0)):
+        for eps in (-0.1, 1.0001, np.nan):
+            with pytest.raises(ValueError, match=r"epsilon must be in \[0, 1\], got"):
+                build(eps)
+    with pytest.raises(ValueError, match="phase must be finite"):
+        initial_pure(0.5, np.nan)
+    assert family_norm(0.0) == 1.0
+    assert family_norm(0.5) == 0.5
 
 
 class TestInitialPure:
     def test_separable_endpoint(self):
-        rho = initial_pure(FamilyParams(0.0)).matrix
+        rho = initial_pure(0.0)
         expect = np.zeros((4, 4), dtype=complex)
         expect[3, 3] = 1.0
         assert np.array_equal(rho, expect)
 
     def test_maximally_entangled(self):
-        rho = initial_pure(FamilyParams(0.5)).matrix
+        rho = initial_pure(0.5)
         expect = np.zeros((4, 4), dtype=complex)
         expect[0, 0] = expect[3, 3] = expect[0, 3] = expect[3, 0] = 0.5
         assert np.abs(rho - expect).max() < 1e-15
 
     def test_quarter_entries(self):
-        rho = initial_pure(FamilyParams(0.25)).matrix
+        rho = initial_pure(0.25)
         assert rho[0, 0] == pytest.approx(0.1, abs=1e-15)
         assert rho[3, 3] == pytest.approx(0.9, abs=1e-15)
         assert rho[0, 3] == pytest.approx(0.3, abs=1e-15)
 
     def test_purity_over_grid(self):
         for eps in np.linspace(0.0, 1.0, 101):
-            rho = initial_pure(FamilyParams(float(eps), 0.37))
-            assert abs(rho.purity() - 1.0) < 1e-12
+            rho = initial_pure(float(eps), 0.37)
+            assert abs(kernels.purity(rho) - 1.0) < 1e-12
 
     def test_middle_block_bit_zero(self):
         for eps in (0.0, 0.3, 0.5, 0.9):
-            m = initial_pure(FamilyParams(eps, 1.1)).matrix
+            m = initial_pure(eps, 1.1)
             assert np.count_nonzero(m[1:3, :]) == 0
             assert np.count_nonzero(m[:, 1:3]) == 0
 
     def test_phase_lands_on_corner(self):
-        rho = initial_pure(FamilyParams(0.5, 0.7)).matrix
+        rho = initial_pure(0.5, 0.7)
         assert rho[0, 3] == pytest.approx(0.5 * np.exp(-0.7j), abs=1e-15)
 
 
 def test_stacks_equal_single_state_matrices():
+    # an array of corner factors or phases gives the stack of the scalar
+    # calls' matrices, bit for bit
     rng = np.random.default_rng(30)
     a = [complex(x) for x in np.exp(-rng.random(40) - 1j * 50.0 * rng.random(40))]
     phases = 1e3 * rng.standard_normal(40)
     for eps in (0.0, 0.05, 0.37, 0.5, 0.9, 1.0):
-        rho, pure = states.family_stack(eps, a), states.initial_pure_stack(eps, phases)
+        rho, pure = family_state(eps, a), initial_pure(eps, phases)
         assert rho.shape == pure.shape == (40, 4, 4)
+        assert family_state(eps, a[0]).shape == initial_pure(eps, phases[0]).shape == (4, 4)
         for k in range(40):
-            assert np.array_equal(rho[k], states.family_state(eps, a[k]).matrix)
-            assert np.array_equal(pure[k], initial_pure(FamilyParams(eps, phases[k])).matrix)
+            assert np.array_equal(rho[k], family_state(eps, a[k]))
+            assert np.array_equal(pure[k], initial_pure(eps, phases[k]))
     with pytest.raises(ValueError, match="phase must be finite"):
-        states.initial_pure_stack(0.5, [0.0, np.inf])
+        initial_pure(0.5, [0.0, np.inf])
     with pytest.raises(ValueError):
-        states.family_stack(1.5, a)
+        family_state(1.5, a)
 
 
 class TestReferences:
     def test_pure_reference_is_projector(self):
         for phase in (0.0, 1.3, -2.2):
-            assert initial_pure(
-                FamilyParams(0.5, phase)).purity() == pytest.approx(1.0, abs=1e-14)
+            assert kernels.purity(initial_pure(0.5, phase)) == pytest.approx(1.0, abs=1e-14)
 
     def test_maximally_mixed(self):
         rho = maximally_mixed()
-        assert np.trace(rho.matrix) == pytest.approx(1.0, abs=0)
-        assert np.array_equal(rho.matrix, np.eye(4) / 4)
+        assert np.trace(rho) == pytest.approx(1.0, abs=0)
+        assert np.array_equal(rho, np.eye(4) / 4)
 
     def test_mixed_reference_corner(self):
-        m = mixed_reference(1.0, 0.0).matrix
+        m = mixed_reference(1.0, 0.0)
         assert m[0, 0] == m[3, 3] == 0.5
         assert m[0, 3] == pytest.approx(np.exp(-2.0) / 2, abs=1e-15)
         assert m[0, 3] == pytest.approx(0.06766764161830635, abs=1e-15)
 
     def test_mixed_reference_limits(self):
         # vanishing coherence for a hot reservoir
-        m = mixed_reference(200.0).matrix
+        m = mixed_reference(200.0)
         assert np.abs(m - np.diag([0.5, 0.0, 0.0, 0.5])).max() < 1e-100
         # untouched corner at ntilde = 0 recovers the projector
-        assert np.abs(mixed_reference(0.0).matrix
-                      - initial_pure(FamilyParams(0.5)).matrix).max() < 1e-15
+        assert np.abs(mixed_reference(0.0)
+                      - initial_pure(0.5)).max() < 1e-15
 
     def test_mixed_reference_family_reduces(self):
-        a = mixed_reference_family(0.5, 1.3, 0.4).matrix
-        b = mixed_reference(1.3, 0.4).matrix
+        a = mixed_reference_family(0.5, 1.3, 0.4)
+        b = mixed_reference(1.3, 0.4)
         assert np.abs(a - b).max() < 1e-15
 
 
@@ -153,9 +159,11 @@ class TestValidate:
             assert states.check(m) == expect
 
     def test_matrix_is_immutable(self):
-        rho = maximally_mixed()
+        m = maximally_mixed()
+        rho = states.validate(m)
         with pytest.raises(ValueError):
-            rho.matrix[0, 0] = 9.0
+            rho[0, 0] = 9.0
+        assert rho is not m  # a copy: m stays writable
 
 
 def random_state(seed, rank):
@@ -172,12 +180,12 @@ class TestJson:
     @example(seed=None, rank=None)  # the family's pure state at eps = 0.25
     def test_round_trip(self, tmp_path_factory, seed, rank):
         # JSON holds each float's shortest repr, which reads back exactly
-        rho = (initial_pure(FamilyParams(0.25, 0.9)) if seed is None
+        rho = (initial_pure(0.25, 0.9) if seed is None
                else random_state(seed, rank))
         path = tmp_path_factory.mktemp("round_trip") / "state.json"
         states.save_state(rho, path)
         back = states.load_state(path)
-        assert np.array_equal(back.matrix, rho.matrix)
+        assert np.array_equal(back, rho)
 
     def test_schema_fields(self):
         blob = states.state_to_json(maximally_mixed())
@@ -235,4 +243,4 @@ def test_stacked_check_reports_the_first_failing_matrix(kinds, seed):
         expect = []
     assert states.check(stack) == expect
     if not failing:
-        assert np.array_equal(states.validate(stack[0]).matrix, stack[0])
+        assert np.array_equal(states.validate(stack[0]), stack[0])
