@@ -13,7 +13,19 @@ qd() { python -m qdephase "$@"; }
 # a validation failure: exit 1, not 2 and not 0
 exits_one() { local rc=0; qd "$@" || rc=$?; test "$rc" -eq 1; }
 
-qd sweep --t-steps 11 --out "$out/s.csv"
+qd sweep --t-steps 11 --out "$out/s.csv" | tee "$out/s.json"
+# the paper's result: at matched mixedness e_mixed lies above N for one pair
+# of epsilon and below it for another, so no fixed order holds between them
+python - "$out/s.json" <<'EOF'
+import json, sys
+ordering = json.load(open(sys.argv[1]))["ordering"]
+assert ordering["no_global_order"] is True, ordering
+above, below = ordering["witness_mixed_above"], ordering["witness_mixed_below"]
+for w in (above, below):
+    assert isinstance(w, list) and len(w) == 5, w
+    assert all(isinstance(x, float) for x in w), w
+assert above[4] > 0.0 > below[4], (above, below)
+EOF
 qd sweep --include-css --t-steps 11 --out "$out/c.csv"
 # the figure grid at 2001 t-points, written in slices
 qd sweep --include-css --t-steps 2001 --out "$out/d.csv"

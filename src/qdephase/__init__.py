@@ -14,7 +14,6 @@ from . import channel, matcore, measures, oracle, refsearch, states
 from .channel import ChannelParams, DecoherenceFactor, decoherence_factor, evolve, kraus_factor
 from .kernels import BACKEND as KERNEL_BACKEND
 from .measures import (
-    MeasureRecord,
     bures_distance,
     concurrence_family,
     concurrence_wootters,
@@ -36,7 +35,6 @@ __all__ = [
     "CssResult",
     "DecoherenceFactor",
     "KERNEL_BACKEND",
-    "MeasureRecord",
     "OptimizerConfig",
     "bures_distance",
     "channel",

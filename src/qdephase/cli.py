@@ -6,17 +6,18 @@ command-line flag; the command line wins. Exit codes: 0 success,
 1 validation failure, 2 numerical failure.
 
 sweep walks the (epsilon, t) grid in blocks of at most BLOCK_STATES states
-(sweep_blocks), each measured in one stacked pass over the states' exact
-factors rho = UU† (channel.kraus_factor), with the closed forms taken on
-the block's columns. The blocks are checked for the record
-invariants and joined into one table (a structured array of MeasureRecord's
-fields) before the output file is opened, so a failing check writes
-nothing. The CSV is then formatted and written one slice of BLOCK_STATES
-table rows at a time (with --include-css, each slice's closed-form CSS
-columns too), so the text in memory does not grow with the grid;
-ordering_check reads the table. build_record computes the same record for
-one point, from that point's factor alone through the same functions; it
-is the reference the blocks are tested against, to the byte of the CSV.
+(sweep_blocks), each measured by _columns in one stacked pass over the
+states' exact factors rho = UU† (channel.kraus_factor), with the closed
+forms taken on the block's columns. Each block is a sweep table (a
+structured array, measures.RECORD_DTYPE); the blocks are checked for the
+record invariants and joined into one table before the output file is
+opened, so a failing check writes nothing. The CSV is then formatted and
+written one slice of BLOCK_STATES table rows at a time (with
+--include-css, each slice's closed-form CSS columns too), so the text in
+memory does not grow with the grid; ordering_check reads the table.
+build_record measures one point through the same _columns, as a one-row
+table; it is the reference the blocks are tested against, to the byte of
+the CSV.
 
 css builds the closest separable state of a stored state in closed form
 (refsearch.css_closed) and runs no search.
@@ -35,7 +36,6 @@ import numpy as np
 from . import kernels, measures, oracle, refsearch
 from .channel import ChannelParams, decoherence_factor, kraus_factor
 from .errors import QDephaseError
-from .measures import MeasureRecord
 # family_state has no caller here: perfbench/test_harness.py traces it through this name
 from .states import family_state, initial_pure, load_state, state_to_json  # noqa: F401
 
@@ -89,61 +89,54 @@ def _check_t_max(t_max: float) -> None:
         raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
 
 
-def build_record(epsilon: float, c: ChannelParams, t: float) -> MeasureRecord:
-    """Every measure at one (epsilon, t) sweep point, from the state's
-    Kraus factor (channel.kraus_factor)."""
+def build_record(epsilon: float, c: ChannelParams, t: float) -> np.ndarray:
+    """Every measure at one (epsilon, t) sweep point, as a (1,) sweep table."""
     dec = decoherence_factor(c, t)
-    cols = measures.stacked_measures(kraus_factor(epsilon, dec.a, dec.gamma),
-                                     initial_pure(epsilon, dec.phase))
-    return MeasureRecord(
-        epsilon=epsilon, t=t, e_pure=1.0 - cols["er_lin"], **cols,
-        **_closed_forms(epsilon, c, t, dec.a, dec.gamma, cols["concurrence_wootters"]),
-    )
+    return measures.as_table(_columns(epsilon, c, t, dec.a, dec.gamma, dec.phase))
 
 
-def _closed_forms(epsilon: float, c: ChannelParams, t, a, gamma, concurrence) -> dict:
-    """The record fields in closed form, at one point or as columns, from t,
-    the corner factor a, gamma and the spectral concurrence."""
+def _columns(epsilon: float, c: ChannelParams, t, a, gamma, phase) -> dict:
+    """The record fields at one epsilon, for a scalar t or an array of t with
+    the decoherence factor's a, gamma and phase there: the state measures
+    from the states' Kraus factors (channel.kraus_factor) in one stacked
+    pass, the rest in closed form."""
+    cols = measures.stacked_measures(kraus_factor(epsilon, a, gamma),
+                                     initial_pure(epsilon, phase))
     abs_a = np.abs(a)
     rel_phase = c.ntilde * np.sin((c.mu1 + c.mu2) * t)  # state corner vs floor's
-    return dict(gamma=gamma, abs_a=abs_a,
+    cols.update(epsilon=np.full(np.shape(t), epsilon), t=t, gamma=gamma, abs_a=abs_a,
                 concurrence_paper=measures.concurrence_family(epsilon, abs_a),
-                eof=measures.eof(concurrence),
+                eof=measures.eof(cols["concurrence_wootters"]),
+                e_pure=1.0 - cols["er_lin"],
                 e_mixed=refsearch.mixed_ref_measure_family(epsilon, abs_a, gamma,
                                                            c.ntilde, rel_phase))
+    return cols
 
 
 def sweep_blocks(epsilons, c: ChannelParams, ts):
-    """build_record's fields over the (epsilon, t) grid, epsilon ascending
-    and t in the given order, as one dict of (N,) columns per block of at
-    most BLOCK_STATES states, in MeasureRecord field order.
+    """The sweep table over the (epsilon, t) grid, epsilon ascending and t
+    in the given order, as one table per block of at most BLOCK_STATES
+    rows.
 
     The decoherence factor is taken once, on the whole t grid. A block is
-    one epsilon's run of consecutive t: its Kraus factors and reference
-    stacks go through measures.stacked_measures in one pass, and its closed forms
-    through _closed_forms on the block's columns, as build_record's do, so
-    every closed-form value equals build_record's bit for bit.
+    one epsilon's run of consecutive t, measured by _columns in one pass, as
+    build_record measures one point, so every closed-form value equals
+    build_record's bit for bit.
     """
     ts = np.asarray(ts, dtype=float)
     dec = decoherence_factor(c, ts)
     for eps in sorted(epsilons):
         for lo in range(0, len(ts), BLOCK_STATES):
             part = slice(lo, lo + BLOCK_STATES)
-            t = ts[part]
-            cols = measures.stacked_measures(kraus_factor(eps, dec.a[part], dec.gamma[part]),
-                                             initial_pure(eps, dec.phase[part]))
-            cols.update(epsilon=np.full(len(t), eps), t=t, e_pure=1.0 - cols["er_lin"],
-                        **_closed_forms(eps, c, t, dec.a[part], dec.gamma[part],
-                                        cols["concurrence_wootters"]))
-            yield {name: cols[name] for name in measures.RECORD_DTYPE.names}
+            yield measures.as_table(_columns(eps, c, ts[part], dec.a[part],
+                                             dec.gamma[part], dec.phase[part]))
 
 
 def run_sweep(cfg: SweepConfig) -> dict:
     """Write one CSV row per (epsilon, t) grid point; return the summary."""
     ts = np.linspace(0.0, cfg.t_max, cfg.t_steps)
     blocks = []
-    for cols in sweep_blocks(cfg.epsilon_list, cfg.channel, ts):
-        block = measures.as_table(cols)
+    for block in sweep_blocks(cfg.epsilon_list, cfg.channel, ts):
         bad = np.flatnonzero(measures.violation_mask(block))
         if bad.size:
             row = block[bad[0]]
@@ -159,13 +152,13 @@ def run_sweep(cfg: SweepConfig) -> dict:
         for lo in range(0, len(table), BLOCK_STATES):
             fh.write(_csv_rows(table[lo:lo + BLOCK_STATES], cfg.include_css))
 
-    report = refsearch.ordering_check(table)
+    ordering = refsearch.ordering_check(table)
     return {
         "out": cfg.out_path,
         "rows": len(table),
         "kernel_backend": kernels.BACKEND,
-        "max_delta12": report.max_delta12,
-        "ordering": report.as_dict(),
+        "max_delta12": ordering["max_delta12"],
+        "ordering": ordering,
     }
 
 

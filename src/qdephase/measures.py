@@ -19,8 +19,6 @@ and the support basis that the same helpers read, so the sweep takes no
 eigendecomposition.
 """
 
-from dataclasses import astuple, dataclass, fields
-
 import numpy as np
 
 from . import kernels
@@ -34,7 +32,7 @@ from .states import family_norm
 SUPPORT_WEIGHT_TOL = 1e-8
 PURITY_TOL = 1e-8  # |Tr sigma^2 - 1| accepted for a pure reference
 
-# MeasureRecord fields that must lie in [0, 1] (within RANGE_SLACK)
+# record fields that must lie in [0, 1] (within RANGE_SLACK)
 UNIT_RANGED = ("delta12", "negativity", "concurrence_wootters",
                "concurrence_paper", "eof", "fidelity_pure", "e_pure",
                "e_mixed", "e_maxmixed", "er_lin")
@@ -221,9 +219,8 @@ def _linearized(rho, sp):
 
 def relation_residuals(columns) -> dict:
     """Residuals of the paper's inter-measure relations, for columns (field
-    name -> a scalar or an (N,) array; a sweep table, a sweep_blocks dict or
-    a record's asdict) with epsilon, delta12, negativity, concurrence_paper,
-    e_pure and er_lin.
+    name -> a scalar or an (N,) array; a sweep table or one of its rows)
+    with epsilon, delta12, negativity, concurrence_paper, e_pure and er_lin.
 
     N0 = negativity_closed(eps, 1) is the undamped negativity. On the family
     delta12_drop (delta12 = (2/3)(N0^2 - N^2)), concurrence_drop
@@ -256,43 +253,19 @@ _RELATION_FIELDS = {"delta12_drop": "delta12", "concurrence_drop": "concurrence_
                     "product_half": "delta12", "triangular_half": "concurrence_paper"}
 
 
-@dataclass(frozen=True)
-class MeasureRecord:
-    """One sweep point: channel coordinates plus every computed measure.
-
-    er_exact is in nats; math.inf encodes a support mismatch. Column names
-    of the CSV schema match the field names (er_exact maps to er_exact_nats).
-    """
-
-    epsilon: float
-    t: float
-    gamma: float
-    abs_a: float
-    delta12: float
-    negativity: float
-    concurrence_wootters: float
-    concurrence_paper: float
-    eof: float
-    fidelity_pure: float
-    e_pure: float
-    e_mixed: float
-    e_maxmixed: float
-    er_exact: float
-    er_lin: float
-
-    def violations(self) -> list:
-        """Invariant diagnostics: all fields finite (er_exact may be inf),
-        measures within their ranges; the record checked as a 1-row table."""
-        return violations_at(np.array([astuple(self)], RECORD_DTYPE), 0)
-
-
-# a sweep table: one row per record, one float64 column per field
-RECORD_DTYPE = np.dtype([(f.name, float) for f in fields(MeasureRecord)])
+# a sweep table: one row per record (one sweep point), one float64 column
+# per field. er_exact is in nats and inf on a support mismatch; the CSV
+# names it er_exact_nats
+RECORD_DTYPE = np.dtype([(name, float) for name in (
+    "epsilon", "t", "gamma", "abs_a", "delta12", "negativity", "concurrence_wootters",
+    "concurrence_paper", "eof", "fidelity_pure", "e_pure", "e_mixed", "e_maxmixed",
+    "er_exact", "er_lin")])
 
 
 def as_table(columns) -> np.ndarray:
-    """Columns (every field name -> an (N,) array) as an (N,) table."""
-    table = np.empty(len(columns["epsilon"]), RECORD_DTYPE)
+    """Columns (every field name -> an (N,) array) as an (N,) table;
+    scalar columns give one row."""
+    table = np.empty(np.size(columns["epsilon"]), RECORD_DTYPE)
     for name in RECORD_DTYPE.names:
         table[name] = columns[name]
     return table
@@ -361,7 +334,9 @@ def violation_mask(table) -> np.ndarray:
 
 
 def violations_at(table, k: int) -> list:
-    """The invariant diagnostics of row k of a sweep table."""
+    """The invariant diagnostics of row k of a sweep table: every field
+    finite (er_exact may be inf), measures within their ranges, and the
+    cross-route identities and the paper's relations."""
     return [f"{name} {what}: {float(table[name][k])}"
             for name, what, bad in _invariant_checks(table[k:k + 1]) if bad[0]]
 

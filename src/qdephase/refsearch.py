@@ -34,6 +34,7 @@ PT_FEASIBILITY = -1e-7     # accepted partial-transpose floor for sigma*
 GTOL = 1e-9                # L-BFGS-B stop on the largest gradient component
 ORDER_TOL = 1e-12          # pointwise ordering slack
 DELTA_MATCH_TOL = 1e-9     # mixedness matching window for cross-eps pairs
+WITNESS_GAP = 1e-9         # e_mixed - N beyond which a matched pair is a witness
 
 
 @dataclass(frozen=True)
@@ -256,28 +257,6 @@ def css_family_columns(epsilon, gamma):
     return sigma, 1.0 - np.sqrt((1.0 + delta) / 2.0), kernels.pt_min_eig(sigma)
 
 
-@dataclass
-class OrderingReport:
-    """Pointwise ordering verdict per epsilon plus the cross-epsilon witnesses."""
-
-    violations: list
-    max_delta12: float
-    witness_mixed_above: tuple | None
-    witness_mixed_below: tuple | None
-
-    @property
-    def no_global_order(self) -> bool:
-        return (self.witness_mixed_above is not None
-                and self.witness_mixed_below is not None)
-
-    def as_dict(self) -> dict:
-        return {"violations": [list(v) for v in self.violations],
-                "max_delta12": self.max_delta12,
-                "witness_mixed_above": self.witness_mixed_above,
-                "witness_mixed_below": self.witness_mixed_below,
-                "no_global_order": self.no_global_order}
-
-
 def _matched_rows(x, d):
     """Index of the row of d nearest to each (finite) value of x, the lowest
     of equally near rows as min(key=|d - x|) picks it; -1 beyond
@@ -301,21 +280,24 @@ def _matched_rows(x, d):
 
 
 def _first_row(pairs, hit):
-    """The first row of pairs where hit is True, as a tuple of floats, or None."""
+    """The first row of pairs where hit is True, as a list of floats, or None."""
     hits = np.flatnonzero(hit)
-    return tuple(pairs[hits[0]].tolist()) if hits.size else None
+    return pairs[hits[0]].tolist() if hits.size else None
 
 
-def ordering_check(table) -> OrderingReport:
+def ordering_check(table) -> dict:
     """Check the per-epsilon ordering e_mixed <= N <= e_pure <= C_closed and
     hunt cross-epsilon pairs at matched mixedness that break any fixed order
-    between e_mixed and N.
+    between e_mixed and N; return the verdict as the sweep summary prints it.
 
     table is a sweep table (measures.RECORD_DTYPE rows), grouped by epsilon
     here with a stable sort, which an epsilon-ascending table (a sweep's)
-    skips. Violations come epsilon ascending, then in row and check order; a
-    witness is the first matched row, over the ordered epsilon pairs, with
-    its gap beyond 1e-9.
+    skips. violations lists [epsilon, t, label], epsilon ascending, then in
+    row and check order. A witness is [eps1, t1, eps2, t2, gap]: the first
+    matched row, over the ordered epsilon pairs, with its gap
+    e_mixed(eps1, t1) - N(eps2, t2) above WITNESS_GAP (witness_mixed_above)
+    or below -WITNESS_GAP (witness_mixed_below), or None. no_global_order is
+    True when both witnesses exist.
     """
     orders = (("e_mixed", "negativity", "e_mixed > negativity"),
               ("negativity", "e_pure", "negativity > e_pure"),
@@ -324,7 +306,7 @@ def ordering_check(table) -> OrderingReport:
     rows = table if (eps[1:] >= eps[:-1]).all() else table[np.argsort(eps, kind="stable")]
     eps, t, d12 = rows["epsilon"], rows["t"], rows["delta12"]
     broken = np.column_stack([rows[lo] > rows[hi] + ORDER_TOL for lo, hi, _ in orders])
-    violations = [(float(eps[k]), float(t[k]), orders[j][2])
+    violations = [[float(eps[k]), float(t[k]), orders[j][2]]
                   for k, j in zip(*np.nonzero(broken))]
 
     _, starts = np.unique(eps, return_index=True)
@@ -336,10 +318,10 @@ def ordering_check(table) -> OrderingReport:
         k2 = g2.start + match[match >= 0]
         gap = rows["e_mixed"][k1] - rows["negativity"][k2]
         pairs = np.column_stack([eps[k1], t[k1], eps[k2], t[k2], gap])
-        above = above or _first_row(pairs, gap > 1e-9)
-        below = below or _first_row(pairs, gap < -1e-9)
+        above = above or _first_row(pairs, gap > WITNESS_GAP)
+        below = below or _first_row(pairs, gap < -WITNESS_GAP)
         if above and below:
             break
-    return OrderingReport(violations=violations,
-                          max_delta12=float(d12.max(initial=0.0)),
-                          witness_mixed_above=above, witness_mixed_below=below)
+    return {"violations": violations, "max_delta12": float(d12.max(initial=0.0)),
+            "witness_mixed_above": above, "witness_mixed_below": below,
+            "no_global_order": above is not None and below is not None}

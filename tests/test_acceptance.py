@@ -3,7 +3,6 @@ line printed per criterion (run with -s to watch them)."""
 
 import math
 import time
-from dataclasses import asdict
 
 import numpy as np
 from qdephase import measures
@@ -49,17 +48,17 @@ def test_criterion_2_linear_entropy_extremum(tmp_path):
                       out_path=str(tmp_path / "hot.csv"))
     summary = run_sweep(cfg)
     max_d12 = summary["max_delta12"]
-    records = [build_record(eps, channel, t)
-               for eps in FIG_EPSILONS
-               for t in np.linspace(0.0, channel.period, 51)]
-    top = max(records, key=lambda r: r.delta12)
+    records = np.concatenate([build_record(eps, channel, t)
+                              for eps in FIG_EPSILONS
+                              for t in np.linspace(0.0, channel.period, 51)])
+    top = records[np.argmax(records["delta12"])]
     ok = (abs(max_d12 - 2.0 / 3.0) <= 1e-9
-          and top.epsilon == 0.5
-          and top.gamma > 1.0 - 1e-9
-          and all(r.delta12 <= 2.0 / 3.0 + 1e-12 for r in records)
+          and top["epsilon"] == 0.5
+          and top["gamma"] > 1.0 - 1e-9
+          and all(d12 <= 2.0 / 3.0 + 1e-12 for d12 in records["delta12"])
           and 2.0 / 3.0 < 8.0 / 9.0)
     _verdict(2, "max linear entropy 2/3",
-             ok, f"max {max_d12:.12f} at eps={top.epsilon}, gamma={top.gamma:.9f}")
+             ok, f"max {max_d12:.12f} at eps={top['epsilon']}, gamma={top['gamma']:.9f}")
 
 
 def test_criterion_3_closed_vs_spectral():
@@ -90,13 +89,12 @@ def test_criterion_4_relation_identities():
     channel = ChannelParams(omega1=1.0, omega2=1.0, mu1=0.5, mu2=0.5, ntilde=1.0)
     worst_half = 0.0
     for t in np.linspace(0.0, channel.period, 60):
-        res = measures.relation_residuals(asdict(build_record(0.5, channel, float(t))))
+        res = measures.relation_residuals(build_record(0.5, channel, float(t))[0])
         worst_half = max(worst_half, abs(res["product_half"]), abs(res["triangular_half"]))
     worst_general = 0.0
     for eps in np.linspace(0.0, 1.0, 21):
         for t in np.linspace(0.0, channel.period, 21):
-            res = measures.relation_residuals(
-                asdict(build_record(float(eps), channel, float(t))))
+            res = measures.relation_residuals(build_record(float(eps), channel, float(t))[0])
             worst_general = max(worst_general, abs(res["widetext_purity"]),
                                 abs(res["widetext_concurrence"]))
     ok = worst_half <= 1e-12 and worst_general <= 1e-12

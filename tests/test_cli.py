@@ -6,7 +6,6 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import astuple, fields
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +17,6 @@ from hypothesis import strategies as st
 from qdephase import cli, kernels, measures, oracle, refsearch
 from qdephase.channel import ChannelParams
 from qdephase.cli import SweepConfig, build_record, run_sweep
-from qdephase.measures import MeasureRecord
 from qdephase.states import initial_pure, save_state
 from reference import (abs_a_50, concurrence_50, concurrence_paper_50, delta12_50, e_maxmixed_50,
                        e_mixed_50, e_pure_50, eof_50, er_exact_50, er_lin_50)
@@ -91,18 +89,18 @@ class TestSweep:
                 SweepConfig(t_max=t_max)
 
 
-FIELDS = [f.name for f in fields(MeasureRecord)]
+FIELDS = list(measures.RECORD_DTYPE.names)
 
 
 def per_point_columns(epsilons, c, ts):
-    recs = [build_record(eps, c, float(t)) for eps in sorted(epsilons) for t in ts]
-    return {name: np.array([getattr(r, name) for r in recs]) for name in FIELDS}
+    return np.concatenate([build_record(eps, c, float(t))
+                           for eps in sorted(epsilons) for t in ts])
 
 
 def batched_columns(epsilons, c, ts):
     blocks = list(cli.sweep_blocks(epsilons, c, ts))
-    assert all(list(b) == FIELDS for b in blocks)
-    return {name: np.concatenate([b[name] for b in blocks]) for name in FIELDS}, len(blocks)
+    assert all(b.dtype == measures.RECORD_DTYPE for b in blocks)
+    return np.concatenate(blocks), len(blocks)
 
 
 def assert_columns_match(got, expect):
@@ -120,9 +118,9 @@ def per_point_csv(cfg):
     for eps in sorted(cfg.epsilon_list):
         for t in np.linspace(0.0, cfg.t_max, cfg.t_steps):
             rec = build_record(eps, cfg.channel, float(t))
-            line = cli.ROW_FORMAT % astuple(rec)
+            line = cli.ROW_FORMAT % rec.item()
             if cfg.include_css:
-                _, e_value, pt_min_eig = refsearch.css_family_columns([eps], [rec.gamma])
+                _, e_value, pt_min_eig = refsearch.css_family_columns([eps], rec["gamma"])
                 line += cli.CSS_ROW_FORMAT % (e_value[0], pt_min_eig[0])
             lines.append(line)
     return ("\n".join(lines) + "\n").encode()
@@ -167,15 +165,6 @@ class TestSweepBlocks:
 
         monkeypatch.setattr(cli, "build_record", per_point)
         assert cli.main(["sweep", "--out", str(tmp_path / "s.csv")]) == 0
-        assert json.loads(capsys.readouterr().out)["rows"] == 408
-
-    @pytest.mark.parametrize("flags", [[], ["--include-css"]])
-    def test_run_sweep_builds_no_records(self, tmp_path, monkeypatch, capsys, flags):
-        def no_record(*args, **kwargs):
-            raise AssertionError("sweep built a MeasureRecord")
-
-        monkeypatch.setattr(MeasureRecord, "__init__", no_record)
-        assert cli.main(["sweep", *flags, "--out", str(tmp_path / "s.csv")]) == 0
         assert json.loads(capsys.readouterr().out)["rows"] == 408
 
     @pytest.mark.parametrize("flags", [[], ["--include-css"]])
@@ -290,7 +279,7 @@ class TestSweepBlocks:
         ts = np.linspace(0.0, t_max, 33)
         for cols in cli.sweep_blocks({0.0, 0.5, 1.0, *epsilons}, c, ts):
             bad = np.flatnonzero(measures.violation_mask(cols))
-            assert not bad.size, measures.violations_at(measures.as_table(cols), bad[0])
+            assert not bad.size, measures.violations_at(cols, bad[0])
 
     def test_near_product_states_pass_every_gate(self):
         # rho's smallest nonzero eigenvalue falls far below 1e-9 here; er_exact
@@ -300,7 +289,7 @@ class TestSweepBlocks:
         ts = np.linspace(0.0, c.period, 51)
         for cols in cli.sweep_blocks((3e-6, 1e-5, 3e-5, 1e-4), c, ts):
             bad = np.flatnonzero(measures.violation_mask(cols))
-            assert not bad.size, measures.violations_at(measures.as_table(cols), bad[0])
+            assert not bad.size, measures.violations_at(cols, bad[0])
 
 
 # the 50-digit audit's edge grid: the product endpoints, states a hair from
@@ -317,8 +306,7 @@ def edge_grid_columns():
     out = {}
     for ntilde in (1.0, 8.0, 40.0):
         c = ChannelParams(1.0, 1.0, 0.5, 0.5, ntilde)
-        blocks = list(cli.sweep_blocks(EDGE_EPSILONS, c, EDGE_TS))
-        out[c] = {name: np.concatenate([b[name] for b in blocks]) for name in FIELDS}
+        out[c] = np.concatenate(list(cli.sweep_blocks(EDGE_EPSILONS, c, EDGE_TS)))
     return out
 
 
@@ -419,8 +407,8 @@ class TestRecordFormatting:
 
     def test_record_allows_infinite_er_exact(self):
         rec = build_record(0.5, ChannelParams(1.0, 1.0, 0.5, 0.5, 1.0), 0.3)
-        patched = rec.__class__(**{**rec.__dict__, "er_exact": math.inf})
-        assert patched.violations() == []
+        rec["er_exact"] = math.inf
+        assert measures.violations_at(rec, 0) == []
 
 
 class TestBuildRecord:
@@ -429,14 +417,14 @@ class TestBuildRecord:
         for eps in (0.0, 0.25, 0.5, 1.0):
             for t in (0.0, 1.0, 2 * math.pi):
                 rec = build_record(eps, c, t)
-                assert rec.violations() == []
+                assert measures.violations_at(rec, 0) == []
 
     def test_er_exact_zero_at_start(self):
         c = ChannelParams(1.0, 1.0, 0.5, 0.5, 1.0)
-        rec = build_record(0.5, c, 0.0)
-        assert rec.er_exact == pytest.approx(0.0, abs=1e-12)
-        assert rec.gamma == 0.0
-        assert rec.negativity == pytest.approx(1.0, abs=1e-12)
+        rec = build_record(0.5, c, 0.0)[0]
+        assert rec["er_exact"] == pytest.approx(0.0, abs=1e-12)
+        assert rec["gamma"] == 0.0
+        assert rec["negativity"] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMainSweep:
@@ -449,6 +437,34 @@ class TestMainSweep:
         assert summary["rows"] == 14
         assert summary["ordering"]["violations"] == []
         assert out.exists()
+
+    @pytest.mark.parametrize("e_mixed_shift", [0.0, 0.5])
+    def test_summary_shape(self, tmp_path, monkeypatch, capsys, e_mixed_shift):
+        # the printed summary's keys in order, and each ordering entry's
+        # shape; e_mixed shifted up breaks e_mixed <= N on some rows, which
+        # exits 2 with the same summary
+        mixed = refsearch.mixed_ref_measure_family
+        monkeypatch.setattr(refsearch, "mixed_ref_measure_family",
+                            lambda *args: np.minimum(1.0, mixed(*args) + e_mixed_shift))
+        rc = cli.main(["sweep", "--t-steps", "11", "--out", str(tmp_path / "s.csv")])
+        summary = json.loads(capsys.readouterr().out)
+        assert list(summary) == ["out", "rows", "kernel_backend", "max_delta12", "ordering"]
+        ordering = summary["ordering"]
+        assert list(ordering) == ["violations", "max_delta12", "witness_mixed_above",
+                                  "witness_mixed_below", "no_global_order"]
+        assert ordering["max_delta12"] == summary["max_delta12"]
+        assert rc == (2 if ordering["violations"] else 0)
+        assert bool(ordering["violations"]) == (e_mixed_shift > 0.0)
+        for v in ordering["violations"]:
+            assert [type(x) for x in v] == [float, float, str]
+        for name in ("witness_mixed_above", "witness_mixed_below"):
+            w = ordering[name]
+            assert w is None or [type(x) for x in w] == [float] * 5
+        assert ordering["no_global_order"] is (
+            ordering["witness_mixed_above"] is not None
+            and ordering["witness_mixed_below"] is not None)
+        if not e_mixed_shift:
+            assert ordering["no_global_order"] is True
 
     def test_config_file_and_override(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.ini"

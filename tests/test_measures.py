@@ -1,5 +1,4 @@
 import math
-from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -675,13 +674,13 @@ def test_exact_relative_entropy_rejects_an_indefinite_state():
         measures.relative_entropy_exact(ket00, np.diag([0.5, 0.5 + 1e-6, 0.0, -1e-6]))
 
 
-FIELDS = [f.name for f in fields(measures.MeasureRecord)]
+FIELDS = measures.RECORD_DTYPE.names
 # real family rows, which pass every check, the cross-route ones and the
 # paper's relations included; at epsilon = 1/2 the bound C^2 + (3/2) delta12
 # <= 1 is an equality and the _half relations apply
 CHANNEL = ChannelParams(omega1=1.0, omega2=1.0, mu1=0.5, mu2=0.5, ntilde=1.0)
-CONSISTENT_ROW = asdict(build_record(0.5, CHANNEL, 1.5))  # gamma = 0.84
-OFF_HALF_ROW = asdict(build_record(0.26, CHANNEL, 1.5))
+CONSISTENT_ROW = dict(zip(FIELDS, build_record(0.5, CHANNEL, 1.5).item()))  # gamma = 0.84
+OFF_HALF_ROW = dict(zip(FIELDS, build_record(0.26, CHANNEL, 1.5).item()))
 BAD_VALUES = (math.nan, math.inf, -math.inf, -2e-12, 1.0 + 2e-12, -0.5, 1.5,
               -1e-12, 1.0 + 1e-12, -0.0, 7.0)
 
@@ -693,10 +692,9 @@ BAD_VALUES = (math.nan, math.inf, -math.inf, -2e-12, 1.0 + 2e-12, -0.5, 1.5,
                 min_size=1, max_size=6))
 def test_violation_mask_matches_records(overrides):
     base = CONSISTENT_ROW
-    rows = [measures.MeasureRecord(**{**base, **o}) for o in overrides]
-    columns = {name: np.array([getattr(r, name) for r in rows]) for name in FIELDS}
-    mask = measures.violation_mask(columns)
-    assert mask.tolist() == [bool(r.violations()) for r in rows]
+    rows = [measures.as_table({**base, **o}) for o in overrides]
+    mask = measures.violation_mask(np.concatenate(rows))
+    assert mask.tolist() == [bool(measures.violations_at(r, 0)) for r in rows]
 
 
 H, O = CONSISTENT_ROW, OFF_HALF_ROW
@@ -742,7 +740,7 @@ def test_cross_route_checks_name_the_broken_route(row, field, edge, sign, broken
     # either way nothing is reported, past it by 10 RANGE_SLACK exactly the
     # checks in broken are, in report order
     def violations(value):
-        found = measures.MeasureRecord(**{**row, field: value}).violations()
+        found = measures.violations_at(measures.as_table({**row, field: value}), 0)
         return [v.split(":")[0] for v in found]
 
     assert violations(edge) == []
@@ -752,5 +750,5 @@ def test_cross_route_checks_name_the_broken_route(row, field, edge, sign, broken
 
 
 def test_nan_er_exact_is_a_violation():
-    rec = measures.MeasureRecord(**{**CONSISTENT_ROW, "er_exact": math.nan})
-    assert rec.violations() == ["er_exact is nan: nan"]
+    rec = measures.as_table({**CONSISTENT_ROW, "er_exact": math.nan})
+    assert measures.violations_at(rec, 0) == ["er_exact is nan: nan"]

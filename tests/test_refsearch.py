@@ -2,7 +2,7 @@ import json
 import math
 import sys
 import tracemalloc
-from dataclasses import asdict, astuple, replace
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from qdephase import cli, kernels, measures, refsearch
 from qdephase.cli import FIG_EPSILONS, build_record, sweep_blocks
 from qdephase.channel import ChannelParams, decoherence_factor
 from qdephase.matcore import psd_eig, psd_sqrt
-from qdephase.measures import MeasureRecord, relation_residuals
+from qdephase.measures import relation_residuals
 from qdephase.refsearch import OptimizerConfig, closest_separable_bures
 from qdephase.states import (
     family_state,
@@ -156,26 +156,26 @@ def record_at(eps, theta, ntilde=1.0):
 
 class TestRelationResiduals:
     def test_undamped_half(self):
-        res = relation_residuals(asdict(record_at(0.5, 0.0)))
+        res = relation_residuals(record_at(0.5, 0.0)[0])
         assert abs(res["product_half"]) < 1e-12
         assert abs(res["triangular_half"]) < 1e-12
 
     def test_fully_damped_half(self):
         # gamma -> 1 needs a hot reservoir; theta = pi maximizes damping
-        res = relation_residuals(asdict(record_at(0.5, math.pi, ntilde=8.0)))
+        res = relation_residuals(record_at(0.5, math.pi, ntilde=8.0)[0])
         assert abs(res["product_half"]) < 1e-12
         assert abs(res["triangular_half"]) < 1e-12
 
     def test_half_identities_along_trajectory(self):
         for theta in np.linspace(0.0, 2 * math.pi, 41):
-            res = relation_residuals(asdict(record_at(0.5, float(theta))))
+            res = relation_residuals(record_at(0.5, float(theta))[0])
             assert abs(res["product_half"]) < 1e-12
             assert abs(res["triangular_half"]) < 1e-12
 
     def test_widetext_identities_any_epsilon(self):
         for eps in (0.05, 0.3, 0.42, 0.77, 1.0):
             for theta in np.linspace(0.0, 2 * math.pi, 21):
-                res = relation_residuals(asdict(record_at(float(eps), float(theta))))
+                res = relation_residuals(record_at(float(eps), float(theta))[0])
                 assert abs(res["widetext_purity"]) < 1e-12
                 assert abs(res["widetext_concurrence"]) < 1e-12
 
@@ -190,22 +190,26 @@ DELTA12 = st.one_of(
     st.floats(0.0, 1.0),
 )
 # e_mixed and negativity values whose differences fall above, below and
-# inside the +-1e-9 witness threshold
+# inside the +-WITNESS_GAP (1e-9) witness threshold
 GAP_SIDE = st.one_of(st.sampled_from((0.0, 0.3, 0.3 + 5e-10, 0.3 + 2e-9, 0.6)),
                      st.floats(0.0, 1.0))
 
 
+# one sweep-table row with attribute access
+Row = namedtuple("Row", measures.RECORD_DTYPE.names)
+
+
 def _ordering_record(eps, t, delta12, e_mixed, negativity):
-    return MeasureRecord(epsilon=eps, t=t, gamma=0.0, abs_a=0.0, delta12=delta12,
-                         negativity=negativity, concurrence_wootters=0.0,
-                         concurrence_paper=1.0, eof=0.0, fidelity_pure=1.0,
-                         e_pure=1.0, e_mixed=e_mixed, e_maxmixed=0.0,
-                         er_exact=0.0, er_lin=0.0)
+    return Row(epsilon=eps, t=t, gamma=0.0, abs_a=0.0, delta12=delta12,
+               negativity=negativity, concurrence_wootters=0.0,
+               concurrence_paper=1.0, eof=0.0, fidelity_pure=1.0,
+               e_pure=1.0, e_mixed=e_mixed, e_maxmixed=0.0,
+               er_exact=0.0, er_lin=0.0)
 
 
 def as_table(records):
-    """The sweep table of a list of records, rows in list order."""
-    return np.array([astuple(r) for r in records], measures.RECORD_DTYPE)
+    """The sweep table of a list of rows, in list order."""
+    return np.array(records, measures.RECORD_DTYPE)
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +218,7 @@ def records():
     out = []
     for eps in (0.5, 0.26, 0.05):
         for t in np.linspace(0.0, c.period, 41):
-            out.append(build_record(eps, c, float(t)))
+            out.append(Row(*build_record(eps, c, float(t)).item()))
     return out
 
 
@@ -232,18 +236,18 @@ def _group_records(groups):
 class TestOrderingCheck:
     def test_no_pointwise_violations(self, records):
         report = refsearch.ordering_check(as_table(records))
-        assert report.violations == []
+        assert report["violations"] == []
 
     def test_cross_epsilon_order_breaks_both_ways(self, records):
         report = refsearch.ordering_check(as_table(records))
-        assert report.witness_mixed_above is not None
-        assert report.witness_mixed_below is not None
-        assert report.no_global_order
+        assert report["witness_mixed_above"] is not None
+        assert report["witness_mixed_below"] is not None
+        assert report["no_global_order"]
 
     def test_max_delta12_reported(self, records):
         report = refsearch.ordering_check(as_table(records))
         expect = max(r.delta12 for r in records)
-        assert report.max_delta12 == expect
+        assert report["max_delta12"] == expect
 
     def test_matches_nested_loop_reference(self, records):
         assert (refsearch.ordering_check(as_table(records))
@@ -255,7 +259,7 @@ class TestOrderingCheck:
         shuffled = [records[k] for k in np.random.default_rng(seed).permutation(len(records))]
         report = refsearch.ordering_check(as_table(shuffled))
         assert report == nested_loop_ordering_check(shuffled)
-        assert report.no_global_order
+        assert report["no_global_order"]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_shuffled_table_reports_as_the_sorted_one(self, records, seed):
@@ -272,7 +276,7 @@ class TestOrderingCheck:
         report = refsearch.ordering_check(as_table(ordered))
         assert refsearch.ordering_check(as_table(shuffled)) == report
         assert report == nested_loop_ordering_check(ordered)
-        assert report.no_global_order
+        assert report["no_global_order"]
 
     def test_sorted_table_is_not_copied(self):
         # a sweep's table is epsilon-ascending: ordering_check's traced
@@ -282,8 +286,7 @@ class TestOrderingCheck:
 
         def peak(t_steps):
             ts = np.linspace(0.0, c.period, t_steps)
-            table = np.concatenate([measures.as_table(cols) for cols in
-                                    sweep_blocks(FIG_EPSILONS, c, ts)])
+            table = np.concatenate(list(sweep_blocks(FIG_EPSILONS, c, ts)))
             tracemalloc.start()
             try:
                 refsearch.ordering_check(table)
@@ -297,33 +300,33 @@ class TestOrderingCheck:
         one = [r for r in records if r.epsilon == 0.26][::-1]
         report = refsearch.ordering_check(as_table(one))
         assert report == nested_loop_ordering_check(one)
-        assert report.witness_mixed_above is None and report.witness_mixed_below is None
-        assert report.max_delta12 == max(r.delta12 for r in one)
+        assert report["witness_mixed_above"] is None and report["witness_mixed_below"] is None
+        assert report["max_delta12"] == max(r.delta12 for r in one)
 
     def test_violations_by_epsilon_then_row_then_check(self):
         def rec(eps, t, e_mixed, negativity, e_pure, concurrence):
-            return replace(_ordering_record(eps, t, 0.0, e_mixed, negativity),
-                           e_pure=e_pure, concurrence_paper=concurrence)
+            return _ordering_record(eps, t, 0.0, e_mixed, negativity)._replace(
+                e_pure=e_pure, concurrence_paper=concurrence)
 
         recs = [rec(0.4, 2.0, 0.5, 0.1, 0.9, 0.2),   # e_mixed > N, e_pure > C
                 rec(0.2, 1.0, 0.0, 0.9, 0.5, 1.0),   # N > e_pure
                 rec(0.4, 1.0, 0.0, 0.9, 0.5, 0.1),   # N > e_pure, e_pure > C
                 rec(0.2, 3.0, 0.9, 0.1, 1.0, 1.0)]   # e_mixed > N
         report = refsearch.ordering_check(as_table(recs))
-        assert report.violations == [(0.2, 1.0, "negativity > e_pure"),
-                                     (0.2, 3.0, "e_mixed > negativity"),
-                                     (0.4, 2.0, "e_mixed > negativity"),
-                                     (0.4, 2.0, "e_pure > concurrence"),
-                                     (0.4, 1.0, "negativity > e_pure"),
-                                     (0.4, 1.0, "e_pure > concurrence")]
+        assert report["violations"] == [[0.2, 1.0, "negativity > e_pure"],
+                                        [0.2, 3.0, "e_mixed > negativity"],
+                                        [0.4, 2.0, "e_mixed > negativity"],
+                                        [0.4, 2.0, "e_pure > concurrence"],
+                                        [0.4, 1.0, "negativity > e_pure"],
+                                        [0.4, 1.0, "e_pure > concurrence"]]
         assert report == nested_loop_ordering_check(recs)
 
     def test_returns_python_floats(self, records):
         recs = records + [_ordering_record(0.7, 0.5, 0.0, 0.9, 0.1)]
         report = refsearch.ordering_check(as_table(recs))
-        assert report.violations == [(0.7, 0.5, "e_mixed > negativity")]
-        values = [report.max_delta12, *report.violations[0][:2],
-                  *report.witness_mixed_above, *report.witness_mixed_below]
+        assert report["violations"] == [[0.7, 0.5, "e_mixed > negativity"]]
+        values = [report["max_delta12"], *report["violations"][0][:2],
+                  *report["witness_mixed_above"], *report["witness_mixed_below"]]
         assert all(type(v) is float for v in values)
 
     @settings(max_examples=300, deadline=None)
@@ -357,11 +360,11 @@ def nested_loop_ordering_check(records):
         for r in rows:
             max_d12 = max(max_d12, r.delta12)
             if r.e_mixed > r.negativity + refsearch.ORDER_TOL:
-                violations.append((eps, r.t, "e_mixed > negativity"))
+                violations.append([eps, r.t, "e_mixed > negativity"])
             if r.negativity > r.e_pure + refsearch.ORDER_TOL:
-                violations.append((eps, r.t, "negativity > e_pure"))
+                violations.append([eps, r.t, "negativity > e_pure"])
             if r.e_pure > r.concurrence_paper + refsearch.ORDER_TOL:
-                violations.append((eps, r.t, "e_pure > concurrence"))
+                violations.append([eps, r.t, "e_pure > concurrence"])
 
     above = below = None
     eps_list = sorted(groups)
@@ -374,17 +377,17 @@ def nested_loop_ordering_check(records):
                 if abs(r2.delta12 - r1.delta12) > refsearch.DELTA_MATCH_TOL:
                     continue
                 gap = r1.e_mixed - r2.negativity
-                if gap > 1e-9 and above is None:
-                    above = (e1, r1.t, e2, r2.t, gap)
-                elif gap < -1e-9 and below is None:
-                    below = (e1, r1.t, e2, r2.t, gap)
+                if gap > refsearch.WITNESS_GAP and above is None:
+                    above = [e1, r1.t, e2, r2.t, gap]
+                elif gap < -refsearch.WITNESS_GAP and below is None:
+                    below = [e1, r1.t, e2, r2.t, gap]
             if above is not None and below is not None:
                 break
         if above is not None and below is not None:
             break
-    return refsearch.OrderingReport(violations=violations, max_delta12=max_d12,
-                                    witness_mixed_above=above,
-                                    witness_mixed_below=below)
+    return {"violations": violations, "max_delta12": max_d12,
+            "witness_mixed_above": above, "witness_mixed_below": below,
+            "no_global_order": above is not None and below is not None}
 
 
 def entangled_non_x_state(k):
