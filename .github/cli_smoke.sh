@@ -5,7 +5,7 @@
 # extra. Run from anywhere: bash .github/cli_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
-export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
@@ -66,6 +66,12 @@ exits_one oracle-check --omega-ratios nan,1,1 --modes 3
 exits_one oracle-check --omega-ratios=-1,1,1 --modes 3
 # and an epsilon outside [0, 1]
 exits_one oracle-check --epsilon 1.5
+
+# the README's config example, one file for both commands: every key it
+# shows must be a cli.SETTINGS key of its section
+awk '/^```ini$/ {ini = 1; next} /^```$/ {ini = 0} ini' README.md > "$out/readme.ini"
+grep -q '^\[oracle\]' "$out/readme.ini"
+(cd "$out" && qd sweep --config readme.ini > /dev/null && qd oracle-check --config readme.ini > /dev/null)
 
 # css on a stored Bell state, in closed form: e_value = 1 - 1/sqrt(2)
 python -c "import sys; from qdephase.states import *

@@ -12,7 +12,6 @@ simulation that validates every closed form.
 
 from . import channel, matcore, measures, oracle, refsearch, states
 from .channel import ChannelParams, DecoherenceFactor, decoherence_factor, evolve, kraus_factor
-from .kernels import BACKEND as KERNEL_BACKEND
 from .measures import (
     bures_distance,
     concurrence_family,
@@ -25,7 +24,7 @@ from .measures import (
     relative_entropy_linearized,
     uhlmann_fidelity,
 )
-from .refsearch import CssResult, OptimizerConfig, closest_separable_bures, css_closed
+from .refsearch import CssResult, closest_separable_bures, css_closed
 from .states import initial_pure, maximally_mixed, mixed_reference, validate
 
 __version__ = "0.1.0"
@@ -34,8 +33,6 @@ __all__ = [
     "ChannelParams",
     "CssResult",
     "DecoherenceFactor",
-    "KERNEL_BACKEND",
-    "OptimizerConfig",
     "bures_distance",
     "channel",
     "closest_separable_bures",

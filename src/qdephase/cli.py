@@ -1,9 +1,12 @@
 """Command line interface: parameter sweeps to CSV, oracle equivalence
 checks and closest-separable-state runs.
 
-Subcommands: sweep, oracle-check, css. Every config-file key is also a
-command-line flag; the command line wins. Exit codes: 0 success,
-1 validation failure, 2 numerical failure.
+Subcommands: sweep, oracle-check, css. The settings of sweep and
+oracle-check are declared once, in SETTINGS (config section -> key ->
+reader, help); that table makes their flags and config-file keys and reads
+the file's values. The command line wins over the file, and a setting given
+by neither is not passed on, so the config object's default applies. Exit
+codes: 0 success, 1 validation failure, 2 numerical failure.
 
 sweep walks the (epsilon, t) grid in blocks of at most BLOCK_STATES states
 (sweep_blocks), each measured by _columns in one stacked pass over the
@@ -28,12 +31,11 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
-from functools import partial
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import kernels, measures, oracle, refsearch
+from . import measures, oracle, refsearch
 from .channel import ChannelParams, decoherence_factor, kraus_factor
 from .errors import QDephaseError
 # family_state has no caller here: perfbench/test_harness.py traces it through this name
@@ -63,13 +65,15 @@ def _default_channel() -> ChannelParams:
 @dataclass
 class SweepConfig:
     epsilon_list: tuple = FIG_EPSILONS
-    t_max: float = 2.0 * math.pi  # one revival period of the default channel
+    t_max: float | None = None  # None: one revival period of the channel
     t_steps: int = 51
     channel: ChannelParams = field(default_factory=_default_channel)
     include_css: bool = False
     out_path: str = "sweep.csv"
 
     def __post_init__(self):
+        if self.t_max is None:
+            self.t_max = self.channel.period
         self.epsilon_list = tuple(float(e) for e in self.epsilon_list)
         if not self.epsilon_list:
             raise ValueError("epsilon_list must be nonempty")
@@ -156,8 +160,7 @@ def run_sweep(cfg: SweepConfig) -> dict:
     return {
         "out": cfg.out_path,
         "rows": len(table),
-        "kernel_backend": kernels.BACKEND,
-        "max_delta12": ordering["max_delta12"],
+        "max_delta12": float(table["delta12"].max(initial=0.0)),
         "ordering": ordering,
     }
 
@@ -232,12 +235,57 @@ def run_css(state_path: str) -> dict:
 # ---------------------------------------------------------------- config I/O
 
 
-# every key a subcommand reads, by section; one file may serve both commands
-CONFIG_KEYS = {
-    "sweep": {"epsilon_list", "t_max", "t_steps", "include_css", "out"},
-    "channel": {"omega1", "omega2", "mu1", "mu2", "ntilde"},
-    "oracle": {"modes", "alphas", "omega_ratios", "mu_cross", "mu12",
-               "cutoff_tail", "epsilon", "t_max", "t_steps"},
+def _floats(raw: str) -> tuple:
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+
+
+def _complexes(raw: str) -> tuple:
+    return tuple(complex(tok) for tok in raw.split(",") if tok.strip())
+
+
+def _bool(raw: str) -> bool:
+    word = raw.strip().lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError("expected one of 1/true/yes/on or 0/false/no/off")
+
+
+# every setting, by config section: key -> (reader of its text, help line).
+# sweep reads [sweep] and [channel], oracle-check [oracle] and [channel]; one
+# file may serve both. Each key is also its command's flag, --key with "-"
+# for "_" (a _bool setting is a bare switch), and the command line wins.
+SETTINGS = {
+    "sweep": {
+        "epsilon_list": (_floats, "comma-separated epsilon values; a list that "
+                                  "starts with '-' needs the --epsilon-list=-0,0.5 form"),
+        "t_max": (float, "end of the time grid (s); default one revival period"),
+        "t_steps": (int, "number of grid points"),
+        "include_css": (_bool, "append the closed-form closest-separable-state columns"),
+        "out": (str, "CSV output path"),
+    },
+    "channel": {
+        "omega1": (float, "qubit 1 frequency (rad/s)"),
+        "omega2": (float, "qubit 2 frequency (rad/s)"),
+        "mu1": (float, "qubit 1 reservoir coupling (rad/s)"),
+        "mu2": (float, "qubit 2 reservoir coupling (rad/s)"),
+        "ntilde": (float, "effective reservoir excitation"),
+    },
+    "oracle": {
+        "modes": (int, "reservoir mode count"),
+        "alphas": (_complexes, "comma-separated coherent amplitudes (complex "
+                               "literals); default splits ntilde evenly; a list "
+                               "that starts with '-' needs the --alphas=-1j,1 form"),
+        "omega_ratios": (_floats, "comma-separated frequency ratios; a list that "
+                                  "starts with '-' needs the --omega-ratios=-1,1,1 form"),
+        "mu_cross": (float, "reservoir cross-Kerr (rad/s)"),
+        "mu12": (float, "qubit-qubit coupling (rad/s)"),
+        "cutoff_tail": (float, "truncation tail bound"),
+        "epsilon": (float, "family mixing weight"),
+        "t_max": (float, "end of the time grid (s); default one revival period"),
+        "t_steps": (int, "number of grid points"),
+    },
 }
 
 
@@ -253,61 +301,38 @@ def _load_config(path) -> dict:
     except configparser.Error as exc:  # no section header, a repeated key, a bare %
         raise ValueError(f"config {path}: {exc}") from exc
     for section, items in cfg.items():
-        if section not in CONFIG_KEYS:
+        if section not in SETTINGS:
             raise ValueError(f"config [{section}]: unknown section, expected "
-                             f"one of {', '.join(CONFIG_KEYS)}")
-        unknown = sorted(items.keys() - CONFIG_KEYS[section])
+                             f"one of {', '.join(SETTINGS)}")
+        unknown = sorted(items.keys() - SETTINGS[section].keys())
         if unknown:
             raise ValueError(f"config [{section}] {unknown[0]}: unknown key")
     return cfg
 
 
-def _setting(args, cfg: dict, section: str, key: str, cast, default):
-    """A setting from its flag (args.<key>), else the config file, else the default."""
-    raw = getattr(args, key)
-    if raw is not None:
-        return cast(raw)
-    raw = cfg.get(section, {}).get(key)
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ValueError(f"config [{section}] {key} = {raw!r}: {exc}") from exc
+def _settings(args, cfg: dict, section: str) -> dict:
+    """The settings of a section given by flag (read by argparse) or in the
+    config file; the flag wins. A setting given by neither is left out, so
+    the default of the object it configures applies."""
+    given = {}
+    for key, (read, _) in SETTINGS[section].items():
+        if key in args:
+            given[key] = getattr(args, key)
+        elif key in cfg.get(section, {}):
+            raw = cfg[section][key]
+            try:
+                given[key] = read(raw)
+            except ValueError as exc:
+                raise ValueError(f"config [{section}] {key} = {raw!r}: {exc}") from exc
+    return given
 
 
-def _floats(raw: str) -> tuple:
-    return tuple(float(tok) for tok in str(raw).split(",") if tok.strip())
-
-
-def _complexes(raw: str) -> tuple:
-    return tuple(complex(tok) for tok in str(raw).split(",") if tok.strip())
-
-
-def _bool(raw) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    word = str(raw).strip().lower()
-    if word in ("1", "true", "yes", "on"):
-        return True
-    if word in ("0", "false", "no", "off"):
-        return False
-    raise ValueError("expected one of 1/true/yes/on or 0/false/no/off")
-
-
-def _channel_from(cfg: dict, args) -> ChannelParams:
-    base = _default_channel()
-    return ChannelParams(**{f.name: _setting(args, cfg, "channel", f.name, float,
-                                             getattr(base, f.name))
-                            for f in fields(ChannelParams)})
-
-
-def _add_channel_flags(p):
-    p.add_argument("--omega1", type=float, help="qubit 1 frequency (rad/s)")
-    p.add_argument("--omega2", type=float, help="qubit 2 frequency (rad/s)")
-    p.add_argument("--mu1", type=float, help="qubit 1 reservoir coupling (rad/s)")
-    p.add_argument("--mu2", type=float, help="qubit 2 reservoir coupling (rad/s)")
-    p.add_argument("--ntilde", type=float, help="effective reservoir excitation")
+def _add_settings(p, section: str) -> None:
+    # an absent flag stays out of the namespace (argparse.SUPPRESS)
+    for key, (read, help_text) in SETTINGS[section].items():
+        kind = dict(action="store_true") if read is _bool else dict(type=read)
+        p.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS,
+                       help=help_text, **kind)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -329,85 +354,58 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="emit measure records over an (epsilon, t) grid")
     sw.add_argument("--config", help="INI-style config file")
-    sw.add_argument("--epsilon-list", help="comma-separated epsilon values; a "
-                                           "list that starts with '-' needs the "
-                                           "--epsilon-list=-0,0.5 form")
-    sw.add_argument("--t-max", type=float, help="end of the time grid (s)")
-    sw.add_argument("--t-steps", type=int, help="number of grid points")
-    sw.add_argument("--include-css", action="store_true", default=None,
-                    help="append the closed-form closest-separable-state "
-                         "columns")
-    sw.add_argument("--out", help="CSV output path")
-    _add_channel_flags(sw)
+    _add_settings(sw, "sweep")
+    _add_settings(sw, "channel")
+    sw.set_defaults(run=_cmd_sweep)
 
     oc = sub.add_parser("oracle-check", help="compare the exact reservoir "
                                              "reduction with the closed form")
     oc.add_argument("--config", help="INI-style config file")
-    oc.add_argument("--modes", type=int, help="reservoir mode count")
-    oc.add_argument("--alphas", help="comma-separated coherent amplitudes "
-                                     "(complex literals); default splits "
-                                     "ntilde evenly; a list that starts with "
-                                     "'-' needs the --alphas=-1j,1 form")
-    oc.add_argument("--omega-ratios", help="comma-separated frequency ratios; "
-                                           "a list that starts with '-' needs "
-                                           "the --omega-ratios=-1,1,1 form")
-    oc.add_argument("--mu-cross", type=float, help="reservoir cross-Kerr (rad/s)")
-    oc.add_argument("--mu12", type=float, help="qubit-qubit coupling (rad/s)")
-    oc.add_argument("--cutoff-tail", type=float, help="truncation tail bound")
-    oc.add_argument("--epsilon", type=float, help="family mixing weight")
-    oc.add_argument("--t-max", type=float, help="end of the time grid (s); "
-                                                "default one revival period")
-    oc.add_argument("--t-steps", type=int, help="number of grid points")
+    _add_settings(oc, "oracle")
     oc.add_argument("--out", help="write the JSON report here as well")
-    _add_channel_flags(oc)
+    _add_settings(oc, "channel")
+    oc.set_defaults(run=_cmd_oracle_check)
 
     cs = sub.add_parser("css", help="closest separable state for a JSON state file")
     cs.add_argument("state", help="path to a state JSON file")
     cs.add_argument("--out", help="write the JSON report here as well")
+    cs.set_defaults(run=_cmd_css)
     return ap
 
 
 def _cmd_sweep(args) -> int:
     cfg_file = _load_config(args.config) if args.config else {}
-    channel = _channel_from(cfg_file, args)
-    setting = partial(_setting, args, cfg_file, "sweep")
-    cfg = SweepConfig(
-        epsilon_list=setting("epsilon_list", _floats, FIG_EPSILONS),
-        t_max=setting("t_max", float, channel.period),
-        t_steps=setting("t_steps", int, 51),
-        channel=channel,
-        include_css=setting("include_css", _bool, False),
-        out_path=setting("out", str, "sweep.csv"),
-    )
-    summary = run_sweep(cfg)
+    channel = replace(_default_channel(), **_settings(args, cfg_file, "channel"))
+    given = _settings(args, cfg_file, "sweep")
+    if "out" in given:
+        given["out_path"] = given.pop("out")
+    summary = run_sweep(SweepConfig(channel=channel, **given))
     print(json.dumps(summary, indent=2))
     return 0 if not summary["ordering"]["violations"] else 2
 
 
 def _cmd_oracle_check(args) -> int:
     cfg_file = _load_config(args.config) if args.config else {}
-    channel_base = _channel_from(cfg_file, args)
-    setting = partial(_setting, args, cfg_file, "oracle")
-    alphas = setting("alphas", _complexes, None)
-    modes = setting("modes", int, 3 if alphas is None else len(alphas))
+    channel_base = replace(_default_channel(), **_settings(args, cfg_file, "channel"))
+    given = _settings(args, cfg_file, "oracle")
+    alphas = given.pop("alphas", None)
+    modes = given.pop("modes", 3 if alphas is None else len(alphas))
     if alphas is None:
         alphas = tuple(math.sqrt(channel_base.ntilde / modes) for _ in range(modes))
     elif modes != len(alphas):
         raise ValueError(f"modes = {modes} disagrees with the {len(alphas)} alphas given")
+    epsilon = given.pop("epsilon", 0.5)
+    t_max = given.pop("t_max", channel_base.period)
+    t_steps = given.pop("t_steps", 50)
+    # what is left: mu_cross, mu12 and cutoff_tail
     r = oracle.ReservoirConfig(
         alphas=alphas,
-        omega_ratios=setting("omega_ratios", _floats, tuple(1.0 for _ in alphas)),
-        mu_cross=setting("mu_cross", float, 0.0),
-        mu12=setting("mu12", float, 0.0),
-        cutoff_tail=setting("cutoff_tail", float, 1e-10),
-    )
+        omega_ratios=given.pop("omega_ratios", tuple(1.0 for _ in alphas)),
+        **given)
     # the closed form must be fed the reservoir's actual excitation
     channel = r.channel_params(channel_base.omega1, channel_base.omega2,
                                channel_base.mu1, channel_base.mu2)
-    epsilon = setting("epsilon", float, 0.5)
-    t_max = setting("t_max", float, channel.period)
     _check_t_max(t_max)
-    t_steps = setting("t_steps", int, 50)
     if t_steps < 1:
         raise ValueError(f"t_steps must be >= 1, got {t_steps}")
     report = run_oracle_check(r, channel, epsilon,
@@ -434,13 +432,7 @@ def _report(report: dict, out, ok: bool) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "oracle-check":
-            return _cmd_oracle_check(args)
-        if args.command == "css":
-            return _cmd_css(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (QDephaseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

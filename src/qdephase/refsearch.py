@@ -35,20 +35,9 @@ GTOL = 1e-9                # L-BFGS-B stop on the largest gradient component
 ORDER_TOL = 1e-12          # pointwise ordering slack
 DELTA_MATCH_TOL = 1e-9     # mixedness matching window for cross-eps pairs
 WITNESS_GAP = 1e-9         # e_mixed - N beyond which a matched pair is a witness
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    max_iters: int = 5000
-    restarts: int = 8
-    tol: float = 1e-10
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_iters < 1 or self.restarts < 1:
-            raise ValueError("max_iters and restarts must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+RESTARTS = 8               # seeded random starts of the general search
+MAX_ITERS = 5000           # L-BFGS-B iterations per start
+TOL = 1e-10                # objective accuracy the search aims at
 
 
 @dataclass(frozen=True)
@@ -76,10 +65,10 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-def closest_separable_bures(rho, cfg: OptimizerConfig = OptimizerConfig()) -> CssResult:
+def closest_separable_bures(rho) -> CssResult:
     """Minimize half the squared Bures distance from rho over separable states.
 
-    Each of cfg.restarts seeded random starts runs L-BFGS-B once, with the
+    Each of RESTARTS random starts (seed 0) runs L-BFGS-B once, with the
     analytic gradient, over mixtures of four product states; the best run is
     the answer. Its sigma* is separable by construction, and pt_min_eig
     reports that to rounding. It is converged when the partial-transpose
@@ -88,18 +77,18 @@ def closest_separable_bures(rho, cfg: OptimizerConfig = OptimizerConfig()) -> Cs
     nfev sums the objective evaluations of every run.
     """
     u = _eig_factor(*psd_eig(as_matrix(rho)))
-    starts = np.random.default_rng(cfg.seed).standard_normal((cfg.restarts, 32)) * 0.5
+    starts = np.random.default_rng(0).standard_normal((RESTARTS, 32)) * 0.5
 
     iterations = nfev = 0
     runs = []
     for x0 in starts:
         # L-BFGS-B stops once a single iteration lowers f by less than ftol
         # (relative); along the shallow valleys of the fidelity that happens
-        # well before the value is accurate to tol, hence the extra 1e-2
+        # well before the value is accurate to TOL, hence the extra 1e-2
         res = minimize(kernels.css_objective, x0, args=(u,), jac=True,
                        method="L-BFGS-B",
-                       options=dict(maxiter=cfg.max_iters, maxfun=4 * cfg.max_iters,
-                                    ftol=1e-2 * cfg.tol, gtol=GTOL))
+                       options=dict(maxiter=MAX_ITERS, maxfun=4 * MAX_ITERS,
+                                    ftol=1e-2 * TOL, gtol=GTOL))
         iterations += int(res.nit)
         nfev += int(res.nfev)
         runs.append((float(res.fun), bool(res.success), res.x))
@@ -109,7 +98,7 @@ def closest_separable_bures(rho, cfg: OptimizerConfig = OptimizerConfig()) -> Cs
     if sigma is None:
         raise RuntimeError("every restart degenerated; cannot build a state")
     ptmin = kernels.pt_min_eig(sigma)
-    agreed = len(runs) >= 2 and runs[1][0] - runs[0][0] <= max(100 * cfg.tol, 1e-8)
+    agreed = len(runs) >= 2 and runs[1][0] - runs[0][0] <= max(100 * TOL, 1e-8)
     return CssResult(sigma_star=validate(sigma),
                      e_value=min(1.0, max(0.0, e_value)),
                      iterations=iterations,
@@ -322,6 +311,6 @@ def ordering_check(table) -> dict:
         below = below or _first_row(pairs, gap < -WITNESS_GAP)
         if above and below:
             break
-    return {"violations": violations, "max_delta12": float(d12.max(initial=0.0)),
+    return {"violations": violations,
             "witness_mixed_above": above, "witness_mixed_below": below,
             "no_global_order": above is not None and below is not None}

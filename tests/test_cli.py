@@ -446,13 +446,17 @@ class TestMainSweep:
         mixed = refsearch.mixed_ref_measure_family
         monkeypatch.setattr(refsearch, "mixed_ref_measure_family",
                             lambda *args: np.minimum(1.0, mixed(*args) + e_mixed_shift))
-        rc = cli.main(["sweep", "--t-steps", "11", "--out", str(tmp_path / "s.csv")])
+        out = tmp_path / "s.csv"
+        rc = cli.main(["sweep", "--t-steps", "11", "--out", str(out)])
         summary = json.loads(capsys.readouterr().out)
-        assert list(summary) == ["out", "rows", "kernel_backend", "max_delta12", "ordering"]
+        assert list(summary) == ["out", "rows", "max_delta12", "ordering"]
         ordering = summary["ordering"]
-        assert list(ordering) == ["violations", "max_delta12", "witness_mixed_above",
+        assert list(ordering) == ["violations", "witness_mixed_above",
                                   "witness_mixed_below", "no_global_order"]
-        assert ordering["max_delta12"] == summary["max_delta12"]
+        with open(out, encoding="utf-8", newline="") as fh:
+            delta12 = [float(row["delta12"]) for row in csv.DictReader(fh)]
+        assert type(summary["max_delta12"]) is float
+        assert summary["max_delta12"] == pytest.approx(max(delta12), rel=1e-11)
         assert rc == (2 if ordering["violations"] else 0)
         assert bool(ordering["violations"]) == (e_mixed_shift > 0.0)
         for v in ordering["violations"]:
@@ -916,3 +920,85 @@ class TestUsageErrors:
         assert info.value.code == 0
         help_text = " ".join(capsys.readouterr().out.split())
         assert f"{flag}=-" in help_text
+
+
+# a value other than the default for every setting in cli.SETTINGS, as the
+# text a flag or a config file gives
+SETTING_TEXT = {
+    ("sweep", "epsilon_list"): "0.5,0.3",
+    ("sweep", "t_max"): "1.5",
+    ("sweep", "t_steps"): "7",
+    ("sweep", "include_css"): "true",
+    ("sweep", "out"): "other.csv",
+    ("channel", "omega1"): "1.5",
+    ("channel", "omega2"): "1.25",
+    ("channel", "mu1"): "0.25",
+    ("channel", "mu2"): "0.75",
+    ("channel", "ntilde"): "2.0",
+    ("oracle", "modes"): "2",
+    ("oracle", "alphas"): "0.5,0.5j",
+    ("oracle", "omega_ratios"): "1.0,2.0,3.0",
+    ("oracle", "mu_cross"): "0.1",
+    ("oracle", "mu12"): "0.2",
+    ("oracle", "cutoff_tail"): "1e-8",
+    ("oracle", "epsilon"): "0.3",
+    ("oracle", "t_max"): "1.5",
+    ("oracle", "t_steps"): "7",
+}
+COMMAND_SECTION = {"sweep": "sweep", "oracle-check": "oracle"}
+
+
+def _flags(command) -> set:
+    ap = cli._build_parser()
+    sub = next(a for a in ap._actions if a.dest == "command")
+    return {opt for action in sub.choices[command]._actions
+            for opt in action.option_strings if opt.startswith("--")}
+
+
+def _captured(monkeypatch, tmp_path, argv):
+    """What the command hands on: the SweepConfig run_sweep gets, or the
+    arguments of run_oracle_check."""
+    seen = []
+
+    def sweep(cfg):
+        seen.append(cfg)
+        return {"ordering": {"violations": []}}
+
+    def oracle_check(r, c, epsilon, t_grid):
+        seen.append((r, c, epsilon, t_grid.tolist()))
+        return {"passed": True}
+
+    monkeypatch.setattr(cli, "run_sweep", sweep)
+    monkeypatch.setattr(cli, "run_oracle_check", oracle_check)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    return seen[0]
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("command", COMMAND_SECTION)
+    def test_flags_are_the_settings(self, command):
+        expect = {"--" + key.replace("_", "-")
+                  for section in (COMMAND_SECTION[command], "channel")
+                  for key in cli.SETTINGS[section]}
+        # --out of oracle-check names a report copy, not a setting
+        extra = {"--help", "--config"} | ({"--out"} if command == "oracle-check" else set())
+        assert _flags(command) - extra == expect
+
+    @pytest.mark.parametrize("command, section, key", [
+        (command, section, key)
+        for command, own in COMMAND_SECTION.items()
+        for section in (own, "channel")
+        for key in cli.SETTINGS[section]])
+    def test_file_value_reaches_the_command_as_the_flag(self, tmp_path, monkeypatch,
+                                                        capsys, command, section, key):
+        text = SETTING_TEXT[section, key]
+        flag = "--" + key.replace("_", "-")
+        flag_argv = [command, flag] if cli.SETTINGS[section][key][0] is cli._bool \
+            else [command, f"{flag}={text}"]
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(f"[{section}]\n{key} = {text}\n")
+        by_flag = _captured(monkeypatch, tmp_path, flag_argv)
+        by_file = _captured(monkeypatch, tmp_path, [command, "--config", str(cfgfile)])
+        assert by_file == by_flag
+        assert by_flag != _captured(monkeypatch, tmp_path, [command])

@@ -14,7 +14,7 @@ from qdephase.cli import FIG_EPSILONS, build_record, sweep_blocks
 from qdephase.channel import ChannelParams, decoherence_factor
 from qdephase.matcore import psd_eig, psd_sqrt
 from qdephase.measures import relation_residuals
-from qdephase.refsearch import OptimizerConfig, closest_separable_bures
+from qdephase.refsearch import closest_separable_bures
 from qdephase.states import (
     family_state,
     initial_pure,
@@ -244,10 +244,14 @@ class TestOrderingCheck:
         assert report["witness_mixed_below"] is not None
         assert report["no_global_order"]
 
-    def test_max_delta12_reported(self, records):
-        report = refsearch.ordering_check(as_table(records))
-        expect = max(r.delta12 for r in records)
-        assert report["max_delta12"] == expect
+    def test_max_delta12_reported(self, records, tmp_path, capsys):
+        # the sweep of the fixture's grid prints its largest delta12 once,
+        # at the top of the summary, not in the ordering verdict
+        assert cli.main(["sweep", "--epsilon-list", "0.5,0.26,0.05", "--t-steps", "41",
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["max_delta12"] == max(r.delta12 for r in records)
+        assert "max_delta12" not in summary["ordering"]
 
     def test_matches_nested_loop_reference(self, records):
         assert (refsearch.ordering_check(as_table(records))
@@ -301,7 +305,6 @@ class TestOrderingCheck:
         report = refsearch.ordering_check(as_table(one))
         assert report == nested_loop_ordering_check(one)
         assert report["witness_mixed_above"] is None and report["witness_mixed_below"] is None
-        assert report["max_delta12"] == max(r.delta12 for r in one)
 
     def test_violations_by_epsilon_then_row_then_check(self):
         def rec(eps, t, e_mixed, negativity, e_pure, concurrence):
@@ -325,7 +328,7 @@ class TestOrderingCheck:
         recs = records + [_ordering_record(0.7, 0.5, 0.0, 0.9, 0.1)]
         report = refsearch.ordering_check(as_table(recs))
         assert report["violations"] == [[0.7, 0.5, "e_mixed > negativity"]]
-        values = [report["max_delta12"], *report["violations"][0][:2],
+        values = [*report["violations"][0][:2],
                   *report["witness_mixed_above"], *report["witness_mixed_below"]]
         assert all(type(v) is float for v in values)
 
@@ -355,10 +358,8 @@ def nested_loop_ordering_check(records):
     for r in records:
         groups.setdefault(r.epsilon, []).append(r)
     violations = []
-    max_d12 = 0.0
     for eps, rows in sorted(groups.items()):
         for r in rows:
-            max_d12 = max(max_d12, r.delta12)
             if r.e_mixed > r.negativity + refsearch.ORDER_TOL:
                 violations.append([eps, r.t, "e_mixed > negativity"])
             if r.negativity > r.e_pure + refsearch.ORDER_TOL:
@@ -385,7 +386,7 @@ def nested_loop_ordering_check(records):
                 break
         if above is not None and below is not None:
             break
-    return {"violations": violations, "max_delta12": max_d12,
+    return {"violations": violations,
             "witness_mixed_above": above, "witness_mixed_below": below,
             "no_global_order": above is not None and below is not None}
 
@@ -454,17 +455,16 @@ class TestClosestSeparable:
         assert damped.e_value <= bell_e + 1e-9
 
     def test_deterministic_given_seed(self):
-        cfg = OptimizerConfig(max_iters=400, restarts=3, seed=7)
         rho = family(0.4, 0.8, 0.3)
-        a = closest_separable_bures(rho, cfg)
-        b = closest_separable_bures(rho, cfg)
+        a = closest_separable_bures(rho)
+        b = closest_separable_bures(rho)
         assert a.e_value == b.e_value
         assert a.pt_min_eig == b.pt_min_eig
         assert np.array_equal(a.sigma_star, b.sigma_star)
 
     def test_feasibility_of_sigma_star(self):
         for rho in (BELL, family(0.3, 0.9, 1.0), family(0.5, 0.5)):
-            res = closest_separable_bures(rho, OptimizerConfig(restarts=4))
+            res = closest_separable_bures(rho)
             assert res.pt_min_eig >= -1e-7
             assert 0.0 <= res.e_value <= 1.0
 
@@ -480,18 +480,13 @@ class TestClosestSeparable:
         # evaluations, not seconds: the same count on every machine
         assert res.nfev < 10_000
 
-    def test_unconverged_one_iteration_bell(self):
+    def test_unconverged_one_iteration_bell(self, monkeypatch):
         # one iteration per restart leaves the Bell solve separable, as every
         # sigma the search builds is, but far from its optimum
-        res = closest_separable_bures(BELL, OptimizerConfig(max_iters=1))
+        monkeypatch.setattr(refsearch, "MAX_ITERS", 1)
+        res = closest_separable_bures(BELL)
         assert res.pt_min_eig >= refsearch.PT_FEASIBILITY
         assert not res.converged
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(tol=0.0)
 
     def test_without_scipy_names_the_extra(self, monkeypatch):
         monkeypatch.setitem(sys.modules, "scipy.optimize", None)
@@ -772,7 +767,7 @@ class TestNearlySingularState:
         for name in ("psd_sqrt_with_min", "sqrt_fidelity"):
             monkeypatch.setattr(kernels, name, forbidden)
         refsearch.css_closed(rho)
-        closest_separable_bures(rho, OptimizerConfig(restarts=2))
+        closest_separable_bures(rho)
         assert cli.main(["css", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["nfev"] == 0
 
