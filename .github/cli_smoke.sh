@@ -38,8 +38,10 @@ qd sweep --epsilon-list 0,0.05,0.5,0.95,1 --ntilde 8 --t-steps 2001 --out "$out/
 # a hair from the product states: rho's small eigenvalue falls below 1e-9,
 # and er_exact still counts it as support, so er_lin <= er_exact. On 10001
 # t-points it also comes near 1.4e-14, where an eigensolve's spectrum floor
-# cost e_maxmixed up to 6e-8; from the Kraus factor's singular values it
-# meets 1 - (sqrt(l1) + sqrt(pq gamma / l1))/2 of the 2x2 outer block
+# cost e_maxmixed up to 6e-8; from the singular values of one Jacobi
+# rotation of the Kraus factor it meets 1 - (sqrt(l1) + sqrt(pq gamma / l1))/2
+# of the 2x2 outer block (the sweep's own gate holds it to the equal
+# 1 - sqrt(1 + 2 eps (1-eps) sqrt(gamma) / n)/2 within 1e-12)
 qd sweep --epsilon-list 0.00001,0.99999 --t-steps 10001 --out "$out/p.csv"
 python - "$out/p.csv" <<'EOF'
 import sys

@@ -14,9 +14,12 @@ is one function too: a 4x4 state gives a numpy scalar, an (N, 4, 4) stack an
 state through its checked eigenpairs (psd_eig) under one floor,
 kernels._clip_spectrum, and forms no square root of it. stacked_measures
 reads the sweep's states through their exact factors rho = UU†
-(channel.kraus_factor) instead: one SVD of each factor gives the spectrum
-and the support basis that the same helpers read, so the sweep takes no
-eigendecomposition.
+(channel.kraus_factor) instead: the factor's singular values and left
+singular vectors give the spectrum and the support basis that the same
+helpers read, so the sweep takes no eigendecomposition. The phase-damping
+channel has two Kraus operators, so a swept factor has two columns, and one
+Jacobi rotation (_jacobi2) takes their singular values in place of a LAPACK
+SVD; a factor with another number of columns takes the SVD.
 """
 
 import numpy as np
@@ -37,6 +40,13 @@ UNIT_RANGED = ("delta12", "negativity", "concurrence_wootters",
                "concurrence_paper", "eof", "fidelity_pure", "e_pure",
                "e_mixed", "e_maxmixed", "er_lin")
 RANGE_SLACK = 1e-12
+
+# _jacobi2 reads the smaller rotated column as rounding error, singular
+# value 0, where projecting it off the larger leaves less than this share of
+# the part projected off
+RESIDUAL_REL = 1e-2
+
+_TINY = np.finfo(float).tiny
 
 # sy (x) sy is antidiagonal: (sy (x) sy) @ x is x's rows reversed, times these signs
 _SY2_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
@@ -85,9 +95,74 @@ def concurrence_wootters(rho) -> float:
 
 def _concurrence(u):
     # the spin-flip concurrence of rho = uu† for any factor u (4 x k): the
-    # largest singular value of tau less the other k - 1
-    roots = np.linalg.svd(_spin_flip(u), compute_uv=False)
+    # largest singular value of tau (k x k) less the other k - 1
+    tau = _spin_flip(u)
+    if tau.shape[-1] == 2:
+        roots = _jacobi2(tau, basis=False)
+    else:
+        roots = np.linalg.svd(tau, compute_uv=False)
     return _max0(roots[..., 0] - roots[..., 1:].sum(axis=-1))
+
+
+def _jacobi2(x, basis=True):
+    """The singular values of x (..., m, 2), descending to rounding, and
+    with basis also its left singular vectors (..., m, 2), by one complex
+    one-sided Jacobi rotation (Hestenes, J. SIAM 6, 51 (1958)).
+
+    The rotation makes x's two columns orthogonal, the larger first, so
+    their norms are the singular values and each column over its norm a
+    singular vector. Unlike the eigenvalues of the Gram matrix x†x, the
+    rotated columns' norms keep a small singular value's relative accuracy
+    (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)); each
+    norm is a hypot of moduli, so none underflows where a column is
+    ~1e-162. For the basis, the smaller column is projected off the larger
+    once more. Where less than RESIDUAL_REL of the part projected off is
+    left, the column was rounding error (the columns are parallel to
+    working precision), and its singular value and vector are 0. The
+    rotation reads x†x, so this holds to rounding for entries between about
+    1e-154 and 1e154; below, the results are still finite and raise no
+    warning, and above, x†x overflows.
+    """
+    a, b = x[..., 0], x[..., 1]
+    norm2 = np.einsum("...ij,...ij->...j", x.conj(), x).real
+    d = norm2[..., 1] - norm2[..., 0]
+    h = 2.0 * np.einsum("...i,...i->...", b.conj(), a)
+    # the rotation's tangent t = 1 / (|zeta| + hypot(1, zeta)) at zeta = d / |h|,
+    # as u = t h / |h| = h / (|d| + hypot(d, |h|)): no zeta * zeta to
+    # overflow, |u| <= 1, and u = 0 where b†a = 0. The divisor is held to
+    # the smallest normal float, as numpy's complex division takes its
+    # reciprocal
+    u = h / np.maximum(np.abs(d) + np.hypot(d, np.abs(h)), _TINY)
+    c = 1.0 / np.hypot(1.0, np.abs(u))
+    # the rotation [[p, -q*], [q, p*]], whose first column takes the larger
+    b_larger = d > 0.0
+    p = c * np.where(b_larger, u.conj(), 1.0)
+    q = c * np.where(b_larger, 1.0, u)
+    y1 = p[..., None] * a + q[..., None] * b
+    y2 = p.conj()[..., None] * b - q.conj()[..., None] * a
+    s1 = _norm(y1)
+    if not basis:
+        return np.stack([s1, _norm(y2)], axis=-1)
+    q1 = _unit(y1, s1)
+    along = np.einsum("...i,...i->...", q1.conj(), y2)
+    r = y2 - q1 * along[..., None]
+    s2 = _norm(r)
+    s2 = np.where(s2 >= RESIDUAL_REL * np.abs(along), s2, 0.0)
+    return np.stack([q1, _unit(r, s2)], axis=-1), np.stack([s1, s2], axis=-1)
+
+
+def _norm(v):
+    # the 2-norm of each vector along v's last axis, a hypot over the moduli
+    return np.hypot.reduce(np.abs(v), axis=-1)
+
+
+def _unit(v, norm):
+    # the vectors along v's last axis over their norms, 0 where a norm is 0;
+    # real and imaginary parts divided apart, as numpy's complex division
+    # overflows on a subnormal divisor
+    out = np.zeros_like(v)
+    np.divide(v.view(float), norm[..., None], out=out.view(float), where=norm[..., None] > 0.0)
+    return out
 
 
 def _eig_factor(w, v):
@@ -154,7 +229,7 @@ def pure_fidelity(rho, sigma_p) -> float:
 
 def _reference_weights(v, sp):
     # |<v_i|psi>|^2 = (v^dagger sigma_p v)_ii per orthonormal column v_i
-    return np.einsum("...ij,...jk,...ki->...i", kernels._dagger(v), sp, v).real
+    return (v.conj() * (sp @ v)).sum(axis=-2).real
 
 
 def _pure_fidelity(w, weights):
@@ -325,6 +400,20 @@ def _cross_route_checks(table, in_range):
         where = ok & (eps == 0.5) if relation.endswith("_half") else ok
         yield (name, f"breaks the {relation} relation",
                where & (np.abs(res[relation]) > RANGE_SLACK))
+    # the family's closed forms of two columns no other check reads
+    gamma = table["gamma"]
+    ok = (0.0 <= abs_a) & (abs_a <= 1.0) & np.isfinite(gamma)
+    a, g = np.where(ok, abs_a, 0.0), np.where(ok, gamma, 1.0)
+    yield "gamma", "differs from 1 - |a|^2", ok & (np.abs(a * a + g - 1.0) > RANGE_SLACK)
+    # Tr sqrt(rho) = sqrt(1 + 2 sqrt(det)) on the 2x2 outer block, whose
+    # determinant is eps^2 (1-eps)^2 gamma / n^2: no cancellation, and none
+    # of the arithmetic of the factor's singular values
+    ok, e = usable("e_maxmixed")
+    ok &= (0.0 <= eps) & (eps <= 1.0) & (0.0 <= gamma) & (gamma <= 1.0)
+    x, g = np.where(ok, eps, 0.5), np.where(ok, gamma, 0.0)
+    closed = 1.0 - np.sqrt(1.0 + 2.0 * x * (1.0 - x) * np.sqrt(g) / family_norm(x)) / 2.0
+    yield ("e_maxmixed", "differs from 1 - sqrt(1 + 2 eps (1-eps) sqrt(gamma) / n) / 2",
+           ok & apart(e, closed))
 
 
 def violation_mask(table) -> np.ndarray:
@@ -352,18 +441,23 @@ def stacked_measures(u, sigma_p) -> dict:
     same arithmetic, for one (4, k) factor and one reference.
 
     rho = UU† feeds the purity, the partial transpose and Tr(sigma_p rho),
-    and U the concurrence. One SVD of U gives rho's spectrum s^2 and support
-    basis, on which sigma_p's weights give the fidelity to sigma_p and the
-    exact relative entropy under the eigen route's floor. sqrt(rho) (I/4)
-    sqrt(rho) = rho/4, so e_maxmixed = 1 - sum(s)/2 from the unclipped
-    singular values, whose error is ~eps where an eigenvalue's root has
-    ~sqrt(eps). A stack takes two svd calls and one eigvalsh, and the first
-    impure reference raises.
+    and U the concurrence. U's singular values s and left singular vectors
+    give rho's spectrum s^2 and support basis, on which sigma_p's weights
+    give the fidelity to sigma_p and the exact relative entropy under the
+    eigen route's floor. sqrt(rho) (I/4) sqrt(rho) = rho/4, so e_maxmixed =
+    1 - sum(s)/2 from the unclipped singular values, whose error is ~eps
+    where an eigenvalue's root has ~sqrt(eps). For k = 2 (a swept state)
+    one Jacobi rotation of U and one of the 2x2 tau give the singular
+    values, and a stack takes one eigvalsh and no svd; for another k, U and
+    tau each take one svd. The first impure reference raises.
     """
     u = np.asarray(u, dtype=complex)
     rho = u @ kernels._dagger(u)
     sp = _assert_pure(sigma_p)
-    basis, s, _ = np.linalg.svd(u, full_matrices=False)
+    if u.shape[-1] == 2:
+        basis, s = _jacobi2(u)
+    else:
+        basis, s, _ = np.linalg.svd(u, full_matrices=False)
     w = (s * s)[..., ::-1]  # ascending, as the eigen route's helpers read it
     weights = _reference_weights(basis[..., ::-1], sp)
     return {

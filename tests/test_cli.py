@@ -284,12 +284,29 @@ class TestSweepBlocks:
     def test_near_product_states_pass_every_gate(self):
         # rho's smallest nonzero eigenvalue falls far below 1e-9 here; er_exact
         # counts it as support, as every other spectral column does, so
-        # er_lin <= er_exact holds
+        # er_lin <= er_exact holds. At epsilon = 1e-160, tau ~ epsilon and
+        # the rotation's tangent has a subnormal divisor, which a complex
+        # division overflows on
         c = cli._default_channel()
         ts = np.linspace(0.0, c.period, 51)
-        for cols in cli.sweep_blocks((3e-6, 1e-5, 3e-5, 1e-4), c, ts):
+        for cols in cli.sweep_blocks((1e-160, 3e-6, 1e-5, 3e-5, 1e-4), c, ts):
             bad = np.flatnonzero(measures.violation_mask(cols))
             assert not bad.size, measures.violations_at(cols, bad[0])
+
+
+@pytest.mark.parametrize("column", ["gamma", "e_maxmixed"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_shifted_column_breaks_its_closed_form_on_every_row(column, sign):
+    # a shift of 1e-9 max(1, |v|) in gamma or e_maxmixed, which no other
+    # check reads, is flagged on every row of the figure's epsilon, the
+    # product endpoints and states a hair from them
+    c = cli._default_channel()
+    ts = np.linspace(0.0, c.period, 201)
+    epsilons = (*cli.FIG_EPSILONS, 0.0, 1e-5, 1.0 - 1e-5, 1.0)
+    table = np.concatenate(list(cli.sweep_blocks(epsilons, c, ts)))
+    assert not measures.violation_mask(table).any()
+    table[column] += sign * 1e-9 * np.maximum(1.0, np.abs(table[column]))
+    assert measures.violation_mask(table).all()
 
 
 # the 50-digit audit's edge grid: the product endpoints, states a hair from

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qdephase.channel import ChannelParams, decoherence_factor, kraus_factor
 from qdephase.cli import build_record
 from qdephase.errors import InvalidState, NotHermitian, NotPSD
 from qdephase.states import (
+    family_norm,
     family_state,
     initial_pure,
     maximally_mixed,
@@ -425,14 +427,17 @@ class TestStackedMeasuresShareOneRoot:
         measures.uhlmann_fidelity(rho[0], sigma[0])
         assert calls == [("eigh", (4, 4)), ("eigh", (4, 4)), ("svd", (4, 4))]
 
-    def test_two_svds_one_eigvalsh_per_stack(self, monkeypatch):
-        # the sweep's route: svd of the Kraus factor U (the spectrum and the
-        # support), svd of tau (the concurrence), eigvalsh of the partial
-        # transpose of UU†; no eigensolve of rho and no PSD root
+    def test_rank2_stack_takes_no_svd_and_one_eigvalsh(self, monkeypatch):
+        # the sweep's route: one Jacobi rotation of the Kraus factor U (the
+        # spectrum and the support) and of tau (the concurrence), eigvalsh of
+        # the partial transpose of UU†; no SVD, no eigensolve of rho and no
+        # PSD root. A factor with k != 2 columns takes the two SVDs instead
         c = ChannelParams(1.0, 1.0, 0.5, 0.5, 1.0)
         dec = decoherence_factor(c, np.linspace(0.0, c.period, 7))
         u = kraus_factor(0.26, dec.a, dec.gamma)
         sigma = np.array([initial_pure(0.26, p) for p in dec.phase])
+        rank4 = eig_factor(np.array([random_density(np.random.default_rng(k))
+                                     for k in range(7)]))
         calls = self.count_lapack(monkeypatch)
         for name in ("psd_sqrt_with_min", "sqrt_fidelity"):
             def forbidden(*args, _name=name):
@@ -440,8 +445,11 @@ class TestStackedMeasuresShareOneRoot:
 
             monkeypatch.setattr(kernels, name, forbidden)
         measures.stacked_measures(u, sigma)
-        assert sorted(calls) == [("eigvalsh", (7, 4, 4)), ("svd", (7, 2, 2)),
-                                 ("svd", (7, 4, 2))]
+        assert calls == [("eigvalsh", (7, 4, 4))]
+        calls.clear()
+        measures.stacked_measures(rank4, sigma)
+        assert sorted(calls) == [("eigvalsh", (7, 4, 4)), ("svd", (7, 4, 4)),
+                                 ("svd", (7, 4, 4))]
 
 
 @settings(max_examples=60, deadline=None)
@@ -491,6 +499,91 @@ def sqrt_route_concurrence(rho):
     s = matcore.psd_sqrt(rho)
     roots = np.linalg.svd(s @ SY2 @ s.conj(), compute_uv=False)
     return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+
+
+def jacobi_input(kind, seed, n, m):
+    """(n, m, 2) complex matrices of one kind: random, a zero column, both
+    columns zero, parallel columns, columns with one nonzero row (the
+    sweep's product endpoints) or orthogonal columns of equal norm."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, m, 2)) + 1j * rng.standard_normal((n, m, 2))
+    if kind == "zero column":
+        x[..., seed % 2] = 0.0
+    elif kind == "zero":
+        x[...] = 0.0
+    elif kind == "parallel":
+        x[..., 1] = (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))) * x[..., 0]
+    elif kind == "one row":
+        x[..., :m - 1, :] = 0.0
+    elif kind == "orthogonal, equal norms":  # a†b = 0 and |a| = |b| exactly
+        x[..., 2:, :] = 0.0
+        x[..., 0, 1], x[..., 1, 1] = -x[..., 1, 0].conj(), x[..., 0, 0].conj()
+    return x
+
+
+def assert_jacobi_meets_svd(x, basis, s, tol=1e-13):
+    # s the singular values to tol of the largest, descending to rounding;
+    # the basis columns orthonormal where s > 0 and 0 where s = 0, and
+    # x x† = basis s^2 basis†; nothing NaN
+    ref = np.linalg.svd(x, compute_uv=False)
+    top = ref[..., :1]
+    assert np.isfinite(basis).all() and np.isfinite(s).all()
+    assert (np.abs(s - ref) <= tol * top).all(), (s, ref)
+    assert (s[..., 0] >= s[..., 1] * (1.0 - 1e-15)).all()
+    gram = kernels._dagger(basis) @ basis
+    nonzero = (s > 0.0).astype(float)
+    expect = nonzero[..., :, None] * nonzero[..., None, :] * np.eye(2)
+    assert (np.abs(gram - expect) <= tol).all(), gram
+    # in units of the largest singular value, so the scale cannot overflow
+    unit = np.where(top > 0.0, top, 1.0)[..., None]
+    xs, bs = x / unit, basis * (s / unit[..., 0])[..., None, :]
+    assert (np.abs(xs @ kernels._dagger(xs) - bs @ kernels._dagger(bs)) <= tol).all()
+
+
+JACOBI_KINDS = ("random", "zero column", "zero", "parallel", "one row",
+                "orthogonal, equal norms")
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(JACOBI_KINDS), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(1, 4), m=st.sampled_from([2, 4]),
+       scale=st.sampled_from([1.0, 1e150, 1e-150]))
+def test_jacobi2_meets_the_svd(kind, seed, n, m, scale):
+    x = scale * jacobi_input(kind, seed, n, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        basis, s = measures._jacobi2(x)
+        norms = measures._jacobi2(x, basis=False)
+    assert_jacobi_meets_svd(x, basis, s)
+    ref = np.linalg.svd(x, compute_uv=False)
+    assert np.isfinite(norms).all()
+    assert (np.abs(norms - ref) <= 1e-13 * ref[..., :1]).all()
+    # one matrix or a stack, by the same arithmetic
+    one_basis, one_s = measures._jacobi2(x[0])
+    assert (one_basis == basis[0]).all() and (one_s == s[0]).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(epsilon=st.floats(1e-3, 1.0 - 1e-3), t=st.floats(2.0, 4.2))
+def test_jacobi2_keeps_the_small_singular_value_at_ntilde_5e_324(epsilon, t):
+    # gamma is a few subnormal units mid-period, so sigma_2 ~ 1e-162: its square
+    # underflows, yet the rotation keeps it to its relative accuracy and its
+    # basis column orthonormal. The reference is the 2x2 outer block's
+    # sigma_2 = sqrt(pq gamma / lambda_1)
+    dec = decoherence_factor(ChannelParams(1.0, 1.0, 0.5, 0.5, 5e-324), t)
+    assert 0.0 < dec.gamma < 1e-320
+    u = kraus_factor(epsilon, dec.a, dec.gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        basis, s = measures._jacobi2(u)
+    n = family_norm(epsilon)
+    p, q = epsilon**2 / n, (1.0 - epsilon) ** 2 / n
+    l1 = (p + q + math.sqrt((p - q) ** 2 + 4.0 * p * q * abs(dec.a) ** 2)) / 2.0
+    sigma2 = math.sqrt(p * q / l1) * math.sqrt(dec.gamma)
+    assert 1e-170 < s[1] and abs(s[1] - sigma2) <= 1e-13 * sigma2
+    assert abs(s[0] - math.sqrt(l1)) <= 1e-15
+    assert_jacobi_meets_svd(u, basis, s)
+    assert abs(np.vdot(basis[:, 0], basis[:, 1])) <= 1e-15
 
 
 def test_spin_flip_is_the_matrix_product():
@@ -704,6 +797,7 @@ W_PURITY = "delta12 breaks the widetext_purity relation"
 W_CONC = "concurrence_paper breaks the widetext_concurrence relation"
 PRODUCT = "delta12 breaks the product_half relation"
 TRIANGLE = "concurrence_paper breaks the triangular_half relation"
+GAMMA = "gamma differs from 1 - |a|^2"
 
 
 # each case is named after the check it targets
@@ -714,7 +808,7 @@ TRIANGLE = "concurrence_paper breaks the triangular_half relation"
                  ["negativity differs from concurrence_wootters", DROP, C_DROP],
                  id="negativity"),
     pytest.param(H, "abs_a", H["abs_a"], 1,
-                 ["concurrence_wootters differs from 2 eps (1-eps) |a| / n"],
+                 ["concurrence_wootters differs from 2 eps (1-eps) |a| / n", GAMMA],
                  id="closed_concurrence"),
     pytest.param(H, "delta12", (1.0 - H["concurrence_wootters"] ** 2) / 1.5, 1,
                  ["concurrence_wootters breaks C^2 + (3/2) delta12 <= 1",
@@ -734,6 +828,11 @@ TRIANGLE = "concurrence_paper breaks the triangular_half relation"
                  id="product_half"),
     pytest.param(H, "concurrence_paper", H["concurrence_paper"], -1,
                  [C_DROP, W_CONC, TRIANGLE], id="triangular_half"),
+    # the closed forms of gamma and e_maxmixed
+    pytest.param(O, "gamma", 1.0 - O["abs_a"] ** 2, 1, [GAMMA], id="gamma"),
+    pytest.param(H, "e_maxmixed", H["e_maxmixed"], -1,
+                 ["e_maxmixed differs from 1 - sqrt(1 + 2 eps (1-eps) sqrt(gamma) / n) / 2"],
+                 id="e_maxmixed"),
 ])
 def test_cross_route_checks_name_the_broken_route(row, field, edge, sign, broken):
     # edge puts the row on the identity or bound; RANGE_SLACK / 2.5 off it
