@@ -97,4 +97,23 @@ EOF
 qd css "$out/near.json" --out "$out/near_css.json"
 python -c "import json, sys; gap = json.load(open(sys.argv[1]))['closed_gap']
 assert abs(gap) <= 1e-12, gap" "$out/near_css.json"
+# in one process, every command twice: the second round runs on the parser
+# the first built and must print the same and exit the same
+(cd "$out" && python - <<'EOF'
+import contextlib, io
+from qdephase import cli
+def run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(argv)
+    return rc, buf.getvalue()
+argvs = [["sweep", "--t-steps", "5", "--out", "twice.csv"],
+         ["oracle-check", "--t-steps", "5"],
+         ["css", "bell.json"]]
+first = [run(argv) for argv in argvs]
+second = [run(argv) for argv in argvs]
+assert [rc for rc, _ in first] == [0, 0, 0], first
+assert second == first, (first, second)
+EOF
+)
 echo "cli smoke: ok"

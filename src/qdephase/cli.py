@@ -6,7 +6,10 @@ oracle-check are declared once, in SETTINGS (config section -> key ->
 reader, help); that table makes their flags and config-file keys and reads
 the file's values. The command line wins over the file, and a setting given
 by neither is not passed on, so the config object's default applies. Exit
-codes: 0 success, 1 validation failure, 2 numerical failure.
+codes: 0 success, 1 validation failure, 2 numerical failure. The parser is
+built once per process, on the first main call, and reused by every later
+one: it holds the command functions and setting readers by reference, and
+each parse gives a fresh namespace.
 
 sweep walks the (epsilon, t) grid in blocks of at most BLOCK_STATES states
 (sweep_blocks), each measured by _columns in one stacked pass over the
@@ -28,6 +31,7 @@ css builds the closest separable state of a stored state in closed form
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -214,6 +218,11 @@ def run_css(state_path: str) -> dict:
     1e-13 except as C -> 1, where the formula loses accuracy, not sigma*:
     sqrt(1 - C^2) turns C's rounding error into one of its square root
     (closed_gap 7.5e-9 at the Bell state).
+
+    e_closed takes its own eigendecomposition of rho, in
+    measures.concurrence_wootters, rather than the eigenpairs and Takagi
+    values css_closed already holds: it is the independent second route,
+    and closed_gap from shared eigenpairs would compare a route with itself.
     """
     rho = load_state(state_path)
     res = refsearch.css_closed(rho)
@@ -345,6 +354,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built on the first main call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="qdephase",

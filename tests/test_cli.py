@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -18,6 +21,7 @@ from qdephase import cli, kernels, measures, oracle, refsearch
 from qdephase.channel import ChannelParams
 from qdephase.cli import SweepConfig, build_record, run_sweep
 from qdephase.states import initial_pure, save_state
+import make_golden
 from reference import (abs_a_50, concurrence_50, concurrence_paper_50, delta12_50, e_maxmixed_50,
                        e_mixed_50, e_pure_50, eof_50, er_exact_50, er_lin_50)
 
@@ -1019,3 +1023,70 @@ class TestSettingsTable:
         by_file = _captured(monkeypatch, tmp_path, [command, "--config", str(cfgfile)])
         assert by_file == by_flag
         assert by_flag != _captured(monkeypatch, tmp_path, [command])
+
+
+def _run_each_command(tmp_path) -> list:
+    """(exit code, stdout) of one small call of each command, run in tmp_path."""
+    save_state(initial_pure(0.5), tmp_path / "bell.json")
+    results = []
+    for argv in (["sweep", "--t-steps", "3", "--out", "s.csv"],
+                 ["oracle-check", "--t-steps", "3"],
+                 ["css", "bell.json"]):
+        f = io.StringIO()
+        with contextlib.redirect_stdout(f):
+            rc = cli.main(argv)
+        results.append((rc, f.getvalue()))
+    return results
+
+
+class TestParserBuiltOnce:
+    def test_a_second_call_adds_no_argument(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        first = _run_each_command(tmp_path)
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counted(self, *args, **kwargs):
+            added.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        assert _run_each_command(tmp_path) == first
+        assert added == []
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_sweep_without_css_after_one_with_it(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        grid = ["--epsilon-list", "0.5,0.25", "--t-steps", "3"]
+        assert cli.main(["sweep", "--include-css", *grid, "--out", "a.csv"]) == 0
+        assert cli.main(["sweep", *grid, "--out", "b.csv"]) == 0
+        assert "css_" in Path("a.csv").read_text().splitlines()[0]
+        assert Path("b.csv").read_text().splitlines()[0] == EXPECTED_HEADER
+
+    def test_oracle_check_without_out_after_one_with_it(self, tmp_path, monkeypatch,
+                                                        capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["oracle-check", "--t-steps", "3", "--out", "r.json"]) == 0
+        first = capsys.readouterr().out
+        assert cli.main(["oracle-check", "--t-steps", "3"]) == 0
+        assert capsys.readouterr().out == first
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+    def test_valid_css_after_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["css"])
+        assert info.value.code == 1
+        assert capsys.readouterr().err.startswith("usage: qdephase")
+        assert cli.main(["css", str(make_golden.GOLDEN_DIR / "bell_state.json")]) == 0
+        expected = (make_golden.GOLDEN_DIR / "css_bell.json").read_text(encoding="utf-8")
+        assert make_golden.mismatches(expected, capsys.readouterr().out) == []
+
+    def test_help_wraps_at_each_calls_width(self, monkeypatch, capsys):
+        widest = {}
+        for columns in (60, 200):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            with pytest.raises(SystemExit) as info:
+                cli.main(["sweep", "--help"])
+            assert info.value.code == 0
+            widest[columns] = max(map(len, capsys.readouterr().out.splitlines()))
+        assert widest[60] <= 60 < widest[200] <= 200
