@@ -114,7 +114,7 @@ def _columns(epsilon: float, c: ChannelParams, t, a, gamma, phase) -> dict:
     rel_phase = c.ntilde * np.sin((c.mu1 + c.mu2) * t)  # state corner vs floor's
     cols.update(epsilon=np.full(np.shape(t), epsilon), t=t, gamma=gamma, abs_a=abs_a,
                 concurrence_paper=measures.concurrence_family(epsilon, abs_a),
-                eof=measures.eof(cols["concurrence_wootters"]),
+                eof=measures._eof(cols["concurrence_wootters"]),  # the gates judge C
                 e_pure=1.0 - cols["er_lin"],
                 e_mixed=refsearch.mixed_ref_measure_family(epsilon, abs_a, gamma,
                                                            c.ntilde, rel_phase))

@@ -36,9 +36,9 @@ SUPPORT_WEIGHT_TOL = 1e-8
 PURITY_TOL = 1e-8  # |Tr sigma^2 - 1| accepted for a pure reference
 
 # record fields that must lie in [0, 1] (within RANGE_SLACK)
-UNIT_RANGED = ("delta12", "negativity", "concurrence_wootters",
-               "concurrence_paper", "eof", "fidelity_pure", "e_pure",
-               "e_mixed", "e_maxmixed", "er_lin")
+UNIT_RANGED = ("epsilon", "gamma", "abs_a", "delta12", "negativity",
+               "concurrence_wootters", "concurrence_paper", "eof", "fidelity_pure",
+               "e_pure", "e_mixed", "e_maxmixed", "er_lin")
 RANGE_SLACK = 1e-12
 
 # _jacobi2 reads the smaller rotated column as rounding error, singular
@@ -193,6 +193,10 @@ def eof(c):
     bad = c[~((0.0 <= c) & (c <= 1.0 + RANGE_SLACK))]
     if bad.size:
         raise ValueError(f"concurrence must be in [0, 1], got {bad[0]}")
+    return _eof(c)
+
+
+def _eof(c):  # eof unchecked: the sweep's invariants judge its concurrence
     c = _min1(c)
     return _binary_entropy(0.5 * (1.0 + np.sqrt(_max0(1.0 - c * c))))
 
@@ -347,7 +351,8 @@ def as_table(columns) -> np.ndarray:
 
 
 def _invariant_checks(table):
-    # (field, what, mask True on each row that breaks it), in report order
+    # (field, what, mask True on each row that breaks it), in report order; a
+    # cross-route check breaks where a row it reads has a residual over RANGE_SLACK
     for name in RECORD_DTYPE.names:
         if name != "er_exact":
             yield name, "is not finite", ~np.isfinite(table[name])
@@ -358,62 +363,56 @@ def _invariant_checks(table):
         yield name, "outside [0, 1]", ~in_range[name]
     yield "er_exact", "negative", table["er_exact"] < 0
     yield "er_exact", "is nan", np.isnan(table["er_exact"])
-    yield from _cross_route_checks(table, in_range)
+    for name, what, reads, residual in _cross_route_checks(table, in_range):
+        yield name, what, reads & (residual > RANGE_SLACK)
 
 
 def _cross_route_checks(table, in_range):
-    # identities between independent routes, and bounds every family state
-    # obeys, at RANGE_SLACK. A check reads a row only where its fields pass
-    # their own checks above (a row that fails one is reported there), and 0
-    # stands in elsewhere, so no inf - inf or overflow is ever taken.
+    # (field, what, rows it reads, residual): |lhs - rhs| for an identity
+    # between independent routes, lhs - bound for a bound every family state
+    # obeys. A check reads a row only where its fields pass their range checks
+    # (a row that fails one is reported there), and 0 stands in elsewhere, so
+    # no inf - inf or overflow is ever taken.
     def usable(*names):
         ok = np.logical_and.reduce([in_range[n] for n in names])
         return [ok] + [np.where(ok, table[n], 0.0) for n in names]
 
-    def apart(x, y):
-        return (x > y + RANGE_SLACK) | (y > x + RANGE_SLACK)
-
     ok, f, lin = usable("fidelity_pure", "er_lin")  # eigensolve vs trace
-    yield "fidelity_pure", "differs from 1 - er_lin", ok & apart(f, 1.0 - lin)
+    yield "fidelity_pure", "differs from 1 - er_lin", ok, np.abs(f - (1.0 - lin))
     ok, neg, c = usable("negativity", "concurrence_wootters")  # PT spectrum vs SVD
-    yield "negativity", "differs from concurrence_wootters", ok & apart(neg, c)
-    eps, abs_a = table["epsilon"], table["abs_a"]
-    ok, c = usable("concurrence_wootters")  # on the family's domain only
-    ok &= (0.0 <= eps) & (eps <= 1.0) & (0.0 <= abs_a) & (abs_a <= 1.0)
-    closed = negativity_closed(np.where(ok, eps, 0.5), np.where(ok, abs_a, 0.0))
+    yield "negativity", "differs from concurrence_wootters", ok, np.abs(neg - c)
+    ok, c, eps, abs_a = usable("concurrence_wootters", "epsilon", "abs_a")
     yield ("concurrence_wootters", "differs from 2 eps (1-eps) |a| / n",
-           ok & apart(c, closed))
+           ok, np.abs(c - negativity_closed(eps, abs_a)))
     ok, c, d12 = usable("concurrence_wootters", "delta12")
-    yield ("concurrence_wootters", "breaks C^2 + (3/2) delta12 <= 1",
-           ok & (c * c + 1.5 * d12 > 1.0 + RANGE_SLACK))
+    yield "concurrence_wootters", "breaks C^2 + (3/2) delta12 <= 1", ok, c * c + 1.5 * d12 - 1.0
     ok, e, c = usable("eof", "concurrence_wootters")
-    yield "eof", "exceeds concurrence_wootters", ok & (e > c + RANGE_SLACK)
-    # er_exact may be +inf: only RANGE_SLACK is added to it
-    ok, lin = usable("er_lin")
-    yield "er_lin", "exceeds er_exact", ok & (lin > table["er_exact"] + RANGE_SLACK)
-    # the paper's relations, on the family's domain; the _half ones at 1/2 only
-    names = ("delta12", "negativity", "concurrence_paper", "e_pure", "er_lin")
+    yield "eof", "exceeds concurrence_wootters", ok, e - c
+    ok, lin = usable("er_lin")  # er_exact may be +inf, the residual -inf
+    yield "er_lin", "exceeds er_exact", ok, lin - table["er_exact"]
+    # the paper's relations; the _half ones at epsilon = 1/2 only
+    names = ("epsilon", "delta12", "negativity", "concurrence_paper", "e_pure", "er_lin")
     ok, *cols = usable(*names)
-    ok &= (0.0 <= eps) & (eps <= 1.0)
-    res = relation_residuals(dict(zip(names, cols), epsilon=np.where(ok, eps, 0.5)))
+    res = relation_residuals(dict(zip(names, cols)))
     for relation, name in _RELATION_FIELDS.items():
-        where = ok & (eps == 0.5) if relation.endswith("_half") else ok
-        yield (name, f"breaks the {relation} relation",
-               where & (np.abs(res[relation]) > RANGE_SLACK))
-    # the family's closed forms of two columns no other check reads
-    gamma = table["gamma"]
-    ok = (0.0 <= abs_a) & (abs_a <= 1.0) & np.isfinite(gamma)
-    a, g = np.where(ok, abs_a, 0.0), np.where(ok, gamma, 1.0)
-    yield "gamma", "differs from 1 - |a|^2", ok & (np.abs(a * a + g - 1.0) > RANGE_SLACK)
-    # Tr sqrt(rho) = sqrt(1 + 2 sqrt(det)) on the 2x2 outer block, whose
-    # determinant is eps^2 (1-eps)^2 gamma / n^2: no cancellation, and none
-    # of the arithmetic of the factor's singular values
+        reads = ok & (cols[0] == 0.5) if relation.endswith("_half") else ok
+        yield name, f"breaks the {relation} relation", reads, np.abs(res[relation])
+    # the family's closed forms of columns no other check pins
+    ok, abs_a, g = usable("abs_a", "gamma")
+    yield "gamma", "differs from 1 - |a|^2", ok, np.abs(abs_a * abs_a + g - 1.0)
+    # with m = 2 eps (1-eps): Tr sqrt(rho) = sqrt(1 + 2 sqrt(det)) on the 2x2
+    # outer block, det = m^2 gamma / (2n)^2, which shares no arithmetic with the
+    # factor's singular values; and Delta = sqrt(1 - C^2) as css_family_columns
+    # takes it, which does not cancel as C -> 1 (Wootters, PRL 80, 2245 (1998))
+    family, eps, g = usable("epsilon", "gamma")
+    m, n = 2.0 * eps * (1.0 - eps), family_norm(eps)
     ok, e = usable("e_maxmixed")
-    ok &= (0.0 <= eps) & (eps <= 1.0) & (0.0 <= gamma) & (gamma <= 1.0)
-    x, g = np.where(ok, eps, 0.5), np.where(ok, gamma, 0.0)
-    closed = 1.0 - np.sqrt(1.0 + 2.0 * x * (1.0 - x) * np.sqrt(g) / family_norm(x)) / 2.0
     yield ("e_maxmixed", "differs from 1 - sqrt(1 + 2 eps (1-eps) sqrt(gamma) / n) / 2",
-           ok & apart(e, closed))
+           family & ok, np.abs(e - (1.0 - np.sqrt(1.0 + m * np.sqrt(_max0(g)) / n) / 2.0)))
+    delta = _min1(np.sqrt((1.0 - 2.0 * eps) * (1.0 - 2.0 * eps) + m * m * _max0(g)) / n)
+    ok, e = usable("eof")
+    yield ("eof", "differs from h((1 + sqrt((1-2eps)^2 + 4 eps^2 (1-eps)^2 gamma) / n) / 2)",
+           family & ok, np.abs(e - _binary_entropy(0.5 * (1.0 + delta))))
 
 
 def violation_mask(table) -> np.ndarray:

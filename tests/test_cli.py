@@ -234,6 +234,25 @@ class TestSweepBlocks:
         assert not out.exists()
 
 
+    def test_nan_concurrence_exits_two_naming_its_row(self, tmp_path, monkeypatch, capsys):
+        # eof is taken from C unchecked, so the gates, not eof's own
+        # ValueError (exit 1, no row named), judge a bad C
+        stacked = measures.stacked_measures
+
+        def corrupted(rho, sigma_p):
+            cols = stacked(rho, sigma_p)
+            cols["concurrence_wootters"][1] = math.nan
+            return cols
+
+        monkeypatch.setattr(measures, "stacked_measures", corrupted)
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--epsilon-list", "0.3", "--t-steps", "4",
+                         "--out", str(out)]) == 2
+        t = float(np.linspace(0.0, 2.0 * math.pi, 4)[1])
+        err = capsys.readouterr().err
+        assert f"at eps=0.3, t={t}: ['concurrence_wootters is not finite: nan'" in err
+        assert not out.exists()
+
     def test_broken_route_exits_two_naming_its_row(self, tmp_path, monkeypatch, capsys):
         stacked = measures.stacked_measures
 
@@ -298,11 +317,11 @@ class TestSweepBlocks:
             assert not bad.size, measures.violations_at(cols, bad[0])
 
 
-@pytest.mark.parametrize("column", ["gamma", "e_maxmixed"])
+@pytest.mark.parametrize("column", ["gamma", "e_maxmixed", "eof"])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_a_shifted_column_breaks_its_closed_form_on_every_row(column, sign):
-    # a shift of 1e-9 max(1, |v|) in gamma or e_maxmixed, which no other
-    # check reads, is flagged on every row of the figure's epsilon, the
+    # a shift of 1e-9 max(1, |v|) in gamma, e_maxmixed or eof, which no
+    # other check pins, is flagged on every row of the figure's epsilon, the
     # product endpoints and states a hair from them
     c = cli._default_channel()
     ts = np.linspace(0.0, c.period, 201)
@@ -700,11 +719,19 @@ class TestMainOracleCheck:
         assert report["config"]["channel"]["ntilde"] == pytest.approx(0.5, abs=1e-15)
 
     def test_qubit_coupling_flag(self, capsys):
-        rc = cli.main(["oracle-check", "--t-steps", "5", "--mu12", "0.8"])
+        # the couplings cancel in the corner sum, so the grouped route never
+        # reads them and the report is that of the run without them; that
+        # they cancel is checked per Fock index in tests/test_oracle.py
+        couplings = ["--mu12", "0.8", "--mu-cross", "0.2", "--omega-ratios", "1.3,0.9,2.0"]
+        rc = cli.main(["oracle-check", "--t-steps", "5", *couplings])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
         assert max(abs(o) for o in report["corner_phase_offset"]) < 1e-8
+        assert cli.main(["oracle-check", "--t-steps", "5"]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        del report["config"], plain["config"]
+        assert report == plain
 
     def test_explicit_alphas(self, capsys):
         rc = cli.main(["oracle-check", "--t-steps", "5",

@@ -774,6 +774,8 @@ FIELDS = measures.RECORD_DTYPE.names
 CHANNEL = ChannelParams(omega1=1.0, omega2=1.0, mu1=0.5, mu2=0.5, ntilde=1.0)
 CONSISTENT_ROW = dict(zip(FIELDS, build_record(0.5, CHANNEL, 1.5).item()))  # gamma = 0.84
 OFF_HALF_ROW = dict(zip(FIELDS, build_record(0.26, CHANNEL, 1.5).item()))
+# the product endpoint epsilon = 0: C = 0 = eof, the bound eof <= C met with equality
+ENDPOINT_ROW = dict(zip(FIELDS, build_record(0.0, CHANNEL, 1.5).item()))
 BAD_VALUES = (math.nan, math.inf, -math.inf, -2e-12, 1.0 + 2e-12, -0.5, 1.5,
               -1e-12, 1.0 + 1e-12, -0.0, 7.0)
 
@@ -783,11 +785,18 @@ BAD_VALUES = (math.nan, math.inf, -math.inf, -2e-12, 1.0 + 2e-12, -0.5, 1.5,
                                 st.sampled_from(BAD_VALUES) | st.floats(-2.0, 2.0),
                                 max_size=3),
                 min_size=1, max_size=6))
+# gamma a hair below 0 is in range, and no closed form takes its square root
+@example([{"epsilon": 0.0, "gamma": -3.1e-170}])
 def test_violation_mask_matches_records(overrides):
     base = CONSISTENT_ROW
     rows = [measures.as_table({**base, **o}) for o in overrides]
     mask = measures.violation_mask(np.concatenate(rows))
     assert mask.tolist() == [bool(measures.violations_at(r, 0)) for r in rows]
+
+
+def broken_checks(row):
+    # the diagnostics of a one-row table, without their values
+    return [v.split(":")[0] for v in measures.violations_at(measures.as_table(row), 0)]
 
 
 H, O = CONSISTENT_ROW, OFF_HALF_ROW
@@ -798,6 +807,7 @@ W_CONC = "concurrence_paper breaks the widetext_concurrence relation"
 PRODUCT = "delta12 breaks the product_half relation"
 TRIANGLE = "concurrence_paper breaks the triangular_half relation"
 GAMMA = "gamma differs from 1 - |a|^2"
+EOF_TWIN = "eof differs from h((1 + sqrt((1-2eps)^2 + 4 eps^2 (1-eps)^2 gamma) / n) / 2)"
 
 
 # each case is named after the check it targets
@@ -813,8 +823,8 @@ GAMMA = "gamma differs from 1 - |a|^2"
     pytest.param(H, "delta12", (1.0 - H["concurrence_wootters"] ** 2) / 1.5, 1,
                  ["concurrence_wootters breaks C^2 + (3/2) delta12 <= 1",
                   DROP, W_PURITY, PRODUCT], id="c2_delta12_bound"),
-    pytest.param(H, "eof", H["concurrence_wootters"], 1,
-                 ["eof exceeds concurrence_wootters"], id="eof"),
+    pytest.param(ENDPOINT_ROW, "eof", ENDPOINT_ROW["concurrence_wootters"], 1,
+                 ["eof exceeds concurrence_wootters", EOF_TWIN], id="eof"),
     pytest.param(H, "er_exact", H["er_lin"], -1, ["er_lin exceeds er_exact"], id="er_exact"),
     # the relations; off 1/2 the _half ones are not identities, so not checked
     pytest.param(O, "delta12", O["delta12"], 1, [DROP, W_PURITY], id="delta12_drop"),
@@ -828,19 +838,19 @@ GAMMA = "gamma differs from 1 - |a|^2"
                  id="product_half"),
     pytest.param(H, "concurrence_paper", H["concurrence_paper"], -1,
                  [C_DROP, W_CONC, TRIANGLE], id="triangular_half"),
-    # the closed forms of gamma and e_maxmixed
-    pytest.param(O, "gamma", 1.0 - O["abs_a"] ** 2, 1, [GAMMA], id="gamma"),
+    # the closed forms of gamma, e_maxmixed and eof
+    pytest.param(O, "gamma", 1.0 - O["abs_a"] ** 2, 1, [GAMMA, EOF_TWIN], id="gamma"),
     pytest.param(H, "e_maxmixed", H["e_maxmixed"], -1,
                  ["e_maxmixed differs from 1 - sqrt(1 + 2 eps (1-eps) sqrt(gamma) / n) / 2"],
                  id="e_maxmixed"),
+    pytest.param(O, "eof", O["eof"], -1, [EOF_TWIN], id="eof_closed"),
 ])
 def test_cross_route_checks_name_the_broken_route(row, field, edge, sign, broken):
     # edge puts the row on the identity or bound; RANGE_SLACK / 2.5 off it
     # either way nothing is reported, past it by 10 RANGE_SLACK exactly the
     # checks in broken are, in report order
     def violations(value):
-        found = measures.violations_at(measures.as_table({**row, field: value}), 0)
-        return [v.split(":")[0] for v in found]
+        return broken_checks({**row, field: value})
 
     assert violations(edge) == []
     assert violations(edge + 0.4e-12) == []
@@ -851,3 +861,18 @@ def test_cross_route_checks_name_the_broken_route(row, field, edge, sign, broken
 def test_nan_er_exact_is_a_violation():
     rec = measures.as_table({**CONSISTENT_ROW, "er_exact": math.nan})
     assert measures.violations_at(rec, 0) == ["er_exact is nan: nan"]
+
+
+@pytest.mark.parametrize("field", ["epsilon", "gamma", "abs_a"])
+@pytest.mark.parametrize("bound", [0.0, 1.0])
+def test_family_domain_field_is_range_checked(field, bound):
+    # the domain fields take the measures' range check, which guards every
+    # cross-route check that reads them; past [0, 1] by under RANGE_SLACK the
+    # range check passes, though a check the row no longer matches may fire
+    def range_broken(offset):
+        past = bound + (offset if bound else -offset)
+        return f"{field} outside [0, 1]" in broken_checks({**CONSISTENT_ROW, field: past})
+
+    assert range_broken(1e-11)
+    assert not range_broken(0.4e-12)
+
