@@ -72,11 +72,20 @@ exits_one oracle-check --omega-ratios=-1,1,1 --modes 3
 # and an epsilon outside [0, 1]
 exits_one oracle-check --epsilon 1.5
 
-# the README's config example, one file for both commands: every key it
-# shows must be a cli.SETTINGS key of its section
-awk '/^```ini$/ {ini = 1; next} /^```$/ {ini = 0} ini' README.md > "$out/readme.ini"
-grep -q '^\[oracle\]' "$out/readme.ini"
-(cd "$out" && qd sweep --config readme.ini > /dev/null && qd oracle-check --config readme.ini > /dev/null)
+# the README's CLI examples as written, with its config example (one file
+# for both commands) saved as the run.ini they read: a flag or a config key
+# the CLI no longer has fails here
+awk '/^```ini$/ {ini = 1; next} /^```$/ {ini = 0} ini' README.md > "$out/run.ini"
+grep -q '^\[oracle\]' "$out/run.ini"
+awk '/^## / {cli = ($0 == "## CLI")} cli && /^```sh$/ {sh = 1; next} /^```$/ {sh = 0} sh' \
+    README.md > "$out/readme_cli.sh"
+grep -q '^qdephase oracle-check' "$out/readme_cli.sh"
+(
+  cd "$out"
+  qdephase() { qd "$@"; }
+  . ./readme_cli.sh > /dev/null
+  qd oracle-check --config run.ini > /dev/null
+)
 
 # css on a stored Bell state, in closed form: e_value = 1 - 1/sqrt(2)
 python -c "import sys; from qdephase.states import *

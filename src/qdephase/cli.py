@@ -76,8 +76,6 @@ class SweepConfig:
     out_path: str = "sweep.csv"
 
     def __post_init__(self):
-        if self.t_max is None:
-            self.t_max = self.channel.period
         self.epsilon_list = tuple(float(e) for e in self.epsilon_list)
         if not self.epsilon_list:
             raise ValueError("epsilon_list must be nonempty")
@@ -88,13 +86,20 @@ class SweepConfig:
                 raise ValueError(f"epsilon {e} is listed twice: {self.epsilon_list}")
         if self.t_steps < 2:
             raise ValueError(f"t_steps must be >= 2, got {self.t_steps}")
-        _check_t_max(self.t_max)
+        self.t_max = _t_max(self.t_max, self.channel)
 
 
-def _check_t_max(t_max: float) -> None:
-    # the default is one revival period, infinite for mu1 + mu2 = 0
+def _t_max(t_max: float | None, c: ChannelParams) -> float:
+    """The end of a time grid: t_max, or one revival period of c if None."""
+    if t_max is None:
+        t_max = c.period
+        if math.isinf(t_max):
+            raise ValueError("t_max must be finite and >= 0, got inf: the default, one "
+                             "revival period 2 pi/|mu1 + mu2|, is infinite for "
+                             "mu1 + mu2 = 0; give --t-max")
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
+    return t_max
 
 
 def build_record(epsilon: float, c: ChannelParams, t: float) -> np.ndarray:
@@ -193,8 +198,6 @@ def run_oracle_check(r: oracle.ReservoirConfig, c: ChannelParams,
             "modes": r.modes,
             "alphas": [[a.real, a.imag] for a in r.alphas],
             "omega_ratios": list(r.omega_ratios),
-            "mu_cross": r.mu_cross,
-            "mu12": r.mu12,
             "cutoff_tail": r.cutoff_tail,
             "epsilon": epsilon,
             "channel": {"omega1": c.omega1, "omega2": c.omega2,
@@ -288,8 +291,6 @@ SETTINGS = {
                                "that starts with '-' needs the --alphas=-1j,1 form"),
         "omega_ratios": (_floats, "comma-separated frequency ratios; a list that "
                                   "starts with '-' needs the --omega-ratios=-1,1,1 form"),
-        "mu_cross": (float, "reservoir cross-Kerr (rad/s)"),
-        "mu12": (float, "qubit-qubit coupling (rad/s)"),
         "cutoff_tail": (float, "truncation tail bound"),
         "epsilon": (float, "family mixing weight"),
         "t_max": (float, "end of the time grid (s); default one revival period"),
@@ -405,17 +406,16 @@ def _cmd_oracle_check(args) -> int:
     elif modes != len(alphas):
         raise ValueError(f"modes = {modes} disagrees with the {len(alphas)} alphas given")
     epsilon = given.pop("epsilon", 0.5)
-    t_max = given.pop("t_max", channel_base.period)
+    t_max = given.pop("t_max", None)
     t_steps = given.pop("t_steps", 50)
-    # what is left: mu_cross, mu12 and cutoff_tail
+    # what is left: cutoff_tail
     r = oracle.ReservoirConfig(
         alphas=alphas,
         omega_ratios=given.pop("omega_ratios", tuple(1.0 for _ in alphas)),
         **given)
     # the closed form must be fed the reservoir's actual excitation
-    channel = r.channel_params(channel_base.omega1, channel_base.omega2,
-                               channel_base.mu1, channel_base.mu2)
-    _check_t_max(t_max)
+    channel = replace(channel_base, ntilde=r.ntilde)
+    t_max = _t_max(t_max, channel)
     if t_steps < 1:
         raise ValueError(f"t_steps must be >= 1, got {t_steps}")
     report = run_oracle_check(r, channel, epsilon,

@@ -69,10 +69,6 @@ class ReservoirConfig:
     def ntilde(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.alphas))
 
-    def channel_params(self, omega1, omega2, mu1, mu2) -> ChannelParams:
-        """Channel parameters whose ntilde matches this reservoir."""
-        return ChannelParams(omega1, omega2, mu1, mu2, self.ntilde)
-
 
 def fock_cutoff(mean: float, tail: float, limit: int = 64) -> int:
     """Smallest max occupation whose truncated coherent weight is >= 1 - tail;
@@ -150,7 +146,7 @@ class JointAmplitudes:
     weight_plus: float
     weight_minus: float
     sizes: tuple
-    cutoff_tail: float = 1e-10
+    cutoff_tail: float
 
     def __post_init__(self):
         for a in (self.plus, self.minus, self.rate_plus, self.rate_minus):

@@ -26,13 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .measures import _eig_factor, _max0, _min1, _spin_flip, _trace_norm
+from .measures import RANGE_SLACK, _eig_factor, _max0, _min1, _spin_flip, _trace_norm
 from .matcore import as_matrix, psd_eig
 from .states import family_norm, outer_block, validate
 
 PT_FEASIBILITY = -1e-7     # accepted partial-transpose floor for sigma*
 GTOL = 1e-9                # L-BFGS-B stop on the largest gradient component
-ORDER_TOL = 1e-12          # pointwise ordering slack
 DELTA_MATCH_TOL = 1e-9     # mixedness matching window for cross-eps pairs
 WITNESS_GAP = 1e-9         # e_mixed - N beyond which a matched pair is a witness
 RESTARTS = 8               # seeded random starts of the general search
@@ -294,7 +293,7 @@ def ordering_check(table) -> dict:
     eps = table["epsilon"]
     rows = table if (eps[1:] >= eps[:-1]).all() else table[np.argsort(eps, kind="stable")]
     eps, t, d12 = rows["epsilon"], rows["t"], rows["delta12"]
-    broken = np.column_stack([rows[lo] > rows[hi] + ORDER_TOL for lo, hi, _ in orders])
+    broken = np.column_stack([rows[lo] > rows[hi] + RANGE_SLACK for lo, hi, _ in orders])
     violations = [[float(eps[k]), float(t[k]), orders[j][2]]
                   for k, j in zip(*np.nonzero(broken))]
 

@@ -127,9 +127,7 @@ def state_to_json(state) -> dict:
 
 
 def state_from_json(data) -> np.ndarray:
-    """Parse and validate the JSON state format."""
-    if isinstance(data, (str, bytes)):
-        data = json.loads(data)
+    """Validate a state in its parsed JSON form."""
     try:
         dim = int(data["dim"])
         re = np.asarray(data["re"], dtype=float)

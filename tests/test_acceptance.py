@@ -32,7 +32,7 @@ def test_criterion_1_oracle_equivalence():
     amp = math.sqrt(1.0 / 3.0)
     r = ReservoirConfig(alphas=(amp,) * 3, omega_ratios=(1.0,) * 3,
                         mu_cross=0.0, mu12=0.0, cutoff_tail=1e-10)
-    c = r.channel_params(1.0, 1.0, 0.5, 0.5)
+    c = ChannelParams(1.0, 1.0, 0.5, 0.5, r.ntilde)
     start = time.perf_counter()
     report = run_oracle_check(r, c, 0.5, np.linspace(0.0, c.period, 50))
     elapsed = time.perf_counter() - start

@@ -317,17 +317,44 @@ class TestSweepBlocks:
             assert not bad.size, measures.violations_at(cols, bad[0])
 
 
-@pytest.mark.parametrize("column", ["gamma", "e_maxmixed", "eof"])
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_a_shifted_column_breaks_its_closed_form_on_every_row(column, sign):
-    # a shift of 1e-9 max(1, |v|) in gamma, e_maxmixed or eof, which no
-    # other check pins, is flagged on every row of the figure's epsilon, the
-    # product endpoints and states a hair from them
+@pytest.fixture(scope="module")
+def census_table():
+    # the figure's epsilon, the product endpoints and states a hair from
+    # them, over one revival period; every row passes every gate
     c = cli._default_channel()
     ts = np.linspace(0.0, c.period, 201)
     epsilons = (*cli.FIG_EPSILONS, 0.0, 1e-5, 1.0 - 1e-5, 1.0)
     table = np.concatenate(list(cli.sweep_blocks(epsilons, c, ts)))
     assert not measures.violation_mask(table).any()
+    return table
+
+
+# the shifts the gates miss on some rows, and why
+CENSUS_MISSES = {
+    ("e_pure", -1.0): "near epsilon = 0 and 1 every relation that reads e_pure sees it "
+                      "only at second order, or through a factor that vanishes with "
+                      "N0 = 2 eps (1-eps)/n",
+    ("e_mixed", 1.0): "no twin: only the range check reads e_mixed, and it is far below 1",
+    ("e_mixed", -1.0): "no twin: only the range check reads e_mixed, which sees the shift "
+                       "only where e_mixed is within it of 0 (epsilon near 0 and 1)",
+    ("er_exact", 1.0): "no twin: er_lin <= er_exact bounds er_exact from below only",
+    ("er_exact", -1.0): "no twin: the sign check and er_lin <= er_exact see the shift only "
+                        "where er_exact is within it of 0 or of er_lin",
+}
+
+
+def _census_case(sign, column):
+    reason = CENSUS_MISSES.get((column, sign))
+    marks = pytest.mark.xfail(strict=True, reason=reason) if reason else ()
+    return pytest.param(sign, column, marks=marks)
+
+
+@pytest.mark.parametrize("sign, column", [
+    _census_case(sign, column)
+    for sign in (1.0, -1.0) for column in FIELDS if column not in ("epsilon", "t")])
+def test_a_shifted_column_breaks_its_closed_form_on_every_row(census_table, column, sign):
+    # a shift of 1e-9 max(1, |v|) in one measured column is flagged on every row
+    table = census_table.copy()
     table[column] += sign * 1e-9 * np.maximum(1.0, np.abs(table[column]))
     assert measures.violation_mask(table).all()
 
@@ -611,6 +638,10 @@ class TestMainSweep:
         ("sweep", "[DEFAULT]\nt_steps = 5\n", "config [DEFAULT]"),
         ("oracle-check", "[oracle]\nepsilon = 0.4\nt_step = 5\n",
          "config [oracle] t_step"),
+        # the couplings that cancel from the reduced state are not settings
+        ("oracle-check", "[oracle]\nmu12 = 0.2\n", "config [oracle] mu12: unknown key"),
+        ("oracle-check", "[oracle]\nmu_cross = 0.2\n",
+         "config [oracle] mu_cross: unknown key"),
         # a file configparser cannot read is named, not a traceback
         ("sweep", "t_steps = 5\n", "config {path}: File contains no section headers"),
         ("sweep", "[sweep]\nt_steps = 5\nt_steps = 6\n",
@@ -640,6 +671,18 @@ class TestMainSweep:
         err = capsys.readouterr().err
         assert "t_max" in err and shown in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "oracle-check"])
+    def test_infinite_default_t_max_asks_for_t_max(self, tmp_path, capsys, command):
+        # mu1 + mu2 = 0: the channel has no revival period to default to
+        uncoupled = [command, "--mu1", "0", "--mu2", "0", "--t-steps", "5"]
+        out = tmp_path / "out"
+        assert cli.main([*uncoupled, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "the default, one revival period" in err and "give --t-max" in err
+        assert not out.exists()
+        assert cli.main([*uncoupled, "--t-max", "3", "--out", str(out)]) == 0
+        assert out.exists()
 
     def test_bad_epsilon_exits_one(self, capsys):
         rc = cli.main(["sweep", "--epsilon-list", "1.5"])
@@ -673,8 +716,7 @@ class TestMainOracleCheck:
                                 "corner_phase_offset", "max_diff", "threshold",
                                 "passed"]
         assert list(report["config"]) == ["modes", "alphas", "omega_ratios",
-                                          "mu_cross", "mu12", "cutoff_tail",
-                                          "epsilon", "channel"]
+                                          "cutoff_tail", "epsilon", "channel"]
         assert report["passed"] is True
         assert report["config"]["modes"] == 30
         assert len(report["max_abs_diff"]) == len(report["corner_phase_offset"]) == 2000
@@ -694,8 +736,6 @@ class TestMainOracleCheck:
             "modes = 2\n"
             "alphas = 0.5, 0.5j\n"
             "omega_ratios = 1.0, 1.0\n"
-            "mu_cross = 0.1\n"
-            "mu12 = 0.2\n"
             "cutoff_tail = 1e-10\n"
             "epsilon = 0.4\n"
             "t_max = 2.0\n"
@@ -718,12 +758,12 @@ class TestMainOracleCheck:
         assert report["config"]["channel"]["omega2"] == 1.2
         assert report["config"]["channel"]["ntilde"] == pytest.approx(0.5, abs=1e-15)
 
-    def test_qubit_coupling_flag(self, capsys):
-        # the couplings cancel in the corner sum, so the grouped route never
-        # reads them and the report is that of the run without them; that
-        # they cancel is checked per Fock index in tests/test_oracle.py
-        couplings = ["--mu12", "0.8", "--mu-cross", "0.2", "--omega-ratios", "1.3,0.9,2.0"]
-        rc = cli.main(["oracle-check", "--t-steps", "5", *couplings])
+    def test_omega_ratios_change_nothing_but_config(self, capsys):
+        # the mode energies cancel in the corner sum, so the grouped route
+        # never reads the ratios and the report is that of the run without
+        # them; that they cancel is checked per Fock index in
+        # tests/test_oracle.py
+        rc = cli.main(["oracle-check", "--t-steps", "5", "--omega-ratios", "1.3,0.9,2.0"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
@@ -769,8 +809,6 @@ class TestMainOracleCheck:
     @pytest.mark.parametrize("flags, field", [
         (["--omega-ratios", "nan,inf,-1"], "omega_ratios"),
         (["--omega-ratios", "1,1,inf"], "omega_ratios"),
-        (["--mu12", "inf"], "mu12"),
-        (["--mu-cross", "nan"], "mu_cross"),
         (["--alphas", "nan,1,1"], "alphas"),
         (["--alphas", "0.5,1+nanj,0.5"], "alphas")])
     def test_non_finite_reservoir_input_exits_one(self, capsys, flags, field):
@@ -939,7 +977,10 @@ class TestUsageErrors:
         (["sweep", "--epsilon-list", "-0,0.5"], "--epsilon-list: expected one argument"),
         (["oracle-check", "--omega-ratios", "-1,1,1"], "expected one argument"),
         ([], "the following arguments are required: command"),
-        (["bogus"], "invalid choice: 'bogus'")])
+        (["bogus"], "invalid choice: 'bogus'"),
+        # the couplings that cancel from the reduced state are not settings
+        (["oracle-check", "--mu12", "0.8"], "unrecognized arguments: --mu12 0.8"),
+        (["oracle-check", "--mu-cross", "0.2"], "unrecognized arguments: --mu-cross 0.2")])
     def test_usage_error_exits_one(self, tmp_path, capsys, monkeypatch, argv, shown):
         # exit 2 is the numerical-failure code; a bad command line is a
         # validation failure
@@ -986,8 +1027,6 @@ SETTING_TEXT = {
     ("oracle", "modes"): "2",
     ("oracle", "alphas"): "0.5,0.5j",
     ("oracle", "omega_ratios"): "1.0,2.0,3.0",
-    ("oracle", "mu_cross"): "0.1",
-    ("oracle", "mu12"): "0.2",
     ("oracle", "cutoff_tail"): "1e-8",
     ("oracle", "epsilon"): "0.3",
     ("oracle", "t_max"): "1.5",

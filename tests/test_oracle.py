@@ -18,7 +18,7 @@ def resonant_config(ntilde=1.0, modes=3, **kw):
     return ReservoirConfig(alphas=(amp,) * modes, omega_ratios=(1.0,) * modes, **kw)
 
 def channel_for(r, mu=0.5, omega=1.0):
-    return r.channel_params(omega, omega, mu, mu)
+    return ChannelParams(omega, omega, mu, mu, r.ntilde)
 
 class TestFockCutoff:
     def test_vacuum(self):

@@ -360,11 +360,11 @@ def nested_loop_ordering_check(records):
     violations = []
     for eps, rows in sorted(groups.items()):
         for r in rows:
-            if r.e_mixed > r.negativity + refsearch.ORDER_TOL:
+            if r.e_mixed > r.negativity + measures.RANGE_SLACK:
                 violations.append([eps, r.t, "e_mixed > negativity"])
-            if r.negativity > r.e_pure + refsearch.ORDER_TOL:
+            if r.negativity > r.e_pure + measures.RANGE_SLACK:
                 violations.append([eps, r.t, "negativity > e_pure"])
-            if r.e_pure > r.concurrence_paper + refsearch.ORDER_TOL:
+            if r.e_pure > r.concurrence_paper + measures.RANGE_SLACK:
                 violations.append([eps, r.t, "e_pure > concurrence"])
 
     above = below = None

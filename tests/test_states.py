@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -198,7 +197,7 @@ class TestJson:
                "re": np.diag([1.0, 1.0, 0.0, 0.0]).tolist(),
                "im": np.zeros((4, 4)).tolist()}
         with pytest.raises(InvalidState):
-            states.state_from_json(json.dumps(bad))
+            states.state_from_json(bad)
 
     def test_reader_rejects_malformed(self):
         with pytest.raises(InvalidState):
