@@ -2,7 +2,8 @@
 # CLI smoke run: every command on the inputs that once broke it, with the
 # exit codes the CLI promises (0 success, 1 validation failure). No command
 # needs scipy, so this runs with numpy alone as well as with the "search"
-# extra. Run from anywhere: bash .github/cli_smoke.sh
+# extra; only README's library example, which runs the general search, is
+# skipped without scipy. Run from anywhere: bash .github/cli_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
@@ -86,6 +87,17 @@ grep -q '^qdephase oracle-check' "$out/readme_cli.sh"
   . ./readme_cli.sh > /dev/null
   qd oracle-check --config run.ini > /dev/null
 )
+
+# the README's library example as written; it calls closest_separable_bures,
+# the general search, so it needs scipy
+awk '/^## / {lib = ($0 == "## Library quick start")} lib && /^```python$/ {py = 1; next} /^```$/ {py = 0} py' \
+    README.md > "$out/readme_library.py"
+grep -q 'closest_separable_bures' "$out/readme_library.py"
+if python -c "import scipy.optimize" 2> /dev/null; then
+  python "$out/readme_library.py" > /dev/null
+else
+  echo "cli smoke: README's library example skipped: scipy is not installed"
+fi
 
 # css on a stored Bell state, in closed form: e_value = 1 - 1/sqrt(2)
 python -c "import sys; from qdephase.states import *

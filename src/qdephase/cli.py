@@ -35,7 +35,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -73,7 +73,7 @@ class SweepConfig:
     t_steps: int = 51
     channel: ChannelParams = field(default_factory=_default_channel)
     include_css: bool = False
-    out_path: str = "sweep.csv"
+    out: str = "sweep.csv"
 
     def __post_init__(self):
         self.epsilon_list = tuple(float(e) for e in self.epsilon_list)
@@ -160,14 +160,14 @@ def run_sweep(cfg: SweepConfig) -> dict:
     table = np.concatenate(blocks)
     del blocks  # the table holds the rows now
 
-    with open(cfg.out_path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_COLUMNS + (CSS_COLUMNS if cfg.include_css else "") + "\n")
         for lo in range(0, len(table), BLOCK_STATES):
             fh.write(_csv_rows(table[lo:lo + BLOCK_STATES], cfg.include_css))
 
     ordering = refsearch.ordering_check(table)
     return {
-        "out": cfg.out_path,
+        "out": cfg.out,
         "rows": len(table),
         "max_delta12": float(table["delta12"].max(initial=0.0)),
         "ordering": ordering,
@@ -200,8 +200,7 @@ def run_oracle_check(r: oracle.ReservoirConfig, c: ChannelParams,
             "omega_ratios": list(r.omega_ratios),
             "cutoff_tail": r.cutoff_tail,
             "epsilon": epsilon,
-            "channel": {"omega1": c.omega1, "omega2": c.omega2,
-                        "mu1": c.mu1, "mu2": c.mu2, "ntilde": c.ntilde},
+            "channel": asdict(c),
         },
         "t_grid": [float(t) for t in t_grid],
         "max_abs_diff": diffs,
@@ -236,9 +235,6 @@ def run_css(state_path: str) -> dict:
         "e_closed": e_closed,
         "closed_gap": res.e_value - e_closed,
         "pt_min_eig": res.pt_min_eig,
-        "iterations": res.iterations,
-        "nfev": res.nfev,
-        "converged": res.converged,
         "feasible": bool(res.pt_min_eig >= refsearch.PT_FEASIBILITY),
         "sigma_star": state_to_json(res.sigma_star),
     }
@@ -387,12 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sweep(args) -> int:
     cfg_file = _load_config(args.config) if args.config else {}
     channel = replace(_default_channel(), **_settings(args, cfg_file, "channel"))
-    given = _settings(args, cfg_file, "sweep")
-    if "out" in given:
-        given["out_path"] = given.pop("out")
-    summary = run_sweep(SweepConfig(channel=channel, **given))
-    print(json.dumps(summary, indent=2))
-    return 0 if not summary["ordering"]["violations"] else 2
+    summary = run_sweep(SweepConfig(channel=channel, **_settings(args, cfg_file, "sweep")))
+    return _report(summary, None, not summary["ordering"]["violations"])
 
 
 def _cmd_oracle_check(args) -> int:

@@ -127,9 +127,11 @@ def state_to_json(state) -> dict:
 
 
 def state_from_json(data) -> np.ndarray:
-    """Validate a state in its parsed JSON form."""
+    """Validate a state in its parsed JSON form; dim must be a JSON integer."""
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise TypeError(f"dim must be an integer, got {dim!r}")
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:

@@ -45,7 +45,7 @@ def test_criterion_2_linear_entropy_extremum(tmp_path):
     channel = ChannelParams(omega1=1.0, omega2=1.0, mu1=0.5, mu2=0.5, ntilde=6.0)
     cfg = SweepConfig(epsilon_list=FIG_EPSILONS, t_max=channel.period,
                       t_steps=51, channel=channel,
-                      out_path=str(tmp_path / "hot.csv"))
+                      out=str(tmp_path / "hot.csv"))
     summary = run_sweep(cfg)
     max_d12 = summary["max_delta12"]
     records = np.concatenate([build_record(eps, channel, t)
@@ -104,7 +104,7 @@ def test_criterion_4_relation_identities():
 
 def test_criterion_5_ordering(tmp_path):
     cfg = SweepConfig(epsilon_list=FIG_EPSILONS, t_steps=51,
-                      out_path=str(tmp_path / "fig.csv"))
+                      out=str(tmp_path / "fig.csv"))
     summary = run_sweep(cfg)
     ordering = summary["ordering"]
     ok = (ordering["violations"] == []

@@ -200,8 +200,13 @@ class TestJson:
             states.state_from_json(bad)
 
     def test_reader_rejects_malformed(self):
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidState, match="malformed state JSON"):
             states.state_from_json({"dim": 4, "re": [[1.0]]})
+        # dim is a JSON integer or nothing: not truncated, parsed or cast
+        good = states.state_to_json(maximally_mixed())
+        for dim in (4.9, "4", 4.0, True):
+            with pytest.raises(InvalidState, match="malformed state JSON: dim must be"):
+                states.state_from_json({**good, "dim": dim})
 
 
 TAMPERS = ("trace", "hermiticity", "negative", "non-finite")
