@@ -59,6 +59,9 @@ expect = 1.0 - (np.sqrt(l1) + np.sqrt(p * q * gamma / l1)) / 2.0
 worst = np.abs(rows["e_maxmixed"] - expect).max()
 assert len(rows) == 20002 and worst <= 1e-11, (len(rows), worst)
 EOF
+# a huge ntilde, where log|a| overflows to -inf: |a| = 0 and gamma = 1
+# from the first t past 0, with no overflow warning
+qd sweep --ntilde 1e308 --t-steps 11 --out "$out/n.csv" > /dev/null
 # a usage error is a validation failure
 exits_one sweep --no-such-flag
 # a list that starts with "-" takes the --flag=-x,y form
@@ -72,6 +75,8 @@ exits_one oracle-check --omega-ratios nan,1,1 --modes 3
 exits_one oracle-check --omega-ratios=-1,1,1 --modes 3
 # and an epsilon outside [0, 1]
 exits_one oracle-check --epsilon 1.5
+# and a huge ntilde, which no Fock cutoff reaches
+exits_one oracle-check --ntilde 1e308
 
 # the README's CLI examples as written, with its config example (one file
 # for both commands) saved as the run.ini they read: a flag or a config key

@@ -72,29 +72,33 @@ def decoherence_factor(p: ChannelParams, t) -> DecoherenceFactor:
     bad = ~(np.isfinite(theta) & np.isfinite(phase))
     if bad.any():
         raise ValueError(f"the channel phase at t = {t[bad][0]} is not finite")
-    log_mag = p.ntilde * (-2.0 * np.square(np.sin(0.5 * theta)))
-    gamma = -np.expm1(2.0 * log_mag)
+    # a huge ntilde overflows log|a| to -inf, the exact limit: |a| = 0, gamma = 1
+    with np.errstate(over="ignore"):
+        log_mag = p.ntilde * (-2.0 * np.square(np.sin(0.5 * theta)))
+        gamma = -np.expm1(2.0 * log_mag)
     a = np.exp(log_mag) * (np.cos(phase) - 1j * np.sin(phase))
     return DecoherenceFactor(a=a, gamma=gamma, phase=phase)
 
 
-def kraus_factor(epsilon: float, a, gamma) -> np.ndarray:
+def kraus_factor(epsilon, a, gamma) -> np.ndarray:
     """The family state at corner factor a and damping gamma as its exact
     factor rho = UU†: U = [E0 psi, E1 psi], the channel's Kraus pair
     E0 = diag(1, 0, 0, conj(a)), E1 = diag(0, 0, 0, sqrt(gamma)) applied to
     psi = (eps, 0, 0, 1-eps)/sqrt(n). Its columns are (eps, 0, 0,
     (1-eps) conj(a))/sqrt(n) and (0, 0, 0, (1-eps) sqrt(gamma))/sqrt(n).
 
-    A (4, 2) array, or (N, 4, 2) for arrays a and gamma. The pair takes
-    conj(a), not sqrt(1 - gamma), which loses its digits as gamma -> 1. The
-    first gamma outside [0, 1] raises ValueError.
+    A (4, 2) array, or (N, 4, 2) for arrays a and gamma or a column of
+    epsilon (the three broadcast). The pair takes conj(a), not
+    sqrt(1 - gamma), which loses its digits as gamma -> 1. The first
+    epsilon or gamma outside [0, 1] raises ValueError.
     """
-    epsilon = _checked_epsilon(epsilon)
-    a, gamma = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(gamma, dtype=float))
+    epsilon, a, gamma = np.broadcast_arrays(_checked_epsilon(np.asarray(epsilon, dtype=float)),
+                                            np.asarray(a, dtype=complex),
+                                            np.asarray(gamma, dtype=float))
     bad = gamma[~((0.0 <= gamma) & (gamma <= 1.0))]
     if bad.size:
         raise ValueError(f"gamma must be in [0, 1], got {bad[0]}")
-    root_n = math.sqrt(family_norm(epsilon))
+    root_n = np.sqrt(family_norm(epsilon))
     u = np.zeros(a.shape + (4, 2), dtype=complex)
     u[..., 0, 0] = epsilon / root_n
     u[..., 3, 0] = (1.0 - epsilon) * np.conj(a) / root_n

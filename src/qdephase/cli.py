@@ -11,13 +11,15 @@ built once per process, on the first main call, and reused by every later
 one: it holds the command functions and setting readers by reference, and
 each parse gives a fresh namespace.
 
-sweep walks the (epsilon, t) grid in blocks of at most BLOCK_STATES states
-(sweep_blocks), each measured by _columns in one stacked pass over the
-states' exact factors rho = UU† (channel.kraus_factor), with the closed
-forms taken on the block's columns. Each block is a sweep table (a
-structured array, measures.RECORD_DTYPE); the blocks are checked for the
-record invariants and joined into one table before the output file is
-opened, so a failing check writes nothing. The CSV is then formatted and
+sweep walks the (epsilon, t) grid, epsilon-major, in blocks of at most
+BLOCK_STATES consecutive rows that may span several epsilon (sweep_blocks);
+epsilon is a column of the block like t. _columns measures each block in
+one stacked pass over the states' exact factors rho = UU†
+(channel.kraus_factor), with the closed forms taken on the block's
+columns. Each block is a sweep table (a structured array,
+measures.RECORD_DTYPE); the blocks are checked for the record invariants
+and joined into one table before the output file is opened, so a failing
+check writes nothing. The CSV is then formatted and
 written one slice of BLOCK_STATES table rows at a time (with
 --include-css, each slice's closed-form CSS columns too), so the text in
 memory does not grow with the grid; ordering_check reads the table.
@@ -108,16 +110,16 @@ def build_record(epsilon: float, c: ChannelParams, t: float) -> np.ndarray:
     return measures.as_table(_columns(epsilon, c, t, dec.a, dec.gamma, dec.phase))
 
 
-def _columns(epsilon: float, c: ChannelParams, t, a, gamma, phase) -> dict:
-    """The record fields at one epsilon, for a scalar t or an array of t with
-    the decoherence factor's a, gamma and phase there: the state measures
-    from the states' Kraus factors (channel.kraus_factor) in one stacked
-    pass, the rest in closed form."""
+def _columns(epsilon, c: ChannelParams, t, a, gamma, phase) -> dict:
+    """The record fields at scalar epsilon and t, or on columns of epsilon
+    and t of one length with the decoherence factor's a, gamma and phase at
+    each t: the state measures from the states' Kraus factors
+    (channel.kraus_factor) in one stacked pass, the rest in closed form."""
     cols = measures.stacked_measures(kraus_factor(epsilon, a, gamma),
                                      initial_pure(epsilon, phase))
     abs_a = np.abs(a)
     rel_phase = c.ntilde * np.sin((c.mu1 + c.mu2) * t)  # state corner vs floor's
-    cols.update(epsilon=np.full(np.shape(t), epsilon), t=t, gamma=gamma, abs_a=abs_a,
+    cols.update(epsilon=epsilon, t=t, gamma=gamma, abs_a=abs_a,
                 concurrence_paper=measures.concurrence_family(epsilon, abs_a),
                 eof=measures._eof(cols["concurrence_wootters"]),  # the gates judge C
                 e_pure=1.0 - cols["er_lin"],
@@ -131,18 +133,22 @@ def sweep_blocks(epsilons, c: ChannelParams, ts):
     in the given order, as one table per block of at most BLOCK_STATES
     rows.
 
-    The decoherence factor is taken once, on the whole t grid. A block is
-    one epsilon's run of consecutive t, measured by _columns in one pass, as
+    The decoherence factor is taken once, on the whole t grid. A block is a
+    run of BLOCK_STATES consecutive rows of the epsilon-major grid, which
+    may span several epsilon: each row's epsilon and t come from its flat
+    index, epsilon becomes a column like t, and a, gamma and phase are
+    gathered at the t index. _columns measures the block in one pass, as
     build_record measures one point, so every closed-form value equals
     build_record's bit for bit.
     """
     ts = np.asarray(ts, dtype=float)
+    eps = np.array(sorted(epsilons), dtype=float)
     dec = decoherence_factor(c, ts)
-    for eps in sorted(epsilons):
-        for lo in range(0, len(ts), BLOCK_STATES):
-            part = slice(lo, lo + BLOCK_STATES)
-            yield measures.as_table(_columns(eps, c, ts[part], dec.a[part],
-                                             dec.gamma[part], dec.phase[part]))
+    rows = len(eps) * len(ts)
+    for lo in range(0, rows, BLOCK_STATES):
+        e, k = np.divmod(np.arange(lo, min(lo + BLOCK_STATES, rows)), len(ts))
+        yield measures.as_table(_columns(eps[e], c, ts[k], dec.a[k],
+                                         dec.gamma[k], dec.phase[k]))
 
 
 def run_sweep(cfg: SweepConfig) -> dict:

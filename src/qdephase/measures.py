@@ -175,15 +175,17 @@ def _spin_flip(a):
     return np.swapaxes(a, -1, -2) @ (_SY2_SIGNS[:, None] * a[..., ::-1, :])
 
 
-def concurrence_family(epsilon: float, abs_a):
-    """Family closed-form concurrence sqrt(1 - 2 eps^2 (1-eps)^2 (1-|a|^2)/n^2).
+def concurrence_family(epsilon, abs_a):
+    """Family closed-form concurrence sqrt(1 - 2 eps^2 (1-eps)^2 (1-|a|^2)/n^2),
+    elementwise over epsilon and |a|.
 
     Kept as a separate, clearly labeled quantity: it equals sqrt(Tr rho^2)
     on this family and disagrees with the spin-flip value away from
     epsilon = 1/2 (it returns 1 at |a| = 1 even for product endpoints).
     """
     n = family_norm(epsilon)
-    rad = 1.0 - 2.0 * epsilon**2 * (1.0 - epsilon) ** 2 * (1.0 - abs_a * abs_a) / n**2
+    rad = (1.0 - 2.0 * (epsilon * epsilon) * ((1.0 - epsilon) * (1.0 - epsilon))
+           * (1.0 - abs_a * abs_a) / (n * n))
     return np.sqrt(_max0(rad))
 
 

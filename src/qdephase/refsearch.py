@@ -197,9 +197,10 @@ def css_closed(rho) -> CssResult:
                      pt_min_eig=float(kernels.pt_min_eig(sigma)), nfev=0)
 
 
-def mixed_ref_measure_family(epsilon: float, abs_a, gamma, ntilde: float, phase=0.0):
+def mixed_ref_measure_family(epsilon, abs_a, gamma, ntilde: float, phase=0.0):
     """General-epsilon distance to the family's own dephasing floor, for the
-    state at corner factor |a| and damping gamma = 1 - |a|^2.
+    state at corner factor |a| and damping gamma = 1 - |a|^2; elementwise
+    over epsilon, |a|, gamma and phase.
 
     The reference keeps the family populations and damps the corner by
     e^{-2*ntilde}. At epsilon = 1/2 it is exactly the printed

@@ -20,14 +20,19 @@ from .matcore import HERM_TOL, PSD_TOL, TRACE_TOL, _eigen, _stack_prefix, as_mat
 
 def family_norm(epsilon):
     """The family normalization n = epsilon^2 + (1-epsilon)^2, never below
-    1/2 on [0, 1]; elementwise for an array."""
-    return epsilon**2 + (1.0 - epsilon) ** 2
+    1/2 on [0, 1]; elementwise for an array, by the same arithmetic (squares
+    as x * x: a Python float's x**2 goes through pow, which can round
+    differently)."""
+    return epsilon * epsilon + (1.0 - epsilon) * (1.0 - epsilon)
 
 
 def _checked_epsilon(epsilon):
-    # the family's mixing weight, returned as given once it is in [0, 1]
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    # the family's mixing weight, or a column of them, returned as given once
+    # every value is in [0, 1]; the first value outside is named
+    e = np.asarray(epsilon)
+    bad = e[~((0.0 <= e) & (e <= 1.0))]
+    if bad.size:
+        raise ValueError(f"epsilon must be in [0, 1], got {bad[0]}")
     return epsilon
 
 
@@ -84,19 +89,20 @@ def outer_block(pop_plus, pop_minus, corner) -> np.ndarray:
     return m
 
 
-def family_state(epsilon: float, a) -> np.ndarray:
+def family_state(epsilon, a) -> np.ndarray:
     """The family state with corner coherence eps(1-eps) a/n (|a| <= 1): a
-    4x4 matrix, or an (N, 4, 4) stack for an array of corner factors a, by
-    the same arithmetic."""
+    4x4 matrix, or an (N, 4, 4) stack for an array of corner factors a or a
+    column of epsilon (the two broadcast), by the same arithmetic."""
     eps = _checked_epsilon(epsilon)
     n = family_norm(eps)
-    return outer_block(eps**2 / n, (1.0 - eps) ** 2 / n,
+    return outer_block(eps * eps / n, (1.0 - eps) * (1.0 - eps) / n,
                        eps * (1.0 - eps) * np.asarray(a, dtype=complex) / n)
 
 
-def initial_pure(epsilon: float, phase=0.0) -> np.ndarray:
+def initial_pure(epsilon, phase=0.0) -> np.ndarray:
     """Rank-1 projector onto (eps|++> + (1-eps)e^{i phase}|-->)/sqrt(n):
-    family_state at a = e^{-i phase}, a stack for an array of phases."""
+    family_state at a = e^{-i phase}, a stack for an array of phases or a
+    column of epsilon."""
     phase = np.asarray(phase, dtype=float)
     if not np.isfinite(phase).all():
         raise ValueError("phase must be finite")

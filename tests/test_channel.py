@@ -91,6 +91,15 @@ class TestKraus:
         with pytest.raises(ValueError, match=r"epsilon must be in \[0, 1\], got nan"):
             kraus_factor(math.nan, 1, 0)
 
+    def test_epsilon_column_equals_scalar_factors(self):
+        # a column of epsilon, one per state, builds what each scalar builds
+        c = params(ntilde=1.7, mu=0.3, omega=0.9)
+        d = decoherence_factor(c, np.linspace(0.0, c.period, 6))
+        eps = np.array([0.0, 0.006883695940555379, 0.26, 0.5, 0.923854799557242, 1.0])
+        u = kraus_factor(eps, d.a, d.gamma)
+        for k in range(len(eps)):
+            assert np.array_equal(u[k], kraus_factor(float(eps[k]), d.a[k], d.gamma[k]))
+
     def test_takes_a_not_one_minus_gamma(self):
         # at ntilde = 40 and (mu1+mu2)t = pi, |a| = e^{-80}: sqrt(1 - gamma)
         # would round to 0, and the corner would vanish
@@ -221,6 +230,16 @@ class TestDecoherenceFactorInputs:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"t = {t} is not finite"):
                 decoherence_factor(c, np.array([0.0, 1.0, t]))
+
+    @pytest.mark.parametrize("mu", [0.5, 64.0])
+    def test_huge_ntilde_takes_the_limit_without_a_warning(self, mu):
+        # log|a| = -2 ntilde sin^2 overflows to -inf, the exact limit
+        ts = np.linspace(0.0, 2.0 * math.pi, 11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = decoherence_factor(params(ntilde=1e308, mu=mu), ts)
+        assert (d.a[0], d.gamma[0]) == (1.0, 0.0)
+        assert np.all(np.abs(d.a[1:]) == 0.0) and np.all(d.gamma[1:] == 1.0)
 
     @pytest.mark.parametrize("kw, name", [
         (dict(omega1=1e308, omega2=1e308), "omega1 \\+ omega2"),

@@ -156,7 +156,8 @@ class TestSweepBlocks:
         ts = np.linspace(0.0, t_max, t_steps)
         with mock.patch.object(cli, "BLOCK_STATES", block):
             got, n_blocks = batched_columns(epsilons, c, ts)
-        assert n_blocks == len(epsilons) * math.ceil(t_steps / block)
+        # blocks run on across epsilon: only the last may be short
+        assert n_blocks == math.ceil(len(epsilons) * t_steps / block)
         assert_columns_match(got, per_point_columns(epsilons, c, ts))
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -173,6 +174,22 @@ class TestSweepBlocks:
         cfg = SweepConfig(t_steps=t_steps, out=str(out))
         run_sweep(cfg)
         assert out.read_bytes() == per_point_csv(cfg)
+
+    @pytest.mark.parametrize("t_steps, passes", [(51, 1), (501, 8)])
+    def test_one_pass_per_block_of_rows(self, tmp_path, monkeypatch, capsys, t_steps,
+                                        passes):
+        # blocks run on across epsilon: the figure's 8 x 51 = 408 rows take
+        # one stacked pass and one gate, 8 x 501 = 4008 rows take 8 of each
+        calls = {"stacked_measures": 0, "violation_mask": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(measures, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(measures, name, counted)
+        assert cli.main(["sweep", "--t-steps", str(t_steps),
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == 8 * t_steps
+        assert calls == {"stacked_measures": passes, "violation_mask": passes}
 
     def test_run_sweep_builds_no_per_point_records(self, tmp_path, monkeypatch, capsys):
         def per_point(*args, **kwargs):
@@ -212,7 +229,7 @@ class TestSweepBlocks:
 
         def slipped(epsilon, a, gamma):
             u = kraus_factor(epsilon, a, gamma)
-            scale = (1.0 - epsilon) / math.sqrt(epsilon**2 + (1.0 - epsilon) ** 2)
+            scale = (1.0 - epsilon) / np.sqrt(epsilon**2 + (1.0 - epsilon) ** 2)
             if slip.startswith("a "):
                 u[..., 3, 0] = scale * np.asarray(a)
             else:
@@ -424,12 +441,19 @@ class TestSliceWriter:
 
     @pytest.mark.parametrize("block", [2, 3, 4, 5])
     @pytest.mark.parametrize("include_css", [False, True])
+    # the second list: epsilon where e**2 or (1-e)**2 through pow differs
+    # from e*e or (1-e)*(1-e) in the last bit, so a state builder that
+    # squares by pow on the scalar route and by multiplication on the
+    # column route shows in the CSV
+    @pytest.mark.parametrize("epsilons", [(0.5, 0.26, 0.05),
+                                          (0.006883695940555379, 0.4599877486662678,
+                                           0.923854799557242)])
     def test_slices_straddling_epsilon_runs_match_per_point_rows(
-            self, tmp_path, block, include_css):
-        # 7 t-points per epsilon: every block size leaves slices that hold
-        # the end of one epsilon's run and the start of the next
+            self, tmp_path, block, include_css, epsilons):
+        # 7 t-points per epsilon: every block size leaves blocks and slices
+        # that hold the end of one epsilon's run and the start of the next
         out = tmp_path / "s.csv"
-        cfg = SweepConfig(epsilon_list=(0.5, 0.26, 0.05), t_steps=7,
+        cfg = SweepConfig(epsilon_list=epsilons, t_steps=7,
                           include_css=include_css, out=str(out))
         with mock.patch.object(cli, "BLOCK_STATES", block):
             assert run_sweep(cfg)["rows"] == 21
@@ -455,7 +479,8 @@ class TestSliceWriter:
             out.write_bytes(existing)
         with pytest.raises(ArithmeticError, match="negativity is not finite"):
             run_sweep(small_config(out, t_steps=7, include_css=True))
-        assert seen == [3, 3, 1]  # eps 0.25: t[0:3], t[3:6], then t[6]
+        # eps 0.25: t[0:3], t[3:6], then t[6] with eps 0.5's t[0:2]
+        assert seen == [3, 3, 3]
         if existing is None:
             assert not out.exists()
         else:

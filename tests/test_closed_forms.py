@@ -76,6 +76,25 @@ def test_concurrence_family(eps, abs_a):
         assert abs(v - ref_concurrence_family(eps, a)) <= 1e-14
 
 
+# epsilon where e**2 or (1-e)**2 through pow differs from e*e or (1-e)*(1-e)
+POW_EPS = st.sampled_from([0.006883695940555379, 0.4599877486662678, 0.923854799557242])
+
+
+@settings(max_examples=80, deadline=None)
+@given(ntilde=NTILDE,
+       points=st.lists(st.tuples(EPS | POW_EPS, ABS_A, PHASE), min_size=1, max_size=12))
+def test_epsilon_columns(ntilde, points):
+    # the sweep passes epsilon as a column, one value per row, and each
+    # value must give what the scalar call gives
+    eps, abs_a, phase = (np.array(v) for v in zip(*points))
+    assert_elementwise(measures.concurrence_family(eps, abs_a),
+                       [measures.concurrence_family(e, a) for e, a, _ in points])
+    assert_elementwise(
+        refsearch.mixed_ref_measure_family(eps, abs_a, 1.0 - abs_a * abs_a, ntilde, phase),
+        [refsearch.mixed_ref_measure_family(e, a, 1.0 - a * a, ntilde, p)
+         for e, a, p in points])
+
+
 @settings(max_examples=80, deadline=None)
 @given(c=st.lists(CONCURRENCE, min_size=1, max_size=12))
 def test_eof(c):

@@ -17,6 +17,9 @@ def test_params_validation():
         for eps in (-0.1, 1.0001, np.nan):
             with pytest.raises(ValueError, match=r"epsilon must be in \[0, 1\], got"):
                 build(eps)
+        # a column names its first value outside [0, 1]
+        with pytest.raises(ValueError, match=r"epsilon must be in \[0, 1\], got 1.5$"):
+            build(np.array([0.5, 1.5, -1.0]))
     with pytest.raises(ValueError, match="phase must be finite"):
         initial_pure(0.5, np.nan)
     assert family_norm(0.0) == 1.0
@@ -75,6 +78,12 @@ def test_stacks_equal_single_state_matrices():
         initial_pure(0.5, [0.0, np.inf])
     with pytest.raises(ValueError):
         family_state(1.5, a)
+    # a column of epsilon, one per state, as the sweep gives it
+    eps = rng.random(40)
+    rho, pure = family_state(eps, a), initial_pure(eps, phases)
+    for k in range(40):
+        assert np.array_equal(rho[k], family_state(float(eps[k]), a[k]))
+        assert np.array_equal(pure[k], initial_pure(float(eps[k]), phases[k]))
 
 
 class TestReferences:
