@@ -14,8 +14,14 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
 qd() { python -m qdephase "$@"; }
-# a validation failure: exit 1, not 2 and not 0
-exits_one() { local rc=0; qd "$@" || rc=$?; test "$rc" -eq 1; }
+# a validation failure: exit 1, not 2 and not 0, and named, not a traceback
+# (an uncaught warning also exits 1)
+exits_one() {
+  local rc=0 err
+  err=$(qd "$@" 2>&1 > /dev/null) || rc=$?
+  printf '%s\n' "$err" >&2
+  test "$rc" -eq 1 && ! grep -q '^Traceback' <<< "$err"
+}
 
 qd sweep --t-steps 11 --out "$out/s.csv" | tee "$out/s.json"
 # the paper's result: at matched mixedness e_mixed lies above N for one pair
@@ -77,6 +83,9 @@ exits_one oracle-check --omega-ratios=-1,1,1 --modes 3
 exits_one oracle-check --epsilon 1.5
 # and a huge ntilde, which no Fock cutoff reaches
 exits_one oracle-check --ntilde 1e308
+# and a coupling whose branch rate (mu1 + mu2) N/2 overflows, though mu1 + mu2
+# does not
+exits_one oracle-check --mu2 1e308
 
 # the README's CLI examples as written, with its config example (one file
 # for both commands) saved as the run.ini they read: a flag or a config key
@@ -126,6 +135,19 @@ EOF
 qd css "$out/near.json" --out "$out/near_css.json"
 python -c "import json, sys; gap = json.load(open(sys.argv[1]))['closed_gap']
 assert abs(gap) <= 1e-12, gap" "$out/near_css.json"
+# a state file with an inf imaginary entry, or with a corner pair near the
+# largest float, is a validation failure
+python - "$out" <<'EOF'
+import json, sys
+from qdephase.states import initial_pure, state_to_json
+for name, part, pair in (("inf_im", "im", (float("inf"), 0.0)), ("huge", "re", (1e308, -1e308))):
+    blob = state_to_json(initial_pure(0.5))
+    blob[part][0][3], blob[part][3][0] = pair
+    with open(f"{sys.argv[1]}/{name}.json", "w") as fh:
+        json.dump(blob, fh)
+EOF
+exits_one css "$out/inf_im.json"
+exits_one css "$out/huge.json"
 # in one process, every command twice: the second round runs on the parser
 # the first built and must print the same and exit the same
 (cd "$out" && python - <<'EOF'

@@ -28,17 +28,14 @@ from . import kernels
 from .errors import InvalidState
 # psd_sqrt has no caller here: perfbench/test_harness.py traces it through this name
 from .matcore import _stack_prefix, as_matrix, partial_transpose, psd_eig, psd_sqrt  # noqa: F401
-from .states import family_norm
+from .states import family_delta, family_norm
 
 # weight a pure reference may carry outside the state's support before the
 # relative entropy is infinite
 SUPPORT_WEIGHT_TOL = 1e-8
 PURITY_TOL = 1e-8  # |Tr sigma^2 - 1| accepted for a pure reference
 
-# record fields that must lie in [0, 1] (within RANGE_SLACK)
-UNIT_RANGED = ("epsilon", "gamma", "abs_a", "delta12", "negativity",
-               "concurrence_wootters", "concurrence_paper", "eof", "fidelity_pure",
-               "e_pure", "e_mixed", "e_maxmixed", "er_lin")
+# how far past [0, 1] a record field, or a gate's residual past 0, may lie
 RANGE_SLACK = 1e-12
 
 # _jacobi2 reads the smaller rotated column as rounding error, singular
@@ -353,68 +350,59 @@ def as_table(columns) -> np.ndarray:
 
 
 def _invariant_checks(table):
-    # (field, what, mask True on each row that breaks it), in report order; a
-    # cross-route check breaks where a row it reads has a residual over RANGE_SLACK
+    # (field, what, mask True on each row that breaks it), in report order: one
+    # value check per field (t finite, er_exact not nan or negative as +inf marks
+    # a support mismatch, the rest in [0, 1]), then the cross-route checks
+    in_range, unit = {}, {}
     for name in RECORD_DTYPE.names:
-        if name != "er_exact":
-            yield name, "is not finite", ~np.isfinite(table[name])
-    in_range = {}
-    for name in UNIT_RANGED:
         v = table[name]
-        in_range[name] = (-RANGE_SLACK <= v) & (v <= 1.0 + RANGE_SLACK)
-        yield name, "outside [0, 1]", ~in_range[name]
-    yield "er_exact", "negative", table["er_exact"] < 0
-    yield "er_exact", "is nan", np.isnan(table["er_exact"])
-    for name, what, reads, residual in _cross_route_checks(table, in_range):
-        yield name, what, reads & (residual > RANGE_SLACK)
+        if name == "t":
+            yield name, "is not finite", ~np.isfinite(v)
+        elif name == "er_exact":
+            yield name, "is nan or negative", ~(v >= 0)
+        else:
+            in_range[name] = ok = (-RANGE_SLACK <= v) & (v <= 1.0 + RANGE_SLACK)
+            unit[name] = np.where(ok, v, 0.0)
+            yield name, "outside [0, 1]", ~ok
+    for name, what, reads, residual in _cross_route_checks(unit, table["er_exact"]):
+        bad = residual > RANGE_SLACK  # on the rows where every field read is in range
+        for n in (name, *reads):
+            bad &= in_range[n]
+        yield name, what, bad
 
 
-def _cross_route_checks(table, in_range):
-    # (field, what, rows it reads, residual): |lhs - rhs| for an identity
-    # between independent routes, lhs - bound for a bound every family state
-    # obeys. A check reads a row only where its fields pass their range checks
-    # (a row that fails one is reported there), and 0 stands in elsewhere, so
-    # no inf - inf or overflow is ever taken.
-    def usable(*names):
-        ok = np.logical_and.reduce([in_range[n] for n in names])
-        return [ok] + [np.where(ok, table[n], 0.0) for n in names]
-
-    ok, f, lin = usable("fidelity_pure", "er_lin")  # eigensolve vs trace
-    yield "fidelity_pure", "differs from 1 - er_lin", ok, np.abs(f - (1.0 - lin))
-    ok, neg, c = usable("negativity", "concurrence_wootters")  # PT spectrum vs SVD
-    yield "negativity", "differs from concurrence_wootters", ok, np.abs(neg - c)
-    ok, c, eps, abs_a = usable("concurrence_wootters", "epsilon", "abs_a")
-    yield ("concurrence_wootters", "differs from 2 eps (1-eps) |a| / n",
-           ok, np.abs(c - negativity_closed(eps, abs_a)))
-    ok, c, d12 = usable("concurrence_wootters", "delta12")
-    yield "concurrence_wootters", "breaks C^2 + (3/2) delta12 <= 1", ok, c * c + 1.5 * d12 - 1.0
-    ok, e, c = usable("eof", "concurrence_wootters")
-    yield "eof", "exceeds concurrence_wootters", ok, e - c
-    ok, lin = usable("er_lin")  # er_exact may be +inf, the residual -inf
-    yield "er_lin", "exceeds er_exact", ok, lin - table["er_exact"]
+def _cross_route_checks(v, er_exact):
+    # (field, what, the other fields it reads, residual): |lhs - rhs| of an
+    # identity between independent routes, lhs - bound of a bound every family
+    # state obeys; v has 0 where a field is out of range, so nothing overflows
+    eps, g, abs_a, c = v["epsilon"], v["gamma"], v["abs_a"], v["concurrence_wootters"]
+    yield ("fidelity_pure", "differs from 1 - er_lin", ("er_lin",),  # eigensolve vs trace
+           np.abs(v["fidelity_pure"] - (1.0 - v["er_lin"])))
+    yield ("negativity", "differs from concurrence_wootters", ("concurrence_wootters",),
+           np.abs(v["negativity"] - c))  # PT spectrum vs SVD
+    yield ("concurrence_wootters", "differs from 2 eps (1-eps) |a| / n", ("epsilon", "abs_a"),
+           np.abs(c - negativity_closed(eps, abs_a)))
+    yield ("concurrence_wootters", "breaks C^2 + (3/2) delta12 <= 1", ("delta12",),
+           c * c + 1.5 * v["delta12"] - 1.0)
+    yield "eof", "exceeds concurrence_wootters", ("concurrence_wootters",), v["eof"] - c
+    yield "er_lin", "exceeds er_exact", (), v["er_lin"] - er_exact  # er_exact = +inf: -inf
     # the paper's relations; the _half ones at epsilon = 1/2 only
     names = ("epsilon", "delta12", "negativity", "concurrence_paper", "e_pure", "er_lin")
-    ok, *cols = usable(*names)
-    res = relation_residuals(dict(zip(names, cols)))
+    res = relation_residuals(v)
     for relation, name in _RELATION_FIELDS.items():
-        reads = ok & (cols[0] == 0.5) if relation.endswith("_half") else ok
-        yield name, f"breaks the {relation} relation", reads, np.abs(res[relation])
+        at = eps == 0.5 if relation.endswith("_half") else True
+        yield name, f"breaks the {relation} relation", names, at * np.abs(res[relation])
     # the family's closed forms of columns no other check pins
-    ok, abs_a, g = usable("abs_a", "gamma")
-    yield "gamma", "differs from 1 - |a|^2", ok, np.abs(abs_a * abs_a + g - 1.0)
+    yield "gamma", "differs from 1 - |a|^2", ("abs_a",), np.abs(abs_a * abs_a + g - 1.0)
     # with m = 2 eps (1-eps): Tr sqrt(rho) = sqrt(1 + 2 sqrt(det)) on the 2x2
     # outer block, det = m^2 gamma / (2n)^2, which shares no arithmetic with the
-    # factor's singular values; and Delta = sqrt(1 - C^2) as css_family_columns
-    # takes it, which does not cancel as C -> 1 (Wootters, PRL 80, 2245 (1998))
-    family, eps, g = usable("epsilon", "gamma")
-    m, n = 2.0 * eps * (1.0 - eps), family_norm(eps)
-    ok, e = usable("e_maxmixed")
+    # factor's singular values
+    e = 1.0 - np.sqrt(1.0 + 2.0 * eps * (1.0 - eps) * np.sqrt(_max0(g)) / family_norm(eps)) / 2.0
     yield ("e_maxmixed", "differs from 1 - sqrt(1 + 2 eps (1-eps) sqrt(gamma) / n) / 2",
-           family & ok, np.abs(e - (1.0 - np.sqrt(1.0 + m * np.sqrt(_max0(g)) / n) / 2.0)))
-    delta = _min1(np.sqrt((1.0 - 2.0 * eps) * (1.0 - 2.0 * eps) + m * m * _max0(g)) / n)
-    ok, e = usable("eof")
+           ("epsilon", "gamma"), np.abs(v["e_maxmixed"] - e))
+    delta = _min1(family_delta(eps, _max0(g)))
     yield ("eof", "differs from h((1 + sqrt((1-2eps)^2 + 4 eps^2 (1-eps)^2 gamma) / n) / 2)",
-           family & ok, np.abs(e - _binary_entropy(0.5 * (1.0 + delta))))
+           ("epsilon", "gamma"), np.abs(v["eof"] - _binary_entropy(0.5 * (1.0 + delta))))
 
 
 def violation_mask(table) -> np.ndarray:
@@ -424,9 +412,8 @@ def violation_mask(table) -> np.ndarray:
 
 
 def violations_at(table, k: int) -> list:
-    """The invariant diagnostics of row k of a sweep table: every field
-    finite (er_exact may be inf), measures within their ranges, and the
-    cross-route identities and the paper's relations."""
+    """The invariant diagnostics of row k of a sweep table: each field's
+    value check, the cross-route identities and the paper's relations."""
     return [f"{name} {what}: {float(table[name][k])}"
             for name, what, bad in _invariant_checks(table[k:k + 1]) if bad[0]]
 

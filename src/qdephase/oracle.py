@@ -211,8 +211,11 @@ def reduce_grouped(eps: float, r: ReservoirConfig, c: ChannelParams,
         raise ValueError(f"t must be >= 0, got {t[t < 0][0]}")
     weight_plus, weight_minus = _branch_weights(eps)
     weights = occupation_weights(r)
-    rate = _branch_rate(c, np.arange(weights.size))
-    corners = np.exp(-2j * np.multiply.outer(t, rate)) @ weights
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        angle = 2.0 * np.multiply.outer(t, _branch_rate(c, np.arange(weights.size)))
+    if not np.isfinite(angle).all():
+        raise ValueError("the branch rate (omega1 + omega2)/2 + (mu1 + mu2) N/2 overflows")
+    corners = np.exp(-1j * angle) @ weights
     total = weights.sum()
     return outer_block(weight_plus**2 * total, weight_minus**2 * total,
                        weight_plus * weight_minus * corners)

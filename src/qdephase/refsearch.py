@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels
 from .measures import RANGE_SLACK, _eig_factor, _max0, _min1, _spin_flip, _trace_norm
 from .matcore import as_matrix, psd_eig
-from .states import family_norm, outer_block, validate
+from .states import family_delta, family_norm, outer_block, validate
 
 PT_FEASIBILITY = -1e-7     # accepted partial-transpose floor for sigma*
 GTOL = 1e-9                # L-BFGS-B stop on the largest gradient component
@@ -223,12 +223,11 @@ def css_family_columns(epsilon, gamma):
 
     For two qubits the largest fidelity to a separable state is 1 - E_G with
     E_G = (1 - sqrt(1 - C^2))/2 (Streltsov, Kampermann & Bruss, NJP 12,
-    123004 (2010); Wei & Goldbart, PRA 68, 042307 (2003)). On the family
-    1 - C^2 = Delta^2 = ((1 - 2 eps)^2 + m^2 gamma)/n^2, n = eps^2 + (1 - eps)^2
-    and m = 2 eps (1 - eps), free of cancellation as C -> 1. The optimum is
-    attained at the diagonal sigma* = diag(u, 0, 0, 1 - u): a local-phase
-    twirl takes any separable sigma to X form, and a corner in sigma gains
-    less fidelity than the middle-block trace it needs costs.
+    123004 (2010); Wei & Goldbart, PRA 68, 042307 (2003)), with
+    sqrt(1 - C^2) from states.family_delta. The optimum is attained at the
+    diagonal sigma* = diag(u, 0, 0, 1 - u): a local-phase twirl takes any
+    separable sigma to X form, and a corner in sigma gains less fidelity
+    than the middle-block trace it needs costs.
     """
     epsilon, gamma = np.broadcast_arrays(epsilon, gamma)
     bad = np.flatnonzero(~((0.0 <= epsilon) & (epsilon <= 1.0)
@@ -237,8 +236,7 @@ def css_family_columns(epsilon, gamma):
         raise ValueError(f"need epsilon, gamma in [0, 1], got "
                          f"{epsilon.flat[bad[0]]}, {gamma.flat[bad[0]]}")
     n = family_norm(epsilon)
-    m = 2.0 * epsilon * (1.0 - epsilon)
-    delta = np.sqrt((1.0 - 2.0 * epsilon) * (1.0 - 2.0 * epsilon) + m * m * gamma) / n
+    delta = family_delta(epsilon, gamma)
     # Delta = 0 only where 2 eps - 1 = 0, and there u = 1/2
     split = (2.0 * epsilon - 1.0) / (n * np.where(delta > 0.0, delta, 1.0))
     u = _min1(_max0(0.5 * (1.0 + split)))

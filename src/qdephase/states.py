@@ -26,6 +26,14 @@ def family_norm(epsilon):
     return epsilon * epsilon + (1.0 - epsilon) * (1.0 - epsilon)
 
 
+def family_delta(eps, gamma):
+    """The family's sqrt(1 - C^2) at damping gamma, elementwise, as
+    sqrt((1 - 2 eps)^2 + m^2 gamma)/n with m = 2 eps (1 - eps), n = eps^2 +
+    (1 - eps)^2: free of cancellation as C -> 1 (Wootters, PRL 80, 2245 (1998))."""
+    m = 2.0 * eps * (1.0 - eps)
+    return np.sqrt((1.0 - 2.0 * eps) * (1.0 - 2.0 * eps) + m * m * gamma) / family_norm(eps)
+
+
 def _checked_epsilon(epsilon):
     # the family's mixing weight, or a column of them, returned as given once
     # every value is in [0, 1]; the first value outside is named
@@ -52,7 +60,8 @@ def check(m, trace_tol: float = TRACE_TOL) -> list:
         w, defect = _eigen(stack, kernels.eigvalsh_herm)
     except NotHermitian as exc:  # a non-finite entry
         return [str(exc) if a.ndim == 3 else "matrix contains non-finite entries"]
-    deviation = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
+    with np.errstate(over="ignore"):  # an inf deviation is the right verdict
+        deviation = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
     hermitian = defect <= HERM_TOL
     broken = np.column_stack([~hermitian, deviation > trace_tol,
                               hermitian & (w[:, 0] < -PSD_TOL)])
@@ -144,7 +153,9 @@ def state_from_json(data) -> np.ndarray:
         raise InvalidState([f"malformed state JSON: {exc}"]) from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise InvalidState([f"re/im shapes {re.shape}/{im.shape} do not match dim {dim}"])
-    return validate(re + 1j * im)
+    with np.errstate(invalid="ignore"):  # 1j * inf has a nan real part, which check names
+        m = re + 1j * im
+    return validate(m)
 
 
 def save_state(state, path) -> None:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from qdephase import cli, kernels, measures, oracle, refsearch
 from qdephase.channel import ChannelParams
 from qdephase.cli import SweepConfig, build_record, run_sweep
-from qdephase.states import initial_pure, save_state
+from qdephase.states import initial_pure, save_state, state_to_json
 import make_golden
 from reference import (abs_a_50, concurrence_50, concurrence_paper_50, delta12_50, e_maxmixed_50,
                        e_mixed_50, e_pure_50, eof_50, er_exact_50, er_lin_50)
@@ -257,8 +257,7 @@ class TestSweepBlocks:
             run_sweep(cfg)
         t = float(np.linspace(0.0, cfg.t_max, cfg.t_steps)[3])
         assert str(info.value) == (f"record invariants violated at eps=0.25, t={t}: "
-                                   "['negativity is not finite: nan', "
-                                   "'negativity outside [0, 1]: nan']")
+                                   "['negativity outside [0, 1]: nan']")
         assert not out.exists()
 
 
@@ -278,7 +277,7 @@ class TestSweepBlocks:
                          "--out", str(out)]) == 2
         t = float(np.linspace(0.0, 2.0 * math.pi, 4)[1])
         err = capsys.readouterr().err
-        assert f"at eps=0.3, t={t}: ['concurrence_wootters is not finite: nan'" in err
+        assert f"at eps=0.3, t={t}: ['concurrence_wootters outside [0, 1]: nan'" in err
         assert not out.exists()
 
     def test_broken_route_exits_two_naming_its_row(self, tmp_path, monkeypatch, capsys):
@@ -477,7 +476,7 @@ class TestSliceWriter:
         out = tmp_path / "s.csv"
         if existing is not None:
             out.write_bytes(existing)
-        with pytest.raises(ArithmeticError, match="negativity is not finite"):
+        with pytest.raises(ArithmeticError, match=r"negativity outside \[0, 1\]: nan"):
             run_sweep(small_config(out, t_steps=7, include_css=True))
         # eps 0.25: t[0:3], t[3:6], then t[6] with eps 0.5's t[0:2]
         assert seen == [3, 3, 3]
@@ -856,6 +855,24 @@ class TestMainOracleCheck:
         captured = capsys.readouterr()
         assert "omega_ratios must be positive" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("flags, config", [(["--mu2", "1e308"], ""),
+                                               ([], "[channel]\nmu1 = 1e308\n")])
+    def test_overflowing_branch_rate_exits_one(self, tmp_path, capsys, flags, config):
+        # mu1 + mu2 is finite, but the branch rate (mu1 + mu2) N / 2 is not from N = 4
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(config)
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["oracle-check", "--config", str(cfgfile), *flags,
+                           "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            "error: the branch rate (omega1 + omega2)/2 + (mu1 + mu2) N/2 overflows")
+        assert not out.exists()
+
     @pytest.mark.parametrize("epsilon", ["1.5", "-0.1", "nan"])
     def test_epsilon_outside_the_unit_interval_exits_one(self, tmp_path, capsys, epsilon):
         out = tmp_path / "bad.json"
@@ -952,6 +969,24 @@ class TestMainCss:
         path.write_text(json.dumps({**blob, "re": (np.eye(4) / 4).tolist(), "dim": 4.9}))
         assert cli.main(["css", str(path)]) == 1
         assert "malformed state JSON: dim must be an integer, got 4.9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entries, shown", [
+        ({("im", 0, 3): math.inf}, "matrix contains non-finite entries"),
+        ({("re", 0, 0): 1e308, ("re", 3, 3): 1e308}, "trace deviates from 1 by inf"),
+        ({("re", 0, 3): 1e308, ("re", 3, 0): -1e308}, "hermiticity defect inf exceeds 1.0e-10"),
+        ({("re", 0, 3): 1e308, ("re", 3, 0): 1e308},
+         "negative eigenvalue -1.000e+308 below -1.0e-09")])
+    def test_non_finite_or_huge_entry_exits_one(self, tmp_path, capsys, entries, shown):
+        blob = state_to_json(initial_pure(0.5))
+        for (part, i, j), value in entries.items():
+            blob[part][i][j] = value
+        path, out = tmp_path / "state.json", tmp_path / "report.json"
+        path.write_text(json.dumps(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["css", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {shown}\n"
+        assert not out.exists()
 
     def test_missing_file_exits_one(self, capsys):
         assert cli.main(["css", "/nonexistent/state.json"]) == 1

@@ -109,6 +109,15 @@ class TestPsdSqrt:
             with pytest.raises(NotHermitian, match="^matrix has a non-finite entry$"):
                 call(m)
 
+    @pytest.mark.parametrize("call", [matcore.hermitian_eig, matcore.psd_eig])
+    def test_entries_near_the_largest_float_do_not_overflow(self, call):
+        # the Hermitian part is taken as m/2 + m†/2, not (m + m†)/2
+        m = np.diag([1.5e308, 1e308, 0.0, 0.0]).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, _ = call(m)
+        assert w.tolist() == [0.0, 0.0, 1e308, 1.5e308]
+
     @pytest.mark.parametrize("call", [matcore.psd_sqrt, matcore.psd_eig])
     def test_first_non_finite_matrix_of_a_stack_names_itself(self, call):
         stack = np.array([np.eye(4, dtype=complex) / 4.0] * 5)

@@ -860,7 +860,23 @@ def test_cross_route_checks_name_the_broken_route(row, field, edge, sign, broken
 
 def test_nan_er_exact_is_a_violation():
     rec = measures.as_table({**CONSISTENT_ROW, "er_exact": math.nan})
-    assert measures.violations_at(rec, 0) == ["er_exact is nan: nan"]
+    assert measures.violations_at(rec, 0) == ["er_exact is nan or negative: nan"]
+
+
+VALUE_CHECKS = ("is not finite", "is nan or negative", "outside [0, 1]")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", FIELDS)
+def test_a_non_finite_field_has_one_value_diagnostic(field, value):
+    # each field has one value check, and a nan or inf fails it once, named
+    # by the field; er_exact = +inf marks a support mismatch and passes
+    said = broken_checks({**CONSISTENT_ROW, field: value})
+    value_said = [v for v in said if v.endswith(VALUE_CHECKS)]
+    if field == "er_exact" and value == math.inf:
+        assert value_said == []
+    else:
+        assert len(value_said) == 1 and value_said[0].startswith(field + " "), said
 
 
 @pytest.mark.parametrize("field", ["epsilon", "gamma", "abs_a"])

@@ -1,4 +1,6 @@
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -166,6 +168,20 @@ class TestValidate:
         for m, expect in cases:
             assert states.check(m) == expect
 
+    def test_entries_near_the_largest_float_are_named_without_overflow(self):
+        # the Hermitian part, the defect and the trace of such a matrix take
+        # no overflow warning; an inf defect or deviation is the verdict
+        diagonal = np.diag([1e308, 0.0, 0.0, 1e308]).astype(complex)
+        anti = maximally_mixed().copy()
+        anti[0, 3], anti[3, 0] = 1e308, -1e308
+        corner = maximally_mixed().copy()
+        corner[0, 3] = corner[3, 0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert states.check(diagonal) == ["trace deviates from 1 by inf"]
+            assert states.check(anti) == ["hermiticity defect inf exceeds 1.0e-10"]
+            assert states.check(corner) == ["negative eigenvalue -1.000e+308 below -1.0e-09"]
+
     def test_matrix_is_immutable(self):
         m = maximally_mixed()
         rho = states.validate(m)
@@ -207,6 +223,17 @@ class TestJson:
                "im": np.zeros((4, 4)).tolist()}
         with pytest.raises(InvalidState):
             states.state_from_json(bad)
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_reader_names_a_non_finite_entry(self, part, value):
+        # 1j * inf has a nan real part: no warning, and check names it
+        blob = states.state_to_json(maximally_mixed())
+        blob[part][0][3] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidState, match="^matrix contains non-finite entries$"):
+                states.state_from_json(blob)
 
     def test_reader_rejects_malformed(self):
         with pytest.raises(InvalidState, match="malformed state JSON"):
