@@ -83,6 +83,8 @@ exits_one oracle-check --omega-ratios=-1,1,1 --modes 3
 exits_one oracle-check --epsilon 1.5
 # and a huge ntilde, which no Fock cutoff reaches
 exits_one oracle-check --ntilde 1e308
+# and an alpha whose |alpha|^2, the reservoir's ntilde, overflows
+exits_one oracle-check --alphas=1e308
 # and a coupling whose branch rate (mu1 + mu2) N/2 overflows, though mu1 + mu2
 # does not
 exits_one oracle-check --mu2 1e308

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import _checked_epsilon, family_norm, family_state, initial_pure
+from .states import _checked_unit, family_norm, family_state, initial_pure
 
 
 @dataclass(frozen=True)
@@ -92,12 +92,9 @@ def kraus_factor(epsilon, a, gamma) -> np.ndarray:
     sqrt(1 - gamma), which loses its digits as gamma -> 1. The first
     epsilon or gamma outside [0, 1] raises ValueError.
     """
-    epsilon, a, gamma = np.broadcast_arrays(_checked_epsilon(np.asarray(epsilon, dtype=float)),
-                                            np.asarray(a, dtype=complex),
-                                            np.asarray(gamma, dtype=float))
-    bad = gamma[~((0.0 <= gamma) & (gamma <= 1.0))]
-    if bad.size:
-        raise ValueError(f"gamma must be in [0, 1], got {bad[0]}")
+    epsilon, a, gamma = np.broadcast_arrays(
+        _checked_unit("epsilon", np.asarray(epsilon, dtype=float)),
+        np.asarray(a, dtype=complex), _checked_unit("gamma", np.asarray(gamma, dtype=float)))
     root_n = np.sqrt(family_norm(epsilon))
     u = np.zeros(a.shape + (4, 2), dtype=complex)
     u[..., 0, 0] = epsilon / root_n

@@ -44,6 +44,7 @@ import numpy as np
 from . import measures, oracle, refsearch
 from .channel import ChannelParams, decoherence_factor, kraus_factor
 from .errors import QDephaseError
+from .states import _checked_unit
 # family_state has no caller here: perfbench/test_harness.py traces it through this name
 from .states import family_state, initial_pure, load_state, state_to_json  # noqa: F401
 
@@ -81,8 +82,7 @@ class SweepConfig:
         self.epsilon_list = tuple(float(e) for e in self.epsilon_list)
         if not self.epsilon_list:
             raise ValueError("epsilon_list must be nonempty")
-        if any(not 0.0 <= e <= 1.0 for e in self.epsilon_list):
-            raise ValueError(f"every epsilon must be in [0, 1]: {self.epsilon_list}")
+        _checked_unit("epsilon", self.epsilon_list)
         for k, e in enumerate(self.epsilon_list):
             if e in self.epsilon_list[:k]:  # == comparison: -0.0 repeats 0.0
                 raise ValueError(f"epsilon {e} is listed twice: {self.epsilon_list}")

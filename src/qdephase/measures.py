@@ -28,7 +28,7 @@ from . import kernels
 from .errors import InvalidState
 # psd_sqrt has no caller here: perfbench/test_harness.py traces it through this name
 from .matcore import _stack_prefix, as_matrix, partial_transpose, psd_eig, psd_sqrt  # noqa: F401
-from .states import family_delta, family_norm
+from .states import _checked_unit, family_delta, family_norm
 
 # weight a pure reference may carry outside the state's support before the
 # relative entropy is infinite
@@ -188,11 +188,7 @@ def concurrence_family(epsilon, abs_a):
 
 def eof(c):
     """Entanglement of formation h((1 + sqrt(1-c^2))/2) for concurrence c."""
-    c = np.asarray(c, dtype=float)
-    bad = c[~((0.0 <= c) & (c <= 1.0 + RANGE_SLACK))]
-    if bad.size:
-        raise ValueError(f"concurrence must be in [0, 1], got {bad[0]}")
-    return _eof(c)
+    return _eof(_checked_unit("concurrence", np.asarray(c, dtype=float), RANGE_SLACK))
 
 
 def _eof(c):  # eof unchecked: the sweep's invariants judge its concurrence

@@ -30,7 +30,7 @@ import numpy as np
 from .channel import ChannelParams, evolve
 from .errors import CutoffTooTight, InvalidState
 from .matcore import TRACE_TOL
-from .states import _checked_epsilon, check, family_norm, outer_block
+from .states import _checked_unit, check, family_norm, outer_block
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,11 @@ class ReservoirConfig:
         object.__setattr__(self, "alphas", tuple(complex(a) for a in self.alphas))
         object.__setattr__(self, "omega_ratios",
                            tuple(float(w) for w in self.omega_ratios))
-        for name in ("alphas", "omega_ratios", "mu_cross", "mu12"):
+        # a non-finite alpha makes the sum non-finite too
+        if not math.isfinite(self.ntilde):
+            raise ValueError(f"alphas must be finite, and so must the sum of their "
+                             f"|alpha|^2, got {self.alphas}")
+        for name in ("omega_ratios", "mu_cross", "mu12"):
             value = getattr(self, name)
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -67,7 +71,7 @@ class ReservoirConfig:
 
     @property
     def ntilde(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.alphas))
+        return float(sum(abs(a) * abs(a) for a in self.alphas))
 
 
 def fock_cutoff(mean: float, tail: float, limit: int = 64) -> int:
@@ -114,7 +118,7 @@ def _branch_rate(c: ChannelParams, occupation):
 
 def _branch_weights(eps: float) -> tuple:
     # the scalar weights eps/sqrt(n) and (1-eps)/sqrt(n) of |++> and |-->
-    root_n = math.sqrt(family_norm(_checked_epsilon(eps)))
+    root_n = math.sqrt(family_norm(_checked_unit("epsilon", eps)))
     return eps / root_n, (1.0 - eps) / root_n
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels
 from .measures import RANGE_SLACK, _eig_factor, _max0, _min1, _spin_flip, _trace_norm
 from .matcore import as_matrix, psd_eig
-from .states import family_delta, family_norm, outer_block, validate
+from .states import _checked_unit, family_delta, family_norm, outer_block, validate
 
 PT_FEASIBILITY = -1e-7     # accepted partial-transpose floor for sigma*
 GTOL = 1e-9                # L-BFGS-B stop on the largest gradient component
@@ -219,7 +219,8 @@ def mixed_ref_measure_family(epsilon, abs_a, gamma, ntilde: float, phase=0.0):
 def css_family_columns(epsilon, gamma):
     """Closest separable states of the family states at damping gamma, in
     closed form: the sigma* stack and the e_value and pt_min_eig columns,
-    for arrays epsilon and gamma; the first pair outside [0, 1] raises.
+    for arrays epsilon and gamma; the first epsilon outside [0, 1] raises,
+    then the first gamma.
 
     For two qubits the largest fidelity to a separable state is 1 - E_G with
     E_G = (1 - sqrt(1 - C^2))/2 (Streltsov, Kampermann & Bruss, NJP 12,
@@ -229,12 +230,8 @@ def css_family_columns(epsilon, gamma):
     separable sigma to X form, and a corner in sigma gains less fidelity
     than the middle-block trace it needs costs.
     """
-    epsilon, gamma = np.broadcast_arrays(epsilon, gamma)
-    bad = np.flatnonzero(~((0.0 <= epsilon) & (epsilon <= 1.0)
-                           & (0.0 <= gamma) & (gamma <= 1.0)))
-    if bad.size:
-        raise ValueError(f"need epsilon, gamma in [0, 1], got "
-                         f"{epsilon.flat[bad[0]]}, {gamma.flat[bad[0]]}")
+    epsilon, gamma = np.broadcast_arrays(_checked_unit("epsilon", epsilon),
+                                         _checked_unit("gamma", gamma))
     n = family_norm(epsilon)
     delta = family_delta(epsilon, gamma)
     # Delta = 0 only where 2 eps - 1 = 0, and there u = 1/2

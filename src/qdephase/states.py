@@ -14,8 +14,8 @@ import json
 import numpy as np
 
 from . import kernels
-from .errors import BadDim, InvalidState, NotHermitian
-from .matcore import HERM_TOL, PSD_TOL, TRACE_TOL, _eigen, _stack_prefix, as_matrix
+from .errors import BadDim, InvalidState
+from .matcore import TRACE_TOL, _eigen, as_matrix
 
 
 def family_norm(epsilon):
@@ -34,14 +34,14 @@ def family_delta(eps, gamma):
     return np.sqrt((1.0 - 2.0 * eps) * (1.0 - 2.0 * eps) + m * m * gamma) / family_norm(eps)
 
 
-def _checked_epsilon(epsilon):
-    # the family's mixing weight, or a column of them, returned as given once
-    # every value is in [0, 1]; the first value outside is named
-    e = np.asarray(epsilon)
-    bad = e[~((0.0 <= e) & (e <= 1.0))]
+def _checked_unit(name, values, slack=0.0):
+    # values, a number or a column, returned as given once every one is in
+    # [0, 1 + slack]; the first value outside is named
+    v = np.asarray(values)
+    bad = v[~((0.0 <= v) & (v <= 1.0 + slack))]
     if bad.size:
-        raise ValueError(f"epsilon must be in [0, 1], got {bad[0]}")
-    return epsilon
+        raise ValueError(f"{name} must be in [0, 1], got {bad[0]}")
+    return values
 
 
 def check(m, trace_tol: float = TRACE_TOL) -> list:
@@ -55,24 +55,7 @@ def check(m, trace_tol: float = TRACE_TOL) -> list:
         return [str(exc)]
     if a.shape[-1] != 4:
         return [f"dimension is {a.shape[-1]}, expected 4"]
-    stack = a.reshape(-1, 4, 4)
-    try:
-        w, defect = _eigen(stack, kernels.eigvalsh_herm)
-    except NotHermitian as exc:  # a non-finite entry
-        return [str(exc) if a.ndim == 3 else "matrix contains non-finite entries"]
-    with np.errstate(over="ignore"):  # an inf deviation is the right verdict
-        deviation = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
-    hermitian = defect <= HERM_TOL
-    broken = np.column_stack([~hermitian, deviation > trace_tol,
-                              hermitian & (w[:, 0] < -PSD_TOL)])
-    bad = np.flatnonzero(broken.any(axis=1))
-    if not bad.size:
-        return []
-    k = bad[0]
-    said = (f"hermiticity defect {defect[k]:.3e} exceeds {HERM_TOL:.1e}",
-            f"trace deviates from 1 by {deviation[k]:.3e}",
-            f"negative eigenvalue {w[k, 0]:.3e} below -{PSD_TOL:.1e}")
-    return [_stack_prefix(a, k) + text for text, hit in zip(said, broken[k]) if hit]
+    return [text for _, text in _eigen(a, kernels.eigvalsh_herm, trace_tol)[1]]
 
 
 def validate(m) -> np.ndarray:
@@ -102,7 +85,7 @@ def family_state(epsilon, a) -> np.ndarray:
     """The family state with corner coherence eps(1-eps) a/n (|a| <= 1): a
     4x4 matrix, or an (N, 4, 4) stack for an array of corner factors a or a
     column of epsilon (the two broadcast), by the same arithmetic."""
-    eps = _checked_epsilon(epsilon)
+    eps = _checked_unit("epsilon", epsilon)
     n = family_norm(eps)
     return outer_block(eps * eps / n, (1.0 - eps) * (1.0 - eps) / n,
                        eps * (1.0 - eps) * np.asarray(a, dtype=complex) / n)

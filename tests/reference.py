@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from qdephase.matcore import as_matrix
-from qdephase.states import (_checked_epsilon, family_norm, family_state, initial_pure,
+from qdephase.states import (_checked_unit, family_norm, family_state, initial_pure,
                              outer_block, validate)
 
 BELL = validate(initial_pure(0.5))  # read-only: the test modules share it
@@ -97,7 +97,7 @@ def mixed_reference_family(epsilon: float, ntilde: float, phase: float = 0.0) ->
     damped by e^{-2*ntilde}. Reduces to states.mixed_reference at epsilon = 1/2."""
     if ntilde < 0:
         raise ValueError(f"ntilde must be >= 0, got {ntilde}")
-    n = family_norm(_checked_epsilon(epsilon))
+    n = family_norm(_checked_unit("epsilon", epsilon))
     corner = (epsilon * (1.0 - epsilon) / n
               * np.exp(-1j * phase) * np.exp(-2.0 * ntilde))
     return outer_block(epsilon**2 / n, (1.0 - epsilon) ** 2 / n, corner)

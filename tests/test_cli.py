@@ -837,16 +837,32 @@ class TestMainOracleCheck:
         assert shown in captured.err and captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags, field", [
-        (["--omega-ratios", "nan,inf,-1"], "omega_ratios"),
-        (["--omega-ratios", "1,1,inf"], "omega_ratios"),
-        (["--alphas", "nan,1,1"], "alphas"),
-        (["--alphas", "0.5,1+nanj,0.5"], "alphas")])
-    def test_non_finite_reservoir_input_exits_one(self, capsys, flags, field):
-        rc = cli.main(["oracle-check", "--t-steps", "3", *flags])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    @pytest.mark.parametrize("field, value", [
+        ("omega_ratios", "nan,inf,-1"),
+        ("omega_ratios", "1,1,inf"),
+        ("alphas", "nan,1,1"),
+        ("alphas", "0.5,1+nanj,0.5"),
+        # finite alphas whose sum of |alpha|^2, the reservoir's ntilde, overflows
+        ("alphas", "1e308"),
+        ("alphas", "1e200"),
+        ("alphas", "1e154,1e154")])
+    def test_non_finite_reservoir_input_exits_one(self, tmp_path, capsys, route, field, value):
+        if route == "flag":
+            given = [f"--{field.replace('_', '-')}={value}"]
+        else:
+            cfgfile = tmp_path / "run.ini"
+            cfgfile.write_text(f"[oracle]\n{field} = {value}\n")
+            given = ["--config", str(cfgfile)]
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["oracle-check", "--t-steps", "3", *given, "--out", str(out)])
         assert rc == 1
         captured = capsys.readouterr()
-        assert f"{field} must be finite" in captured.err and captured.out == ""
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {field} must be finite")
+        assert not out.exists()
 
     @pytest.mark.parametrize("ratios", ["-1,-1,0", "1,0,1", "1,1,-0.5"])
     def test_non_positive_omega_ratio_exits_one(self, capsys, ratios):
@@ -971,7 +987,7 @@ class TestMainCss:
         assert "malformed state JSON: dim must be an integer, got 4.9" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entries, shown", [
-        ({("im", 0, 3): math.inf}, "matrix contains non-finite entries"),
+        ({("im", 0, 3): math.inf}, "matrix has a non-finite entry"),
         ({("re", 0, 0): 1e308, ("re", 3, 3): 1e308}, "trace deviates from 1 by inf"),
         ({("re", 0, 3): 1e308, ("re", 3, 0): -1e308}, "hermiticity defect inf exceeds 1.0e-10"),
         ({("re", 0, 3): 1e308, ("re", 3, 0): 1e308},

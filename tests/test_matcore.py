@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qdephase import kernels, matcore
+from qdephase import kernels, matcore, states
 from qdephase.errors import BadDim, NoConvergence, NotHermitian, NotPSD
 from qdephase.states import family_state, initial_pure
 from reference import SY, SY2, partial_trace
@@ -143,6 +143,38 @@ class TestPsdSqrt:
         sk, wk, vk = kernels.psd_sqrt_with_min((stack + kernels._dagger(stack)) / 2.0)
         assert np.array_equal(sk, s)
         assert np.array_equal(wk, w) and np.array_equal(vk, v)
+
+
+def _broken(kind):
+    # a unit-trace 4x4 matrix that fails one check: check lists that failure first
+    if kind == "indefinite":
+        return np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
+    m = np.eye(4, dtype=complex) / 4.0
+    m[2, 1] = np.nan if kind == "non-finite" else 0.2
+    return m
+
+
+@pytest.mark.parametrize("call", [matcore.psd_eig, matcore.psd_sqrt])
+@pytest.mark.parametrize("kind, error", [("non-finite", NotHermitian),
+                                         ("non-Hermitian", NotHermitian),
+                                         ("indefinite", NotPSD)])
+@pytest.mark.parametrize("k", [None, 0, 2])
+def test_one_wording_per_failure(call, kind, error, k):
+    # the eigen routes raise exactly the first diagnostic states.check lists,
+    # for one matrix and for matrix k of a stack
+    m = _broken(kind)
+    if k is not None:
+        stack = np.array([np.eye(4, dtype=complex) / 4.0] * 3)
+        stack[k] = m
+        m = stack
+    said = states.check(m)
+    with pytest.raises(error) as info:
+        call(m)
+    assert str(info.value) == said[0]
+    if k is None and error is NotHermitian:
+        with pytest.raises(NotHermitian) as info:
+            matcore.hermitian_eig(m)
+        assert str(info.value) == said[0]
 
 
 def _no_convergence(*args):

@@ -338,7 +338,7 @@ class TestStackedMeasures:
             measures.pure_fidelity(skewed, sigma)
         indefinite = skewed.copy()
         indefinite[1] = np.diag([0.5, 0.5 + 1e-6, 0.0, -1e-6])
-        with pytest.raises(NotPSD, match="^matrix 1 of the stack: eigenvalue -1.000e-06"):
+        with pytest.raises(NotPSD, match="^matrix 1 of the stack: negative eigenvalue -1.000e-06"):
             measures.pure_fidelity(indefinite, sigma)  # state 1 before state 2
         mixed = sigma.copy()
         mixed[3] = np.eye(4) / 4.0
@@ -359,8 +359,9 @@ class TestStackedErrorsNameTheirMatrix:
         stack[2] = np.diag([1.0, 0.5, 0.0, -0.5])
         with pytest.raises(NotPSD) as info:
             matcore.psd_eig(stack)
-        assert str(info.value) == "matrix 2 of the stack: eigenvalue -5.000e-01 < -1.0e-09"
-        with pytest.raises(NotPSD, match="^eigenvalue -5.000e-01"):
+        assert str(info.value) == ("matrix 2 of the stack: negative eigenvalue -5.000e-01 "
+                                   "below -1.0e-09")
+        with pytest.raises(NotPSD, match="^negative eigenvalue -5.000e-01"):
             matcore.psd_eig(stack[2])
 
     def test_not_hermitian(self):
@@ -368,7 +369,8 @@ class TestStackedErrorsNameTheirMatrix:
         stack[1, 0, 2] = 1e-6
         with pytest.raises(NotHermitian) as info:
             matcore.psd_eig(stack)
-        assert str(info.value) == "matrix 1 of the stack: hermiticity defect 1.000e-06 > 1.0e-10"
+        assert str(info.value) == ("matrix 1 of the stack: hermiticity defect 1.000e-06 "
+                                   "exceeds 1.0e-10")
         with pytest.raises(NotHermitian, match="^hermiticity defect 1.000e-06"):
             matcore.psd_eig(stack[1])
 

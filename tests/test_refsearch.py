@@ -563,8 +563,11 @@ class TestCssFamily:
             refsearch.css_family_columns([0.5], [1.5])
         with pytest.raises(ValueError):
             refsearch.css_family_columns([-0.1], [0.5])
-        with pytest.raises(ValueError, match="got 0.3, nan$"):
+        # epsilon is judged before gamma, each column naming its first bad value
+        with pytest.raises(ValueError, match=r"^epsilon must be in \[0, 1\], got 2.0$"):
             refsearch.css_family_columns([0.5, 0.3, 2.0], [0.5, math.nan, 0.5])
+        with pytest.raises(ValueError, match=r"^gamma must be in \[0, 1\], got nan$"):
+            refsearch.css_family_columns([0.5, 0.3, 0.2], [0.5, math.nan, 1.5])
 
     def test_columns_equal_css_family_bit_for_bit(self):
         rng = np.random.default_rng(43)

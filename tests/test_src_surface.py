@@ -127,3 +127,16 @@ def test_the_scan_sees_uses():
     assert callers["measures._support_entropy"]   # a call within its own module
     assert callers["cli.main"]                    # from .cli import main in __main__
     assert not callers["cli.build_record"]
+
+
+def test_only_matcore_reads_its_check_tolerances():
+    # matcore._eigen is the one diagnosis of a matrix stack; a module that
+    # imports or reads HERM_TOL or PSD_TOL would judge or word a failure a
+    # second time
+    modules = _modules()
+    tolerances = {("matcore", "HERM_TOL"), ("matcore", "PSD_TOL")}
+    refs = _references(modules)
+    readers = {mod for a, b in tolerances for mod, _ in refs.get(f"{a}.{b}", ())}
+    readers |= {mod for mod, tree in modules.items()
+                if tolerances & set(_bindings(tree).values())}
+    assert readers == {"matcore"}

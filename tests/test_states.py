@@ -162,7 +162,7 @@ class TestValidate:
                     "trace deviates from 1 by 1.000e+00"]),
             (neg, ["trace deviates from 1 by 2.000e-01",
                    "negative eigenvalue -1.000e-01 below -1.0e-09"]),
-            (nan, ["matrix contains non-finite entries"]),
+            (nan, ["matrix has a non-finite entry"]),
             (np.eye(3), ["dimension is 3, expected 4"]),
             (np.zeros((4, 3)), ["expected a square matrix, got shape (4, 3)"])]
         for m, expect in cases:
@@ -232,7 +232,7 @@ class TestJson:
         blob[part][0][3] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidState, match="^matrix contains non-finite entries$"):
+            with pytest.raises(InvalidState, match="^matrix has a non-finite entry$"):
                 states.state_from_json(blob)
 
     def test_reader_rejects_malformed(self):
